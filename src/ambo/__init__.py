@@ -37,163 +37,4 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-from .anisotropy import (
-    Anisotropy,
-    AnisotropyError,
-    CrystallineL1,
-    DirectionTable2D,
-    Elliptic,
-    Isotropic,
-    induced_anisotropy,
-    induced_gamma,
-    make_anisotropy,
-    normalize_anisotropy,
-    validate_anisotropy,
-)
-from .energy import (
-    EnergyError,
-    PhaseField,
-    ShapeSpec,
-    approx_energy,
-    convergence_study,
-    indicator_defect,
-    inequality_suite,
-    monotonicity_check,
-    sharp_energy,
-    shift_weighted_sum,
-)
-from .config import RunConfig, load_config
-from .errors import ConfigError, NumericalError, ResolutionWarning
-from .expressions import Expression, ExpressionError, parse_expression
-from .harness import run_experiment
-from .io import read_field, read_summary, write_csv, write_field, write_summary
-from .geometry import (
-    Band,
-    Disk,
-    Ellipse,
-    FullTorus,
-    Geometry,
-    GeometryError,
-    RoundedPolygon,
-    band_mask,
-    boundary_layer_mask,
-    build_geometry,
-    make_shape,
-)
-from .grid import ScalarField, TorusGrid
-from .kernel import (
-    EllipticGaussianKernel,
-    GaussianKernel,
-    Kernel,
-    KernelError,
-    SampledKernel,
-    TriangularKernel,
-    make_kernel,
-    scale_kernel,
-    scale_kernel_gradient,
-    validate_kernel,
-)
-from .scheme import (
-    SchemeConfig,
-    SchemeError,
-    SchemeState,
-    Trajectory,
-    best_fit_disk_mismatch,
-    comparison_field,
-    measure_contact_angle,
-    run,
-    step,
-    threshold,
-    volume_threshold,
-)
-from .tensions import (
-    ModifiedTensions,
-    RawTensions,
-    TensionError,
-    extend_pv,
-    extend_substrate,
-    laplace_solve,
-    validate_raw_tensions,
-    verify_triangle,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Anisotropy",
-    "AnisotropyError",
-    "Band",
-    "ConfigError",
-    "CrystallineL1",
-    "DirectionTable2D",
-    "Disk",
-    "Ellipse",
-    "Elliptic",
-    "EllipticGaussianKernel",
-    "EnergyError",
-    "Expression",
-    "ExpressionError",
-    "FullTorus",
-    "GaussianKernel",
-    "Geometry",
-    "GeometryError",
-    "Kernel",
-    "KernelError",
-    "ModifiedTensions",
-    "NumericalError",
-    "PhaseField",
-    "RawTensions",
-    "ResolutionWarning",
-    "RoundedPolygon",
-    "RunConfig",
-    "SampledKernel",
-    "ScalarField",
-    "SchemeConfig",
-    "SchemeError",
-    "SchemeState",
-    "ShapeSpec",
-    "TensionError",
-    "TorusGrid",
-    "Trajectory",
-    "TriangularKernel",
-    "approx_energy",
-    "band_mask",
-    "best_fit_disk_mismatch",
-    "boundary_layer_mask",
-    "build_geometry",
-    "comparison_field",
-    "convergence_study",
-    "extend_pv",
-    "extend_substrate",
-    "indicator_defect",
-    "induced_anisotropy",
-    "induced_gamma",
-    "inequality_suite",
-    "laplace_solve",
-    "load_config",
-    "make_anisotropy",
-    "make_kernel",
-    "make_shape",
-    "measure_contact_angle",
-    "monotonicity_check",
-    "normalize_anisotropy",
-    "parse_expression",
-    "read_field",
-    "read_summary",
-    "run",
-    "run_experiment",
-    "scale_kernel",
-    "scale_kernel_gradient",
-    "sharp_energy",
-    "shift_weighted_sum",
-    "step",
-    "threshold",
-    "validate_anisotropy",
-    "validate_kernel",
-    "validate_raw_tensions",
-    "verify_triangle",
-    "volume_threshold",
-    "write_csv",
-    "write_field",
-    "write_summary",
-]

@@ -7,7 +7,6 @@ exactly by construction.  The quantities of interest are
 
 * ``gamma(nu)`` for direction fields ``nu`` (vectorised over leading axes),
 * the bounds ``c_lo |nu| <= gamma(nu) <= c_hi |nu|``,
-* the dual norm ``gamma*(nu*) = sup_xi nu*.xi / gamma(xi)``,
 * ellipticity of ``gamma^2`` (positive definite Hessian), checked by
   finite differences in :func:`validate_anisotropy`.
 
@@ -98,55 +97,6 @@ class Anisotropy:
         vals = self._eval_unit(_direction_samples(self.dim))
         return float(vals.min()), float(vals.max())
 
-    # -- duality -----------------------------------------------------------
-    def dual(self, nu: np.ndarray) -> np.ndarray:
-        """Dual norm sup_{xi != 0} nu.xi / gamma(xi), computed numerically.
-
-        Subclasses with a closed form override this.  The generic path
-        scans a fine set of unit directions and then refines around the
-        best candidate; accurate to ~1e-6 relative for smooth gamma.
-        """
-        norms, units = _as_directions(nu, self.dim)
-        out = np.empty(norms.shape, dtype=np.float64)
-        flat_units = units.reshape(-1, self.dim)
-        flat_out = out.reshape(-1)
-        samples = _direction_samples(self.dim)
-        gvals = self._eval_unit(samples)
-        for i, nstar in enumerate(flat_units):
-            ratios = samples @ nstar / gvals
-            best = int(np.argmax(ratios))
-            flat_out[i] = self._refine_dual(nstar, samples[best])
-        return out * norms
-
-    def _refine_dual(self, nstar: np.ndarray, xi0: np.ndarray) -> float:
-        """Golden-section style local refinement of sup nu*.xi/gamma(xi)."""
-
-        def ratio(xi: np.ndarray) -> float:
-            xi = xi / np.linalg.norm(xi)
-            return float(xi @ nstar / self._eval_unit(xi[None, :])[0])
-
-        best_xi = xi0
-        best = ratio(best_xi)
-        step = 2.0 * math.pi / _N_SCAN  # initial bracket ~ scan spacing
-        rng_dirs = np.eye(self.dim)
-        for _ in range(60):
-            improved = False
-            for axis in rng_dirs:
-                for sgn in (1.0, -1.0):
-                    cand = best_xi + sgn * step * axis
-                    nrm = np.linalg.norm(cand)
-                    if nrm == 0.0:
-                        continue
-                    val = ratio(cand)
-                    if val > best:
-                        best, best_xi = val, cand / nrm
-                        improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-9:
-                    break
-        return best
-
 
 _N_SCAN = 4096
 
@@ -182,10 +132,6 @@ class Isotropic(Anisotropy):
     def bounds(self) -> tuple[float, float]:
         return self.c0, self.c0
 
-    def dual(self, nu: np.ndarray) -> np.ndarray:
-        norms, _ = _as_directions(nu, self.dim)
-        return norms / self.c0
-
 
 @dataclass(frozen=True)
 class Elliptic(Anisotropy):
@@ -207,7 +153,6 @@ class Elliptic(Anisotropy):
             raise AnisotropyError(f"matrix must be positive definite, eigs {eig}")
         object.__setattr__(self, "matrix", tuple(map(tuple, a)))
         object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_a_inv", np.linalg.inv(a))
         object.__setattr__(self, "_eigs", (float(eig[0]), float(eig[-1])))
 
     def _eval_unit(self, units: np.ndarray) -> np.ndarray:
@@ -217,12 +162,6 @@ class Elliptic(Anisotropy):
     def bounds(self) -> tuple[float, float]:
         lo, hi = self._eigs
         return math.sqrt(lo), math.sqrt(hi)
-
-    def dual(self, nu: np.ndarray) -> np.ndarray:
-        nu = np.asarray(nu, dtype=np.float64)
-        _as_directions(nu, self.dim)  # shape/zero checks
-        ainv = self._a_inv
-        return np.sqrt(np.einsum("...i,ij,...j->...", nu, ainv, nu))
 
 
 @dataclass(frozen=True)
@@ -287,12 +226,6 @@ class CrystallineL1(Anisotropy):
 
     def bounds(self) -> tuple[float, float]:
         return self.c0, self.c0 * math.sqrt(self.dim)
-
-    def dual(self, nu: np.ndarray) -> np.ndarray:
-        # Dual of the l1 norm is the max norm.
-        nu = np.asarray(nu, dtype=np.float64)
-        _as_directions(nu, self.dim)
-        return np.abs(nu).max(axis=-1) / self.c0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ The central object is
       + g_sv * (1_container - u) * K_h*(1_substrate),
 
 discretised with the cell-measure midpoint rule, so that E_h is exactly
-the quadratic form the thresholding scheme linearises.  Three groups of
+the quadratic form the thresholding scheme linearises.  A
+:class:`RunOperator` holds what E_h needs besides u: the sampled kernel,
+the tensions and the two fixed convolutions.  Three groups of
 verification routines accompany it:
 
 * :func:`sharp_energy` evaluates the limiting interfacial energy of a
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .tensions import ModifiedTensions
 
 __all__ = [
     "PhaseField",
+    "RunOperator",
     "ShapeSpec",
     "EnergyError",
     "approx_energy",
@@ -150,45 +153,62 @@ class PhaseField:
 # Approximate energy
 # ---------------------------------------------------------------------------
 
-def _check_same_grid(u: PhaseField, t: ModifiedTensions, kh: SampledKernel):
-    if not (u.grid == t.grid == kh.grid):
-        raise EnergyError("phase field, tensions and kernel use different grids")
+@dataclass(frozen=True)
+class RunOperator:
+    """Everything about E_h that stays fixed while the phase changes.
+
+    Built once per (geometry, tensions, sampled kernel): it holds the
+    kernel, the tensions, the convolved container and substrate
+    indicators K_h*1_container and K_h*1_substrate, and the value of
+    g_pv when it is spatially constant (else None).  The arrays are
+    read-only.
+    """
+
+    tensions: ModifiedTensions
+    kh: SampledKernel
+    k_omega: np.ndarray
+    k_substrate: np.ndarray
+    pv_constant: float | None
+
+    @classmethod
+    def build(
+        cls, geometry: Geometry, tensions: ModifiedTensions, kh: SampledKernel
+    ) -> "RunOperator":
+        if not (geometry.grid == tensions.grid == kh.grid):
+            raise EnergyError("geometry, tensions and kernel use different grids")
+        k_omega = kh.convolve(geometry.omega_mask.astype(np.float64))
+        k_substrate = kh.convolve(geometry.substrate_mask.astype(np.float64))
+        k_omega.flags.writeable = False
+        k_substrate.flags.writeable = False
+        pv = tensions.pv
+        pv_constant = float(pv.flat[0]) if np.ptp(pv) == 0.0 else None
+        return cls(tensions, kh, k_omega, k_substrate, pv_constant)
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self.kh.grid
 
 
 def approx_energy(
-    u: PhaseField,
-    t: ModifiedTensions,
-    kh: SampledKernel,
-    *,
-    _conv: dict | None = None,
+    u: PhaseField, op: RunOperator, ku: np.ndarray | None = None
 ) -> float:
     """Evaluate E_h(u); always nonnegative.
 
-    ``_conv`` lets the scheme pass precomputed convolutions of the
-    container and substrate indicators (keys "omega", "substrate").
+    ``ku`` is K_h*u when the caller already has it; otherwise it is
+    computed here.
     """
-    _check_same_grid(u, t, kh)
-    geo = u.geometry
-    grid = u.grid
-    omega = geo.omega_mask.astype(np.float64)
-    conv = _conv or {}
-    conv_omega = conv.get("omega")
-    if conv_omega is None:
-        conv_omega = kh.convolve(omega)
-    conv_s = conv.get("substrate")
-    if conv_s is None:
-        conv_s = kh.convolve(geo.substrate_field())
-    conv_u = conv.get("u")
-    if conv_u is None:
-        conv_u = kh.convolve(u.values)
-
-    inside = geo.omega_mask
-    complement = omega - u.values
-    pv_term = (t.pv * u.values * (conv_omega - conv_u))[inside].sum()
-    sp_term = (t.sp * u.values * conv_s)[inside].sum()
-    sv_term = (t.sv * complement * conv_s)[inside].sum()
+    if u.grid != op.grid:
+        raise EnergyError("phase field and operator use different grids")
+    if ku is None:
+        ku = op.kh.convolve(u.values)
+    t = op.tensions
+    inside = u.geometry.omega_mask
+    complement = inside.astype(np.float64) - u.values
+    pv_term = (t.pv * u.values * (op.k_omega - ku))[inside].sum()
+    sp_term = (t.sp * u.values * op.k_substrate)[inside].sum()
+    sv_term = (t.sv * complement * op.k_substrate)[inside].sum()
     return float(
-        (pv_term + sp_term + sv_term) * grid.cell_measure / math.sqrt(kh.h)
+        (pv_term + sp_term + sv_term) * op.grid.cell_measure / math.sqrt(op.kh.h)
     )
 
 
@@ -342,13 +362,6 @@ class ShapeSpec:
                 Segment(tuple(right), (dry_span[1], substrate_y)),
             )
         return cls(free=(free,), wetted=(wetted,), dry=dry_arcs)
-
-    def cap_parameters(self):
-        """(radius, center, contact points) for cap-shaped specs."""
-        arc = self.free[0]
-        if not isinstance(arc, CircleArc):
-            raise EnergyError("not a cap spec")
-        return arc.radius, np.asarray(arc.center)
 
     # -- rasterisation --------------------------------------------------------
     def indicator(self, geometry: Geometry) -> PhaseField:
@@ -526,7 +539,7 @@ def convergence_study(
     rows = []
     for h in usable:
         kh = scale_kernel(kernel, grid, h)
-        eh = approx_energy(u, tensions, kh)
+        eh = approx_energy(u, RunOperator.build(geometry, tensions, kh))
         rows.append(StudyRow(h=h, approx=eh, sharp=sharp,
                              rel_err=abs(eh - sharp) / abs(sharp)))
     errs = [r.rel_err for r in rows]
@@ -549,9 +562,6 @@ class MonotonicityResult:
     c_est: float
     signed_c: float
 
-    def __iter__(self):
-        return iter((self.lhs, self.rhs, self.c_est))
-
 
 def monotonicity_check(
     u: PhaseField,
@@ -573,8 +583,8 @@ def monotonicity_check(
     grid = u.grid
     kh = scale_kernel(kernel, grid, h)
     kh_big = scale_kernel(kernel, grid, N * N * h)
-    rhs = approx_energy(u, tensions, kh)
-    lhs = approx_energy(u, tensions, kh_big)
+    rhs = approx_energy(u, RunOperator.build(u.geometry, tensions, kh))
+    lhs = approx_energy(u, RunOperator.build(u.geometry, tensions, kh_big))
     if rhs > 0.0:
         signed = (lhs - rhs) / (rhs * N * math.sqrt(h))
     else:
@@ -682,10 +692,9 @@ def inequality_suite(
     grid = v.grid
     s_d = grid.cell_measure
     omega = geo.omega_mask.astype(np.float64)
-    substrate = geo.substrate_field()
     kh = scale_kernel(kernel, grid, h)
     conv_v = kh.convolve(v.values)
-    conv_s = kh.convolve(substrate)
+    conv_s = kh.convolve(geo.substrate_mask.astype(np.float64))
     inside = geo.omega_mask
 
     shift_k = s_d * s_d * shift_weighted_sum(v.values, inside, kh.values)
@@ -705,14 +714,14 @@ def inequality_suite(
     if tent is None:
         tent = TriangularKernel()
     grad_jh = scale_kernel_gradient(tent, grid, h)
-    grad_conv = np.stack(
+    grad_jv = np.stack(
         [
             SampledKernel(grid=grid, h=h, values=grad_jh[..., i]).convolve(v.values)
             for i in range(grid.d)
         ],
         axis=-1,
     )
-    lhs4 = float(s_d * np.linalg.norm(grad_conv, axis=-1)[inside].sum())
+    lhs4 = float(s_d * np.linalg.norm(grad_jv, axis=-1)[inside].sum())
     j4h = scale_kernel(tent, grid, 4.0 * h)
     c_grad = (2.0**grid.d) * (2.0 / tent.radius)
     rhs4 = (

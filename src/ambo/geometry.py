@@ -16,11 +16,10 @@ this exact partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .grid import FloatArray, ScalarField, TorusGrid
+from .grid import FloatArray, TorusGrid
 
 
 class GeometryError(ValueError):
@@ -254,9 +253,7 @@ class Geometry:
     """Masks, signed distance and boundary normals for (Omega, S) on a grid.
 
     Attributes:
-        omega_mask / substrate_mask: boolean masks, exact complements
-            (use :meth:`omega_field` / :meth:`substrate_field` for the
-            {0,1} indicator fields fed to convolutions).
+        omega_mask / substrate_mask: boolean masks, exact complements.
         signed_distance: d_s(.; dOmega), > 0 exactly where omega_mask.
         normal_band: outer unit normal nu_S = -grad d_s / |grad d_s| on cells
             within ``band_width`` of dOmega, NaN elsewhere; shape (d, n, ...).
@@ -283,12 +280,6 @@ class Geometry:
     @property
     def omega_volume(self) -> float:
         return self.omega_cell_count * self.grid.cell_measure
-
-    def omega_field(self) -> ScalarField:
-        return ScalarField(self.grid, self.omega_mask.astype(np.float64))
-
-    def substrate_field(self) -> ScalarField:
-        return ScalarField(self.grid, self.substrate_mask.astype(np.float64))
 
 
 def build_geometry(

@@ -1,4 +1,4 @@
-"""Periodic uniform grids on the flat torus (R/Z)^d and fields living on them.
+"""Periodic uniform grids on the flat torus (R/Z)^d.
 
 The torus side length is fixed to 1, so ``spacing * n == 1`` exactly and all
 index arithmetic wraps in every axis.  Cell centers sit at ``i / n`` (the
@@ -9,7 +9,7 @@ the odd-symmetry cancellations in the scheme rely on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -82,41 +82,3 @@ class TorusGrid:
         """
         delta = self.wrap_delta(x - np.asarray(center, dtype=float))
         return np.sqrt(np.sum(delta**2, axis=-1))
-
-
-@dataclass
-class ScalarField:
-    """Real values per cell on a :class:`TorusGrid`."""
-
-    grid: TorusGrid
-    values: FloatArray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-
-    @classmethod
-    def full(cls, grid: TorusGrid, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def from_function(cls, grid: TorusGrid, fn) -> "ScalarField":
-        """Sample ``fn(*coords)`` at cell centers (coords in [0,1))."""
-        return cls(grid, np.asarray(fn(*grid.meshgrid()), dtype=np.float64))
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
-    def integral(self) -> float:
-        """Midpoint-rule integral over the torus, spacing^d * sum."""
-        return float(np.sum(self.values)) * self.grid.cell_measure
-
-
-def check_same_grid(*fields) -> TorusGrid:
-    grids = {(f.grid.d, f.grid.n) for f in fields}
-    if len(grids) != 1:
-        raise ValueError(f"fields live on different grids: {sorted(grids)}")
-    return fields[0].grid

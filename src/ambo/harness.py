@@ -32,6 +32,7 @@ from .config import (
 )
 from .energy import (
     PhaseField,
+    RunOperator,
     ShapeSpec,
     approx_energy,
     convergence_study,
@@ -283,7 +284,7 @@ def _experiment_run(ws: Workspace, out: Path) -> dict:
     scheme_config = build_scheme_config(config)
     writer, outputs = _snapshot_writer(out, config.snapshot_every, config.d)
     traj = run_scheme(initial, scheme_config, ws.tensions, ws.kernel, on_state=writer)
-    io.write_csv(out / "steps.csv", STEP_COLUMNS, traj.diagnostics_rows())
+    io.write_csv(out / "steps.csv", STEP_COLUMNS, traj.diagnostics)
     outputs["steps"] = "steps.csv"
     outputs.update(_dump_final(out, traj, config.d))
     final = traj.final
@@ -305,9 +306,9 @@ def _experiment_energy(ws: Workspace, out: Path) -> dict:
     initial = build_initial(config, ws.geometry)
     h = config.scheme["h"]
     kh = scale_kernel(ws.kernel, ws.grid, h)
-    e_h = approx_energy(initial, ws.tensions, kh)
-    w = kh.convolve(initial.values)
-    defect = indicator_defect(w, ws.geometry)
+    ku = kh.convolve(initial.values)
+    e_h = approx_energy(initial, RunOperator.build(ws.geometry, ws.tensions, kh), ku)
+    defect = indicator_defect(ku, ws.geometry)
 
     sharp = None
     spec = _initial_shape_spec(config, ws.geometry)
@@ -329,7 +330,7 @@ def _experiment_energy(ws: Workspace, out: Path) -> dict:
     return _write_summary(ws, out, results, {})
 
 
-def _experiment_converge(ws: Workspace, out: Path) -> dict:
+def _experiment_sharp_limit(ws: Workspace, out: Path) -> dict:
     config = ws.config
     spec = _initial_shape_spec(config, ws.geometry)
     if spec is None or spec.wetted:
@@ -485,7 +486,7 @@ def _experiment_angle(ws: Workspace, out: Path) -> dict:
             stationarity_window=config.scheme["stationarity_window"],
         )
         traj = run_scheme(u, scheme_config, tensions, ws.kernel)
-        io.write_csv(out / f"steps_{label}.csv", STEP_COLUMNS, traj.diagnostics_rows())
+        io.write_csv(out / f"steps_{label}.csv", STEP_COLUMNS, traj.diagnostics)
         stages.append(
             {
                 "label": label,
@@ -524,7 +525,7 @@ _HANDLERS = {
     "validate": _experiment_validate,
     "run": _experiment_run,
     "energy": _experiment_energy,
-    "converge": _experiment_converge,
+    "converge": _experiment_sharp_limit,
     "monotonic": _experiment_monotonic,
     "inequalities": _experiment_inequalities,
     "angle": _experiment_angle,

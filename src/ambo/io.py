@@ -31,7 +31,6 @@ import jsonschema
 import numpy as np
 
 from .errors import ConfigError
-from .grid import ScalarField
 
 __all__ = [
     "FIELD_MAGIC",
@@ -74,12 +73,11 @@ def atomic_write(path, mode: str = "wb"):
 # ---------------------------------------------------------------------------
 
 def write_field(path, values) -> None:
-    """Write a scalar field (or plain array) in the package binary format."""
-    if isinstance(values, ScalarField):
-        values = values.values
-    arr = np.ascontiguousarray(values, dtype="<f8")
-    if arr.ndim < 1:
+    """Write an array of cell values in the package binary format."""
+    # ascontiguousarray promotes a 0-d scalar to 1-d, so check first.
+    if np.asarray(values).ndim < 1:
         raise ConfigError("field must have at least one axis")
+    arr = np.ascontiguousarray(values, dtype="<f8")
     with atomic_write(path, "wb") as out:
         out.write(FIELD_MAGIC)
         out.write(struct.pack("<BB", FIELD_VERSION, arr.ndim))
@@ -110,8 +108,6 @@ def read_field(path) -> np.ndarray:
 
 def write_pgm(path, values, lo: float | None = None, hi: float | None = None) -> None:
     """16-bit binary PGM of a 2-d field; x2 increases upward in the image."""
-    if isinstance(values, ScalarField):
-        values = values.values
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ConfigError("PGM output needs a 2-d field")

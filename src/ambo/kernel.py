@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ResolutionWarning
-from .grid import ScalarField, TorusGrid
+from .grid import TorusGrid
 
 __all__ = [
     "Kernel",
@@ -265,7 +265,7 @@ class SampledKernel:
 
     def convolve(self, f, method: str = "fft") -> np.ndarray:
         """Periodic convolution spacing^d * sum_j Ktilde[j] f[i-j]."""
-        vals = f.values if isinstance(f, ScalarField) else np.asarray(f)
+        vals = np.asarray(f)
         if vals.shape != self.grid.shape:
             raise KernelError(
                 f"field shape {vals.shape} != grid shape {self.grid.shape}"
@@ -277,11 +277,11 @@ class SampledKernel:
             )
             return out * self.grid.cell_measure
         if method == "direct":
-            return _convolve_direct(self.values, vals) * self.grid.cell_measure
+            return _shifted_sums(self.values, vals) * self.grid.cell_measure
         raise KernelError(f"unknown convolution method {method!r}")
 
 
-def _convolve_direct(kernel_vals: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _shifted_sums(kernel_vals: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Reference circular convolution by explicit shifted sums."""
     out = np.zeros_like(f)
     it = np.ndenumerate(kernel_vals)

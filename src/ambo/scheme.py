@@ -14,6 +14,11 @@ the container, optionally under an exact volume constraint:
   is the order statistic that selects exactly ceil(m / cell) cells,
   ties broken by ascending lexicographic cell order (deterministic).
 
+Everything fixed for a run lives in one :class:`~ambo.energy.RunOperator`
+and every state carries K_h*u, so with constant g_pv a step costs one
+convolution: that of the new phase, which serves both its diagnostics
+and the next comparison field.
+
 The run driver detects exact stationarity over a window, flags 2-cycles
 (both states are kept), and — without the volume constraint — asserts
 that the energy never increases beyond a small relative slack.
@@ -27,11 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .energy import PhaseField, approx_energy, indicator_defect
+from .energy import PhaseField, RunOperator, approx_energy, indicator_defect
 from .errors import NumericalError
 from .geometry import Band, Geometry
 from .grid import TorusGrid
-from .kernel import GaussianKernel, Kernel, SampledKernel, scale_kernel
+from .kernel import GaussianKernel, SampledKernel, scale_kernel
 from .tensions import ModifiedTensions
 
 __all__ = [
@@ -40,7 +45,6 @@ __all__ = [
     "Trajectory",
     "SchemeError",
     "comparison_field",
-    "volume_threshold",
     "threshold",
     "step",
     "run",
@@ -78,12 +82,12 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class SchemeState:
-    """One snapshot of the evolution (immutable)."""
+    """One snapshot of the evolution (immutable); ``ku`` is K_h*u."""
 
     step: int
     u: PhaseField
     lam: float
-    phi: np.ndarray | None
+    ku: np.ndarray
     energy: float
     volume: float
     interface_cells: int
@@ -96,7 +100,8 @@ class Trajectory:
 
     ``states`` holds every snapshot when the run was asked to keep them,
     otherwise only the final one (plus both cycle states on oscillation).
-    ``diagnostics`` always covers every step.
+    ``diagnostics`` always covers every step, one
+    (step, energy, volume, interface cells, lambda, defect) row each.
     """
 
     diagnostics: list = field(default_factory=list)
@@ -109,63 +114,50 @@ class Trajectory:
     def final(self) -> SchemeState:
         return self.states[-1]
 
-    def diagnostics_rows(self):
-        """(step, energy, volume, interface cells, lambda, defect) rows."""
-        return list(self.diagnostics)
-
 
 # ---------------------------------------------------------------------------
 # One step
 # ---------------------------------------------------------------------------
 
 def comparison_field(
-    u: PhaseField,
-    t: ModifiedTensions,
-    kh: SampledKernel,
-    *,
-    _conv: dict | None = None,
+    u: PhaseField, op: RunOperator, ku: np.ndarray | None = None
 ) -> np.ndarray:
     """First variation of the energy at u (up to the 1/sqrt(h) factor).
 
     phi(x) = g_pv(x) (K_h * (1_container - u))(x) - (K_h * (g_pv u))(x)
            + (g_sp(x) - g_sv(x)) (K_h * 1_substrate)(x).
 
-    Meaningful on container cells; evaluated everywhere for convenience.
+    ``ku`` is K_h*u when the caller already has it.  Meaningful on
+    container cells; evaluated everywhere for convenience.
     """
-    geo = u.geometry
-    if not (u.grid == t.grid == kh.grid):
-        raise SchemeError("phase field, tensions and kernel grids differ")
-    conv = _conv if _conv is not None else {}
-    conv_omega = conv.get("omega")
-    if conv_omega is None:
-        conv_omega = conv["omega"] = kh.convolve(geo.omega_field())
-    conv_s = conv.get("substrate")
-    if conv_s is None:
-        conv_s = conv["substrate"] = kh.convolve(geo.substrate_field())
-    conv_u = kh.convolve(u.values)
-    conv["u"] = conv_u
-    if np.ptp(t.pv) == 0.0:
-        conv_pv_u = t.pv.flat[0] * conv_u
+    if u.grid != op.grid:
+        raise SchemeError("phase field and operator grids differ")
+    if ku is None:
+        ku = op.kh.convolve(u.values)
+    t = op.tensions
+    if op.pv_constant is not None:
+        k_pv_u = op.pv_constant * ku
     else:
-        conv_pv_u = kh.convolve(t.pv * u.values)
-    return t.pv * (conv_omega - conv_u) - conv_pv_u + (t.sp - t.sv) * conv_s
+        k_pv_u = op.kh.convolve(t.pv * u.values)
+    return t.pv * (op.k_omega - ku) - k_pv_u + (t.sp - t.sv) * op.k_substrate
 
 
-def _cells_needed(m: float, grid: TorusGrid) -> int:
+def _select_by_volume(
+    phi: np.ndarray, geometry: Geometry, m: float
+) -> tuple[float, np.ndarray]:
+    """The k = ceil(m / cell measure) container cells of smallest phi.
+
+    Ties at the threshold go to the lowest C-order cell index, so the
+    selection equals the first k of a stable sort.  Returns the k-th
+    smallest value (``-inf`` when k = 0) and the boolean cell mask.
+    """
+    grid = geometry.grid
     # ceil with a relative guard so that m = k * cell_measure (computed in
     # floating point) maps to k, not k+1.
     ratio = m / grid.cell_measure
-    return int(math.ceil(ratio - 1e-9 * max(1.0, ratio)))
-
-
-def volume_threshold(phi: np.ndarray, geometry: Geometry, m: float) -> float:
-    """Threshold level whose sublevel set has measure ~m (one-cell accuracy).
-
-    Returns the k-th smallest value of phi over container cells for
-    k = ceil(m / cell measure); +inf when every container cell is needed.
-    """
-    k = _cells_needed(m, geometry.grid)
-    values = phi[geometry.omega_mask]
+    k = int(math.ceil(ratio - 1e-9 * max(1.0, ratio)))
+    omega_flat = geometry.omega_mask.ravel()
+    values = phi.ravel()[omega_flat]
     if not np.all(np.isfinite(values)):
         raise SchemeError("comparison field is not finite on the container")
     if k > values.size:
@@ -173,11 +165,16 @@ def volume_threshold(phi: np.ndarray, geometry: Geometry, m: float) -> float:
             f"target volume {m} needs {k} cells but the container has "
             f"{values.size}"
         )
+    mask = np.zeros(grid.cell_count, dtype=bool)
     if k <= 0:
-        return -math.inf
-    if k == values.size:
-        return math.inf
-    return float(np.partition(values, k - 1)[k - 1])
+        return -math.inf, mask.reshape(grid.shape)
+    kth = np.partition(values, k - 1)[k - 1]
+    chosen = values < kth
+    ties = np.flatnonzero(values == kth)[: k - int(chosen.sum())]
+    chosen[ties] = True
+    mask[omega_flat] = chosen
+    # The last tie taken is the stable sort's k-th entry (sign of zero included).
+    return float(values[ties[-1]]), mask.reshape(grid.shape)
 
 
 def threshold(phi: np.ndarray, lam: float, geometry: Geometry) -> PhaseField:
@@ -186,66 +183,24 @@ def threshold(phi: np.ndarray, lam: float, geometry: Geometry) -> PhaseField:
     return PhaseField.from_mask(geometry, mask)
 
 
-def _select_by_volume(
-    phi: np.ndarray, geometry: Geometry, m: float
-) -> tuple[float, np.ndarray]:
-    """Exactly k cells of smallest phi (ties by C-order cell index)."""
-    grid = geometry.grid
-    k = _cells_needed(m, grid)
-    omega_flat = geometry.omega_mask.ravel()
-    values = phi.ravel()[omega_flat]
-    if k > values.size:
-        raise SchemeError(
-            f"target volume {m} needs {k} cells but the container has "
-            f"{values.size}"
-        )
-    mask = np.zeros(grid.cell_count, dtype=bool)
-    if k > 0:
-        order = np.argsort(values, kind="stable")  # stable = lexicographic ties
-        chosen = np.flatnonzero(omega_flat)[order[:k]]
-        mask[chosen] = True
-        lam = float(values[order[k - 1]])
-    else:
-        lam = -math.inf
-    return lam, mask.reshape(grid.shape)
-
-
-def _make_state(
-    k: int,
-    u: PhaseField,
-    lam: float,
-    phi: np.ndarray | None,
-    t: ModifiedTensions,
-    kh: SampledKernel,
-    conv: dict,
-) -> SchemeState:
-    conv_u = kh.convolve(u.values)
-    conv_for_energy = dict(conv)
-    conv_for_energy["u"] = conv_u
-    energy = approx_energy(u, t, kh, _conv=conv_for_energy)
+def _make_state(k: int, u: PhaseField, lam: float, op: RunOperator) -> SchemeState:
+    ku = op.kh.convolve(u.values)
+    ku.flags.writeable = False
     return SchemeState(
         step=k,
         u=u,
         lam=lam,
-        phi=phi,
-        energy=energy,
+        ku=ku,
+        energy=approx_energy(u, op, ku),
         volume=u.volume(),
         interface_cells=u.interface_cell_count(),
-        defect=indicator_defect(conv_u, u.geometry),
+        defect=indicator_defect(ku, u.geometry),
     )
 
 
-def step(
-    state: SchemeState,
-    config: SchemeConfig,
-    t: ModifiedTensions,
-    kh: SampledKernel,
-    *,
-    _conv: dict | None = None,
-) -> SchemeState:
+def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeState:
     """Advance one thresholding step."""
-    conv = _conv if _conv is not None else {}
-    phi = comparison_field(state.u, t, kh, _conv=conv)
+    phi = comparison_field(state.u, op, state.ku)
     geometry = state.u.geometry
     if config.preserve_volume:
         m = config.target_volume
@@ -261,7 +216,7 @@ def step(
     else:
         lam = 0.0
         u_next = threshold(phi, lam, geometry)
-    return _make_state(state.step + 1, u_next, lam, phi, t, kh, conv)
+    return _make_state(state.step + 1, u_next, lam, op)
 
 
 def run(
@@ -307,9 +262,9 @@ def run(
     def diag_row(s: SchemeState):
         return (s.step, s.energy, s.volume, s.interface_cells, s.lam, s.defect)
 
-    conv: dict = {}
+    op = RunOperator.build(geometry, t, kh)
     traj = Trajectory()
-    state = _make_state(0, initial, math.nan, None, t, kh, conv)
+    state = _make_state(0, initial, math.nan, op)
     traj.diagnostics.append(diag_row(state))
     if keep_states:
         traj.states.append(state)
@@ -319,7 +274,7 @@ def run(
     prev_values = None
     streak = 0
     for _ in range(config.max_steps):
-        new_state = step(state, config, t, kh, _conv=conv)
+        new_state = step(state, config, op)
         traj.diagnostics.append(diag_row(new_state))
         if keep_states:
             traj.states.append(new_state)
@@ -425,30 +380,25 @@ def measure_contact_angle(
     u: PhaseField,
     geometry: Geometry,
     *,
-    level_field: np.ndarray | None = None,
-    level: float = 0.0,
-    smoothing_h: float | None = None,
     window_cells: int = 12,
-    skip_cells: int | None = None,
-    fit: str = "circle",
+    skip_cells: int = 13,
 ) -> list[float]:
     """Interior contact angles (degrees) of a droplet on a flat substrate.
 
     The two contact points come from the wetted cells (phase cells one
     row above the substrate).  Near each contact the free boundary is
-    sampled at subpixel accuracy from the zero level of ``level_field``
-    (negative inside the phase; by default a mildly smoothed indicator).
-    A circle is fitted through the ``window_cells`` interface points and
-    the angle is taken between its tangent at substrate height and the
-    substrate line.  ``fit="line"`` falls back to a straight-line fit
-    through the same points.
+    sampled at subpixel accuracy from the 1/2 level of the indicator
+    smoothed by K_h with h = (3 spacing)^2.  A circle is fitted through
+    the ``window_cells`` interface points and the angle is taken between
+    its tangent at substrate height and the substrate line; when the
+    circle misses that line, straight-line fits through the same points
+    give the angles instead.
 
     ``skip_cells`` rows nearest the substrate are excluded: there the
     level set is bent by the substrate truncation, over a layer about
-    three standard deviations of the smoothing kernel thick.  The
-    default skip is computed from ``smoothing_h`` (the square width of
-    the kernel that produced ``level_field``, or of the built-in
-    smoothing).  Pass it when supplying a comparison field from a run.
+    three standard deviations of the smoothing kernel thick.  That
+    standard deviation is sqrt(2 h) = 3 sqrt(2) cells, hence the default
+    of 13 rows.
     """
     grid = u.grid
     if grid.d != 2:
@@ -480,19 +430,8 @@ def measure_contact_angle(
     if wetted_cols[0] == 0 and wetted_cols[-1] == grid.n - 1:
         raise SchemeError("droplet wraps around the torus seam; recentre it")
 
-    if level_field is None:
-        if smoothing_h is None:
-            smoothing_h = (3.0 * spacing) ** 2
-        w = scale_kernel(GaussianKernel(), grid, smoothing_h).convolve(u.values)
-        f = 0.5 - w  # negative inside the phase
-    else:
-        f = np.asarray(level_field, dtype=np.float64) - level
-    if skip_cells is None:
-        if smoothing_h is not None:
-            # sigma of the kernel K_h is sqrt(2 h); clear three of them.
-            skip_cells = max(3, math.ceil(3.0 * math.sqrt(2.0 * smoothing_h) / spacing))
-        else:
-            skip_cells = 3
+    w = scale_kernel(GaussianKernel(), grid, (3.0 * spacing) ** 2).convolve(u.values)
+    f = 0.5 - w  # negative inside the phase
 
     pts_left = _trace_interface(
         f, grid, start_col=int(wetted_cols[0]), start_row=j0, side="left",
@@ -502,13 +441,6 @@ def measure_contact_angle(
         f, grid, start_col=int(wetted_cols[-1]), start_row=j0, side="right",
         skip=skip_cells, count=window_cells,
     )
-    if fit == "line":
-        return [
-            _line_contact_angle(pts_left, "left"),
-            _line_contact_angle(pts_right, "right"),
-        ]
-    if fit != "circle":
-        raise SchemeError(f"unknown fit kind {fit!r}")
     # The free boundary of a capillary droplet is a single circular arc,
     # so one circle is fitted through both branches: the joint fit pins
     # the centre and radius far better than two short per-side arcs.

@@ -1,4 +1,4 @@
-"""Anisotropy tests: evaluation, duality, kernel-induced factors, validation."""
+"""Anisotropy tests: evaluation, kernel-induced factors, validation."""
 
 import math
 
@@ -63,51 +63,6 @@ def test_homogeneity_evenness_bounds_on_random_directions(rng):
         assert gamma(-nus) == pytest.approx(vals, rel=1e-12)
         scaled = gamma(lams[:, None] * nus)
         assert scaled == pytest.approx(np.abs(lams) * vals, rel=1e-12, abs=1e-15)
-
-
-# --- duality ----------------------------------------------------------------
-
-def test_isotropic_dual_is_reciprocal_scaling():
-    gamma = Isotropic(2, 2.0)
-    v = np.array([0.0, 3.0])
-    assert gamma.dual(v) == pytest.approx(1.5)
-
-
-def test_elliptic_dual_against_sampled_sup_oracle():
-    A = np.array([[1.0, 0.0], [0.0, 4.0]])
-    gamma = Elliptic(2, matrix=((1.0, 0.0), (0.0, 4.0)))
-    thetas = np.linspace(0.0, 2.0 * np.pi, 1_000_000, endpoint=False)
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    gvals = np.sqrt(np.einsum("ij,jk,ik->i", dirs, A, dirs))
-    for nustar in ([0.0, 1.0], [1.0, 0.0], [0.6, 0.8], [-0.3, 1.1]):
-        ns = np.array(nustar)
-        oracle = float(np.max(dirs @ ns / gvals))
-        exact = math.sqrt(ns @ np.linalg.inv(A) @ ns)
-        assert gamma.dual(ns) == pytest.approx(exact, rel=1e-12)
-        assert gamma.dual(ns) == pytest.approx(oracle, rel=1e-6)
-    assert gamma.dual(np.array([0.0, 1.0])) == pytest.approx(0.5)
-
-
-def test_crystalline_dual_is_max_norm():
-    gamma = CrystallineL1(2, 1.0)
-    assert gamma.dual(np.array([0.7, -0.2])) == pytest.approx(0.7)
-
-
-def test_biduality_on_all_families(rng):
-    """gamma^oo recovers gamma (sampled double-sup oracle, 1e-4 relative)."""
-    ell = Elliptic(2, matrix=((1.0, 0.1), (0.1, 2.0)))
-    angles = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    table = DirectionTable2D(
-        2, values=tuple(float(ell(_unit(t))) for t in angles)
-    )
-    probe_stars = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    star_dirs = np.stack([np.cos(probe_stars), np.sin(probe_stars)], axis=1)
-    for gamma in (Isotropic(2, 0.8), ell, table):
-        duals = np.array([gamma.dual(s) for s in star_dirs])
-        for theta in rng.uniform(0.0, 2.0 * np.pi, size=100):
-            nu = _unit(theta)
-            bidual = float(np.max(star_dirs @ nu / duals))
-            assert bidual == pytest.approx(float(gamma(nu)), rel=1e-4)
 
 
 # --- kernel-induced anisotropy ---------------------------------------------

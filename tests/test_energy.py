@@ -10,6 +10,7 @@ from ambo.anisotropy import Elliptic, Isotropic
 from ambo.energy import (
     EnergyError,
     PhaseField,
+    RunOperator,
     Segment,
     ShapeSpec,
     approx_energy,
@@ -76,7 +77,8 @@ def test_phase_field_rejects_bad_values(disk_geometry, grid256):
 
 def test_empty_field_without_substrate_is_zero(full_geometry, grid256, unit_tensions):
     kh = scale_kernel(GaussianKernel(), grid256, 1e-3)
-    assert approx_energy(PhaseField.zeros(full_geometry), unit_tensions, kh) == 0.0
+    op = RunOperator.build(full_geometry, unit_tensions, kh)
+    assert approx_energy(PhaseField.zeros(full_geometry), op) == 0.0
 
 
 def test_empty_field_with_flat_substrate(band_geometry):
@@ -85,12 +87,14 @@ def test_empty_field_with_flat_substrate(band_geometry):
     grid = band_geometry.grid
     t = ModifiedTensions.constant(grid, 1.0, 1.0, 1.3)
     kh = scale_kernel(GaussianKernel(), grid, 1e-3)
-    energy = approx_energy(PhaseField.zeros(band_geometry), t, kh)
+    op = RunOperator.build(band_geometry, t, kh)
+    energy = approx_energy(PhaseField.zeros(band_geometry), op)
     target = 1.3 * 2.0 * INV_SQRT_PI
     assert abs(energy - target) / target < 1e-3
 
     doubled = ModifiedTensions.constant(grid, 1.0, 1.0, 2.6)
-    assert approx_energy(PhaseField.zeros(band_geometry), doubled, kh) == 2.0 * energy
+    op = RunOperator.build(band_geometry, doubled, kh)
+    assert approx_energy(PhaseField.zeros(band_geometry), op) == 2.0 * energy
 
 
 def test_flat_band_matches_separable_oracle(full_geometry, grid256, unit_tensions):
@@ -98,7 +102,7 @@ def test_flat_band_matches_separable_oracle(full_geometry, grid256, unit_tension
     u = PhaseField.from_mask(full_geometry, (x2 > 0.3) & (x2 < 0.7))
     h = 1e-3
     kh = scale_kernel(GaussianKernel(), grid256, h)
-    energy = approx_energy(u, unit_tensions, kh)
+    energy = approx_energy(u, RunOperator.build(full_geometry, unit_tensions, kh))
 
     # The field only depends on x2, so the energy factorises into the
     # kernel's 1D marginal acting on a single row profile.
@@ -132,16 +136,24 @@ def test_disk_energy_approaches_perimeter_limit(full_geometry, grid256, unit_ten
 def test_energy_is_linear_in_tensions(full_geometry, grid256, rng):
     u = PhaseField.random(full_geometry, rng, levels=6)
     kh = scale_kernel(GaussianKernel(), grid256, 1e-3)
-    single = approx_energy(u, ModifiedTensions.constant(grid256, 1.0, 1.0, 1.0), kh)
-    double = approx_energy(u, ModifiedTensions.constant(grid256, 2.0, 1.0, 1.0), kh)
+    single, double = (
+        approx_energy(
+            u,
+            RunOperator.build(
+                full_geometry, ModifiedTensions.constant(grid256, pv, 1.0, 1.0), kh
+            ),
+        )
+        for pv in (1.0, 2.0)
+    )
     assert double == 2.0 * single
 
 
 def test_exchange_symmetry(full_geometry, grid256, unit_tensions, rng):
     u = PhaseField.random(full_geometry, rng, levels=6)
     kh = scale_kernel(GaussianKernel(), grid256, 1e-3)
-    one = approx_energy(u, unit_tensions, kh)
-    swapped = approx_energy(u.with_values(1.0 - u.values), unit_tensions, kh)
+    op = RunOperator.build(full_geometry, unit_tensions, kh)
+    one = approx_energy(u, op)
+    swapped = approx_energy(u.with_values(1.0 - u.values), op)
     assert abs(one - swapped) <= 1e-10 * one
 
 
@@ -149,7 +161,13 @@ def test_energy_rejects_mismatched_grids(full_geometry, grid256, unit_tensions):
     small = TorusGrid(2, 64)
     kh = scale_kernel(GaussianKernel(), small, 4e-3)
     with pytest.raises(EnergyError, match="grid"):
-        approx_energy(PhaseField.zeros(full_geometry), unit_tensions, kh)
+        RunOperator.build(full_geometry, unit_tensions, kh)
+    small_geometry = build_geometry(make_shape("full"), small)
+    op = RunOperator.build(
+        small_geometry, ModifiedTensions.constant(small, 1.0, 1.0, 1.0), kh
+    )
+    with pytest.raises(EnergyError, match="grid"):
+        approx_energy(PhaseField.zeros(full_geometry), op)
 
 
 # ---------------------------------------------------------------------------

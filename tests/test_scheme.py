@@ -6,19 +6,25 @@ import numpy as np
 import pytest
 
 from ambo.anisotropy import Isotropic
-from ambo.energy import PhaseField, ShapeSpec, approx_energy
+from ambo.energy import (
+    PhaseField,
+    RunOperator,
+    ShapeSpec,
+    approx_energy,
+    indicator_defect,
+)
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid
 from ambo.kernel import GaussianKernel, scale_kernel
 from ambo.scheme import (
     SchemeConfig,
     SchemeError,
+    _select_by_volume,
     best_fit_disk_mismatch,
     comparison_field,
     measure_contact_angle,
     run,
     threshold,
-    volume_threshold,
 )
 from ambo.tensions import ModifiedTensions, RawTensions, extend_substrate
 
@@ -74,6 +80,7 @@ def test_single_cell_flips_match_energy_differences():
     )
     h = 1e-3
     kh = scale_kernel(UNIT_KERNEL, grid, h)
+    op = RunOperator.build(geometry, t, kh)
     measure = grid.cell_measure
     self_weight = kh.values.flat[0] * measure
     inside = np.argwhere(geometry.omega_mask)
@@ -89,9 +96,9 @@ def test_single_cell_flips_match_energy_differences():
         flipped = u.values.copy()
         flipped[z] += eps
 
-        phi = comparison_field(u, t, kh)
+        phi = comparison_field(u, op)
         predicted = measure / math.sqrt(h) * (eps * phi[z] - t.pv[z] * self_weight)
-        actual = approx_energy(u.with_values(flipped), t, kh) - approx_energy(u, t, kh)
+        actual = approx_energy(u.with_values(flipped), op) - approx_energy(u, op)
         scale = max(abs(actual), abs(predicted), 1e-30)
         worst = max(worst, abs(actual - predicted) / scale)
     assert worst <= 1e-8
@@ -103,9 +110,12 @@ def test_substrate_term_cancels_when_tensions_agree(small_band):
     u = PhaseField.from_mask(
         small_band, _radial(grid, (0.5, 0.5)) < 0.15
     )
-    wetting = comparison_field(u, ModifiedTensions.constant(grid, 1.0, 1.7, 1.7), kh)
-    neutral = comparison_field(u, ModifiedTensions.constant(grid, 1.0, 0.3, 0.3), kh)
-    assert np.array_equal(wetting, neutral)
+
+    def field_for(substrate_tension):
+        t = ModifiedTensions.constant(grid, 1.0, substrate_tension, substrate_tension)
+        return comparison_field(u, RunOperator.build(small_band, t, kh))
+
+    assert np.array_equal(field_for(1.7), field_for(0.3))
 
 
 def test_half_space_field_is_antisymmetric(full_geometry, grid256, unit_tensions):
@@ -114,7 +124,7 @@ def test_half_space_field_is_antisymmetric(full_geometry, grid256, unit_tensions
     _, x2 = grid256.meshgrid()
     u = PhaseField.from_mask(full_geometry, (x2 >= 0.25) & (x2 < 0.75))
     kh = scale_kernel(UNIT_KERNEL, grid256, 1e-3)
-    phi = comparison_field(u, unit_tensions, kh)
+    phi = comparison_field(u, RunOperator.build(full_geometry, unit_tensions, kh))
     rows = np.arange(grid256.n)
     mirrored = (127 - rows) % grid256.n
     assert np.abs(phi[:, rows] + phi[:, mirrored]).max() < 1e-8
@@ -124,10 +134,15 @@ def test_half_space_field_is_antisymmetric(full_geometry, grid256, unit_tensions
     assert np.array_equal(traj.final.u.values, u.values)
 
 
-def test_comparison_field_grid_mismatch(full_geometry, unit_tensions):
-    kh = scale_kernel(UNIT_KERNEL, TorusGrid(2, 64), 4e-3)
+def test_comparison_field_grid_mismatch(full_geometry, small_band):
+    grid = small_band.grid
+    op = RunOperator.build(
+        small_band,
+        ModifiedTensions.constant(grid, 1.0, 1.0, 1.0),
+        scale_kernel(UNIT_KERNEL, grid, 4e-3),
+    )
     with pytest.raises(SchemeError, match="grid"):
-        comparison_field(PhaseField.zeros(full_geometry), unit_tensions, kh)
+        comparison_field(PhaseField.zeros(full_geometry), op)
 
 
 # ---------------------------------------------------------------------------
@@ -152,33 +167,47 @@ def test_volume_threshold_order_statistic(disk_geometry, grid256):
     target = 0.05
 
     # strictly increasing along one axis: lambda is the exact quantile
-    lam = volume_threshold(x1 + 0.31 * x2, disk_geometry, target)
+    lam, mask = _select_by_volume(x1 + 0.31 * x2, disk_geometry, target)
     values = np.sort((x1 + 0.31 * x2)[disk_geometry.omega_mask])
     k = math.ceil(target / grid256.cell_measure - 1e-9 * target / grid256.cell_measure)
     assert lam == values[k - 1]
+    assert mask.sum() == k
 
-    # tie-free radial field: the sublevel set is a centered disk with
-    # the target volume to one-cell accuracy
+    # tie-free radial field: the selection is a centered disk with the
+    # target volume to one-cell accuracy
     phi = _radial(grid256) + 1e-7 * (x1 - 0.5) + 1e-8 * (x2 - 0.5)
     m = math.pi * 0.15**2
-    lam = volume_threshold(phi, disk_geometry, m)
-    selected = threshold(phi, lam, disk_geometry)
+    lam, mask = _select_by_volume(phi, disk_geometry, m)
+    assert np.array_equal(mask, (phi <= lam) & disk_geometry.omega_mask)
+    selected = PhaseField.from_mask(disk_geometry, mask)
     assert abs(selected.volume() - m) < grid256.cell_measure
     assert lam == np.sort(phi[disk_geometry.omega_mask])[
         math.ceil(m / grid256.cell_measure - 1e-9 * m / grid256.cell_measure) - 1
     ]
 
-    assert volume_threshold(phi, disk_geometry, disk_geometry.omega_volume) == math.inf
+    # one cell: the minimum; on a constant field ties go to the lowest
+    # C-order indices
+    lam, mask = _select_by_volume(phi, disk_geometry, grid256.cell_measure)
+    inside = np.where(disk_geometry.omega_mask, phi, np.inf)
+    assert lam == inside.min()
+    assert np.array_equal(np.flatnonzero(mask), [np.argmin(inside)])
+    flat = np.zeros(grid256.shape)
+    lam, mask = _select_by_volume(flat, disk_geometry, 5 * grid256.cell_measure)
+    assert lam == 0.0
+    assert np.array_equal(
+        np.flatnonzero(mask), np.flatnonzero(disk_geometry.omega_mask)[:5]
+    )
+
     with pytest.raises(SchemeError, match="cells"):
-        volume_threshold(phi, disk_geometry, 1.0)
+        _select_by_volume(phi, disk_geometry, 1.0)
     with pytest.raises(SchemeError, match="finite"):
-        volume_threshold(np.full(grid256.shape, np.nan), disk_geometry, 0.01)
+        _select_by_volume(np.full(grid256.shape, np.nan), disk_geometry, 0.01)
 
 
 def test_preserving_step_matches_sort_oracle(full_geometry, grid256, unit_tensions):
     u = ShapeSpec.disk((0.5, 0.5), 0.2).indicator(full_geometry)
     kh = scale_kernel(UNIT_KERNEL, grid256, 1e-3)
-    phi = comparison_field(u, unit_tensions, kh)
+    phi = comparison_field(u, RunOperator.build(full_geometry, unit_tensions, kh))
     m = u.volume()
     k = math.ceil(m / grid256.cell_measure - 1e-9 * m / grid256.cell_measure)
     order = np.argsort(phi.ravel(), kind="stable")[:k]
@@ -297,9 +326,50 @@ def test_trajectory_bookkeeping(full_geometry, unit_tensions):
     traj = run(u, cfg, unit_tensions, UNIT_KERNEL, keep_states=True)
     assert len(traj.states) == len(traj.diagnostics) == 4
     assert traj.final is traj.states[-1]
-    assert [row[0] for row in traj.diagnostics_rows()] == [0, 1, 2, 3]
+    assert [row[0] for row in traj.diagnostics] == [0, 1, 2, 3]
     assert math.isnan(traj.diagnostics[0][4])  # no threshold before step 1
     assert all(row[5] >= 0.0 for row in traj.diagnostics)  # defects
+
+
+def test_states_match_fresh_evaluation():
+    """Each state's K_h*u, energy and defect equal a fresh evaluation of u.
+
+    Covers a volume-preserving run with constant tensions and an
+    unconstrained run with spatially varying g_pv, where the comparison
+    field convolves g_pv u separately.
+    """
+    grid = TorusGrid(2, 128)
+    h = 1e-3
+    kh = scale_kernel(UNIT_KERNEL, grid, h)
+    band = build_geometry(make_shape("band", lo=0.25, hi=0.95, axis=1), grid)
+    disk = build_geometry(make_shape("disk", center=(0.5, 0.5), radius=0.3), grid)
+    varying = extend_substrate(
+        RawTensions.from_values("1 + 0.2*x1", 2.0, 1.5), disk, Isotropic(2, 1.0)
+    )
+    assert np.ptp(varying.pv) > 0.0
+    cases = [
+        (
+            ShapeSpec.cap(100.0, 0.15, 0.25).indicator(band),
+            SchemeConfig(
+                h=h, preserve_volume=True, max_steps=4, stationarity_window=10
+            ),
+            ModifiedTensions.constant(grid, 1.0, 1.2, 0.9),
+        ),
+        (
+            ShapeSpec.disk((0.5, 0.5), 0.2).indicator(disk),
+            SchemeConfig(h=h, max_steps=4, stationarity_window=10),
+            varying,
+        ),
+    ]
+    for initial, cfg, t in cases:
+        traj = run(initial, cfg, t, kh, keep_states=True)
+        assert len(traj.states) == 5
+        fresh_op = RunOperator.build(initial.geometry, t, kh)
+        for state in traj.states:
+            ku = kh.convolve(state.u.values)
+            assert np.array_equal(state.ku, ku)
+            assert state.energy == approx_energy(state.u, fresh_op)
+            assert state.defect == indicator_defect(ku, initial.geometry)
 
 
 # ---------------------------------------------------------------------------
