@@ -34,17 +34,8 @@ __all__ = [
     "AnisotropyError",
     "induced_gamma",
     "induced_anisotropy",
-    "normalize_anisotropy",
     "validate_anisotropy",
-    "unit_ball_volume",
 ]
-
-_SPHERE_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
-
-
-def unit_ball_volume(d: int) -> float:
-    """Volume of the unit ball in R^d (d = 2 or 3)."""
-    return _SPHERE_VOLUME[d]
 
 
 class AnisotropyError(ValueError):
@@ -232,13 +223,7 @@ class CrystallineL1(Anisotropy):
 # Kernel-induced anisotropy
 # ---------------------------------------------------------------------------
 
-def induced_gamma(
-    kernel,
-    nu: np.ndarray,
-    *,
-    tol: float = 1e-8,
-    return_levels: bool = False,
-):
+def induced_gamma(kernel, nu: np.ndarray, *, tol: float = 1e-8):
     """Anisotropy induced by a kernel: gamma_K(nu) = 1/2 int |x.nu| K(x) dx.
 
     Evaluated by product quadrature in polar/spherical form,
@@ -265,11 +250,9 @@ def induced_gamma(
     r_cut = kernel.suggested_cutoff(d)
 
     prev = None
-    levels = []
     n_rad, n_ang = 32, 32
     for _ in range(8):
         val = _induced_gamma_level(kernel, flat_units, d, r_cut, n_rad, n_ang)
-        levels.append(val)
         if prev is not None and np.max(np.abs(val - prev)) < tol:
             break
         prev = val
@@ -281,14 +264,7 @@ def induced_gamma(
             f"(last level {n_rad//2} radial x {n_ang//2} angular nodes)"
         )
     result = val.reshape(norms.shape) * norms
-    if single:
-        result = result[0]
-        levels = [lv[0] for lv in levels]
-    else:
-        levels = [lv.reshape(norms.shape) for lv in levels]
-    if return_levels:
-        return result, levels
-    return result
+    return result[0] if single else result
 
 
 def _induced_gamma_level(kernel, units, d, r_cut, n_rad, n_ang):
@@ -402,60 +378,8 @@ def induced_anisotropy(kernel, dim: int, *, table_size: int = _N_SCAN) -> Anisot
 
 
 # ---------------------------------------------------------------------------
-# Normalisation and validation
+# Validation
 # ---------------------------------------------------------------------------
-
-def unit_ball_gamma_volume(gamma: Anisotropy, n_ang: int = 1 << 14) -> float:
-    """Volume of {gamma <= 1} by polar integration, |B_gamma| = 1/d int gamma(xi)^-d dsigma."""
-    d = gamma.dim
-    if d == 2:
-        th = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
-        xi = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        g = gamma(xi)
-        return float(np.sum(g ** (-2.0)) * (2.0 * math.pi / n_ang) / 2.0)
-    mu, wmu = np.polynomial.legendre.leggauss(256)
-    n_ph = 512
-    ph = np.linspace(0.0, 2.0 * math.pi, n_ph, endpoint=False)
-    s = np.sqrt(1.0 - mu**2)
-    xi = np.stack(
-        [
-            np.outer(s, np.cos(ph)).ravel(),
-            np.outer(s, np.sin(ph)).ravel(),
-            np.repeat(mu, n_ph),
-        ],
-        axis=-1,
-    )
-    w = np.repeat(wmu * (2.0 * math.pi / n_ph), n_ph)
-    g = gamma(xi)
-    return float(np.sum(w * g ** (-3.0)) / 3.0)
-
-
-def normalize_anisotropy(gamma: Anisotropy) -> tuple[Anisotropy, float]:
-    """Rescale gamma so its unit ball has the Euclidean ball volume.
-
-    Returns ``(scaled_gamma, scale)`` where ``scaled = scale * gamma`` and
-    the unit ball {scaled <= 1} has volume omega_d.  Since scaling gamma by
-    s scales |B_gamma| by s^-d, the factor is (|B_gamma| / omega_d)^(1/d).
-    """
-    d = gamma.dim
-    vol = unit_ball_gamma_volume(gamma)
-    scale = (vol / unit_ball_volume(d)) ** (1.0 / d)
-    return _scaled(gamma, scale), scale
-
-
-def _scaled(gamma: Anisotropy, s: float) -> Anisotropy:
-    """Return s * gamma within the same family."""
-    if isinstance(gamma, Isotropic):
-        return Isotropic(dim=gamma.dim, c0=s * gamma.c0)
-    if isinstance(gamma, Elliptic):
-        a = np.asarray(gamma.matrix) * s * s
-        return Elliptic(dim=gamma.dim, matrix=tuple(map(tuple, a)))
-    if isinstance(gamma, DirectionTable2D):
-        return DirectionTable2D(dim=2, values=tuple(s * v for v in gamma.values))
-    if isinstance(gamma, CrystallineL1):
-        return CrystallineL1(dim=gamma.dim, c0=s * gamma.c0)
-    raise AnisotropyError(f"cannot scale anisotropy of type {type(gamma).__name__}")
-
 
 @dataclass
 class AnisotropyReport:
@@ -467,23 +391,17 @@ class AnisotropyReport:
     failures: list = field(default_factory=list)
 
 
-def validate_anisotropy(
-    gamma: Anisotropy,
-    *,
-    n_checks: int = 64,
-    fd_step: float = 1e-4,
-    min_eig_tol: float = 1e-6,
-    seed: int = 0,
-) -> AnisotropyReport:
+def validate_anisotropy(gamma: Anisotropy) -> AnisotropyReport:
     """Check homogeneity, evenness, positivity bounds and ellipticity.
 
     Ellipticity means gamma^2 has a uniformly positive definite Hessian;
-    it is probed by central finite differences (step ``fd_step``) at
-    ``n_checks`` random unit directions.  Families with flat spots
+    it is probed by central finite differences (step 1e-4) at 64 random
+    unit directions drawn with seed 0.  Families with flat spots
     (e.g. :class:`CrystallineL1`, whose Hessian at a generic point has a
     zero eigenvalue) are reported as not admissible.
     """
-    rng = np.random.default_rng(seed)
+    n_checks, fd_step = 64, 1e-4
+    rng = np.random.default_rng(0)
     d = gamma.dim
     failures: list[str] = []
 
@@ -523,7 +441,7 @@ def validate_anisotropy(
                     4.0 * fd_step**2
                 )
         min_eig = min(min_eig, float(np.linalg.eigvalsh(hess)[0]))
-    if not min_eig > min_eig_tol:
+    if not min_eig > 1e-6:
         failures.append(
             f"gamma^2 is not uniformly convex (min Hessian eig {min_eig:.3e})"
         )

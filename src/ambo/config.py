@@ -31,7 +31,6 @@ from .tensions import (
     RawTensions,
     TensionError,
     extend_substrate,
-    validate_raw_tensions,
     verify_triangle,
 )
 
@@ -47,6 +46,7 @@ __all__ = [
     "build_scheme_config",
     "build_tensions",
     "config_from_mapping",
+    "initial_shape_spec",
     "load_config",
 ]
 
@@ -379,6 +379,10 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
             value = _as_float(value, key, "experiment", source)
         elif key in _INT_PARAMS:
             value = _as_int(value, key, "experiment", source)
+            if key == "n_fields" and value < 1:
+                raise _fail(
+                    source, f"key 'n_fields' in section 'experiment' must be >= 1, got {value}"
+                )
         elif key in _BOOL_PARAMS:
             value = _as_bool(value, key, "experiment", source)
         elif key in _FLOAT_LIST_PARAMS:
@@ -484,10 +488,34 @@ def build_tensions(
         t = ModifiedTensions.from_fields(grid, pv, sp, sv)
         audit = verify_triangle(t)
         return t, {"tensions": True, "triangle": audit.ok}
-    report = validate_raw_tensions(raw, geometry, gamma)
+    # extend_substrate raises unless the raw tensions are admissible.
     t = extend_substrate(raw, geometry, gamma, delta=config.tensions["delta"])
     audit = verify_triangle(t, tol=1e-12 * t.upper)
-    return t, {"tensions": report.admissible, "triangle": audit.ok}
+    return t, {"tensions": True, "triangle": audit.ok}
+
+
+def initial_shape_spec(config: RunConfig, geometry: Geometry) -> ShapeSpec | None:
+    """The analytic shape of the configured initial phase.
+
+    None for the ``field`` and ``empty`` kinds, and for a cap without a
+    band geometry to stand on.
+    """
+    spec = config.initial
+    kind = spec["kind"]
+    if kind == "disk":
+        return ShapeSpec.disk(tuple(map(float, spec["center"])), float(spec["radius"]))
+    if kind == "ellipse":
+        return ShapeSpec.ellipse(
+            tuple(map(float, spec["center"])), float(spec["a"]), float(spec["b"])
+        )
+    if kind == "cap" and isinstance(geometry.shape, Band):
+        return ShapeSpec.cap(
+            float(spec.get("angle", 90.0)),
+            float(spec["radius"]),
+            substrate_y=geometry.shape.lo % 1.0,
+            center_x=float(spec.get("center_x", 0.5)),
+        )
+    return None
 
 
 def build_initial(config: RunConfig, geometry: Geometry) -> PhaseField:
@@ -498,26 +526,10 @@ def build_initial(config: RunConfig, geometry: Geometry) -> PhaseField:
     if kind == "field":
         if "path" not in spec:
             raise ConfigError("initial kind 'field' needs key 'path'")
-        values = read_field(spec["path"])
-        return PhaseField(geometry, values)
-    if kind == "disk":
-        shape = ShapeSpec.disk(tuple(map(float, spec["center"])), float(spec["radius"]))
-    elif kind == "ellipse":
-        shape = ShapeSpec.ellipse(
-            tuple(map(float, spec["center"])), float(spec["a"]), float(spec["b"])
-        )
-    elif kind == "cap":
-        band = geometry.shape
-        if not isinstance(band, Band):
-            raise ConfigError("initial kind 'cap' needs a band geometry")
-        shape = ShapeSpec.cap(
-            float(spec.get("angle", 90.0)),
-            float(spec["radius"]),
-            substrate_y=band.lo % 1.0,
-            center_x=float(spec.get("center_x", 0.5)),
-        )
-    else:  # pragma: no cover - guarded by section validation
-        raise ConfigError(f"unknown initial kind '{kind}'")
+        return PhaseField(geometry, read_field(spec["path"]))
+    shape = initial_shape_spec(config, geometry)
+    if shape is None:
+        raise ConfigError("initial kind 'cap' needs a band geometry")
     return shape.indicator(geometry)
 
 

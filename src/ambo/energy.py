@@ -99,28 +99,19 @@ class PhaseField:
         return cls(geometry, vals)
 
     @classmethod
-    def from_shape(cls, geometry: Geometry, shape) -> "PhaseField":
-        inside = shape.signed_distance(geometry.grid) > 0.0
-        return cls.from_mask(geometry, inside)
-
-    @classmethod
     def random(
-        cls,
-        geometry: Geometry,
-        rng: np.random.Generator,
-        levels: int | None = None,
+        cls, geometry: Geometry, rng: np.random.Generator, levels: int
     ) -> "PhaseField":
-        """Uniform random values on the container, optionally quantised.
+        """Uniform random values on the container, quantised to ``levels``.
 
-        With ``levels=L`` the values are snapped to {0, 1/(L-1), ..., 1},
+        The values are snapped to {0, 1/(L-1), ..., 1} for L = ``levels``,
         which keeps the number of distinct values small — the exact
         layer-cake evaluation in :func:`shift_weighted_sum` needs that.
         """
+        if levels < 2:
+            raise EnergyError(f"levels must be >= 2, got {levels}")
         vals = rng.uniform(0.0, 1.0, size=geometry.grid.shape)
-        if levels is not None:
-            if levels < 2:
-                raise EnergyError(f"levels must be >= 2, got {levels}")
-            vals = np.round(vals * (levels - 1)) / (levels - 1)
+        vals = np.round(vals * (levels - 1)) / (levels - 1)
         vals[~geometry.omega_mask] = 0.0
         return cls(geometry, vals)
 
@@ -144,9 +135,6 @@ class PhaseField:
             for shift in (1, -1):
                 boundary |= np.roll(v, shift, axis=axis) != v
         return int((boundary & (v == 1.0)).sum())
-
-    def with_values(self, values: np.ndarray) -> "PhaseField":
-        return PhaseField(self.geometry, values)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +375,12 @@ class ShapeSpec:
         raise EnergyError(f"no indicator rule for arc type {type(arc).__name__}")
 
 
-def _adaptive_arc_quadrature(func, arc: Arc, rel_tol: float = 1e-8):
+def _adaptive_arc_quadrature(func, arc: Arc):
     """Composite Simpson on the arc parameter with panel doubling.
 
     ``func(points, normals)`` returns the scalar line density; the
-    outward normal is the unit tangent rotated clockwise.  Returns
-    (value, error estimate); raises if 2^20 panels do not reach the
-    tolerance.
+    outward normal is the unit tangent rotated clockwise.  Raises if 2^20
+    panels do not reach a relative tolerance of 1e-8.
     """
 
     def evaluate(m: int) -> float:
@@ -417,22 +404,21 @@ def _adaptive_arc_quadrature(func, arc: Arc, rel_tol: float = 1e-8):
         m *= 2
         cur = evaluate(m)
         err = abs(cur - prev)
-        if err <= rel_tol * max(abs(cur), 1e-300) + 1e-15:
-            return cur, err
+        if err <= 1e-8 * max(abs(cur), 1e-300) + 1e-15:
+            return cur
         prev = cur
     raise NumericalError(
-        f"arc quadrature did not reach rel tol {rel_tol} (last err {err:.3e})"
+        f"arc quadrature did not reach rel tol 1e-8 (last err {err:.3e})"
     )
 
 
 def sharp_energy(
     shape: ShapeSpec,
-    raw_or_pv,
+    gamma_pv,
     gamma: Anisotropy,
     *,
     gamma_sp=None,
     gamma_sv=None,
-    rel_tol: float = 1e-8,
 ) -> float:
     """Limiting interfacial energy of a parametric shape (d=2).
 
@@ -440,18 +426,12 @@ def sharp_energy(
     + integral of g_sp over the wetted arcs
     + integral of g_sv over the dry arcs.
 
-    ``raw_or_pv`` is a RawTensions-like object with ``gamma_pv`` etc., or
-    a number/expression for g_pv alone (then ``gamma_sp``/``gamma_sv``
-    supply the substrate densities when wetted/dry arcs are present).
+    Each density is a number or an expression string; ``gamma_sp`` and
+    ``gamma_sv`` are needed only when wetted or dry arcs are present.
     """
-    if hasattr(raw_or_pv, "gamma_pv"):
-        pv_expr = raw_or_pv.gamma_pv
-        sp_expr = raw_or_pv.gamma_sp
-        sv_expr = raw_or_pv.gamma_sv
-    else:
-        pv_expr = parse_expression(raw_or_pv)
-        sp_expr = parse_expression(gamma_sp) if gamma_sp is not None else None
-        sv_expr = parse_expression(gamma_sv) if gamma_sv is not None else None
+    pv_expr = parse_expression(gamma_pv)
+    sp_expr = parse_expression(gamma_sp) if gamma_sp is not None else None
+    sv_expr = parse_expression(gamma_sv) if gamma_sv is not None else None
 
     def eval_expr(expr: Expression, pts: np.ndarray) -> np.ndarray:
         return np.broadcast_to(
@@ -461,10 +441,9 @@ def sharp_energy(
 
     total = 0.0
     for arc in shape.free:
-        val, _ = _adaptive_arc_quadrature(
-            lambda p, n: eval_expr(pv_expr, p) * gamma(n), arc, rel_tol
+        total += _adaptive_arc_quadrature(
+            lambda p, n: eval_expr(pv_expr, p) * gamma(n), arc
         )
-        total += val
     for arcs, expr, name in (
         (shape.wetted, sp_expr, "gamma_sp"),
         (shape.dry, sv_expr, "gamma_sv"),
@@ -472,10 +451,7 @@ def sharp_energy(
         if arcs and expr is None:
             raise EnergyError(f"shape has substrate arcs but no {name} given")
         for arc in arcs:
-            val, _ = _adaptive_arc_quadrature(
-                lambda p, n: eval_expr(expr, p), arc, rel_tol
-            )
-            total += val
+            total += _adaptive_arc_quadrature(lambda p, n: eval_expr(expr, p), arc)
     return total
 
 
@@ -507,8 +483,6 @@ def convergence_study(
     h_seq,
     geometry: Geometry,
     gamma: Anisotropy,
-    *,
-    pv_value=None,
 ) -> StudyTable:
     """Tabulate E_h against the sharp energy over a decreasing h sequence.
 
@@ -534,8 +508,7 @@ def convergence_study(
         raise EnergyError("need at least two resolvable h values")
 
     u = shape.indicator(geometry)
-    pv = pv_value if pv_value is not None else float(tensions.pv.flat[0])
-    sharp = sharp_energy(shape, pv, gamma)
+    sharp = sharp_energy(shape, float(tensions.pv.flat[0]), gamma)
     rows = []
     for h in usable:
         kh = scale_kernel(kernel, grid, h)
@@ -555,47 +528,63 @@ def convergence_study(
 # Approximate monotonicity
 # ---------------------------------------------------------------------------
 
+def _shared_geometry(fields) -> Geometry:
+    """The one geometry every field of a batch lives on."""
+    if not fields:
+        raise EnergyError("a suite needs at least one field")
+    geometry = fields[0].geometry
+    if any(u.geometry is not geometry for u in fields):
+        raise EnergyError("the fields of one suite call must share one geometry")
+    return geometry
+
+
 @dataclass
 class MonotonicityResult:
     lhs: float
     rhs: float
     c_est: float
-    signed_c: float
 
 
 def monotonicity_check(
-    u: PhaseField,
+    fields,
     tensions: ModifiedTensions,
     kernel: Kernel,
     h: float,
     N: int,
-) -> MonotonicityResult:
-    """Compare E_{N^2 h}(u) against (1 + c N sqrt(h)) E_h(u).
+) -> list[MonotonicityResult]:
+    """Compare E_{N^2 h}(u) against (1 + c N sqrt(h)) E_h(u) for each field.
 
-    Returns the two energies and ``c_est``, the smallest nonnegative
-    constant making the bound hold (0 when the energy already decreased).
-    ``signed_c`` keeps the raw signed slack for diagnostics.  For
-    spatially constant tensions the bound must hold with c = 0 up to
-    1e-10 relative — a genuine assertion of the discrete theory.
+    The two kernels and run operators are built once and shared by the
+    fields, which must live on one geometry.  Returns one result per
+    field, in order: the two energies and ``c_est``, the smallest
+    nonnegative constant making the bound hold (0 when the energy already
+    decreased).  For spatially constant tensions the bound must hold with
+    c = 0 up to 1e-10 relative — a genuine assertion of the discrete
+    theory.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise EnergyError(f"N must be an integer >= 1, got {N!r}")
-    grid = u.grid
-    kh = scale_kernel(kernel, grid, h)
-    kh_big = scale_kernel(kernel, grid, N * N * h)
-    rhs = approx_energy(u, RunOperator.build(u.geometry, tensions, kh))
-    lhs = approx_energy(u, RunOperator.build(u.geometry, tensions, kh_big))
-    if rhs > 0.0:
-        signed = (lhs - rhs) / (rhs * N * math.sqrt(h))
-    else:
-        signed = 0.0 if lhs <= 0.0 else math.inf
-    c_est = max(0.0, signed)
-    if tensions.is_spatially_constant and lhs > rhs * (1.0 + 1e-10):
-        raise NumericalError(
-            f"constant-tension monotonicity violated: E_(N^2 h)={lhs!r} > "
-            f"E_h={rhs!r} * (1+1e-10) at N={N}, h={h}"
-        )
-    return MonotonicityResult(lhs=lhs, rhs=rhs, c_est=c_est, signed_c=signed)
+    geometry = _shared_geometry(fields)
+    grid = geometry.grid
+    op = RunOperator.build(geometry, tensions, scale_kernel(kernel, grid, h))
+    op_big = RunOperator.build(
+        geometry, tensions, scale_kernel(kernel, grid, N * N * h)
+    )
+    results = []
+    for u in fields:
+        rhs = approx_energy(u, op)
+        lhs = approx_energy(u, op_big)
+        if rhs > 0.0:
+            c_est = max(0.0, (lhs - rhs) / (rhs * N * math.sqrt(h)))
+        else:
+            c_est = 0.0 if lhs <= 0.0 else math.inf
+        if tensions.is_spatially_constant and lhs > rhs * (1.0 + 1e-10):
+            raise NumericalError(
+                f"constant-tension monotonicity violated: E_(N^2 h)={lhs!r} > "
+                f"E_h={rhs!r} * (1+1e-10) at N={N}, h={h}"
+            )
+        results.append(MonotonicityResult(lhs=lhs, rhs=rhs, c_est=c_est))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -603,24 +592,21 @@ def monotonicity_check(
 # ---------------------------------------------------------------------------
 
 def shift_weighted_sum(
-    v: np.ndarray,
-    omega_mask: np.ndarray,
-    weights: np.ndarray,
-    *,
-    max_levels: int = 256,
+    v: np.ndarray, omega_mask: np.ndarray, weights: np.ndarray
 ) -> float:
     """Exact evaluation of sum_y W(y) sum_{x in container} |v(x+y) - v(x)|.
 
-    Uses the layer-cake formula over the distinct values of v: for each
-    inter-level threshold the shifted-difference counts are integers,
-    recovered exactly by FFT cross-correlation and rounding.  ``weights``
-    is the W array indexed like the sampled kernels (origin at 0).
+    Uses the layer-cake formula over the distinct values of v (at most
+    256): for each inter-level threshold the shifted-difference counts
+    are integers, recovered exactly by FFT cross-correlation and
+    rounding.  ``weights`` is the W array indexed like the sampled kernels
+    (origin at 0).
     """
     levels = np.unique(v)
-    if levels.size > max_levels:
+    if levels.size > 256:
         raise EnergyError(
-            f"field has {levels.size} distinct values; quantise it (<= "
-            f"{max_levels}) for exact shift sums"
+            f"field has {levels.size} distinct values; quantise it (<= 256) "
+            "for exact shift sums"
         )
     if levels.size == 1:
         return 0.0
@@ -653,9 +639,10 @@ class InequalityResult:
     def slack(self) -> float:
         return self.rhs - self.lhs
 
-    def ok(self, tol: float = 1e-8) -> bool:
+    def ok(self) -> bool:
+        """lhs <= rhs up to 1e-8 relative to max(|lhs|, |rhs|, 1)."""
         scale = max(abs(self.lhs), abs(self.rhs), 1.0)
-        return self.lhs <= self.rhs + tol * scale
+        return self.lhs <= self.rhs + 1e-8 * scale
 
 
 @dataclass
@@ -667,78 +654,76 @@ class InequalityReport:
     def all_ok(self) -> bool:
         return all(r.ok() for r in self.results)
 
-    def worst(self) -> float:
-        return min(r.slack for r in self.results)
+
+# The tent kernel J of the fourth inequality, radius 1.
+_TENT = TriangularKernel()
 
 
-def inequality_suite(
-    v: PhaseField,
-    kernel: Kernel,
-    h: float,
-    *,
-    tent: TriangularKernel | None = None,
-) -> InequalityReport:
-    """Evaluate the four integral inequalities for a [0,1] field.
+def inequality_suite(fields, kernel: Kernel, h: float) -> list[InequalityReport]:
+    """Evaluate the four integral inequalities for [0,1] fields.
 
-    The first three use the supplied kernel; the fourth uses a tent
-    kernel J (default radius 1) with gradient bound
-    |grad J| <= (2/radius) J(./2), giving the provable discrete constant
-    c = 2^d * (2/radius) relating grad(J_h) to J_{4h}.  All four hold
-    exactly in exact arithmetic for fields vanishing outside the
-    container, because the substrate indicator is the exact complement
-    of the container's; the suite asserts lhs <= rhs * (1 + 1e-8).
+    The first three use the supplied kernel; the fourth uses the unit
+    tent kernel J with gradient bound |grad J| <= (2/radius) J(./2),
+    giving the provable discrete constant c = 2^d * (2/radius) relating
+    grad(J_h) to J_{4h}.  All four hold exactly in exact arithmetic for
+    fields vanishing outside the container, because the substrate
+    indicator is the exact complement of the container's; a result is ok
+    when lhs <= rhs up to 1e-8 relative.
+
+    K_h, K_h*1_substrate, the tent-gradient kernels and J_4h are sampled
+    once and shared by the fields, which must live on one geometry.
+    Returns one report per field, in order.
     """
-    geo = v.geometry
-    grid = v.grid
+    geo = _shared_geometry(fields)
+    grid = geo.grid
     s_d = grid.cell_measure
-    omega = geo.omega_mask.astype(np.float64)
-    kh = scale_kernel(kernel, grid, h)
-    conv_v = kh.convolve(v.values)
-    conv_s = kh.convolve(geo.substrate_mask.astype(np.float64))
     inside = geo.omega_mask
-
-    shift_k = s_d * s_d * shift_weighted_sum(v.values, inside, kh.values)
-
-    lhs1 = shift_k
-    rhs1 = float(
-        2.0 * s_d * (((omega - v.values) * conv_v)[inside].sum())
-        + s_d * ((v.values * conv_s)[inside]).sum()
-    )
-
-    lhs2 = float(s_d * np.abs(conv_v - v.values)[inside].sum())
-    rhs2 = shift_k
-
-    lhs3 = float(s_d * (v.values * (omega - v.values))[inside].sum())
-    rhs3 = float(s_d * (((omega - v.values) * conv_v)[inside]).sum()) + lhs2
-
-    if tent is None:
-        tent = TriangularKernel()
-    grad_jh = scale_kernel_gradient(tent, grid, h)
-    grad_jv = np.stack(
-        [
-            SampledKernel(grid=grid, h=h, values=grad_jh[..., i]).convolve(v.values)
-            for i in range(grid.d)
-        ],
-        axis=-1,
-    )
-    lhs4 = float(s_d * np.linalg.norm(grad_jv, axis=-1)[inside].sum())
-    j4h = scale_kernel(tent, grid, 4.0 * h)
-    c_grad = (2.0**grid.d) * (2.0 / tent.radius)
-    rhs4 = (
-        c_grad
-        / math.sqrt(h)
-        * s_d
-        * s_d
-        * shift_weighted_sum(v.values, inside, j4h.values)
-    )
-
-    results = [
-        InequalityResult("shift-bound", lhs1, rhs1),
-        InequalityResult("jensen", lhs2, rhs2),
-        InequalityResult("defect-bound", lhs3, rhs3),
-        InequalityResult("gradient-bound", lhs4, rhs4),
+    omega = inside.astype(np.float64)
+    kh = scale_kernel(kernel, grid, h)
+    conv_s = kh.convolve(geo.substrate_mask.astype(np.float64))
+    grad_jh = scale_kernel_gradient(_TENT, grid, h)
+    grad_kernels = [
+        SampledKernel(grid=grid, h=h, values=grad_jh[..., i]) for i in range(grid.d)
     ]
-    return InequalityReport(results=results, h=h)
+    j4h = scale_kernel(_TENT, grid, 4.0 * h)
+    c_grad = (2.0**grid.d) * (2.0 / _TENT.radius)
+
+    reports = []
+    for u in fields:
+        v = u.values
+        conv_v = kh.convolve(v)
+        shift_k = s_d * s_d * shift_weighted_sum(v, inside, kh.values)
+
+        lhs1 = shift_k
+        rhs1 = float(
+            2.0 * s_d * (((omega - v) * conv_v)[inside].sum())
+            + s_d * ((v * conv_s)[inside]).sum()
+        )
+
+        lhs2 = float(s_d * np.abs(conv_v - v)[inside].sum())
+        rhs2 = shift_k
+
+        lhs3 = float(s_d * (v * (omega - v))[inside].sum())
+        rhs3 = float(s_d * (((omega - v) * conv_v)[inside]).sum()) + lhs2
+
+        grad_jv = np.stack([g.convolve(v) for g in grad_kernels], axis=-1)
+        lhs4 = float(s_d * np.linalg.norm(grad_jv, axis=-1)[inside].sum())
+        rhs4 = (
+            c_grad
+            / math.sqrt(h)
+            * s_d
+            * s_d
+            * shift_weighted_sum(v, inside, j4h.values)
+        )
+
+        results = [
+            InequalityResult("shift-bound", lhs1, rhs1),
+            InequalityResult("jensen", lhs2, rhs2),
+            InequalityResult("defect-bound", lhs3, rhs3),
+            InequalityResult("gradient-bound", lhs4, rhs4),
+        ]
+        reports.append(InequalityReport(results=results, h=h))
+    return reports
 
 
 def indicator_defect(w: np.ndarray, geometry: Geometry) -> float:

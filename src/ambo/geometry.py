@@ -283,20 +283,18 @@ class Geometry:
 
 
 def build_geometry(
-    shape: Shape,
-    grid: TorusGrid,
-    delta: float | None = None,
-    seam_margin: float | None = None,
+    shape: Shape, grid: TorusGrid, delta: float | None = None
 ) -> Geometry:
     """Rasterize an analytic shape into a :class:`Geometry`.
+
+    Omega must keep a clearance of max(delta, 8 * spacing) from the torus
+    seam planes.
 
     Args:
         shape: analytic container descriptor.
         grid: target grid.
         delta: strip width for Omega_delta^+-; defaults to 8 * spacing.  Must
             stay below the analytic reach of dOmega.
-        seam_margin: required clearance between Omega and the torus seam
-            planes; defaults to max(delta, 8 * spacing).
 
     Raises:
         GeometryError: Omega touches the seam margin, or delta exceeds the
@@ -310,11 +308,10 @@ def build_geometry(
         raise GeometryError(
             f"delta={delta} exceeds the reach {shape.reach():.4g} of the boundary"
         )
-    if seam_margin is None:
-        seam_margin = max(delta, 8.0 * grid.spacing)
-    if shape.seam_distance() < seam_margin:
+    clearance = max(delta, 8.0 * grid.spacing)
+    if shape.seam_distance() < clearance:
         raise GeometryError(
-            f"Omega within {seam_margin:.4g} of the torus seam "
+            f"Omega within {clearance:.4g} of the torus seam "
             f"(clearance {shape.seam_distance():.4g}); enlarge the torus margin"
         )
 
@@ -368,15 +365,14 @@ def band_mask(geometry: Geometry, sign: int, delta: float | None = None) -> np.n
     return (s > 0.0) & (s < delta)
 
 
-def boundary_layer_mask(geometry: Geometry, width: float | None = None) -> np.ndarray:
+def boundary_layer_mask(geometry: Geometry) -> np.ndarray:
     """Cells crossed by dOmega: |d_s| at the center below ~ one cell (boolean).
 
-    These carry the Dirichlet data of the tension construction.  The default
-    width spacing/2 * sqrt(d) covers every cell whose interior the boundary
-    can intersect while keeping the layer one to two cells thick.
+    These carry the Dirichlet data of the tension construction.  The width
+    spacing/2 * sqrt(d) covers every cell whose interior the boundary can
+    intersect while keeping the layer one to two cells thick.
     """
-    if width is None:
-        width = 0.5 * np.sqrt(geometry.grid.d) * geometry.grid.spacing
+    width = 0.5 * np.sqrt(geometry.grid.d) * geometry.grid.spacing
     return np.abs(geometry.signed_distance) <= width
 
 

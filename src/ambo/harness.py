@@ -29,6 +29,7 @@ from .config import (
     build_kernel_from,
     build_scheme_config,
     build_tensions,
+    initial_shape_spec,
 )
 from .energy import (
     PhaseField,
@@ -184,26 +185,6 @@ def _dump_final(out: Path, traj: Trajectory, d: int) -> dict:
     return outputs
 
 
-def _initial_shape_spec(config: RunConfig, geometry: Geometry) -> ShapeSpec | None:
-    """The analytic counterpart of the configured initial phase, if any."""
-    spec = config.initial
-    kind = spec["kind"]
-    if kind == "disk":
-        return ShapeSpec.disk(tuple(map(float, spec["center"])), float(spec["radius"]))
-    if kind == "ellipse":
-        return ShapeSpec.ellipse(
-            tuple(map(float, spec["center"])), float(spec["a"]), float(spec["b"])
-        )
-    if kind == "cap" and isinstance(geometry.shape, Band):
-        return ShapeSpec.cap(
-            float(spec.get("angle", 90.0)),
-            float(spec["radius"]),
-            substrate_y=geometry.shape.lo % 1.0,
-            center_x=float(spec.get("center_x", 0.5)),
-        )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -215,7 +196,7 @@ def _experiment_validate(ws: Workspace, out: Path) -> dict:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            scale_kernel(ws.kernel, ws.grid, config.scheme["h"])
+            kh = scale_kernel(ws.kernel, ws.grid, config.scheme["h"])
         for w in caught:
             if issubclass(w.category, ResolutionWarning):
                 resolution_notes.append(str(w.message))
@@ -240,7 +221,6 @@ def _experiment_validate(ws: Workspace, out: Path) -> dict:
     # the direct route (it visits every cell pair).
     convolution: dict = {}
     if flags["resolution"] and ws.grid.cell_count <= 4096:
-        kh = scale_kernel(ws.kernel, ws.grid, config.scheme["h"])
         rng = np.random.default_rng(config.seed)
         probe = rng.uniform(size=ws.grid.shape)
         diff = float(
@@ -311,7 +291,7 @@ def _experiment_energy(ws: Workspace, out: Path) -> dict:
     defect = indicator_defect(ku, ws.geometry)
 
     sharp = None
-    spec = _initial_shape_spec(config, ws.geometry)
+    spec = initial_shape_spec(config, ws.geometry)
     if (
         spec is not None
         and not spec.wetted
@@ -332,7 +312,7 @@ def _experiment_energy(ws: Workspace, out: Path) -> dict:
 
 def _experiment_sharp_limit(ws: Workspace, out: Path) -> dict:
     config = ws.config
-    spec = _initial_shape_spec(config, ws.geometry)
+    spec = initial_shape_spec(config, ws.geometry)
     if spec is None or spec.wetted:
         raise ConfigError(
             "converge needs an analytic free-boundary initial shape (disk/ellipse)"
@@ -365,28 +345,28 @@ def _experiment_sharp_limit(ws: Workspace, out: Path) -> dict:
 
 
 def _ensemble(ws: Workspace, n_fields: int, levels: int, include_disk: bool):
+    """Field names and the seeded phase fields, in the same order."""
     rng = np.random.default_rng(ws.config.seed)
-    fields = [
-        (f"random_{i:03d}", PhaseField.random(ws.geometry, rng, levels=levels))
-        for i in range(n_fields)
-    ]
+    names = [f"random_{i:03d}" for i in range(n_fields)]
+    fields = [PhaseField.random(ws.geometry, rng, levels) for _ in names]
     if include_disk:
-        spec = _initial_shape_spec(ws.config, ws.geometry)
+        spec = initial_shape_spec(ws.config, ws.geometry)
         if spec is not None and not spec.wetted:
-            fields.append(("indicator", spec.indicator(ws.geometry)))
-    return fields
+            names.append("indicator")
+            fields.append(spec.indicator(ws.geometry))
+    return names, fields
 
 
 def _experiment_monotonic(ws: Workspace, out: Path) -> dict:
     p = ws.config.experiment_params
-    fields = _ensemble(ws, p["n_fields"], p["levels"], p["include_disk"])
+    names, fields = _ensemble(ws, p["n_fields"], p["levels"], p["include_disk"])
     constant = ws.tensions.is_spatially_constant
     rows = []
     c_by_combo: dict[tuple, list] = {}
     for h in p["h_values"]:
         for N in p["factors"]:
-            for name, u in fields:
-                res = monotonicity_check(u, ws.tensions, ws.kernel, h, N)
+            results = monotonicity_check(fields, ws.tensions, ws.kernel, h, N)
+            for name, res in zip(names, results):
                 rows.append((name, h, N, res.lhs, res.rhs, res.c_est))
                 c_by_combo.setdefault((h, N), []).append(res.c_est)
     io.write_csv(
@@ -417,13 +397,13 @@ def _experiment_monotonic(ws: Workspace, out: Path) -> dict:
 
 def _experiment_inequalities(ws: Workspace, out: Path) -> dict:
     p = ws.config.experiment_params
-    fields = _ensemble(ws, p["n_fields"], p["levels"], include_disk=False)
+    names, fields = _ensemble(ws, p["n_fields"], p["levels"], include_disk=False)
     rows = []
     worst = math.inf
     all_ok = True
     for h in p["h_values"]:
-        for name, v in fields:
-            report = inequality_suite(v, ws.kernel, h)
+        reports = inequality_suite(fields, ws.kernel, h)
+        for name, report in zip(names, reports):
             for res in report.results:
                 scale = max(abs(res.lhs), abs(res.rhs), 1.0)
                 worst = min(worst, res.slack / scale)

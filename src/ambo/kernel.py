@@ -253,10 +253,6 @@ class SampledKernel:
     def discrete_mass(self) -> float:
         return float(self.values.sum() * self.grid.cell_measure)
 
-    @property
-    def value_at_origin(self) -> float:
-        return float(self.values.flat[0])
-
     def transform(self) -> np.ndarray:
         """Cached real FFT of the sample array."""
         if "fft" not in self._fft_cache:

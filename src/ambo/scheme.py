@@ -67,7 +67,6 @@ class SchemeConfig:
     target_volume: float | None = None
     max_steps: int = 100
     stationarity_window: int = 3
-    volume_tol_cells: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.h > 0.0:
@@ -208,7 +207,7 @@ def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeSta
             m = state.u.volume()
         lam, mask = _select_by_volume(phi, geometry, m)
         u_next = PhaseField.from_mask(geometry, mask)
-        tol = config.volume_tol_cells * geometry.grid.cell_measure
+        tol = geometry.grid.cell_measure  # one cell
         if abs(u_next.volume() - m) > tol:
             raise NumericalError(
                 f"volume drifted: |{u_next.volume()} - {m}| > {tol}"

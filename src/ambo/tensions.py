@@ -165,7 +165,6 @@ def laplace_solve(
     unknown_mask: np.ndarray,
     dirichlet_values: np.ndarray,
     *,
-    x0: np.ndarray | None = None,
     maxiter: int | None = None,
 ) -> np.ndarray:
     """Solve the discrete Laplace equation on ``unknown_mask`` cells.
@@ -236,10 +235,7 @@ def laplace_solve(
     tol = 1e-10 * data_range + floor
     if maxiter is None:
         maxiter = 20 * grid.n + 200
-    x0_vec = None if x0 is None else np.asarray(x0, dtype=np.float64)[unknown_mask]
-    solution, info = cg(
-        matrix, rhs, x0=x0_vec, rtol=0.0, atol=tol, maxiter=maxiter
-    )
+    solution, info = cg(matrix, rhs, rtol=0.0, atol=tol, maxiter=maxiter)
     residual = float(np.abs(matrix @ solution - rhs).max())
     if info != 0 or residual > tol:
         raise NumericalError(

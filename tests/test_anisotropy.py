@@ -15,8 +15,6 @@ from ambo.anisotropy import (
     induced_anisotropy,
     induced_gamma,
     make_anisotropy,
-    normalize_anisotropy,
-    unit_ball_gamma_volume,
     validate_anisotropy,
 )
 from ambo.kernel import EllipticGaussianKernel, GaussianKernel
@@ -143,16 +141,6 @@ def test_validate_rejects_crystalline():
     report = validate_anisotropy(CrystallineL1(2, 1.0))
     assert not report.admissible
     assert any("convex" in f for f in report.failures)
-
-
-def test_unit_ball_volume_isotropic():
-    assert unit_ball_gamma_volume(Isotropic(2, 1.0)) == pytest.approx(math.pi, rel=1e-10)
-
-
-def test_normalize_anisotropy_hits_unit_ball_volume():
-    gamma, scale = normalize_anisotropy(Elliptic(2, matrix=((1.0, 0.0), (0.0, 4.0))))
-    assert unit_ball_gamma_volume(gamma) == pytest.approx(math.pi, rel=5e-3)
-    assert scale > 0.0
 
 
 # --- construction and rejection ----------------------------------------------

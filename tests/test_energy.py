@@ -153,7 +153,7 @@ def test_exchange_symmetry(full_geometry, grid256, unit_tensions, rng):
     kh = scale_kernel(GaussianKernel(), grid256, 1e-3)
     op = RunOperator.build(full_geometry, unit_tensions, kh)
     one = approx_energy(u, op)
-    swapped = approx_energy(u.with_values(1.0 - u.values), op)
+    swapped = approx_energy(PhaseField(full_geometry, 1.0 - u.values), op)
     assert abs(one - swapped) <= 1e-10 * one
 
 
@@ -236,18 +236,20 @@ def test_cap_indicator_is_binary_cap(band_geometry):
 
 
 def test_monotonicity_constant_tensions_random_fields(full_geometry, unit_tensions):
-    worst = 0.0
-    for seed in range(20):
-        u = PhaseField.random(full_geometry, np.random.default_rng(seed), levels=5)
-        result = monotonicity_check(u, unit_tensions, GaussianKernel(), 1e-3, 2)
+    fields = [
+        PhaseField.random(full_geometry, np.random.default_rng(seed), levels=5)
+        for seed in range(20)
+    ]
+    results = monotonicity_check(fields, unit_tensions, GaussianKernel(), 1e-3, 2)
+    assert len(results) == 20
+    for result in results:
         assert result.lhs <= result.rhs * (1.0 + 1e-10)
-        worst = max(worst, result.c_est)
-    assert worst <= 1e-10
+    assert max(r.c_est for r in results) <= 1e-10
 
 
 def test_monotonicity_empty_field(full_geometry, unit_tensions):
-    result = monotonicity_check(
-        PhaseField.zeros(full_geometry), unit_tensions, GaussianKernel(), 1e-3, 2
+    (result,) = monotonicity_check(
+        [PhaseField.zeros(full_geometry)], unit_tensions, GaussianKernel(), 1e-3, 2
     )
     assert result.lhs == result.rhs == 0.0
     assert result.c_est == 0.0
@@ -259,7 +261,7 @@ def test_monotonicity_varying_tensions_bounded(full_geometry, grid256, disk_fiel
         grid256, 1.0 + 0.2 * x1, np.ones(grid256.shape), np.ones(grid256.shape)
     )
     estimates = [
-        monotonicity_check(disk_field, t, GaussianKernel(), 1e-3, N).c_est
+        monotonicity_check([disk_field], t, GaussianKernel(), 1e-3, N)[0].c_est
         for N in (2, 3, 4)
     ]
     assert all(np.isfinite(c) and 0.0 <= c <= 1.0 for c in estimates)
@@ -268,8 +270,33 @@ def test_monotonicity_varying_tensions_bounded(full_geometry, grid256, disk_fiel
 def test_monotonicity_rejects_bad_n(full_geometry, unit_tensions):
     with pytest.raises(EnergyError, match="N"):
         monotonicity_check(
-            PhaseField.zeros(full_geometry), unit_tensions, GaussianKernel(), 1e-3, 0
+            [PhaseField.zeros(full_geometry)], unit_tensions, GaussianKernel(), 1e-3, 0
         )
+
+
+def test_suites_reject_empty_and_mixed_batches(full_geometry, disk_geometry, unit_tensions):
+    with pytest.raises(EnergyError, match="at least one field"):
+        monotonicity_check([], unit_tensions, GaussianKernel(), 1e-3, 2)
+    mixed = [PhaseField.zeros(full_geometry), PhaseField.zeros(disk_geometry)]
+    with pytest.raises(EnergyError, match="one geometry"):
+        inequality_suite(mixed, GaussianKernel(), 1e-3)
+
+
+def test_suite_batches_match_single_field_calls(grid64):
+    geometry = build_geometry(make_shape("full"), grid64)
+    tensions = ModifiedTensions.constant(grid64, 1.0, 1.0, 1.0)
+    fields = [
+        PhaseField.random(geometry, np.random.default_rng(7), levels=4),
+        ShapeSpec.disk((0.5, 0.5), 0.2).indicator(geometry),
+        PhaseField.zeros(geometry),
+    ]
+    kernel, h = GaussianKernel(), 4e-3
+    batch = monotonicity_check(fields, tensions, kernel, h, 2)
+    assert batch == [monotonicity_check([u], tensions, kernel, h, 2)[0] for u in fields]
+    assert batch[0] != batch[1]
+    reports = inequality_suite(fields, kernel, h)
+    assert reports == [inequality_suite([u], kernel, h)[0] for u in fields]
+    assert reports[0] != reports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +304,14 @@ def test_monotonicity_rejects_bad_n(full_geometry, unit_tensions):
 
 
 def test_inequalities_vanish_on_empty_field(full_geometry):
-    report = inequality_suite(PhaseField.zeros(full_geometry), GaussianKernel(), 1e-3)
+    (report,) = inequality_suite([PhaseField.zeros(full_geometry)], GaussianKernel(), 1e-3)
     assert report.h == 1e-3
     for result in report.results:
         assert result.lhs == result.rhs == 0.0
 
 
 def test_inequalities_on_disk(disk_field):
-    report = inequality_suite(disk_field, GaussianKernel(), 1e-3)
+    (report,) = inequality_suite([disk_field], GaussianKernel(), 1e-3)
     assert report.all_ok
     by_name = {r.name: r for r in report.results}
     assert set(by_name) == {"shift-bound", "jensen", "defect-bound", "gradient-bound"}
@@ -295,11 +322,15 @@ def test_inequalities_on_disk(disk_field):
 
 @pytest.mark.parametrize("h", [4e-3, 1e-3])
 def test_inequalities_on_random_fields(full_geometry, h):
-    for seed in range(3):
-        u = PhaseField.random(full_geometry, np.random.default_rng(seed), levels=5)
-        report = inequality_suite(u, GaussianKernel(), h)
+    fields = [
+        PhaseField.random(full_geometry, np.random.default_rng(seed), levels=5)
+        for seed in range(3)
+    ]
+    reports = inequality_suite(fields, GaussianKernel(), h)
+    assert len(reports) == 3
+    for report in reports:
         assert report.all_ok, [(r.name, r.slack) for r in report.results]
-        assert report.worst() >= -1e-8
+        assert min(r.slack for r in report.results) >= -1e-8
 
 
 # ---------------------------------------------------------------------------

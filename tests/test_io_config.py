@@ -16,6 +16,7 @@ from ambo.config import (
     build_raw_tensions,
     build_scheme_config,
     config_from_mapping,
+    initial_shape_spec,
     load_config,
 )
 from ambo.errors import ConfigError
@@ -308,6 +309,18 @@ def test_experiment_section_forms(tmp_path):
             _write_yaml(tmp_path, "experiment: {kind: angle, window_cells: [1]}\n")
         )
 
+    # an empty or negative ensemble would pass every check vacuously
+    for kind in ("monotonic", "inequalities"):
+        for n_fields in (0, -1):
+            with pytest.raises(
+                ConfigError, match=r"'n_fields' in section 'experiment' must be >= 1"
+            ):
+                load_config(
+                    _write_yaml(
+                        tmp_path, f"experiment: {{kind: {kind}, n_fields: {n_fields}}}\n"
+                    )
+                )
+
 
 def test_apply_overrides_dotted_paths():
     doc = {"scheme": {"h": 1.0}}
@@ -384,3 +397,8 @@ def test_builders(tmp_path):
     )
     with pytest.raises(ConfigError, match="band"):
         build_initial(cap_on_disk, build_geometry_from(cap_on_disk))
+    # the analytic shape is None exactly where no shape can be drawn
+    assert initial_shape_spec(cap_on_disk, build_geometry_from(cap_on_disk)) is None
+    assert initial_shape_spec(from_file, full_geometry) is None
+    assert initial_shape_spec(cfg, geometry).wetted
+
