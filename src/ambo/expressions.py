@@ -68,9 +68,6 @@ class Expression:
         """Highest coordinate index used (0 if constant)."""
         return _max_coord(self._ast)
 
-    def is_constant(self) -> bool:
-        return self.max_coordinate == 0
-
 
 def parse_expression(text) -> Expression:
     """Parse ``text`` (or pass through numbers) into an :class:`Expression`."""

@@ -1,21 +1,21 @@
 """Convolution kernels, their grid sampling, and periodic convolution.
 
 A kernel ``K`` is an even, nonnegative function on R^d with unit mass.
-The scaled family is ``K_h(x) = h^{-d/2} K(x / sqrt(h))`` — note the
-normalisation carries a factor ``h^{d/2}``: the *mass* of ``K_h`` is 1
-only after multiplying by ``h^{-d/2} * h^{d/2}``... concretely,
-``int K_h = 1`` because the substitution ``y = x/sqrt(h)`` contributes
-``h^{d/2}``.  Discretely we sample ``K_h`` at the cell centres of a
-periodic grid, folding in the ``+-1`` periodic images, which is exact to
-machine precision as long as the kernel carries no appreciable mass at
-distance 3/2 from the origin (enforced via :meth:`Kernel.wrap_radius`).
+The scaled family is ``K_h(x) = h^{-d/2} K(x / sqrt(h))``; it keeps unit
+mass, because the substitution ``y = x/sqrt(h)`` contributes a factor
+``h^{d/2}`` that the prefactor cancels.  Discretely we sample ``K_h`` at
+the cell centres of a periodic grid, folding in the ``+-1`` periodic
+images, which is exact to machine precision as long as the kernel
+carries no appreciable mass at distance 3/2 from the origin (enforced
+via :meth:`Kernel.wrap_radius`).
 
 Convolution is the mass-weighted circular sum
 
     (K (*) f)[i] = spacing^d * sum_j Ktilde[j] f[i - j],
 
-evaluated either with the FFT (default; the kernel transform is cached)
-or by direct summation (an independent oracle used in tests).
+evaluated either with the FFT (default; the kernel transform is
+computed once, when the sampled kernel is built) or by direct summation
+(an independent oracle used in tests).
 """
 
 from __future__ import annotations
@@ -235,29 +235,22 @@ def _radial_mass(kernel: Kernel, d: int, r_cut: float, order: int = 256) -> floa
 
 @dataclass(frozen=True)
 class SampledKernel:
-    """K_h sampled at cell centres with +-1 periodic images, origin at index 0."""
+    """K_h sampled at cell centres with +-1 periodic images, origin at index 0.
+
+    ``transform`` is the real FFT of ``values``, computed on construction.
+    """
 
     grid: TorusGrid
     h: float
     values: np.ndarray
-    kernel: Kernel | None = None
-    _fft_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    transform: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.values.shape != self.grid.shape:
             raise KernelError(
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}"
             )
-
-    @property
-    def discrete_mass(self) -> float:
-        return float(self.values.sum() * self.grid.cell_measure)
-
-    def transform(self) -> np.ndarray:
-        """Cached real FFT of the sample array."""
-        if "fft" not in self._fft_cache:
-            self._fft_cache["fft"] = np.fft.rfftn(self.values)
-        return self._fft_cache["fft"]
+        object.__setattr__(self, "transform", np.fft.rfftn(self.values))
 
     def convolve(self, f, method: str = "fft") -> np.ndarray:
         """Periodic convolution spacing^d * sum_j Ktilde[j] f[i-j]."""
@@ -269,7 +262,7 @@ class SampledKernel:
         if method == "fft":
             axes = tuple(range(self.grid.d))
             out = np.fft.irfftn(
-                np.fft.rfftn(vals) * self.transform(), s=self.grid.shape, axes=axes
+                np.fft.rfftn(vals) * self.transform, s=self.grid.shape, axes=axes
             )
             return out * self.grid.cell_measure
         if method == "direct":
@@ -334,7 +327,7 @@ def scale_kernel(kernel: Kernel, grid: TorusGrid, h: float) -> SampledKernel:
     sqrt_h = _check_resolution(kernel, grid, h)
     values = _sample_with_images(kernel.evaluate, grid, sqrt_h)
     values = values * h ** (-0.5 * grid.d)
-    return SampledKernel(grid=grid, h=h, values=values, kernel=kernel)
+    return SampledKernel(grid=grid, h=h, values=values)
 
 
 def scale_kernel_gradient(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarray:
@@ -369,12 +362,11 @@ def validate_kernel(
     kernel: Kernel,
     d: int,
     *,
-    n_samples: int = 4096,
     seed: int = 0,
 ) -> KernelReport:
     """Check symmetry, nonnegativity, unit mass, decay and positivity.
 
-    * symmetry/nonnegativity: sampled at random points;
+    * symmetry/nonnegativity: sampled at 4096 random points;
     * mass: quadrature within 1e-8 of 1;
     * decay: the constant c = sup |x| K(x) / K(x/2) over samples must be
       finite — i.e. no sample has K(x/2) = 0 while |x| K(x) > 0;
@@ -382,6 +374,7 @@ def validate_kernel(
       declared pair (a, b).
     """
     rng = np.random.default_rng(seed)
+    n_samples = 4096
     failures: list[str] = []
 
     cutoff = kernel.suggested_cutoff(d)

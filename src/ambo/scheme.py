@@ -27,7 +27,7 @@ that the energy never increases beyond a small relative slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -36,7 +36,7 @@ from .energy import PhaseField, RunOperator, approx_energy, indicator_defect
 from .errors import NumericalError
 from .geometry import Band, Geometry
 from .grid import TorusGrid
-from .kernel import GaussianKernel, SampledKernel, scale_kernel
+from .kernel import GaussianKernel, Kernel, scale_kernel
 from .tensions import ModifiedTensions
 
 __all__ = [
@@ -95,23 +95,18 @@ class SchemeState:
 
 @dataclass
 class Trajectory:
-    """Per-step diagnostics plus the retained states of a run.
+    """Per-step diagnostics plus the final state of a run.
 
-    ``states`` holds every snapshot when the run was asked to keep them,
-    otherwise only the final one (plus both cycle states on oscillation).
-    ``diagnostics`` always covers every step, one
-    (step, energy, volume, interface cells, lambda, defect) row each.
+    ``diagnostics`` covers every step, one
+    (step, energy, volume, interface cells, lambda, defect) row each;
+    ``cycle_states`` holds both states of a 2-cycle.
     """
 
-    diagnostics: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    diagnostics: list
+    final: SchemeState
     stationary: bool = False
     oscillating: bool = False
     cycle_states: tuple = ()
-
-    @property
-    def final(self) -> SchemeState:
-        return self.states[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +217,14 @@ def run(
     initial: PhaseField,
     config: SchemeConfig,
     t: ModifiedTensions,
-    kernel_or_sampled,
+    kernel: Kernel,
     *,
-    keep_states: bool = False,
     on_state=None,
 ) -> Trajectory:
     """Iterate the scheme until stationarity, a 2-cycle, or max_steps.
 
-    ``keep_states`` retains every intermediate phase field (memory!);
-    otherwise only diagnostics plus the fields needed for reporting are
-    kept; ``on_state`` is called with each state as it is produced (for
+    Only diagnostics plus the states needed for reporting are kept;
+    ``on_state`` is called with each state as it is produced (for
     streaming snapshots to disk).  Without volume preservation the
     energy must be non-increasing up to ``1e-8 * E(u0)`` slack —
     violation raises, since it would mean the linearisation argument
@@ -239,12 +232,7 @@ def run(
     """
     geometry = initial.geometry
     grid = geometry.grid
-    if isinstance(kernel_or_sampled, SampledKernel):
-        kh = kernel_or_sampled
-        if kh.h != config.h:
-            raise SchemeError("sampled kernel h differs from config h")
-    else:
-        kh = scale_kernel(kernel_or_sampled, grid, config.h)
+    kh = scale_kernel(kernel, grid, config.h)
     if not initial.is_binary():
         raise SchemeError("initial phase field must be binary")
     if config.preserve_volume:
@@ -262,11 +250,8 @@ def run(
         return (s.step, s.energy, s.volume, s.interface_cells, s.lam, s.defect)
 
     op = RunOperator.build(geometry, t, kh)
-    traj = Trajectory()
     state = _make_state(0, initial, math.nan, op)
-    traj.diagnostics.append(diag_row(state))
-    if keep_states:
-        traj.states.append(state)
+    diagnostics = [diag_row(state)]
     if on_state is not None:
         on_state(state)
     e0_slack = 1e-8 * max(abs(state.energy), 1.0)
@@ -274,9 +259,7 @@ def run(
     streak = 0
     for _ in range(config.max_steps):
         new_state = step(state, config, op)
-        traj.diagnostics.append(diag_row(new_state))
-        if keep_states:
-            traj.states.append(new_state)
+        diagnostics.append(diag_row(new_state))
         if on_state is not None:
             on_state(new_state)
         if not config.preserve_volume and (
@@ -292,20 +275,18 @@ def run(
             and not unchanged
             and np.array_equal(new_state.u.values, prev_values)
         ):
-            traj.oscillating = True
-            traj.cycle_states = (state, new_state)
-            if not keep_states:
-                traj.states = [state, new_state]
-            return traj
+            return Trajectory(
+                diagnostics,
+                new_state,
+                oscillating=True,
+                cycle_states=(state, new_state),
+            )
         prev_values = state.u.values
         streak = streak + 1 if unchanged else 0
         state = new_state
         if streak >= config.stationarity_window:
-            traj.stationary = True
-            break
-    if not keep_states:
-        traj.states = [state]
-    return traj
+            return Trajectory(diagnostics, state, stationary=True)
+    return Trajectory(diagnostics, state)
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +445,12 @@ def _trace_interface(
     side: str,
     skip: int,
     count: int,
-    max_step_cells: float = 1.5,
 ) -> np.ndarray:
     """Subpixel zero crossings of f row by row above one contact point.
 
-    Tracing stops early when the crossing jumps more than
-    ``max_step_cells`` columns between consecutive rows — there the
-    interface has turned nearly horizontal (droplet apex) and row scans
-    cut it at grazing incidence.
+    Tracing stops early when the crossing jumps more than 1.5 columns
+    between consecutive rows — there the interface has turned nearly
+    horizontal (droplet apex) and row scans cut it at grazing incidence.
     """
     n = grid.n
     coords = grid.axis_coords()
@@ -495,7 +474,7 @@ def _trace_interface(
         xs = np.asarray(xs)
         deltas = (xs - guess + 0.5) % 1.0 - 0.5
         pick = int(np.argmin(np.abs(deltas)))
-        if pts and abs(deltas[pick]) > max_step_cells * grid.spacing:
+        if pts and abs(deltas[pick]) > 1.5 * grid.spacing:
             break
         x = guess + deltas[pick]
         pts.append((x, coords[j]))

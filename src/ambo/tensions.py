@@ -93,10 +93,6 @@ class RawTensionsReport:
     """Admissibility of raw tensions against an anisotropy."""
 
     admissible: bool
-    c_s: float
-    C_s: float
-    pv_range: tuple
-    min_strict_slack: float
     failures: list = field(default_factory=list)
 
 
@@ -122,14 +118,11 @@ def validate_raw_tensions(
     sv = raw.sample("sv", grid)
     closure = geometry.omega_mask | layer
 
-    pv_on = pv[closure]
-    if np.any(pv_on <= 0.0):
+    if np.any(pv[closure] <= 0.0):
         failures.append("gamma_pv must be positive on the closed container")
     sp_b, sv_b, pv_b = sp_[layer], sv[layer], pv[layer]
     if np.any(sp_b <= 0.0) or np.any(sv_b <= 0.0):
         failures.append("substrate tensions must be positive on the boundary")
-    c_s = float(min(sp_b.min(), sv_b.min()))
-    C_s = float(max(sp_b.max(), sv_b.max()))
 
     c_g, C_g = gamma.bounds()
     slacks = np.minimum.reduce(
@@ -146,14 +139,7 @@ def validate_raw_tensions(
             f"boundary samples (worst slack {min_slack:.3e})"
         )
 
-    return RawTensionsReport(
-        admissible=not failures,
-        c_s=c_s,
-        C_s=C_s,
-        pv_range=(float(pv_on.min()), float(pv_on.max())),
-        min_strict_slack=min_slack,
-        failures=failures,
-    )
+    return RawTensionsReport(admissible=not failures, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +337,6 @@ class ModifiedTensions:
             np.ptp(getattr(self, name)) == 0.0 for name in ("pv", "sp", "sv")
         )
 
-    def sigma(self) -> np.ndarray:
-        """The wetting contrast gamma_sp - gamma_sv."""
-        return self.sp - self.sv
-
 
 @dataclass
 class TriangleReport:
@@ -393,7 +375,6 @@ def extend_substrate(
     gamma: Anisotropy,
     *,
     delta: float | None = None,
-    max_halvings: int = 4,
 ) -> ModifiedTensions:
     """Build the full :class:`ModifiedTensions` triple.
 
@@ -406,7 +387,7 @@ def extend_substrate(
 
     Strictness of the strip triangle inequalities (against the extended
     particle-vapor tension) is verified a posteriori; on failure delta is
-    halved, up to ``max_halvings`` times.
+    halved, up to four times.
     """
     grid = geometry.grid
     report = validate_raw_tensions(raw, geometry, gamma)
@@ -429,6 +410,7 @@ def extend_substrate(
 
     delta0 = geometry.delta if delta is None else float(delta)
     last_failure = ""
+    max_halvings = 4
     for halving in range(max_halvings + 1):
         delta_k = delta0 / 2**halving
         strips = {}

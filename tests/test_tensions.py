@@ -180,9 +180,6 @@ def test_varying_tensions_full_audit(grid256, disk_geometry):
     report = validate_raw_tensions(VARYING, disk_geometry, gamma)
     assert report.admissible
     assert report.failures == []
-    assert report.min_strict_slack > 0.0
-    assert report.c_s == 1.5 and report.C_s == 2.0
-    assert report.pv_range[0] > 1.0 and report.pv_range[1] < 1.2
 
     t = extend_substrate(VARYING, disk_geometry, gamma)
     assert t.strict_slack > 0.0
@@ -190,7 +187,6 @@ def test_varying_tensions_full_audit(grid256, disk_geometry):
     assert verify_triangle(t).ok
     for field in (t.pv, t.sp, t.sv):
         assert field.min() >= t.lower and field.max() <= t.upper
-    assert np.array_equal(t.sigma(), t.sp - t.sv)
     assert not t.is_spatially_constant
 
 
