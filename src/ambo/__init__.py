@@ -8,8 +8,8 @@ construction:
 
 * :mod:`ambo.grid` / :mod:`ambo.geometry` — periodic grids, container and
   substrate masks, analytic signed distances;
-* :mod:`ambo.anisotropy` — surface-tension anisotropies, their induced
-  forms from convolution kernels, admissibility validation;
+* :mod:`ambo.anisotropy` — the surface-tension anisotropy a convolution
+  kernel induces, in closed form and by quadrature;
 * :mod:`ambo.kernel` — kernels (Gaussian, elliptic, tent), grid sampling,
   FFT and direct convolution;
 * :mod:`ambo.tensions` — torus-wide extension of the three surface

@@ -1,45 +1,51 @@
-"""Surface-tension anisotropies and the anisotropy induced by a convolution kernel.
+"""The surface-tension anisotropy induced by a convolution kernel.
 
-An anisotropy is a one-homogeneous, even, positive function ``gamma`` on
-R^d.  We work with the restriction to unit directions and extend by
-homogeneity, so every family here satisfies homogeneity and evenness
-exactly by construction.  The quantities of interest are
+The approximate energy is built from a single convolution kernel K, so
+the particle's anisotropy is the one K induces on free interfaces,
 
-* ``gamma(nu)`` for direction fields ``nu`` (vectorised over leading axes),
-* the bounds ``c_lo |nu| <= gamma(nu) <= c_hi |nu|``,
-* ellipticity of ``gamma^2`` (positive definite Hessian), checked by
-  finite differences in :func:`validate_anisotropy`.
+    gamma_K(nu) = 1/2 * int |x . nu| K(x) dx.
 
-A convolution kernel K induces the anisotropy
+It is one-homogeneous and even; we evaluate it on unit directions and
+extend by homogeneity.  Every kernel of :mod:`ambo.kernel` has a closed
+form (:func:`induced_anisotropy`), so gamma_K is always one of two
+families, both norms by construction:
 
-    gamma_K(nu) = 1/2 * int |x . nu| K(x) dx,
+* :class:`Isotropic`, ``gamma(nu) = c0 |nu|`` (Gaussian and tent kernels);
+* :class:`Elliptic`, ``gamma(nu) = sqrt(nu . A nu)`` with A symmetric
+  positive definite, checked on construction (elliptic Gaussian kernels).
 
-computed either in closed form (Gaussian families) or by product
-quadrature with automatic refinement (:func:`induced_gamma`).
+Each knows its bounds ``c_lo |nu| <= gamma(nu) <= c_hi |nu|``, which the
+tension construction needs.  :func:`induced_gamma` evaluates the integral
+by product quadrature for any kernel; it is the reference the closed
+forms are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .kernel import (
+    _BALL_VOLUME,
+    EllipticGaussianKernel,
+    GaussianKernel,
+    TriangularKernel,
+)
 
 __all__ = [
     "Anisotropy",
     "Isotropic",
     "Elliptic",
-    "DirectionTable2D",
-    "CrystallineL1",
     "AnisotropyError",
     "induced_gamma",
     "induced_anisotropy",
-    "validate_anisotropy",
 ]
 
 
 class AnisotropyError(ValueError):
-    """Raised when an anisotropy is malformed or fails validation."""
+    """Raised when an anisotropy is malformed or cannot be evaluated."""
 
 
 def _as_directions(nu: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -82,28 +88,9 @@ class Anisotropy:
         norms, units = _as_directions(nu, self.dim)
         return norms * self._eval_unit(units)
 
-    # -- bounds ------------------------------------------------------------
     def bounds(self) -> tuple[float, float]:
         """(c_lo, c_hi) with c_lo|nu| <= gamma(nu) <= c_hi|nu|."""
-        vals = self._eval_unit(_direction_samples(self.dim))
-        return float(vals.min()), float(vals.max())
-
-
-_N_SCAN = 4096
-
-
-def _direction_samples(dim: int) -> np.ndarray:
-    """A fixed fine set of unit directions used for scans and bounds."""
-    if dim == 2:
-        th = np.linspace(0.0, 2.0 * math.pi, _N_SCAN, endpoint=False)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
-    # Fibonacci sphere: near-uniform, deterministic.
-    n = 8192
-    k = np.arange(n, dtype=np.float64)
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-    z = 1.0 - (2.0 * k + 1.0) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -153,70 +140,6 @@ class Elliptic(Anisotropy):
     def bounds(self) -> tuple[float, float]:
         lo, hi = self._eigs
         return math.sqrt(lo), math.sqrt(hi)
-
-
-@dataclass(frozen=True)
-class DirectionTable2D(Anisotropy):
-    """gamma given by a table of values over equally spaced angles (d=2).
-
-    ``values[k]`` is gamma at angle ``2*pi*k/len(values)``; evaluation
-    interpolates linearly in angle.  Evenness requires the table to be
-    pi-periodic, which is validated at construction.
-    """
-
-    values: tuple = ()
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.dim != 2:
-            raise AnisotropyError("DirectionTable2D requires dim=2")
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size < 8 or vals.size % 2:
-            raise AnisotropyError(
-                "table must be a 1-d array of even length >= 8"
-            )
-        if np.any(vals <= 0.0):
-            raise AnisotropyError("table values must be positive")
-        half = vals.size // 2
-        if not np.allclose(vals, np.roll(vals, half), rtol=1e-10, atol=1e-12):
-            raise AnisotropyError("table is not even (pi-periodic)")
-        object.__setattr__(self, "values", tuple(vals))
-        object.__setattr__(self, "_vals", vals)
-
-    def _eval_unit(self, units: np.ndarray) -> np.ndarray:
-        vals = self._vals
-        m = vals.size
-        th = np.arctan2(units[..., 1], units[..., 0]) % (2.0 * math.pi)
-        t = th * (m / (2.0 * math.pi))
-        k0 = np.floor(t).astype(np.intp) % m
-        frac = t - np.floor(t)
-        k1 = (k0 + 1) % m
-        return (1.0 - frac) * vals[k0] + frac * vals[k1]
-
-    def bounds(self) -> tuple[float, float]:
-        return float(self._vals.min()), float(self._vals.max())
-
-
-@dataclass(frozen=True)
-class CrystallineL1(Anisotropy):
-    """gamma(nu) = c0 * sum_i |nu_i|  (the l1 norm, scaled).
-
-    Included as a stress case: it is a valid norm but gamma^2 is not
-    uniformly convex, so :func:`validate_anisotropy` must reject it.
-    """
-
-    c0: float = 1.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.c0 > 0.0:
-            raise AnisotropyError(f"c0 must be positive, got {self.c0}")
-
-    def _eval_unit(self, units: np.ndarray) -> np.ndarray:
-        return self.c0 * np.abs(units).sum(axis=-1)
-
-    def bounds(self) -> tuple[float, float]:
-        return self.c0, self.c0 * math.sqrt(self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -336,139 +259,33 @@ def _aligned_sphere_rule(units: np.ndarray, n_ang: int):
     return xi, w
 
 
-def induced_anisotropy(kernel, dim: int, *, table_size: int = _N_SCAN) -> Anisotropy:
-    """Return gamma_K as an :class:`Anisotropy` object.
+def induced_anisotropy(kernel, dim: int) -> Anisotropy:
+    """Return gamma_K in closed form for the kernels of :mod:`ambo.kernel`.
 
-    Gaussian kernels admit closed forms and are returned as exact
-    analytic families:
+    * Gaussian: the integral is ``1/2 * E|Z.nu|`` for Z with density
+      (4 pi)^{-d/2} e^{-|z|^2/4}, a centred normal with variance 2 per
+      axis, so ``gamma(nu) = |nu| / sqrt(pi)``;
+    * elliptic Gaussian K(x) = G(Lx) |det L|: substituting y = Lx gives
+      ``gamma(nu) = |L^{-T} nu| / sqrt(pi)``, i.e. A = (L L^T)^{-1} / pi;
+    * tent of radius R: in polar form the angular factor is
+      ``int |xi.nu| dsigma = 2 omega_{d-1}`` and the radial one
+      ``int_0^R r^d J(r) dr = R / ((d+2) omega_d)``, so
+      ``gamma(nu) = omega_{d-1} R / ((d+2) omega_d) |nu|``
+      (R / (2 pi) in 2-d, 3R/20 in 3-d).
 
-    * isotropic Gaussian: the integral reduces to
-      ``1/2 * E|Z.nu|`` for Z with density (4 pi)^{-d/2} e^{-|z|^2/4},
-      i.e. a centred normal with variance 2 per axis, so
-      ``gamma(nu) = |nu| / sqrt(pi)``;
-    * elliptic Gaussian K(x) = G(Lx) det L: substituting y = Lx gives
-      ``gamma(nu) = |L^{-T} nu| / sqrt(pi)``.
-
-    Other kernels are tabulated over ``table_size`` angles (d=2 only)
-    from the quadrature in :func:`induced_gamma`.
+    Here omega_k is the volume of the unit ball in R^k.
     """
-    from .kernel import EllipticGaussianKernel, GaussianKernel
-
-    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
     if isinstance(kernel, GaussianKernel):
-        return Isotropic(dim=dim, c0=inv_sqrt_pi)
+        return Isotropic(dim=dim, c0=1.0 / math.sqrt(math.pi))
     if isinstance(kernel, EllipticGaussianKernel):
         lmat = np.asarray(kernel.matrix, dtype=np.float64)
         if lmat.shape != (dim, dim):
             raise AnisotropyError(
                 f"kernel matrix is {lmat.shape}, expected ({dim}, {dim})"
             )
-        # gamma(nu) = |L^{-T} nu|/sqrt(pi) = sqrt(nu . (L L^T)^{-1} nu)/sqrt(pi)
         a = np.linalg.inv(lmat @ lmat.T) / math.pi
         return Elliptic(dim=dim, matrix=tuple(map(tuple, a)))
-    if dim != 2:
-        raise AnisotropyError(
-            "tabulated induced anisotropy is only implemented for dim=2; "
-            "use a Gaussian-family kernel in 3-d"
-        )
-    th = np.linspace(0.0, 2.0 * math.pi, table_size, endpoint=False)
-    dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    vals = induced_gamma(kernel, dirs)
-    return DirectionTable2D(dim=2, values=tuple(vals))
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AnisotropyReport:
-    """Outcome of :func:`validate_anisotropy`."""
-
-    admissible: bool
-    bounds: tuple
-    min_hessian_eig: float
-    failures: list = field(default_factory=list)
-
-
-def validate_anisotropy(gamma: Anisotropy) -> AnisotropyReport:
-    """Check homogeneity, evenness, positivity bounds and ellipticity.
-
-    Ellipticity means gamma^2 has a uniformly positive definite Hessian;
-    it is probed by central finite differences (step 1e-4) at 64 random
-    unit directions drawn with seed 0.  Families with flat spots
-    (e.g. :class:`CrystallineL1`, whose Hessian at a generic point has a
-    zero eigenvalue) are reported as not admissible.
-    """
-    n_checks, fd_step = 64, 1e-4
-    rng = np.random.default_rng(0)
-    d = gamma.dim
-    failures: list[str] = []
-
-    dirs = rng.normal(size=(n_checks, d))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    scales = rng.uniform(0.25, 4.0, size=n_checks)
-
-    g1 = gamma(dirs)
-    if np.any(g1 <= 0.0):
-        failures.append("gamma must be positive on unit directions")
-    g_scaled = gamma(dirs * scales[:, None])
-    if not np.allclose(g_scaled, scales * g1, rtol=1e-12, atol=1e-14):
-        failures.append("homogeneity gamma(s nu) = s gamma(nu) violated")
-    if not np.allclose(gamma(-dirs), g1, rtol=1e-12, atol=1e-14):
-        failures.append("evenness gamma(-nu) = gamma(nu) violated")
-
-    lo, hi = gamma.bounds()
-    if not (0.0 < lo <= hi):
-        failures.append(f"invalid bounds ({lo}, {hi})")
-    if np.any(g1 < lo * (1.0 - 1e-9)) or np.any(g1 > hi * (1.0 + 1e-9)):
-        failures.append("sampled values escape the declared bounds")
-
-    def fsq(x: np.ndarray) -> float:
-        return float(gamma(x[None, :])[0] ** 2)
-
-    min_eig = math.inf
-    eye = np.eye(d)
-    for nu in dirs:
-        hess = np.empty((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                hpp = fsq(nu + fd_step * (eye[i] + eye[j]))
-                hpm = fsq(nu + fd_step * (eye[i] - eye[j]))
-                hmp = fsq(nu - fd_step * (eye[i] - eye[j]))
-                hmm = fsq(nu - fd_step * (eye[i] + eye[j]))
-                hess[i, j] = hess[j, i] = (hpp - hpm - hmp + hmm) / (
-                    4.0 * fd_step**2
-                )
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(hess)[0]))
-    if not min_eig > 1e-6:
-        failures.append(
-            f"gamma^2 is not uniformly convex (min Hessian eig {min_eig:.3e})"
-        )
-
-    return AnisotropyReport(
-        admissible=not failures,
-        bounds=(lo, hi),
-        min_hessian_eig=min_eig,
-        failures=failures,
-    )
-
-
-def make_anisotropy(kind: str, dim: int = 2, **kwargs) -> Anisotropy:
-    """Build an anisotropy from a plain-data description (used by configs)."""
-    kinds = {
-        "isotropic": Isotropic,
-        "elliptic": Elliptic,
-        "table": DirectionTable2D,
-        "crystalline_l1": CrystallineL1,
-    }
-    if kind not in kinds:
-        raise AnisotropyError(
-            f"unknown anisotropy kind {kind!r}; expected one of {sorted(kinds)}"
-        )
-    cls = kinds[kind]
-    if "matrix" in kwargs:
-        kwargs["matrix"] = tuple(map(tuple, kwargs["matrix"]))
-    if "values" in kwargs:
-        kwargs["values"] = tuple(kwargs["values"])
-    return cls(dim=dim, **kwargs)
+    if isinstance(kernel, TriangularKernel):
+        c0 = _BALL_VOLUME[dim - 1] * kernel.radius / ((dim + 2) * _BALL_VOLUME[dim])
+        return Isotropic(dim=dim, c0=c0)
+    raise AnisotropyError(f"no closed-form induced anisotropy for {kernel!r}")

@@ -1,11 +1,16 @@
 """Declarative run configuration.
 
 One YAML document with fixed sections describes a run: grid, container
-geometry, surface-tension anisotropy, kernel, tension expressions, scheme
-parameters, the initial phase, the experiment to perform, output location
-and the seed for randomized suites.  Loading is strict — unknown keys are
-rejected by name together with their section, so typos cannot silently
-fall back to defaults.
+geometry, kernel, tension expressions, scheme parameters, the initial
+phase, the experiment to perform, output location and the seed for
+randomized suites.  Loading is strict — unknown keys are rejected by name
+together with their section, so typos cannot silently fall back to
+defaults.
+
+There is no anisotropy section: the surface-tension anisotropy is the one
+the kernel induces (:func:`ambo.anisotropy.induced_anisotropy`).  For
+older configs, ``anisotropy: {kind: isotropic}`` or an empty section is
+still accepted, and ignored, when the kernel's anisotropy is isotropic.
 
 The sections stay plain data on the :class:`RunConfig`; the ``build_*``
 helpers at the bottom turn them into live objects from the other modules.
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .anisotropy import Anisotropy, make_anisotropy
+from .anisotropy import Anisotropy
 from .energy import PhaseField, ShapeSpec
 from .errors import ConfigError
 from .geometry import Band, Geometry, build_geometry, make_shape
@@ -38,7 +43,6 @@ __all__ = [
     "EXPERIMENTS",
     "RunConfig",
     "apply_overrides",
-    "build_anisotropy_from",
     "build_geometry_from",
     "build_initial",
     "build_kernel_from",
@@ -79,12 +83,6 @@ _GEOMETRY_KINDS = {
     "band": {"lo", "hi", "axis"},
     "rounded_polygon": {"vertices", "rho"},
     "full": set(),
-}
-_ANISOTROPY_KINDS = {
-    "isotropic": set(),
-    "elliptic": {"matrix"},
-    "table": {"values"},
-    "crystalline_l1": set(),
 }
 _KERNEL_KINDS = {
     "gaussian": set(),
@@ -197,6 +195,24 @@ def _check_keys(raw: dict, allowed, name: str, source: str) -> None:
 
 _EXTRA_SECTION_KEYS = {"geometry": {"delta"}}
 
+# Kernels whose induced anisotropy is isotropic.
+_ISOTROPIC_KERNELS = {"gaussian", "triangular"}
+
+
+def _check_legacy_anisotropy(doc: dict, kernel_kind: str, source: str) -> None:
+    """Accept the old anisotropy section only where it says what the kernel does."""
+    if "anisotropy" not in doc:
+        return
+    if doc["anisotropy"] in (None, {}, {"kind": "isotropic"}) and (
+        kernel_kind in _ISOTROPIC_KERNELS
+    ):
+        return
+    raise _fail(
+        source,
+        "section 'anisotropy' is not configurable: the anisotropy is the "
+        f"one the '{kernel_kind}' kernel induces; choose it in section 'kernel'",
+    )
+
 
 def _kinded_section(
     doc: dict, name: str, kinds: dict, default_kind: str, source: str
@@ -225,7 +241,6 @@ class RunConfig:
     d: int
     n: int
     geometry: dict
-    anisotropy: dict
     kernel: dict
     tensions: dict
     scheme: dict
@@ -241,7 +256,6 @@ class RunConfig:
         return {
             "grid": {"d": self.d, "n": self.n},
             "geometry": dict(self.geometry),
-            "anisotropy": dict(self.anisotropy),
             "kernel": dict(self.kernel),
             "tensions": dict(self.tensions),
             "scheme": dict(self.scheme),
@@ -307,8 +321,8 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
     if geometry["kind"] == "disk":
         geometry.setdefault("center", [0.5, 0.5] if d == 2 else [0.5, 0.5, 0.5])
         geometry.setdefault("radius", 0.3)
-    anisotropy = _kinded_section(doc, "anisotropy", _ANISOTROPY_KINDS, "isotropic", source)
     kernel = _kinded_section(doc, "kernel", _KERNEL_KINDS, "gaussian", source)
+    _check_legacy_anisotropy(doc, kernel["kind"], source)
 
     tensions = _mapping_section(doc, "tensions", source)
     _check_keys(
@@ -414,7 +428,6 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
         d=d,
         n=n,
         geometry=geometry,
-        anisotropy=anisotropy,
         kernel=kernel,
         tensions=tensions,
         scheme=scheme,
@@ -448,11 +461,6 @@ def build_geometry_from(config: RunConfig) -> Geometry:
     return build_geometry(shape, grid, delta=None if delta is None else float(delta))
 
 
-def build_anisotropy_from(config: RunConfig) -> Anisotropy:
-    params = {k: v for k, v in config.anisotropy.items() if k != "kind"}
-    return make_anisotropy(config.anisotropy["kind"], dim=config.d, **params)
-
-
 def build_kernel_from(config: RunConfig) -> Kernel:
     params = {k: v for k, v in config.kernel.items() if k != "kind"}
     if "radius" in params:
@@ -472,7 +480,8 @@ def build_tensions(
 
     ``direct`` mode evaluates the three expressions cellwise as the
     modified tensions themselves; ``extend`` treats them as raw boundary
-    data and runs the full extension construction.
+    data and runs the full extension construction, dividing the substrate
+    tensions by ``gamma``, the kernel's induced anisotropy.
     """
     raw = build_raw_tensions(config)
     grid = geometry.grid

@@ -5,7 +5,7 @@ from the core modules and writes its outputs: a schema-validated JSON
 summary (always), plus CSV tables and field/PGM snapshots where they
 apply.  Summaries carry a metadata block — configuration hash (output
 location excluded), full parameter echo, admissibility flags from the
-kernel/anisotropy/tension validators — so every result file is
+kernel and tension validators — so every result file is
 self-describing.  Nothing time- or host-dependent goes into the outputs:
 identical config and seed reproduce them byte for byte.
 """
@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .anisotropy import Anisotropy, induced_anisotropy, validate_anisotropy
+from .anisotropy import Anisotropy, induced_anisotropy
 from .config import (
     RunConfig,
-    build_anisotropy_from,
     build_geometry_from,
     build_initial,
     build_kernel_from,
@@ -61,7 +60,11 @@ STEP_COLUMNS = ("step", "energy", "volume", "interface_cells", "lambda", "defect
 
 @dataclass
 class Workspace:
-    """Everything an experiment needs, built once from the config."""
+    """Everything an experiment needs, built once from the config.
+
+    ``gamma`` is gamma_K, the anisotropy the kernel induces: it divides the
+    extend-mode substrate tensions and weights the sharp-interface energy.
+    """
 
     config: RunConfig
     geometry: Geometry
@@ -79,27 +82,21 @@ class Workspace:
 def prepare(config: RunConfig, *, tensions_required: bool = True) -> Workspace:
     """Build and validate the configured problem.
 
-    The kernel and anisotropy validators only set flags; an inadmissible
-    tension set raises unless ``tensions_required`` is off (the validate
-    experiment wants the failure as a report, not a crash).
+    The kernel validator only sets a flag; an inadmissible tension set
+    raises unless ``tensions_required`` is off (the validate experiment
+    wants the failure as a report, not a crash).
     """
     geometry = build_geometry_from(config)
-    gamma = build_anisotropy_from(config)
     kernel = build_kernel_from(config)
+    gamma = induced_anisotropy(kernel, config.d)
     kreport = validate_kernel(kernel, config.d)
-    areport = validate_anisotropy(gamma)
-    flags = {"kernel": kreport.admissible, "anisotropy": areport.admissible}
+    flags = {"kernel": kreport.admissible}
     detail = {
         "kernel": {
             "mass": kreport.mass,
             "decay_constant": kreport.decay_constant,
             "positivity": list(kreport.positivity),
             "failures": kreport.failures,
-        },
-        "anisotropy": {
-            "bounds": list(areport.bounds),
-            "min_hessian_eig": areport.min_hessian_eig,
-            "failures": areport.failures,
         },
     }
     tensions = None
@@ -205,13 +202,12 @@ def _experiment_validate(ws: Workspace, out: Path) -> dict:
         flags["resolution"] = False
         resolution_notes.append(str(exc))
 
-    # The anisotropy the kernel actually produces on free interfaces,
-    # probed at a few directions (the full sweep lives in the tests).
+    # The anisotropy the kernel produces on free interfaces, probed at a
+    # few directions (the full sweep lives in the tests).
     if config.d == 2:
-        induced = induced_anisotropy(ws.kernel, 2)
         theta = np.linspace(0.0, math.pi, 16, endpoint=False)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        vals = induced(dirs)
+        vals = ws.gamma(dirs)
         ws.detail["kernel"]["induced"] = {
             "e1": float(vals[0]),
             "spread": float(vals.max() - vals.min()),
@@ -297,8 +293,7 @@ def _experiment_energy(ws: Workspace, out: Path) -> dict:
         and not spec.wetted
         and np.ptp(ws.tensions.pv) == 0.0
     ):
-        induced = induced_anisotropy(ws.kernel, config.d)
-        sharp = sharp_energy(spec, float(ws.tensions.pv.flat[0]), induced)
+        sharp = sharp_energy(spec, float(ws.tensions.pv.flat[0]), ws.gamma)
     results = {
         "h": h,
         "energy": e_h,
@@ -319,14 +314,13 @@ def _experiment_sharp_limit(ws: Workspace, out: Path) -> dict:
         )
     if np.ptp(ws.tensions.pv) != 0.0:
         raise ConfigError("converge needs a spatially constant gamma_pv")
-    induced = induced_anisotropy(ws.kernel, config.d)
     table = convergence_study(
         spec,
         ws.tensions,
         ws.kernel,
         ws.config.experiment_params["h_values"],
         ws.geometry,
-        induced,
+        ws.gamma,
     )
     io.write_csv(
         out / "convergence.csv",

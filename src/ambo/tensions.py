@@ -10,11 +10,13 @@ construction:
 * ``gamma_pv`` is kept on the container and extended discretely
   harmonically outside, with Dirichlet data ``gamma_pv`` on the boundary
   layer and ``min gamma_pv`` on the torus seam cells;
-* the substrate tensions are divided by the anisotropy of the container
-  normal on the boundary layer, transported through thin strips on both
-  sides of the boundary as ratios ``g_sp / g_delta`` of two harmonic
-  strip solutions, and set to the constant ``C_gamma * C_pv / (2 c_gamma)``
-  everywhere else.
+* the substrate tensions are divided by gamma_K of the container normal
+  on the boundary layer, where gamma_K is the anisotropy the kernel
+  induces, so that the thresholding energy weights the wall correctly;
+  they are transported through thin strips on both sides of the
+  boundary as ratios ``g_sp / g_delta`` of two harmonic strip solutions,
+  and set to the constant ``C_gamma * C_pv / (2 c_gamma)`` everywhere
+  else (c_gamma, C_gamma are the bounds of gamma_K).
 
 Strict triangle inequalities between the strip solutions are checked a
 posteriori; if they fail the strip width is halved and the solves are

@@ -1,4 +1,4 @@
-"""Anisotropy tests: evaluation, kernel-induced factors, validation."""
+"""Anisotropy tests: evaluation and the anisotropy a kernel induces."""
 
 import math
 
@@ -8,16 +8,12 @@ from scipy import integrate
 
 from ambo.anisotropy import (
     AnisotropyError,
-    CrystallineL1,
-    DirectionTable2D,
     Elliptic,
     Isotropic,
     induced_anisotropy,
     induced_gamma,
-    make_anisotropy,
-    validate_anisotropy,
 )
-from ambo.kernel import EllipticGaussianKernel, GaussianKernel
+from ambo.kernel import EllipticGaussianKernel, GaussianKernel, TriangularKernel
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -50,7 +46,6 @@ def test_homogeneity_evenness_bounds_on_random_directions(rng):
     gammas = [
         Isotropic(2, 0.7),
         Elliptic(2, matrix=((1.3, 0.2), (0.2, 0.7))),
-        CrystallineL1(2, 1.0),
     ]
     nus = _random_units(rng, 1000)
     lams = rng.uniform(-3.0, 3.0, size=1000)
@@ -119,47 +114,39 @@ def test_elliptic_gaussian_induced_ratio_matches_oracle():
     assert float(gamma(e1)) / float(gamma(e2)) == pytest.approx(o1 / o2, abs=1e-6)
 
 
-def test_induced_anisotropy_of_generic_kernel_is_a_table():
+def test_induced_anisotropy_of_sheared_elliptic_gaussian_is_elliptic():
     kernel = EllipticGaussianKernel(matrix=((1.2, 0.3), (0.3, 0.8)))
-    gamma = induced_anisotropy(kernel, 2, table_size=1024)
-    nus = np.linspace(0.0, np.pi, 7)
-    for theta in nus:
+    gamma = induced_anisotropy(kernel, 2)
+    assert isinstance(gamma, Elliptic)
+    for theta in np.linspace(0.0, np.pi, 7):
         nu = _unit(theta)
         assert float(gamma(nu)) == pytest.approx(
-            induced_gamma(kernel, nu), rel=1e-5
+            induced_gamma(kernel, nu), rel=1e-10
         )
 
 
-# --- validation and normalization -------------------------------------------
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_tent_closed_form_matches_quadrature(d, radius):
+    # omega_{d-1} R / ((d+2) omega_d): R/(2 pi) in 2-d, 3R/20 in 3-d
+    expected = radius / (2.0 * math.pi) if d == 2 else 0.15 * radius
+    kernel = TriangularKernel(radius=radius)
+    gamma = induced_anisotropy(kernel, d)
+    assert isinstance(gamma, Isotropic)
+    assert gamma.c0 == pytest.approx(expected, rel=1e-14)
+    e = np.eye(d)
+    for nu in (e[0], e[-1], np.ones(d) / math.sqrt(d)):
+        assert abs(gamma.c0 - induced_gamma(kernel, nu)) < 1e-8
 
-def test_validate_accepts_smooth_families():
-    assert validate_anisotropy(Isotropic(2, 1.0)).admissible
-    assert validate_anisotropy(Elliptic(2, matrix=((1.3, 0.2), (0.2, 0.7)))).admissible
 
-
-def test_validate_rejects_crystalline():
-    report = validate_anisotropy(CrystallineL1(2, 1.0))
-    assert not report.admissible
-    assert any("convex" in f for f in report.failures)
+def test_induced_anisotropy_needs_a_known_kernel():
+    with pytest.raises(AnisotropyError):
+        induced_anisotropy(object(), 2)
+    with pytest.raises(AnisotropyError):
+        induced_anisotropy(EllipticGaussianKernel(matrix=((1.0, 0.0), (0.0, 2.0))), 3)
 
 
 # --- construction and rejection ----------------------------------------------
-
-def test_make_anisotropy_coerces_matrix():
-    gamma = make_anisotropy("elliptic", 2, matrix=[[1.0, 0.0], [0.0, 4.0]])
-    assert gamma(np.array([0.0, 1.0])) == pytest.approx(2.0)
-    with pytest.raises(AnisotropyError):
-        make_anisotropy("mystery", 2)
-
-
-def test_direction_table_rejects_bad_tables():
-    with pytest.raises(AnisotropyError):
-        DirectionTable2D(2, values=(1.0,) * 7)  # odd length
-    with pytest.raises(AnisotropyError):
-        DirectionTable2D(2, values=(1.0,) * 4 + (2.0,) * 4)  # not pi-periodic
-    with pytest.raises(AnisotropyError):
-        DirectionTable2D(2, values=(1.0, -1.0) * 8)  # negative entries
-
 
 def test_elliptic_requires_spd_matrix():
     with pytest.raises(AnisotropyError):

@@ -1,0 +1,125 @@
+"""End-to-end runs through the command line, and the anisotropy the
+harness builds from the kernel."""
+
+import json
+from importlib import resources
+
+import numpy as np
+import pytest
+import yaml
+
+from ambo import cli, io
+from ambo.anisotropy import Elliptic
+from ambo.config import EXPERIMENTS, load_config
+from ambo.geometry import boundary_layer_mask
+from ambo.harness import prepare
+
+# Each experiment kind at a small size: (preset, grid n, section changes).
+SMALL = {
+    "validate": ("validate", 64, {}),
+    "run": ("shrink_circle", 64, {"scheme": {"max_steps": 5}}),
+    "energy": ("energy_disk", 64, {}),
+    "converge": ("converge_disk", 128, {"experiment": {"h_values": [4.0e-3, 1.0e-3]}}),
+    "monotonic": (
+        "monotonic_varying",
+        64,
+        {"experiment": {"n_fields": 2, "h_values": [1.0e-3], "factors": [2]}},
+    ),
+    "inequalities": (
+        "inequalities",
+        64,
+        {"experiment": {"n_fields": 2, "h_values": [4.0e-3]}},
+    ),
+    "angle": (
+        "angle",
+        128,
+        {"experiment": {"max_steps": 20, "coarse_h": 4.0e-3, "fine_h": 1.0e-3}},
+    ),
+}
+
+
+def _preset(name: str) -> dict:
+    text = (resources.files("ambo") / "presets" / f"{name}.yaml").read_text()
+    return yaml.safe_load(text)
+
+
+def _config(path, preset: str, changes: dict):
+    """Write the preset, with each changed section merged in, to ``path``."""
+    doc = _preset(preset)
+    for section, values in changes.items():
+        doc[section] = {**(doc.get(section) or {}), **values}
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def _run_small(kind, tmp_path, out_name="out", *extra):
+    preset, n, changes = SMALL[kind]
+    config = _config(tmp_path / f"{kind}.yaml", preset, changes)
+    out = tmp_path / out_name
+    code = cli.main([kind, str(config), "--n", str(n), "--out", str(out), *extra])
+    return code, out
+
+
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+def test_experiment_runs_through_the_cli(kind, tmp_path, capsys):
+    code, out = _run_small(kind, tmp_path)
+    assert code == 0, capsys.readouterr().err
+    summary = io.read_summary(out / "summary.json")
+    assert summary["experiment"] == kind
+    assert summary["parameters"]["grid"]["n"] == SMALL[kind][1]
+    assert summary["outputs"]["summary"] == "summary.json"
+    for name in summary["outputs"].values():
+        assert (out / name).is_file(), name
+    # stdout is one status line, then the results as JSON
+    status, results = capsys.readouterr().out.split("\n", 1)
+    assert status.startswith(f"{kind}: wrote ")
+    assert json.loads(results) == summary["results"]
+
+
+def test_same_config_reproduces_every_output_byte(tmp_path, capsys):
+    dirs = []
+    for name in ("first", "second"):
+        code, out = _run_small("run", tmp_path, name, "--snapshot-every", "2")
+        assert code == 0, capsys.readouterr().err
+        dirs.append(out)
+    files = sorted(p.name for p in dirs[0].iterdir())
+    assert files == sorted(p.name for p in dirs[1].iterdir())
+    assert {"summary.json", "steps.csv", "final_u.bin", "u_000002.bin"} <= set(files)
+    for name in files:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_bad_config_exits_1(tmp_path, capsys):
+    unknown = tmp_path / "unknown.yaml"
+    unknown.write_text("grid: {n: 64, m: 3}\n")
+    assert cli.main(["validate", str(unknown), "--out", str(tmp_path / "a")]) == 1
+    assert "unknown key 'm' in section 'grid'" in capsys.readouterr().err
+
+    doc = _preset("validate")
+    doc["anisotropy"] = {"kind": "elliptic", "matrix": [[1.3, 0.0], [0.0, 0.7]]}
+    elliptic = tmp_path / "elliptic.yaml"
+    elliptic.write_text(yaml.safe_dump(doc))
+    assert cli.main(["validate", str(elliptic), "--out", str(tmp_path / "b")]) == 1
+    assert "'gaussian' kernel induces" in capsys.readouterr().err
+
+
+def test_unresolved_step_exits_2(tmp_path, capsys):
+    # sqrt(h) = 3.2e-3 is below the grid spacing 1/64
+    code = cli.main(["run", "--n", "64", "--h", "1e-5", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_extend_disk_divides_substrate_tensions_by_kernel_anisotropy():
+    path = resources.files("ambo") / "presets" / "extend_disk.yaml"
+    with resources.as_file(path) as p:
+        ws = prepare(load_config(p))
+    assert isinstance(ws.gamma, Elliptic)
+    assert np.allclose(ws.gamma.matrix, np.diag([1.3, 0.7]), rtol=0.0, atol=1e-12)
+    layer = boundary_layer_mask(ws.geometry)
+    normals = ws.geometry.normal_band[(slice(None),) + np.nonzero(layer)]
+    gamma_nu = ws.gamma(np.moveaxis(normals, 0, -1))
+    assert gamma_nu.min() < gamma_nu.max() - 0.2  # the wall sees the ellipse
+    assert np.abs(ws.tensions.sp[layer] * gamma_nu - 1.1).max() <= 1e-12
+    assert np.abs(ws.tensions.sv[layer] * gamma_nu - 0.9).max() <= 1e-12
+    assert ws.flags == {"kernel": True, "tensions": True, "triangle": True}

@@ -208,7 +208,6 @@ def test_defaults(tmp_path):
     cfg = load_config(_write_yaml(tmp_path, "grid: {n: 64}\n"))
     assert (cfg.d, cfg.n) == (2, 64)
     assert cfg.geometry == {"kind": "disk", "center": [0.5, 0.5], "radius": 0.3}
-    assert cfg.anisotropy == {"kind": "isotropic"}
     assert cfg.kernel == {"kind": "gaussian"}
     assert cfg.tensions["mode"] == "direct"
     assert cfg.tensions["gamma_pv"] == "1"
@@ -240,6 +239,27 @@ def test_unknown_keys_are_named(tmp_path):
         load_config(
             _write_yaml(tmp_path, "geometry: {kind: band, lo: 0.2, hi: 0.9, radius: 1}\n")
         )
+
+
+def test_anisotropy_section_only_restates_the_kernel(tmp_path):
+    # accepted, and ignored, where the kernel's anisotropy is isotropic
+    for text in (
+        "anisotropy: {kind: isotropic}\n",
+        "anisotropy: {}\n",
+        "anisotropy:\n",
+        "anisotropy: {kind: isotropic}\nkernel: {kind: triangular, radius: 1.0}\n",
+    ):
+        cfg = load_config(_write_yaml(tmp_path, text))
+        assert "anisotropy" not in cfg.document()
+    rejected = {
+        "anisotropy: {kind: elliptic, matrix: [[1.3, 0], [0, 0.7]]}\n": "gaussian",
+        "anisotropy: {kind: isotropic, c0: 2}\n": "gaussian",
+        "anisotropy: {kind: isotropic}\n"
+        "kernel: {kind: elliptic_gaussian, matrix: [[1, 0], [0, 2]]}\n": "elliptic_gaussian",
+    }
+    for text, kernel in rejected.items():
+        with pytest.raises(ConfigError, match=rf"'anisotropy'.*'{kernel}' kernel"):
+            load_config(_write_yaml(tmp_path, text))
 
 
 def test_type_errors_are_specific(tmp_path):
