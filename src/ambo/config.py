@@ -369,8 +369,14 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
     }
 
     initial = _kinded_section(doc, "initial", _INITIAL_KINDS, "disk", source)
+    if d == 3 and initial["kind"] in ("disk", "ellipse", "cap"):
+        raise _fail(
+            source,
+            f"key 'kind' in section 'initial' is '{initial['kind']}', a 2-d shape; "
+            "with d = 3 use 'field' or 'empty'",
+        )
     if initial["kind"] == "disk":
-        initial.setdefault("center", [0.5, 0.5] if d == 2 else [0.5, 0.5, 0.5])
+        initial.setdefault("center", [0.5, 0.5])
         initial.setdefault("radius", 0.15)
 
     experiment_raw = doc.get("experiment") or {}

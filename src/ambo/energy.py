@@ -38,6 +38,7 @@ from .kernel import (
     Kernel,
     SampledKernel,
     TriangularKernel,
+    _kernel_values,
     scale_kernel,
     scale_kernel_gradient,
 )
@@ -128,13 +129,17 @@ class PhaseField:
         return bool(np.all((v == 0.0) | (v == 1.0)))
 
     def interface_cell_count(self) -> int:
-        """Cells of {u=1} with at least one zero neighbour (binary u)."""
-        v = self.values
-        boundary = np.zeros(v.shape, dtype=bool)
-        for axis in range(v.ndim):
+        """Cells of {u=1} with at least one zero neighbour (binary u).
+
+        Counted as the cells of {u=1} minus those whose 2d neighbours all
+        equal 1, which is the same integer for any input, NaN included.
+        """
+        one = self.values == 1.0
+        interior = one.copy()
+        for axis in range(one.ndim):
             for shift in (1, -1):
-                boundary |= np.roll(v, shift, axis=axis) != v
-        return int((boundary & (v == 1.0)).sum())
+                interior &= np.roll(one, shift, axis=axis)
+        return int(np.count_nonzero(one)) - int(np.count_nonzero(interior))
 
 
 # ---------------------------------------------------------------------------
@@ -591,43 +596,47 @@ def monotonicity_check(
 # The four useful inequalities
 # ---------------------------------------------------------------------------
 
-def shift_weighted_sum(u: PhaseField, weights) -> list[float]:
-    """Exact sum_y W(y) sum_{x in container} |u(x+y) - u(x)|, one per W.
+def shift_weighted_sum(fields, weights) -> list[list[float]]:
+    """Exact sum_y W(y) sum_{x in container} |u(x+y) - u(x)| for a batch.
 
-    Uses the layer-cake formula over the distinct values of u (at most
-    256).  A superlevel set chi = {u >= level} lies in the container,
-    because u vanishes outside it, so
+    Returns one list per field of ``fields`` (which share one geometry),
+    holding one sum per array W of ``weights`` (indexed like the sampled
+    kernels, origin at 0).  Uses the layer-cake formula over the distinct
+    values of u (at most 256).  A superlevel set chi = {u >= level} lies
+    in the container, because u vanishes outside it, so
 
         sum_{x in container} |chi(x+y) - chi(x)|
             = |chi| + sum_x (1_container - 2 chi)(x) chi(x+y),
 
     an integer count recovered exactly by one FFT cross-correlation and
     rounding.  The counts do not depend on W, so each level serves every
-    array of ``weights`` (indexed like the sampled kernels, origin at 0).
+    array of ``weights``; the container's transform serves every field.
     """
-    v = u.values
-    levels = np.unique(v)
-    if levels.size > 256:
-        raise EnergyError(
-            f"field has {levels.size} distinct values; quantise it (<= 256) "
-            "for exact shift sums"
-        )
-    totals = [0.0] * len(weights)
-    if levels.size == 1:
-        return totals
-    omega_hat = np.fft.rfftn(u.geometry.omega_mask.astype(np.float64))
-    axes = tuple(range(v.ndim))
-    for k in range(levels.size - 1):
-        dt = levels[k + 1] - levels[k]
-        chi = (v >= levels[k + 1]).astype(np.float64)
-        chi_hat = np.fft.rfftn(chi)
-        corr = np.fft.irfftn(
-            np.conj(omega_hat - 2.0 * chi_hat) * chi_hat, s=v.shape, axes=axes
-        )
-        counts = np.rint(corr + chi.sum())
-        for i, w in enumerate(weights):
-            totals[i] += dt * float((w * counts).sum())
-    return totals
+    geometry = _shared_geometry(fields)
+    omega_hat = np.fft.rfftn(geometry.omega_mask.astype(np.float64))
+    axes = tuple(range(geometry.grid.d))
+    sums = []
+    for u in fields:
+        v = u.values
+        levels = np.unique(v)
+        if levels.size > 256:
+            raise EnergyError(
+                f"field has {levels.size} distinct values; quantise it (<= 256) "
+                "for exact shift sums"
+            )
+        totals = [0.0] * len(weights)
+        for k in range(levels.size - 1):
+            dt = levels[k + 1] - levels[k]
+            chi = (v >= levels[k + 1]).astype(np.float64)
+            chi_hat = np.fft.rfftn(chi)
+            corr = np.fft.irfftn(
+                np.conj(omega_hat - 2.0 * chi_hat) * chi_hat, s=v.shape, axes=axes
+            )
+            counts = np.rint(corr + chi.sum())
+            for i, w in enumerate(weights):
+                totals[i] += dt * float((w * counts).sum())
+        sums.append(totals)
+    return sums
 
 
 @dataclass
@@ -682,14 +691,14 @@ def inequality_suite(fields, kernel: Kernel, h: float) -> list[InequalityReport]
     grad_kernels = [
         SampledKernel(grid=grid, h=h, values=grad_jh[..., i]) for i in range(grid.d)
     ]
-    j4h = scale_kernel(_TENT, grid, 4.0 * h)
+    j4h = _kernel_values(_TENT, grid, 4.0 * h)
     c_grad = (2.0**grid.d) * (2.0 / _TENT.radius)
+    shift_sums = shift_weighted_sum(fields, (kh.values, j4h))
 
     reports = []
-    for u in fields:
+    for u, (sum_k, sum_j) in zip(fields, shift_sums):
         v = u.values
         conv_v = kh.convolve(v)
-        sum_k, sum_j = shift_weighted_sum(u, (kh.values, j4h.values))
         shift_k = s_d * s_d * sum_k
 
         lhs1 = shift_k

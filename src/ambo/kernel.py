@@ -7,7 +7,18 @@ mass, because the substitution ``y = x/sqrt(h)`` contributes a factor
 the cell centres of a periodic grid, folding in the ``+-1`` periodic
 images, which is exact to machine precision as long as the kernel
 carries no appreciable mass at distance 3/2 from the origin (enforced
-via :meth:`Kernel.wrap_radius`).
+via :meth:`Kernel.wrap_radius`).  Three sampling paths give that image
+sum, the first up to rounding (a few 1e-16 of the peak):
+
+* a Gaussian, or an elliptic Gaussian ``|det L| G(Lx)`` with a diagonal
+  ``L``, is a product over the axes of 1-d image sums, so it is sampled
+  as an outer product of one length-n array per axis (values only);
+* a tent whose support radius ``radius*sqrt(h)`` is at most 1/2 meets
+  only the zero image, so it and its gradient are evaluated on the
+  support box alone, bit for bit equal to the image sum;
+* everything else (an elliptic Gaussian with a non-diagonal ``L``, a
+  wider tent, a Gaussian gradient) is evaluated on the full grid once
+  per image, 3^d times.
 
 Convolution is the mass-weighted circular sum
 
@@ -237,7 +248,9 @@ def _radial_mass(kernel: Kernel, d: int, r_cut: float, order: int = 256) -> floa
 class SampledKernel:
     """K_h sampled at cell centres with +-1 periodic images, origin at index 0.
 
-    ``transform`` is the real FFT of ``values``, computed on construction.
+    ``values`` come from :func:`scale_kernel`, by whichever of the three
+    sampling paths of the module docstring fits the kernel; ``transform``
+    is their real FFT, computed on construction.
     """
 
     grid: TorusGrid
@@ -281,14 +294,21 @@ def _shifted_sums(kernel_vals: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def _points(coords: np.ndarray, d: int) -> np.ndarray:
+    """The (coords.size**d, d) points of the product grid, C order."""
+    mesh = np.meshgrid(*([coords] * d), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def _sample_with_images(func, grid: TorusGrid, sqrt_h: float) -> np.ndarray:
     """Sample x -> func(x / sqrt_h) over cell centres, folding +-1 images.
 
-    ``func`` maps (N, d) points to (N,) or (N, d) values.
+    ``func`` maps (N, d) points to (N,) or (N, d) values.  This is the
+    general path: it evaluates ``func`` on the full grid once per image,
+    3^d times, and serves every kernel that neither factorizes over the
+    axes nor fits its support inside the zero image.
     """
-    coords = grid.centered_axis_coords()
-    mesh = np.meshgrid(*([coords] * grid.d), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)  # (N, d)
+    pts = _points(grid.centered_axis_coords(), grid.d)  # (N, d)
     acc = None
     for shift in itertools.product((-1.0, 0.0, 1.0), repeat=grid.d):
         shifted = (pts + np.asarray(shift)) / sqrt_h
@@ -296,6 +316,64 @@ def _sample_with_images(func, grid: TorusGrid, sqrt_h: float) -> np.ndarray:
         acc = term if acc is None else acc + term
     out_shape = grid.shape if acc.ndim == 1 else grid.shape + (grid.d,)
     return acc.reshape(out_shape)
+
+
+def _sample_on_support(
+    func, grid: TorusGrid, sqrt_h: float, radius: float
+) -> np.ndarray:
+    """Sample x -> func(x / sqrt_h) when func vanishes off the radius ball.
+
+    With ``radius * sqrt_h <= 1/2`` every nonzero image point has
+    |x_k| < radius * sqrt_h on each axis, which the +-1 images never
+    reach, so only the cells of that box are evaluated.  They are added
+    into zeros, so a -0.0 becomes 0.0 as in :func:`_sample_with_images`,
+    whose result this equals bit for bit.
+    """
+    coords = grid.centered_axis_coords()
+    index = np.flatnonzero(np.abs(coords / sqrt_h) < radius)
+    term = func(_points(coords[index], grid.d) / sqrt_h)
+    box = (index.size,) * grid.d + term.shape[1:]
+    out = np.zeros(grid.shape + term.shape[1:])
+    out[np.ix_(*[index] * grid.d)] += term.reshape(box)
+    return out
+
+
+def _sample_gaussian_product(
+    scales: np.ndarray, det: float, grid: TorusGrid, sqrt_h: float
+) -> np.ndarray:
+    """Sample |det L| G(L x / sqrt_h) for a diagonal L = diag(scales).
+
+    G and the image sum both factorize over the axes, so each axis
+    contributes one length-n array, the sum over s in {-1, 0, 1} of
+    (4 pi)^{-1/2} exp(-((x + s) L_kk / sqrt_h)^2 / 4), and the sample
+    is their outer product.
+    """
+    coords = grid.centered_axis_coords()
+    images = coords + np.array([[-1.0], [0.0], [1.0]])  # (3, n)
+    out = np.ones(())
+    for scale in scales:
+        y = images / sqrt_h * scale
+        factor = ((4.0 * math.pi) ** -0.5 * np.exp(-0.25 * y * y)).sum(axis=0)
+        out = np.multiply.outer(out, factor)
+    return out * det
+
+
+def _diagonal_gaussian(kernel: Kernel, d: int):
+    """(diag L, |det L|) when K = |det L| G(L x) with a diagonal L, else None."""
+    if isinstance(kernel, GaussianKernel):
+        return np.ones(d), 1.0
+    if isinstance(kernel, EllipticGaussianKernel) and kernel._l.shape == (d, d):
+        scales = np.diagonal(kernel._l)
+        if np.array_equal(kernel._l, np.diag(scales)):
+            return scales, kernel._det
+    return None
+
+
+def _sample(func, kernel: Kernel, grid: TorusGrid, sqrt_h: float) -> np.ndarray:
+    """func (K or grad K) on the grid: the tent on its support, else all images."""
+    if isinstance(kernel, TriangularKernel) and kernel.radius * sqrt_h <= 0.5:
+        return _sample_on_support(func, grid, sqrt_h, kernel.radius)
+    return _sample_with_images(func, grid, sqrt_h)
 
 
 def _check_resolution(kernel: Kernel, grid: TorusGrid, h: float) -> float:
@@ -322,12 +400,20 @@ def _check_resolution(kernel: Kernel, grid: TorusGrid, h: float) -> float:
     return sqrt_h
 
 
+def _kernel_values(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarray:
+    """The values of K_h on the grid, without building a SampledKernel."""
+    sqrt_h = _check_resolution(kernel, grid, h)
+    diagonal = _diagonal_gaussian(kernel, grid.d)
+    if diagonal is not None:
+        values = _sample_gaussian_product(*diagonal, grid, sqrt_h)
+    else:
+        values = _sample(kernel.evaluate, kernel, grid, sqrt_h)
+    return values * h ** (-0.5 * grid.d)
+
+
 def scale_kernel(kernel: Kernel, grid: TorusGrid, h: float) -> SampledKernel:
     """Sample K_h(x) = h^{-d/2} K(x/sqrt(h)) on the grid."""
-    sqrt_h = _check_resolution(kernel, grid, h)
-    values = _sample_with_images(kernel.evaluate, grid, sqrt_h)
-    values = values * h ** (-0.5 * grid.d)
-    return SampledKernel(grid=grid, h=h, values=values)
+    return SampledKernel(grid=grid, h=h, values=_kernel_values(kernel, grid, h))
 
 
 def scale_kernel_gradient(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarray:
@@ -336,10 +422,11 @@ def scale_kernel_gradient(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarr
     grad(K_h)(x) = h^{-(d+1)/2} (grad K)(x / sqrt(h)).  Sampling the
     analytic gradient (rather than differencing the sampled kernel) keeps
     the array exactly odd under x -> -x, which the inequality checks rely
-    on.
+    on.  Only the tent takes a shortcut (its support box); a Gaussian
+    gradient is not factorized, because the only caller samples the tent.
     """
     sqrt_h = _check_resolution(kernel, grid, h)
-    values = _sample_with_images(kernel.gradient, grid, sqrt_h)
+    values = _sample(kernel.gradient, kernel, grid, sqrt_h)
     return values * h ** (-0.5 * (grid.d + 1))
 
 

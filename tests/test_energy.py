@@ -60,6 +60,23 @@ def test_phase_field_basics(disk_geometry, rng):
     assert zero.interface_cell_count() == 0
 
 
+def test_interface_cells_match_neighbour_oracle(rng):
+    """Cells with u = 1 and some of their 2d neighbours != 1, cell by cell."""
+    grid = TorusGrid(3, 8)
+    values = rng.choice([0.0, 1.0, 1.0, 1.0, 0.5, np.nan], size=grid.shape)
+    expected = 0
+    for idx in np.ndindex(grid.shape):
+        if values[idx] == 1.0:
+            neighbours = [
+                values[tuple((c + s * (k == axis)) % grid.n for k, c in enumerate(idx))]
+                for axis in range(3)
+                for s in (1, -1)
+            ]
+            expected += any(v != 1.0 for v in neighbours)
+    u = PhaseField(build_geometry(make_shape("full"), grid), values)
+    assert 0 < u.interface_cell_count() == expected < np.count_nonzero(values == 1.0)
+
+
 def test_phase_field_rejects_bad_values(disk_geometry, grid256):
     with pytest.raises(EnergyError, match="\\[0, 1\\]|0, 1|range"):
         PhaseField(disk_geometry, np.full(grid256.shape, 1.5))
@@ -281,6 +298,8 @@ def test_suites_reject_empty_and_mixed_batches(full_geometry, disk_geometry, uni
     mixed = [PhaseField.zeros(full_geometry), PhaseField.zeros(disk_geometry)]
     with pytest.raises(EnergyError, match="one geometry"):
         inequality_suite(mixed, GaussianKernel(), 1e-3)
+    with pytest.raises(EnergyError, match="one geometry"):
+        shift_weighted_sum(mixed, (np.ones(full_geometry.grid.shape),))
 
 
 def test_suite_batches_match_single_field_calls(grid64):
@@ -323,16 +342,18 @@ def test_shift_sum_matches_brute_force():
     inside = geometry.omega_mask
     random = PhaseField.random(geometry, rng, levels=6)
     assert np.unique(random.values).size == 6
-    for u in (random, PhaseField.zeros(geometry)):
+    fields = (random, PhaseField.zeros(geometry))
+    got = shift_weighted_sum(fields, weights)
+    assert len(got) == 2
+    for u, sums in zip(fields, got):
         expected = [0.0, 0.0]
         for y in np.ndindex(grid.shape):
             shifted = np.roll(u.values, tuple(-c for c in y), axis=(0, 1))
             count = np.abs(shifted - u.values)[inside].sum()
             for i, w in enumerate(weights):
                 expected[i] += w[y] * count
-        got = shift_weighted_sum(u, weights)
-        assert len(got) == 2
-        for g, e in zip(got, expected):
+        assert len(sums) == 2
+        for g, e in zip(sums, expected):
             assert g == pytest.approx(e, rel=1e-12, abs=0.0)
 
 

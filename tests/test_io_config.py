@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from ambo import cli
 from ambo.config import (
     RunConfig,
     apply_overrides,
@@ -239,6 +240,26 @@ def test_unknown_keys_are_named(tmp_path):
         load_config(
             _write_yaml(tmp_path, "geometry: {kind: band, lo: 0.2, hi: 0.9, radius: 1}\n")
         )
+
+
+def test_three_dimensional_initial_must_be_a_field_or_empty(tmp_path, capsys):
+    """The disk, ellipse and cap shapes are 2-d; d = 3 takes a field file."""
+    shapes = (
+        "",  # the default initial kind is disk
+        "initial: {kind: disk, center: [0.5, 0.5, 0.5], radius: 0.3}\n",
+        "initial: {kind: ellipse, center: [0.5, 0.5], a: 0.3, b: 0.2}\n",
+        "initial: {kind: cap, angle: 90.0, radius: 0.1}\n",
+    )
+    for shape in shapes:
+        path = _write_yaml(tmp_path, "grid: {d: 3, n: 32}\ngeometry: {kind: full}\n" + shape)
+        with pytest.raises(
+            ConfigError, match=r"'kind' in section 'initial' is '\w+', a 2-d shape.*'field' or 'empty'"
+        ):
+            load_config(path)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "with d = 3 use 'field' or 'empty'" in capsys.readouterr().err
+    empty = load_config(_write_yaml(tmp_path, "grid: {d: 3, n: 32}\ninitial: {kind: empty}\n"))
+    assert empty.initial == {"kind": "empty"}
 
 
 def test_anisotropy_section_only_restates_the_kernel(tmp_path):
