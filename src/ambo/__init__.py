@@ -24,8 +24,10 @@ construction:
 
 import os as _os
 
-# Cap the BLAS/FFT pools before numpy loads; only effective when the
-# package import is what first pulls numpy in.
+# AMBO_THREADS is the FFT worker count, which ambo.kernel parses on
+# import.  It also caps the BLAS/OpenMP pools, through the variables
+# below, set before numpy loads; only effective when the package import
+# is what first pulls numpy in.
 _threads = _os.environ.get("AMBO_THREADS")
 if _threads:
     for _var in (

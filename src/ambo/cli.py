@@ -10,8 +10,9 @@ exceptions into exit codes —
 * 2: numerical failure (non-convergence, violated invariant).
 
 Environment: ``AMBO_OUT_DIR`` overrides the output directory (an
-explicit ``--out`` still wins); ``AMBO_THREADS`` caps the BLAS/FFT
-thread pools when set before the package is imported.
+explicit ``--out`` still wins); ``AMBO_THREADS`` (a positive integer,
+default 1) is the number of FFT workers, and when set before the package
+is imported it also caps the BLAS/OpenMP thread pools.
 """
 
 from __future__ import annotations

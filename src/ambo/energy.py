@@ -38,7 +38,9 @@ from .kernel import (
     Kernel,
     SampledKernel,
     TriangularKernel,
+    _irfftn,
     _kernel_values,
+    _rfftn,
     scale_kernel,
     scale_kernel_gradient,
 )
@@ -188,21 +190,27 @@ def approx_energy(
     """Evaluate E_h(u); always nonnegative.
 
     ``ku`` is K_h*u when the caller already has it; otherwise it is
-    computed here.
+    computed here.  Without a substrate K_h*1_substrate is zero and the
+    container is the whole torus, so only the g_pv term is summed, over
+    the whole array: the same bits as the masked three-term sum.
     """
     if u.grid != op.grid:
         raise EnergyError("phase field and operator use different grids")
     if ku is None:
         ku = op.kh.convolve(u.values)
     t = op.tensions
-    inside = u.geometry.omega_mask
-    complement = inside.astype(np.float64) - u.values
-    pv_term = (t.pv * u.values * (op.k_omega - ku))[inside].sum()
-    sp_term = (t.sp * u.values * op.k_substrate)[inside].sum()
-    sv_term = (t.sv * complement * op.k_substrate)[inside].sum()
-    return float(
-        (pv_term + sp_term + sv_term) * op.grid.cell_measure / math.sqrt(op.kh.h)
-    )
+    pv = t.pv * u.values * (op.k_omega - ku)
+    if not u.geometry.has_substrate:
+        total = pv.sum()
+    else:
+        inside = u.geometry.omega_mask
+        complement = inside.astype(np.float64) - u.values
+        total = (
+            pv[inside].sum()
+            + (t.sp * u.values * op.k_substrate)[inside].sum()
+            + (t.sv * complement * op.k_substrate)[inside].sum()
+        )
+    return float(total * op.grid.cell_measure / math.sqrt(op.kh.h))
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +621,7 @@ def shift_weighted_sum(fields, weights) -> list[list[float]]:
     array of ``weights``; the container's transform serves every field.
     """
     geometry = _shared_geometry(fields)
-    omega_hat = np.fft.rfftn(geometry.omega_mask.astype(np.float64))
-    axes = tuple(range(geometry.grid.d))
+    omega_hat = _rfftn(geometry.omega_mask.astype(np.float64))
     sums = []
     for u in fields:
         v = u.values
@@ -628,10 +635,8 @@ def shift_weighted_sum(fields, weights) -> list[list[float]]:
         for k in range(levels.size - 1):
             dt = levels[k + 1] - levels[k]
             chi = (v >= levels[k + 1]).astype(np.float64)
-            chi_hat = np.fft.rfftn(chi)
-            corr = np.fft.irfftn(
-                np.conj(omega_hat - 2.0 * chi_hat) * chi_hat, s=v.shape, axes=axes
-            )
+            chi_hat = _rfftn(chi)
+            corr = _irfftn(np.conj(omega_hat - 2.0 * chi_hat) * chi_hat, v.shape)
             counts = np.rint(corr + chi.sum())
             for i, w in enumerate(weights):
                 totals[i] += dt * float((w * counts).sum())
@@ -729,7 +734,6 @@ def inequality_suite(fields, kernel: Kernel, h: float) -> list[InequalityReport]
 
 def indicator_defect(w: np.ndarray, geometry: Geometry) -> float:
     """The two-phase defect integral of a convolved field on the container."""
-    inside = geometry.omega_mask
-    return float(
-        (w[inside] * (1.0 - w[inside])).sum() * geometry.grid.cell_measure
-    )
+    if geometry.has_substrate:
+        w = w[geometry.omega_mask]
+    return float((w * (1.0 - w)).sum() * geometry.grid.cell_measure)

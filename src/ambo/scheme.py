@@ -122,7 +122,8 @@ def comparison_field(
            + (g_sp(x) - g_sv(x)) (K_h * 1_substrate)(x).
 
     ``ku`` is K_h*u when the caller already has it.  Meaningful on
-    container cells; evaluated everywhere for convenience.
+    container cells; evaluated everywhere for convenience.  Without a
+    substrate the last term is zero and is not formed.
     """
     if u.grid != op.grid:
         raise SchemeError("phase field and operator grids differ")
@@ -133,7 +134,10 @@ def comparison_field(
         k_pv_u = op.pv_constant * ku
     else:
         k_pv_u = op.kh.convolve(t.pv * u.values)
-    return t.pv * (op.k_omega - ku) - k_pv_u + (t.sp - t.sv) * op.k_substrate
+    phi = t.pv * (op.k_omega - ku) - k_pv_u
+    if u.geometry.has_substrate:
+        phi += (t.sp - t.sv) * op.k_substrate
+    return phi
 
 
 def _select_by_volume(

@@ -24,6 +24,7 @@ from ambo.energy import (
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid
 from ambo.kernel import GaussianKernel, scale_kernel
+from ambo.scheme import comparison_field
 from ambo.tensions import ModifiedTensions
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -427,3 +428,56 @@ def test_indicator_defect_values(full_geometry, grid256, disk_field):
         kh = scale_kernel(GaussianKernel(), grid256, h)
         defects[h] = indicator_defect(kh.convolve(disk_field.values), full_geometry)
     assert 0.0 < defects[1e-3] < defects[4e-3]
+
+
+# ---------------------------------------------------------------------------
+# the substrate-free shortcut
+
+
+def _masked_oracles(u, op, ku):
+    """E_h, the comparison field and the defect as the full masked formulas."""
+    t = op.tensions
+    inside = u.geometry.omega_mask
+    complement = inside.astype(np.float64) - u.values
+    pv_term = (t.pv * u.values * (op.k_omega - ku))[inside].sum()
+    sp_term = (t.sp * u.values * op.k_substrate)[inside].sum()
+    sv_term = (t.sv * complement * op.k_substrate)[inside].sum()
+    energy = float(
+        (pv_term + sp_term + sv_term) * op.grid.cell_measure / math.sqrt(op.kh.h)
+    )
+    k_pv_u = op.kh.convolve(t.pv * u.values)
+    phi = t.pv * (op.k_omega - ku) - k_pv_u + (t.sp - t.sv) * op.k_substrate
+    defect = float((ku[inside] * (1.0 - ku[inside])).sum() * op.grid.cell_measure)
+    return energy, phi, defect
+
+
+@pytest.mark.parametrize(
+    "kind, d, n, h",
+    [("full", 2, 64, 4e-3), ("full", 3, 32, 1e-2), ("band", 2, 64, 4e-3)],
+)
+@pytest.mark.parametrize("binary", [True, False])
+def test_energy_field_and_defect_equal_masked_formulas(kind, d, n, h, binary):
+    grid = TorusGrid(d, n)
+    shape = make_shape("full") if kind == "full" else make_shape("band", lo=0.25, hi=0.75)
+    geometry = build_geometry(shape, grid)
+    assert geometry.substrate_mask.any() == geometry.has_substrate == (kind == "band")
+    rng = np.random.default_rng(7)
+    # Varying g_pv takes the comparison field's second convolution.
+    tensions = ModifiedTensions.from_fields(
+        grid, *(rng.uniform(lo, lo + 1.0, grid.shape) for lo in (1.0, 0.5, 0.5))
+    )
+    if binary:
+        dist = grid.torus_distance(np.stack(grid.meshgrid(), axis=-1), np.full(d, 0.5))
+        u = PhaseField.from_mask(geometry, dist < 0.2)
+    else:
+        u = PhaseField.random(geometry, rng, levels=9)
+    op = RunOperator.build(geometry, tensions, scale_kernel(GaussianKernel(), grid, h))
+    ku = op.kh.convolve(u.values)
+
+    energy, phi, defect = _masked_oracles(u, op, ku)
+    assert approx_energy(u, op, ku) == energy
+    assert comparison_field(u, op, ku).tobytes() == phi.tobytes()
+    assert indicator_defect(ku, geometry) == defect
+    # On the band the substrate terms are there and are not zero.
+    substrate = (tensions.sp - tensions.sv) * op.k_substrate
+    assert np.any(substrate[geometry.omega_mask] != 0.0) == (kind == "band")

@@ -1,20 +1,28 @@
 """Kernel tests: admissibility, scaling, and periodic convolution."""
 
+import ast
 import itertools
 import math
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ambo import kernel as kernel_module
 from ambo.errors import NumericalError, ResolutionWarning
 from ambo.geometry import TorusGrid
 from ambo.kernel import (
     EllipticGaussianKernel,
     GaussianKernel,
     KernelError,
+    SampledKernel,
     TriangularKernel,
     _diagonal_gaussian,
+    _irfftn,
+    _parse_threads,
+    _rfftn,
     _sample_with_images,
     make_kernel,
     scale_kernel,
@@ -232,6 +240,98 @@ def test_convolve_rejects_wrong_shape():
         kh.convolve(np.ones((32, 32)))
     with pytest.raises(KernelError):
         kh.convolve(np.ones(grid.shape), method="magic")
+
+
+# --- the FFT entry point -----------------------------------------------------
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc", "2.5"])
+def test_threads_variable_must_be_a_positive_integer(value):
+    with pytest.raises(ValueError, match=f"AMBO_THREADS.*{value!r}"):
+        _parse_threads(value)
+
+
+def test_threads_variable_defaults_to_one_and_is_capped_at_the_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert _parse_threads(None) == _parse_threads("") == _parse_threads("1") == 1
+    assert _parse_threads(str(cpus)) == cpus
+    assert _parse_threads(str(1000 * cpus)) == cpus
+
+
+def test_only_large_transforms_are_threaded(monkeypatch):
+    monkeypatch.setattr(kernel_module, "_FFT_WORKERS", 2)
+    assert kernel_module._workers((64, 64, 64)) == kernel_module._workers((512, 512)) == 2
+    assert kernel_module._workers((48, 48, 48)) == kernel_module._workers((384, 384)) == 1
+
+
+@pytest.mark.parametrize("d, n", [(3, 64), (2, 512)])
+def test_convolution_bytes_do_not_depend_on_the_worker_count(monkeypatch, rng, d, n):
+    grid = TorusGrid(d, n)
+    values = scale_kernel(GaussianKernel(), grid, 16.0 * grid.spacing**2).values
+    f = rng.uniform(size=grid.shape)
+    out = []
+    for workers in (1, 2):
+        monkeypatch.setattr(kernel_module, "_FFT_WORKERS", workers)
+        kh = SampledKernel(grid=grid, h=16.0 * grid.spacing**2, values=values)
+        out.append(kh.convolve(f).tobytes())
+    assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [256, 512])
+def test_two_dimensional_transforms_equal_numpy_bytes(monkeypatch, rng, workers, n):
+    monkeypatch.setattr(kernel_module, "_FFT_WORKERS", workers)
+    a = rng.standard_normal((n, n))
+    forward = _rfftn(a)
+    assert forward.tobytes() == np.fft.rfftn(a).tobytes()
+    inverse = np.fft.irfftn(forward, s=a.shape, axes=(0, 1))
+    assert _irfftn(forward, a.shape).tobytes() == inverse.tobytes()
+
+
+def test_three_dimensional_transforms_match_numpy(rng):
+    a = rng.standard_normal((96, 96, 96))
+    forward, reference = _rfftn(a), np.fft.rfftn(a)
+    inverse = np.fft.irfftn(reference, s=a.shape, axes=(0, 1, 2))
+    # Measured: 3.9e-16 (forward) and 5.6e-16 (inverse) of the peak.
+    assert np.abs(forward - reference).max() <= 2e-15 * np.abs(reference).max()
+    assert np.abs(_irfftn(reference, a.shape) - inverse).max() <= 2e-15 * np.abs(a).max()
+
+
+def _stray_fft_uses(path: Path) -> list:
+    """numpy.fft uses, and scipy.fft uses outside kernel._rfftn/_irfftn."""
+    tree = ast.parse(path.read_text())
+    entry = set()
+    for node in ast.walk(tree):
+        if (
+            path.name == "kernel.py"
+            and isinstance(node, ast.FunctionDef)
+            and node.name in ("_rfftn", "_irfftn")
+        ):
+            entry.update(id(inner) for inner in ast.walk(node))
+    stray = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module in ("numpy.fft", "scipy.fft") or (
+                node.module in ("numpy", "scipy") and "fft" in names
+            ):
+                stray.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "fft"
+            and isinstance(node.value, ast.Name)
+            and (
+                node.value.id in ("np", "numpy")
+                or (node.value.id == "scipy" and id(node) not in entry)
+            )
+        ):
+            stray.append(node.lineno)
+    return stray
+
+
+def test_every_fft_goes_through_the_entry_point():
+    src = Path(kernel_module.__file__).parent
+    stray = {p.name: _stray_fft_uses(p) for p in sorted(src.glob("*.py"))}
+    assert {name: lines for name, lines in stray.items() if lines} == {}
 
 
 # --- construction ------------------------------------------------------------
