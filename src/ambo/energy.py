@@ -8,10 +8,18 @@ The central object is
       + g_sv * (1_container - u) * K_h*(1_substrate),
 
 discretised with the cell-measure midpoint rule, so that E_h is exactly
-the quadratic form the thresholding scheme linearises.  A
-:class:`RunOperator` holds what E_h needs besides u: the sampled kernel,
-the tensions and the two fixed convolutions.  Three groups of
-verification routines accompany it:
+the quadratic form the thresholding scheme linearises.  For a binary u
+it equals a sum over the phase cells plus a constant,
+
+    E_h(u) sqrt(h) = sum over {u = 1} of
+        g_pv K_h*(1_container - u) + (g_sp - g_sv) K_h*1_substrate
+      + sum over the container of g_sv K_h*1_substrate
+
+(times the cell measure), and the same sum weighted by u serves a
+multilevel u.  A :class:`RunOperator` holds what E_h needs besides u:
+the sampled kernel, the tensions, K_h*1_container, the wetting field
+(g_sp - g_sv) K_h*1_substrate and the constant dry-substrate sum.
+Three groups of verification routines accompany it:
 
 * :func:`sharp_energy` evaluates the limiting interfacial energy of a
   parametric shape by adaptive quadrature (never from grid gradients);
@@ -26,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,8 +107,11 @@ class PhaseField:
 
     @classmethod
     def from_mask(cls, geometry: Geometry, mask: np.ndarray) -> "PhaseField":
-        vals = np.where(mask & geometry.omega_mask, 1.0, 0.0)
-        return cls(geometry, vals)
+        inside = mask & geometry.omega_mask
+        u = cls(geometry, np.where(inside, 1.0, 0.0))
+        # Fill the cached support from the bool mask (the same indices).
+        u.__dict__["support"] = _read_only(np.flatnonzero(inside))
+        return u
 
     @classmethod
     def random(
@@ -123,6 +135,16 @@ class PhaseField:
     def grid(self) -> TorusGrid:
         return self.geometry.grid
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Flat C-order indices of the cells where u != 0 (read-only).
+
+        Computed once, so the values must not change afterwards.  Two
+        binary fields on one geometry are equal exactly when their
+        supports are.
+        """
+        return _read_only(np.flatnonzero(self.values))
+
     def volume(self) -> float:
         return float(self.values.sum() * self.grid.cell_measure)
 
@@ -135,13 +157,32 @@ class PhaseField:
 
         Counted as the cells of {u=1} minus those whose 2d neighbours all
         equal 1, which is the same integer for any input, NaN included.
+        The neighbours are ANDed in through slices, with the periodic
+        wrap layer of each axis taken separately, so no shifted copy of
+        the field is made.
         """
         one = self.values == 1.0
         interior = one.copy()
         for axis in range(one.ndim):
-            for shift in (1, -1):
-                interior &= np.roll(one, shift, axis=axis)
+            lead = (slice(None),) * axis
+            for cells, neighbours in _NEIGHBOUR_SLICES:
+                interior[lead + (cells,)] &= one[lead + (neighbours,)]
         return int(np.count_nonzero(one)) - int(np.count_nonzero(interior))
+
+
+# (cells, their neighbours) along one axis: i - 1 for i >= 1, then the
+# last layer for the first; i + 1 for i < n - 1, then the first for the last.
+_NEIGHBOUR_SLICES = (
+    (slice(1, None), slice(None, -1)),
+    (slice(None, 1), slice(-1, None)),
+    (slice(None, -1), slice(1, None)),
+    (slice(-1, None), slice(None, 1)),
+)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +194,20 @@ class RunOperator:
     """Everything about E_h that stays fixed while the phase changes.
 
     Built once per (geometry, tensions, sampled kernel): it holds the
-    kernel, the tensions, the convolved container and substrate
-    indicators K_h*1_container and K_h*1_substrate, and the value of
-    g_pv when it is spatially constant (else None).  The arrays are
-    read-only.
+    kernel, the tensions, the convolved container indicator ``k_omega``
+    = K_h*1_container, the ``wetting`` field (g_sp - g_sv) K_h*1_substrate
+    (None without a substrate), the scalar ``dry_energy`` = the sum of
+    g_sv K_h*1_substrate over the container (0 without a substrate), and
+    the value of g_pv when it is spatially constant (else None).  Without
+    a substrate K_h*1_substrate is zero, so it is not convolved.  The
+    arrays are read-only.
     """
 
     tensions: ModifiedTensions
     kh: SampledKernel
     k_omega: np.ndarray
-    k_substrate: np.ndarray
+    wetting: np.ndarray | None
+    dry_energy: float
     pv_constant: float | None
 
     @classmethod
@@ -171,13 +216,15 @@ class RunOperator:
     ) -> "RunOperator":
         if not (geometry.grid == tensions.grid == kh.grid):
             raise EnergyError("geometry, tensions and kernel use different grids")
-        k_omega = kh.convolve(geometry.omega_mask.astype(np.float64))
-        k_substrate = kh.convolve(geometry.substrate_mask.astype(np.float64))
-        k_omega.flags.writeable = False
-        k_substrate.flags.writeable = False
+        k_omega = _read_only(kh.convolve(geometry.omega_mask.astype(np.float64)))
+        wetting, dry_energy = None, 0.0
+        if geometry.has_substrate:
+            k_substrate = kh.convolve(geometry.substrate_mask.astype(np.float64))
+            wetting = _read_only((tensions.sp - tensions.sv) * k_substrate)
+            dry_energy = float((tensions.sv * k_substrate)[geometry.omega_mask].sum())
         pv = tensions.pv
         pv_constant = float(pv.flat[0]) if np.ptp(pv) == 0.0 else None
-        return cls(tensions, kh, k_omega, k_substrate, pv_constant)
+        return cls(tensions, kh, k_omega, wetting, dry_energy, pv_constant)
 
     @property
     def grid(self) -> TorusGrid:
@@ -190,26 +237,29 @@ def approx_energy(
     """Evaluate E_h(u); always nonnegative.
 
     ``ku`` is K_h*u when the caller already has it; otherwise it is
-    computed here.  Without a substrate K_h*1_substrate is zero and the
-    container is the whole torus, so only the g_pv term is summed, over
-    the whole array: the same bits as the masked three-term sum.
+    computed here.  One formula serves binary and multilevel fields:
+
+        E_h(u) sqrt(h) / cell = sum over the support of u of
+            u (g_pv (K_h*1_container - K_h*u) + wetting) + dry_energy,
+
+    gathered over the support only, so a step pays for the phase cells
+    and not for the grid.  The sum is numpy's pairwise ``sum``, which
+    does not depend on the number of BLAS threads.
     """
     if u.grid != op.grid:
         raise EnergyError("phase field and operator use different grids")
     if ku is None:
         ku = op.kh.convolve(u.values)
-    t = op.tensions
-    pv = t.pv * u.values * (op.k_omega - ku)
-    if not u.geometry.has_substrate:
-        total = pv.sum()
-    else:
-        inside = u.geometry.omega_mask
-        complement = inside.astype(np.float64) - u.values
-        total = (
-            pv[inside].sum()
-            + (t.sp * u.values * op.k_substrate)[inside].sum()
-            + (t.sv * complement * op.k_substrate)[inside].sum()
-        )
+    cells = u.support
+    pv = op.pv_constant
+    if pv is None:
+        pv = op.tensions.pv.take(cells)
+    density = op.k_omega.take(cells) - ku.take(cells)
+    density *= pv
+    if op.wetting is not None:
+        density += op.wetting.take(cells)
+    density *= u.values.take(cells)
+    total = density.sum() + op.dry_energy
     return float(total * op.grid.cell_measure / math.sqrt(op.kh.h))
 
 

@@ -323,8 +323,11 @@ class SampledKernel:
                 f"field shape {vals.shape} != grid shape {self.grid.shape}"
             )
         if method == "fft":
-            out = _irfftn(_rfftn(vals) * self.transform, self.grid.shape)
-            return out * self.grid.cell_measure
+            spectrum = _rfftn(vals)
+            spectrum *= self.transform
+            out = _irfftn(spectrum, self.grid.shape)
+            out *= self.grid.cell_measure
+            return out
         if method == "direct":
             return _shifted_sums(self.values, vals) * self.grid.cell_measure
         raise KernelError(f"unknown convolution method {method!r}")

@@ -122,21 +122,23 @@ def comparison_field(
            + (g_sp(x) - g_sv(x)) (K_h * 1_substrate)(x).
 
     ``ku`` is K_h*u when the caller already has it.  Meaningful on
-    container cells; evaluated everywhere for convenience.  Without a
-    substrate the last term is zero and is not formed.
+    container cells; evaluated everywhere for convenience, in place on
+    one array.  The last term is the operator's precomputed ``wetting``
+    field, absent without a substrate.
     """
     if u.grid != op.grid:
         raise SchemeError("phase field and operator grids differ")
     if ku is None:
         ku = op.kh.convolve(u.values)
-    t = op.tensions
+    phi = op.k_omega - ku
     if op.pv_constant is not None:
-        k_pv_u = op.pv_constant * ku
+        phi *= op.pv_constant
+        phi -= op.pv_constant * ku
     else:
-        k_pv_u = op.kh.convolve(t.pv * u.values)
-    phi = t.pv * (op.k_omega - ku) - k_pv_u
-    if u.geometry.has_substrate:
-        phi += (t.sp - t.sv) * op.k_substrate
+        phi *= op.tensions.pv
+        phi -= op.kh.convolve(op.tensions.pv * u.values)
+    if op.wetting is not None:
+        phi += op.wetting
     return phi
 
 
@@ -259,7 +261,8 @@ def run(
     if on_state is not None:
         on_state(state)
     e0_slack = 1e-8 * max(abs(state.energy), 1.0)
-    prev_values = None
+    # The fields are binary, so comparing supports compares the fields.
+    prev_support = None
     streak = 0
     for _ in range(config.max_steps):
         new_state = step(state, config, op)
@@ -273,11 +276,11 @@ def run(
                 f"energy increased at step {new_state.step}: "
                 f"{state.energy!r} -> {new_state.energy!r}"
             )
-        unchanged = np.array_equal(new_state.u.values, state.u.values)
+        unchanged = np.array_equal(new_state.u.support, state.u.support)
         if (
-            prev_values is not None
+            prev_support is not None
             and not unchanged
-            and np.array_equal(new_state.u.values, prev_values)
+            and np.array_equal(new_state.u.support, prev_support)
         ):
             return Trajectory(
                 diagnostics,
@@ -285,7 +288,7 @@ def run(
                 oscillating=True,
                 cycle_states=(state, new_state),
             )
-        prev_values = state.u.values
+        prev_support = state.u.support
         streak = streak + 1 if unchanged else 0
         state = new_state
         if streak >= config.stationarity_window:

@@ -23,7 +23,7 @@ from ambo.energy import (
 )
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid
-from ambo.kernel import GaussianKernel, scale_kernel
+from ambo.kernel import GaussianKernel, SampledKernel, scale_kernel
 from ambo.scheme import comparison_field
 from ambo.tensions import ModifiedTensions
 
@@ -76,6 +76,45 @@ def test_interface_cells_match_neighbour_oracle(rng):
             expected += any(v != 1.0 for v in neighbours)
     u = PhaseField(build_geometry(make_shape("full"), grid), values)
     assert 0 < u.interface_cell_count() == expected < np.count_nonzero(values == 1.0)
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (2, 17), (3, 5), (3, 8)])
+@pytest.mark.parametrize(
+    "levels", [(0.0, 1.0, 1.0), (0.0, 0.5, 1.0, 1.0), (0.0, 1.0, 1.0, np.nan)]
+)
+def test_interface_cells_match_roll_oracle(d, n, levels):
+    """The sliced neighbour AND counts the same integer as 2d np.roll copies."""
+    grid = TorusGrid(d, n)
+    geometry = build_geometry(make_shape("full"), grid)
+    for seed in range(4):
+        values = np.random.default_rng(seed).choice(levels, size=grid.shape)
+        one = values == 1.0
+        interior = one.copy()
+        for axis in range(d):
+            for shift in (1, -1):
+                interior &= np.roll(one, shift, axis=axis)
+        expected = np.count_nonzero(one) - np.count_nonzero(interior)
+        assert PhaseField(geometry, values).interface_cell_count() == expected
+
+
+def test_support_lists_the_nonzero_cells(disk_geometry, rng):
+    # The mask reaches outside the container; from_mask drops those cells.
+    wide = PhaseField.from_mask(disk_geometry, disk_geometry.signed_distance > -0.1)
+    hand = np.zeros(disk_geometry.grid.shape)
+    hand[100:140, 120:130] = 0.25
+    hand[128, 128] = 1.0
+    fields = [
+        wide,
+        PhaseField.from_mask(disk_geometry, disk_geometry.signed_distance > 0.15),
+        PhaseField.random(disk_geometry, rng, levels=5),
+        PhaseField.zeros(disk_geometry),
+        PhaseField(disk_geometry, hand),
+    ]
+    for u in fields:
+        assert np.array_equal(u.support, np.flatnonzero(u.values))
+        assert not u.support.flags.writeable
+    assert wide.support.size == disk_geometry.omega_mask.sum()
+    assert fields[3].support.size == 0
 
 
 def test_phase_field_rejects_bad_values(disk_geometry, grid256):
@@ -431,22 +470,29 @@ def test_indicator_defect_values(full_geometry, grid256, disk_field):
 
 
 # ---------------------------------------------------------------------------
-# the substrate-free shortcut
+# the run operator's constants against the full masked formulas
 
 
 def _masked_oracles(u, op, ku):
-    """E_h, the comparison field and the defect as the full masked formulas."""
+    """E_h, the comparison field and the defect as the full masked formulas.
+
+    K_h*1_substrate is convolved here, and E_h is the exactly rounded
+    (``math.fsum``) sum of the three cellwise terms over the container.
+    """
     t = op.tensions
-    inside = u.geometry.omega_mask
+    geometry = u.geometry
+    inside = geometry.omega_mask
+    k_s = op.kh.convolve(geometry.substrate_mask.astype(np.float64))
     complement = inside.astype(np.float64) - u.values
-    pv_term = (t.pv * u.values * (op.k_omega - ku))[inside].sum()
-    sp_term = (t.sp * u.values * op.k_substrate)[inside].sum()
-    sv_term = (t.sv * complement * op.k_substrate)[inside].sum()
-    energy = float(
-        (pv_term + sp_term + sv_term) * op.grid.cell_measure / math.sqrt(op.kh.h)
+    terms = (
+        t.pv * u.values * (op.k_omega - ku),
+        t.sp * u.values * k_s,
+        t.sv * complement * k_s,
     )
+    total = math.fsum(np.concatenate([term[inside] for term in terms]))
+    energy = total * op.grid.cell_measure / math.sqrt(op.kh.h)
     k_pv_u = op.kh.convolve(t.pv * u.values)
-    phi = t.pv * (op.k_omega - ku) - k_pv_u + (t.sp - t.sv) * op.k_substrate
+    phi = t.pv * (op.k_omega - ku) - k_pv_u + (t.sp - t.sv) * k_s
     defect = float((ku[inside] * (1.0 - ku[inside])).sum() * op.grid.cell_measure)
     return energy, phi, defect
 
@@ -456,7 +502,13 @@ def _masked_oracles(u, op, ku):
     [("full", 2, 64, 4e-3), ("full", 3, 32, 1e-2), ("band", 2, 64, 4e-3)],
 )
 @pytest.mark.parametrize("binary", [True, False])
-def test_energy_field_and_defect_equal_masked_formulas(kind, d, n, h, binary):
+def test_energy_field_and_defect_equal_masked_formulas(kind, d, n, h, binary, monkeypatch):
+    """The comparison field and the defect keep the masked formulas' bytes.
+
+    E_h is summed over the phase cells plus the operator's constant, in
+    another order than the masked formula, so it is checked against the
+    exactly rounded sum: within 1e-14 relative (measured <= 1.7e-16).
+    """
     grid = TorusGrid(d, n)
     shape = make_shape("full") if kind == "full" else make_shape("band", lo=0.25, hi=0.75)
     geometry = build_geometry(shape, grid)
@@ -471,13 +523,22 @@ def test_energy_field_and_defect_equal_masked_formulas(kind, d, n, h, binary):
         u = PhaseField.from_mask(geometry, dist < 0.2)
     else:
         u = PhaseField.random(geometry, rng, levels=9)
+    convolved = []
+    convolve = SampledKernel.convolve
+    monkeypatch.setattr(
+        SampledKernel, "convolve", lambda kh, f: convolved.append(f) or convolve(kh, f)
+    )
     op = RunOperator.build(geometry, tensions, scale_kernel(GaussianKernel(), grid, h))
+    monkeypatch.undo()
+    # Without a substrate K_h*1_substrate is not convolved.
+    assert len(convolved) == (2 if kind == "band" else 1)
     ku = op.kh.convolve(u.values)
 
     energy, phi, defect = _masked_oracles(u, op, ku)
-    assert approx_energy(u, op, ku) == energy
+    assert approx_energy(u, op, ku) == pytest.approx(energy, rel=1e-14, abs=0.0)
     assert comparison_field(u, op, ku).tobytes() == phi.tobytes()
     assert indicator_defect(ku, geometry) == defect
     # On the band the substrate terms are there and are not zero.
-    substrate = (tensions.sp - tensions.sv) * op.k_substrate
-    assert np.any(substrate[geometry.omega_mask] != 0.0) == (kind == "band")
+    assert (op.wetting is None) == (op.dry_energy == 0.0) == (kind == "full")
+    if kind == "band":
+        assert np.any(op.wetting[geometry.omega_mask] != 0.0)

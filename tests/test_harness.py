@@ -3,12 +3,17 @@ harness builds from the kernel."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import ambo
 from ambo import cli, io
 from ambo.anisotropy import Elliptic
 from ambo.config import EXPERIMENTS, load_config
@@ -90,6 +95,62 @@ def test_same_config_reproduces_every_output_byte(tmp_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
+def _ball_config(tmp_path, n, preserve, max_steps):
+    """A 3-d ball of radius 0.4 read from a field file."""
+    x = (np.arange(n) + 0.5) / n
+    r2 = sum((c - 0.5) ** 2 for c in np.meshgrid(x, x, x, indexing="ij"))
+    io.write_field(tmp_path / "ball.bin", (r2 < 0.4**2).astype(np.float64))
+    doc = {
+        "grid": {"d": 3, "n": n},
+        "geometry": {"kind": "full"},
+        "kernel": {"kind": "gaussian"},
+        "scheme": {"h": 9.0e-3, "preserve_volume": preserve, "max_steps": max_steps},
+        "initial": {"kind": "field", "path": str(tmp_path / "ball.bin")},
+        "experiment": {"kind": "run"},
+    }
+    config = tmp_path / "ball.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    return config
+
+
+@pytest.mark.parametrize("kind", ["angle", "run"])
+def test_thread_count_changes_no_output_byte(kind, tmp_path):
+    """AMBO_THREADS = 1 and 2 write the same bytes, in fresh processes.
+
+    The sizes reach the threaded FFTs (at least 2^18 cells): the angle
+    preset's small stages at n = 512, and a volume-preserving 3-d ball
+    at n = 64.
+    """
+    if kind == "angle":
+        preset, _, changes = SMALL["angle"]
+        argv = [kind, str(_config(tmp_path / "angle.yaml", preset, changes)), "--n", "512"]
+    else:
+        argv = [kind, str(_ball_config(tmp_path, 64, True, 4))]
+    src = str(Path(ambo.__file__).resolve().parents[1])
+    dirs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {
+            **os.environ,
+            "AMBO_THREADS": threads,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-m", "ambo.cli", *argv, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        dirs.append(out)
+    files = sorted(p.name for p in dirs[0].iterdir())
+    assert files == sorted(p.name for p in dirs[1].iterdir())
+    assert "summary.json" in files and any(f.endswith(".csv") for f in files)
+    for name in files:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
 def test_bad_config_exits_1(tmp_path, capsys):
     unknown = tmp_path / "unknown.yaml"
     unknown.write_text("grid: {n: 64, m: 3}\n")
@@ -135,20 +196,7 @@ def test_three_dimensional_ball_through_the_cli(preserve, tmp_path, capsys):
     the phase keeps changing shape for all 30 steps while every step keeps
     exactly the initial number of cells.
     """
-    n = 32
-    x = (np.arange(n) + 0.5) / n
-    r2 = sum((c - 0.5) ** 2 for c in np.meshgrid(x, x, x, indexing="ij"))
-    io.write_field(tmp_path / "ball.bin", (r2 < 0.4**2).astype(np.float64))
-    doc = {
-        "grid": {"d": 3, "n": n},
-        "geometry": {"kind": "full"},
-        "kernel": {"kind": "gaussian"},
-        "scheme": {"h": 9.0e-3, "preserve_volume": preserve, "max_steps": 30},
-        "initial": {"kind": "field", "path": str(tmp_path / "ball.bin")},
-        "experiment": {"kind": "run"},
-    }
-    config = tmp_path / "ball.yaml"
-    config.write_text(yaml.safe_dump(doc))
+    config = _ball_config(tmp_path, 32, preserve, 30)
     out = tmp_path / "out"
     assert cli.main(["run", str(config), "--out", str(out)]) == 0, capsys.readouterr().err
     results = io.read_summary(out / "summary.json")["results"]
@@ -193,3 +241,21 @@ def test_energy_gamma_converges_at_first_order(tmp_path, capsys):
     assert len(errs) == 3
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert abs(results["order"] - 0.9916) <= 5e-3
+
+
+def test_varying_tension_monotonicity_constant_stays_at_its_measurement(
+    tmp_path, capsys
+):
+    """monotonic_varying at its shipped size and seed: c_overall_max <= 0.0.
+
+    The theorem allows any c >= 0; the measured smallest c is 0.0 on all
+    six (h, N) pairs of the 101 fields, so a change that makes some
+    E_{N^2 h} exceed E_h shows here.
+    """
+    out = tmp_path / "monotonic"
+    code = cli.main(["monotonic", "--preset", "monotonic_varying", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    results = io.read_summary(out / "summary.json")["results"]
+    assert results["n_fields"] == 101 and len(results["combos"]) == 6
+    assert not results["constant_tensions"]
+    assert results["c_overall_max"] <= 0.0

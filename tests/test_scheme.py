@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ambo import scheme
 from ambo.anisotropy import Isotropic
 from ambo.energy import (
     PhaseField,
@@ -248,6 +249,39 @@ def test_unconstrained_disk_shrinks_with_decreasing_energy(
     assert all(b <= a + slack for a, b in zip(energies, energies[1:]))
     assert all(b < a for a, b in zip(volumes, volumes[1:]))
     assert not traj.oscillating and traj.cycle_states == ()
+
+
+@pytest.mark.parametrize("period", [2, 3])
+def test_run_stops_on_a_two_cycle_only(period, full_geometry, unit_tensions, monkeypatch):
+    """A step that cycles through fixed fields: period 2 ends the run as a
+    2-cycle with both states kept; period 3, whose third field differs
+    from the first in one cell, runs to max_steps."""
+    a = ShapeSpec.disk((0.5, 0.5), 0.2).indicator(full_geometry)
+    b = ShapeSpec.disk((0.3, 0.5), 0.2).indicator(full_geometry)
+    c = a.values.copy()
+    c.flat[a.support[-1]], c.flat[a.support[-1] + 1] = 0.0, 1.0
+    cycle = (a.values, b.values, c)[:period]
+
+    def cycling_step(state, config, op):
+        k = state.step + 1
+        # A fresh field each time, so the support comes from its values.
+        u = PhaseField(full_geometry, cycle[k % period].copy())
+        return scheme._make_state(k, u, 0.0, op)
+
+    monkeypatch.setattr(scheme, "step", cycling_step)
+    cfg = SchemeConfig(h=1e-3, preserve_volume=True, max_steps=6)
+    traj = run(a, cfg, unit_tensions, UNIT_KERNEL)
+    assert not traj.stationary
+    if period == 3:
+        assert not traj.oscillating and traj.cycle_states == ()
+        assert traj.final.step == 6
+        return
+    assert traj.oscillating
+    first, second = traj.cycle_states
+    assert (first.step, second.step) == (1, 2) and traj.final is second
+    assert np.array_equal(first.u.values, b.values)
+    assert np.array_equal(second.u.values, a.values)
+    assert [row[0] for row in traj.diagnostics] == [0, 1, 2]
 
 
 def test_empty_phase_persists_on_dewetting_substrate(small_band):
