@@ -35,6 +35,7 @@ from .tensions import (
     ModifiedTensions,
     RawTensions,
     TensionError,
+    TriangleReport,
     extend_substrate,
     verify_triangle,
 )
@@ -481,13 +482,14 @@ def build_raw_tensions(config: RunConfig) -> RawTensions:
 
 def build_tensions(
     config: RunConfig, geometry: Geometry, gamma: Anisotropy
-) -> tuple[ModifiedTensions, dict]:
-    """Tension fields plus admissibility flags for the summary.
+) -> tuple[ModifiedTensions, TriangleReport]:
+    """Tension fields plus their triangle-inequality audit.
 
     ``direct`` mode evaluates the three expressions cellwise as the
-    modified tensions themselves; ``extend`` treats them as raw boundary
-    data and runs the full extension construction, dividing the substrate
-    tensions by ``gamma``, the kernel's induced anisotropy.
+    modified tensions themselves (audited exactly); ``extend`` treats them
+    as raw boundary data and runs the full extension construction,
+    dividing the substrate tensions by ``gamma``, the kernel's induced
+    anisotropy (audited to 1e-12 of the upper bound).
     """
     raw = build_raw_tensions(config)
     grid = geometry.grid
@@ -501,12 +503,10 @@ def build_tensions(
                 f"direct tensions must be positive everywhere (min {lo!r})"
             )
         t = ModifiedTensions.from_fields(grid, pv, sp, sv)
-        audit = verify_triangle(t)
-        return t, {"tensions": True, "triangle": audit.ok}
+        return t, verify_triangle(t)
     # extend_substrate raises unless the raw tensions are admissible.
     t = extend_substrate(raw, geometry, gamma, delta=config.tensions["delta"])
-    audit = verify_triangle(t, tol=1e-12 * t.upper)
-    return t, {"tensions": True, "triangle": audit.ok}
+    return t, verify_triangle(t, tol=1e-12 * t.upper)
 
 
 def initial_shape_spec(config: RunConfig, geometry: Geometry) -> ShapeSpec | None:
@@ -548,12 +548,5 @@ def build_initial(config: RunConfig, geometry: Geometry) -> PhaseField:
     return shape.indicator(geometry)
 
 
-def build_scheme_config(config: RunConfig, **overrides) -> SchemeConfig:
-    params = {**config.scheme, **overrides}
-    return SchemeConfig(
-        h=params["h"],
-        preserve_volume=params["preserve_volume"],
-        target_volume=params["target_volume"],
-        max_steps=params["max_steps"],
-        stationarity_window=params["stationarity_window"],
-    )
+def build_scheme_config(config: RunConfig) -> SchemeConfig:
+    return SchemeConfig(**config.scheme)

@@ -106,12 +106,21 @@ class PhaseField:
         return cls(geometry, np.zeros(geometry.grid.shape))
 
     @classmethod
-    def from_mask(cls, geometry: Geometry, mask: np.ndarray) -> "PhaseField":
-        inside = mask & geometry.omega_mask
-        u = cls(geometry, np.where(inside, 1.0, 0.0))
-        # Fill the cached support from the bool mask (the same indices).
-        u.__dict__["support"] = _read_only(np.flatnonzero(inside))
+    def from_support(cls, geometry: Geometry, cells: np.ndarray) -> "PhaseField":
+        """The binary field that is 1 on ``cells``, strictly increasing flat
+        indices of container cells; a read-only copy becomes ``support``."""
+        cells = np.array(cells).reshape(-1)
+        if np.any(cells[:1] < 0) or np.any(cells[1:] <= cells[:-1]):
+            raise EnergyError("support cells must be strictly increasing cell indices")
+        values = np.zeros(geometry.grid.shape)
+        values.reshape(-1)[cells] = 1.0
+        u = cls(geometry, values)
+        u.__dict__["support"] = _read_only(cells)
         return u
+
+    @classmethod
+    def from_mask(cls, geometry: Geometry, mask: np.ndarray) -> "PhaseField":
+        return cls.from_support(geometry, np.flatnonzero(mask & geometry.omega_mask))
 
     @classmethod
     def random(
@@ -139,9 +148,9 @@ class PhaseField:
     def support(self) -> np.ndarray:
         """Flat C-order indices of the cells where u != 0 (read-only).
 
-        Computed once, so the values must not change afterwards.  Two
-        binary fields on one geometry are equal exactly when their
-        supports are.
+        Computed once (or given to :meth:`from_support`), so the values
+        must not change afterwards.  Two binary fields on one geometry are
+        equal exactly when their supports are.
         """
         return _read_only(np.flatnonzero(self.values))
 

@@ -16,6 +16,7 @@ this exact partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -273,9 +274,16 @@ class Geometry:
     def has_substrate(self) -> bool:
         return not self.shape.boundaryless
 
+    @cached_property
+    def omega_cells(self) -> np.ndarray:
+        """Flat C-order indices of the container cells (read-only, cached)."""
+        cells = np.flatnonzero(self.omega_mask)
+        cells.flags.writeable = False
+        return cells
+
     @property
     def omega_cell_count(self) -> int:
-        return int(np.sum(self.omega_mask))
+        return self.omega_cells.size
 
     @property
     def omega_volume(self) -> float:

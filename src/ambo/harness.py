@@ -101,9 +101,8 @@ def prepare(config: RunConfig, *, tensions_required: bool = True) -> Workspace:
     }
     tensions = None
     try:
-        tensions, tflags = build_tensions(config, geometry, gamma)
-        flags.update(tflags)
-        audit = verify_triangle(tensions)
+        tensions, audit = build_tensions(config, geometry, gamma)
+        flags.update({"tensions": True, "triangle": audit.ok})
         detail["tensions"] = {
             "mode": config.tensions["mode"],
             "bounds": [tensions.lower, tensions.upper],

@@ -7,9 +7,9 @@ the container, optionally under an exact volume constraint:
 * the comparison field ``phi`` is the discrete first variation of the
   energy (both tension placements appear because the tensions multiply
   the *target* point of the convolution);
-* the new phase is the sublevel set ``{phi < lambda}`` intersected with
-  the container — the obstacle is enforced structurally, cells inside
-  the substrate can never activate;
+* one selection returns the new phase as the list of container cells
+  where ``phi < lambda``, from which the new field is built — the
+  obstacle is enforced structurally, substrate cells never activate;
 * ``lambda = 0`` for unconstrained descent; with volume preservation it
   is the order statistic that selects exactly ceil(m / cell) cells,
   ties broken by ascending lexicographic cell order (deterministic).
@@ -45,7 +45,6 @@ __all__ = [
     "Trajectory",
     "SchemeError",
     "comparison_field",
-    "threshold",
     "step",
     "run",
     "measure_contact_angle",
@@ -142,22 +141,23 @@ def comparison_field(
     return phi
 
 
-def _select_by_volume(
-    phi: np.ndarray, geometry: Geometry, m: float
+def _select(
+    phi: np.ndarray, geometry: Geometry, m: float | None
 ) -> tuple[float, np.ndarray]:
-    """The k = ceil(m / cell measure) container cells of smallest phi.
+    """Lambda and the sorted flat indices of the new phase's cells.
 
-    Ties at the threshold go to the lowest C-order cell index, so the
-    selection equals the first k of a stable sort.  Returns the k-th
-    smallest value (``-inf`` when k = 0) and the boolean cell mask.
-    """
-    grid = geometry.grid
+    Without a volume target ``m``: 0 and the container cells where phi < 0.
+    With one: the k-th smallest phi (``-inf`` when k = 0) and the k =
+    ceil(m / cell) container cells of smallest phi, ties to the lowest
+    index, as the first k of a stable sort."""
+    if m is None:
+        return 0.0, np.flatnonzero((phi < 0.0) & geometry.omega_mask)
     # ceil with a relative guard so that m = k * cell_measure (computed in
     # floating point) maps to k, not k+1.
-    ratio = m / grid.cell_measure
+    ratio = m / geometry.grid.cell_measure
     k = int(math.ceil(ratio - 1e-9 * max(1.0, ratio)))
-    omega_flat = geometry.omega_mask.ravel()
-    values = phi.ravel()[omega_flat]
+    # A bool gather; measured faster than a take over omega_cells.
+    values = phi.ravel()[geometry.omega_mask.ravel()]
     if not np.all(np.isfinite(values)):
         raise SchemeError("comparison field is not finite on the container")
     if k > values.size:
@@ -165,22 +165,14 @@ def _select_by_volume(
             f"target volume {m} needs {k} cells but the container has "
             f"{values.size}"
         )
-    mask = np.zeros(grid.cell_count, dtype=bool)
     if k <= 0:
-        return -math.inf, mask.reshape(grid.shape)
+        return -math.inf, geometry.omega_cells[:0]
     kth = np.partition(values, k - 1)[k - 1]
     chosen = values < kth
     ties = np.flatnonzero(values == kth)[: k - int(chosen.sum())]
     chosen[ties] = True
-    mask[omega_flat] = chosen
     # The last tie taken is the stable sort's k-th entry (sign of zero included).
-    return float(values[ties[-1]]), mask.reshape(grid.shape)
-
-
-def threshold(phi: np.ndarray, lam: float, geometry: Geometry) -> PhaseField:
-    """Binary field 1 on {phi < lam} within the container, 0 elsewhere."""
-    mask = (phi < lam) & geometry.omega_mask
-    return PhaseField.from_mask(geometry, mask)
+    return float(values[ties[-1]]), geometry.omega_cells[chosen]
 
 
 def _make_state(k: int, u: PhaseField, lam: float, op: RunOperator) -> SchemeState:
@@ -202,20 +194,17 @@ def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeSta
     """Advance one thresholding step."""
     phi = comparison_field(state.u, op, state.ku)
     geometry = state.u.geometry
+    m = None
     if config.preserve_volume:
-        m = config.target_volume
-        if m is None:
-            m = state.u.volume()
-        lam, mask = _select_by_volume(phi, geometry, m)
-        u_next = PhaseField.from_mask(geometry, mask)
+        m = config.target_volume or state.u.volume()
+    lam, cells = _select(phi, geometry, m)
+    u_next = PhaseField.from_support(geometry, cells)
+    if m is not None:
         tol = geometry.grid.cell_measure  # one cell
         if abs(u_next.volume() - m) > tol:
             raise NumericalError(
                 f"volume drifted: |{u_next.volume()} - {m}| > {tol}"
             )
-    else:
-        lam = 0.0
-        u_next = threshold(phi, lam, geometry)
     return _make_state(state.step + 1, u_next, lam, op)
 
 

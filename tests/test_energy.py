@@ -117,6 +117,37 @@ def test_support_lists_the_nonzero_cells(disk_geometry, rng):
     assert fields[3].support.size == 0
 
 
+def test_from_support_builds_the_binary_field(disk_geometry):
+    cells = np.flatnonzero(disk_geometry.signed_distance > 0.15)
+    u = PhaseField.from_support(disk_geometry, cells)
+    assert u.is_binary()
+    assert np.array_equal(u.values, disk_geometry.signed_distance > 0.15)
+    assert np.array_equal(u.support, np.flatnonzero(u.values))
+    assert not u.support.flags.writeable
+    # The caller's array is copied, not frozen or shared.
+    assert cells.flags.writeable and not np.shares_memory(u.support, cells)
+    empty = PhaseField.from_support(disk_geometry, disk_geometry.omega_cells[:0])
+    assert empty.volume() == 0.0 and empty.support.size == 0
+    everything = np.ones(disk_geometry.grid.shape, dtype=bool)
+    whole = PhaseField.from_mask(disk_geometry, everything)
+    assert np.array_equal(whole.support, disk_geometry.omega_cells)
+
+    outside = np.flatnonzero(disk_geometry.substrate_mask)[:1]
+    with pytest.raises(EnergyError, match="outside"):
+        PhaseField.from_support(disk_geometry, outside)
+    bad = [
+        cells[::-1],  # unsorted
+        np.repeat(cells[:2], 2),  # repeated
+        np.array([-1, cells[0]]),  # negative
+    ]
+    for c in bad:
+        with pytest.raises(EnergyError, match="strictly increasing"):
+            PhaseField.from_support(disk_geometry, c)
+    for c in (np.array([cells[0], disk_geometry.grid.cell_count]), cells * 1.0):
+        with pytest.raises(IndexError):
+            PhaseField.from_support(disk_geometry, c)
+
+
 def test_phase_field_rejects_bad_values(disk_geometry, grid256):
     with pytest.raises(EnergyError, match="\\[0, 1\\]|0, 1|range"):
         PhaseField(disk_geometry, np.full(grid256.shape, 1.5))

@@ -67,6 +67,15 @@ def test_signed_distance_sign_matches_mask(disk_geometry):
     assert np.array_equal(inside, disk_geometry.omega_mask)
 
 
+def test_omega_cells_list_the_container(disk_geometry, full_geometry):
+    for geometry in (disk_geometry, full_geometry):
+        cells = geometry.omega_cells
+        assert np.array_equal(cells, np.flatnonzero(geometry.omega_mask))
+        assert not cells.flags.writeable
+        assert geometry.omega_cells is cells
+        assert geometry.omega_cell_count == cells.size == geometry.omega_mask.sum()
+
+
 def test_full_torus_has_no_substrate(full_geometry):
     assert full_geometry.substrate_mask.sum() == 0
     assert full_geometry.omega_mask.all()

@@ -1,5 +1,6 @@
 """On-disk formats and the strict YAML run configuration."""
 
+import dataclasses
 import json
 import math
 import textwrap
@@ -402,6 +403,7 @@ def test_builders(tmp_path):
             "grid": {"n": 64},
             "geometry": {"kind": "band", "lo": 0.25, "hi": 0.95, "axis": 1},
             "initial": {"kind": "cap", "angle": 90.0, "radius": 0.12},
+            "scheme": {"h": 2e-3, "preserve_volume": True, "max_steps": 5},
         }
     )
     geometry = build_geometry_from(cfg)
@@ -409,7 +411,7 @@ def test_builders(tmp_path):
     assert geometry.grid.n == 64
     cap = build_initial(cfg, geometry)
     assert cap.volume() > 0
-    assert build_scheme_config(cfg, max_steps=5).max_steps == 5
+    assert dataclasses.asdict(build_scheme_config(cfg)) == cfg.scheme
 
     empty = config_from_mapping({"grid": {"n": 64}, "initial": {"kind": "empty"}})
     assert build_initial(empty, build_geometry_from(empty)).volume() == 0.0

@@ -20,12 +20,11 @@ from ambo.kernel import GaussianKernel, scale_kernel
 from ambo.scheme import (
     SchemeConfig,
     SchemeError,
-    _select_by_volume,
+    _select,
     best_fit_disk_mismatch,
     comparison_field,
     measure_contact_angle,
     run,
-    threshold,
 )
 from ambo.tensions import ModifiedTensions, RawTensions, extend_substrate
 
@@ -150,17 +149,23 @@ def test_comparison_field_grid_mismatch(full_geometry, small_band):
 # thresholding
 
 
-def test_threshold_sentinels_and_idempotence(disk_geometry, grid256, rng):
-    phi = rng.normal(size=grid256.shape)
-    everything = threshold(phi, math.inf, disk_geometry)
-    assert np.array_equal(everything.values > 0, disk_geometry.omega_mask)
-    assert threshold(phi, -math.inf, disk_geometry).volume() == 0.0
-
-    lam = 0.3
-    once = threshold(phi, lam, disk_geometry)
-    again = threshold(phi, lam, disk_geometry)
-    assert np.array_equal(once.values, again.values)
-    assert not np.any(once.values[~disk_geometry.omega_mask])
+def test_select_without_target_is_the_negative_container_set(band_geometry, rng):
+    """Unconstrained selection: lambda 0 and the container cells with phi < 0."""
+    geometries = [band_geometry, build_geometry(make_shape("full"), TorusGrid(2, 64))]
+    for shape in ("band", "full"):
+        params = {"lo": 0.25, "hi": 0.95, "axis": 1} if shape == "band" else {}
+        geometries.append(
+            build_geometry(make_shape(shape, **params), TorusGrid(3, 32), delta=0.1)
+        )
+    for geometry in geometries:
+        phi = rng.normal(size=geometry.grid.shape)
+        phi[0] = 0.0  # cells at exactly lambda stay out
+        lam, cells = _select(phi, geometry, None)
+        assert lam == 0.0
+        assert np.array_equal(cells, np.flatnonzero((phi < 0) & geometry.omega_mask))
+        assert np.array_equal(_select(phi, geometry, None)[1], cells)
+        u = PhaseField.from_support(geometry, cells)
+        assert np.array_equal(u.values, np.where(phi < 0, geometry.omega_mask, 0.0))
 
 
 def test_volume_threshold_order_statistic(disk_geometry, grid256):
@@ -168,19 +173,19 @@ def test_volume_threshold_order_statistic(disk_geometry, grid256):
     target = 0.05
 
     # strictly increasing along one axis: lambda is the exact quantile
-    lam, mask = _select_by_volume(x1 + 0.31 * x2, disk_geometry, target)
+    lam, cells = _select(x1 + 0.31 * x2, disk_geometry, target)
     values = np.sort((x1 + 0.31 * x2)[disk_geometry.omega_mask])
     k = math.ceil(target / grid256.cell_measure - 1e-9 * target / grid256.cell_measure)
     assert lam == values[k - 1]
-    assert mask.sum() == k
+    assert cells.size == k
 
     # tie-free radial field: the selection is a centered disk with the
     # target volume to one-cell accuracy
     phi = _radial(grid256) + 1e-7 * (x1 - 0.5) + 1e-8 * (x2 - 0.5)
     m = math.pi * 0.15**2
-    lam, mask = _select_by_volume(phi, disk_geometry, m)
-    assert np.array_equal(mask, (phi <= lam) & disk_geometry.omega_mask)
-    selected = PhaseField.from_mask(disk_geometry, mask)
+    lam, cells = _select(phi, disk_geometry, m)
+    assert np.array_equal(cells, np.flatnonzero((phi <= lam) & disk_geometry.omega_mask))
+    selected = PhaseField.from_support(disk_geometry, cells)
     assert abs(selected.volume() - m) < grid256.cell_measure
     assert lam == np.sort(phi[disk_geometry.omega_mask])[
         math.ceil(m / grid256.cell_measure - 1e-9 * m / grid256.cell_measure) - 1
@@ -188,21 +193,23 @@ def test_volume_threshold_order_statistic(disk_geometry, grid256):
 
     # one cell: the minimum; on a constant field ties go to the lowest
     # C-order indices
-    lam, mask = _select_by_volume(phi, disk_geometry, grid256.cell_measure)
-    inside = np.where(disk_geometry.omega_mask, phi, np.inf)
-    assert lam == inside.min()
-    assert np.array_equal(np.flatnonzero(mask), [np.argmin(inside)])
+    lam, cells = _select(phi, disk_geometry, grid256.cell_measure)
+    masked = np.where(disk_geometry.omega_mask, phi, np.inf)
+    assert lam == masked.min()
+    assert np.array_equal(cells, [np.argmin(masked)])
     flat = np.zeros(grid256.shape)
-    lam, mask = _select_by_volume(flat, disk_geometry, 5 * grid256.cell_measure)
+    lam, cells = _select(flat, disk_geometry, 5 * grid256.cell_measure)
     assert lam == 0.0
-    assert np.array_equal(
-        np.flatnonzero(mask), np.flatnonzero(disk_geometry.omega_mask)[:5]
-    )
+    assert np.array_equal(cells, disk_geometry.omega_cells[:5])
+
+    # no cell: lambda is -inf and the list is empty
+    lam, cells = _select(phi, disk_geometry, 0.0)
+    assert lam == -math.inf and cells.size == 0
 
     with pytest.raises(SchemeError, match="cells"):
-        _select_by_volume(phi, disk_geometry, 1.0)
+        _select(phi, disk_geometry, 1.0)
     with pytest.raises(SchemeError, match="finite"):
-        _select_by_volume(np.full(grid256.shape, np.nan), disk_geometry, 0.01)
+        _select(np.full(grid256.shape, np.nan), disk_geometry, 0.01)
 
 
 def test_preserving_step_matches_sort_oracle(full_geometry, grid256, unit_tensions):
