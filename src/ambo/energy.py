@@ -23,10 +23,17 @@ Three groups of verification routines accompany it:
 
 * :func:`sharp_energy` evaluates the limiting interfacial energy of a
   parametric shape by adaptive quadrature (never from grid gradients);
-* :func:`monotonicity_check` compares E at time steps h and N^2 h;
+* :func:`monotonicity_check` compares E at time steps h and N^2 h for
+  every (h, N) of a list of each;
 * :func:`inequality_suite` evaluates four discrete integral inequalities
   exactly (integer shift-counts via per-level FFT correlations), so the
   asserted slack tolerances are pure floating-point allowances.
+
+Both suites take a batch of fields on one geometry and all their step
+sizes in one call, and compute what does not depend on the loop
+variable once: the shift counts of a field serve every h, and E_h of a
+field is computed once per distinct step size, however many (h, N)
+combinations ask for it.
 """
 
 from __future__ import annotations
@@ -621,42 +628,57 @@ def monotonicity_check(
     fields,
     tensions: ModifiedTensions,
     kernel: Kernel,
-    h: float,
-    N: int,
-) -> list[MonotonicityResult]:
-    """Compare E_{N^2 h}(u) against (1 + c N sqrt(h)) E_h(u) for each field.
+    h_values,
+    factors,
+) -> list[list[MonotonicityResult]]:
+    """Compare E_{N^2 h}(u) against (1 + c N sqrt(h)) E_h(u) for every (h, N).
 
-    The two kernels and run operators are built once and shared by the
-    fields, which must live on one geometry.  Returns one result per
-    field, in order: the two energies and ``c_est``, the smallest
-    nonnegative constant making the bound hold (0 when the energy already
-    decreased).  For spatially constant tensions the bound must hold with
-    c = 0 up to 1e-10 relative — a genuine assertion of the discrete
-    theory.
+    h runs over ``h_values`` and N over ``factors``.  Returns one list
+    per (h, N), h-major, holding one result per field (the fields must
+    live on one geometry): the two energies and ``c_est``, the smallest
+    nonnegative constant making the bound hold (0 when the energy
+    already decreased).  For spatially constant tensions
+    the bound must hold with c = 0 up to 1e-10 relative — a genuine
+    assertion of the discrete theory, raised at the first (h, N, field)
+    that misses it.
+
+    The combinations share step sizes (h N^2 of one may be h' of
+    another), and E at one step size does not depend on the combination
+    asking for it.  So the kernel and run operator of each distinct step
+    size are built once, one at a time, and each field's energy at it
+    is computed once.
     """
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise EnergyError(f"N must be an integer >= 1, got {N!r}")
+    for N in factors:
+        if not (isinstance(N, (int, np.integer)) and N >= 1):
+            raise EnergyError(f"N must be an integer >= 1, got {N!r}")
     geometry = _shared_geometry(fields)
-    grid = geometry.grid
-    op = RunOperator.build(geometry, tensions, scale_kernel(kernel, grid, h))
-    op_big = RunOperator.build(
-        geometry, tensions, scale_kernel(kernel, grid, N * N * h)
-    )
+    combos = [(h, N) for h in h_values for N in factors]
+    steps = dict.fromkeys(step for h, N in combos for step in (h, N * N * h))
+    energy = {
+        step: _energies(fields, geometry, tensions, kernel, step) for step in steps
+    }
     results = []
-    for u in fields:
-        rhs = approx_energy(u, op)
-        lhs = approx_energy(u, op_big)
-        if rhs > 0.0:
-            c_est = max(0.0, (lhs - rhs) / (rhs * N * math.sqrt(h)))
-        else:
-            c_est = 0.0 if lhs <= 0.0 else math.inf
-        if tensions.is_spatially_constant and lhs > rhs * (1.0 + 1e-10):
-            raise NumericalError(
-                f"constant-tension monotonicity violated: E_(N^2 h)={lhs!r} > "
-                f"E_h={rhs!r} * (1+1e-10) at N={N}, h={h}"
-            )
-        results.append(MonotonicityResult(lhs=lhs, rhs=rhs, c_est=c_est))
+    for h, N in combos:
+        per_field = []
+        for rhs, lhs in zip(energy[h], energy[N * N * h]):
+            if rhs > 0.0:
+                c_est = max(0.0, (lhs - rhs) / (rhs * N * math.sqrt(h)))
+            else:
+                c_est = 0.0 if lhs <= 0.0 else math.inf
+            if tensions.is_spatially_constant and lhs > rhs * (1.0 + 1e-10):
+                raise NumericalError(
+                    f"constant-tension monotonicity violated: E_(N^2 h)={lhs!r} > "
+                    f"E_h={rhs!r} * (1+1e-10) at N={N}, h={h}"
+                )
+            per_field.append(MonotonicityResult(lhs=lhs, rhs=rhs, c_est=c_est))
+        results.append(per_field)
     return results
+
+
+def _energies(fields, geometry, tensions, kernel, h) -> list[float]:
+    """E_h of each field, from one run operator that is dropped on return."""
+    op = RunOperator.build(geometry, tensions, scale_kernel(kernel, geometry.grid, h))
+    return [approx_energy(u, op) for u in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +751,7 @@ class InequalityReport:
 _TENT = TriangularKernel()
 
 
-def inequality_suite(fields, kernel: Kernel, h: float) -> list[InequalityReport]:
+def inequality_suite(fields, kernel: Kernel, h_values) -> list[list[InequalityReport]]:
     """Evaluate the four integral inequalities for [0,1] fields.
 
     The first three use the supplied kernel; the fourth uses the unit
@@ -740,54 +762,64 @@ def inequality_suite(fields, kernel: Kernel, h: float) -> list[InequalityReport]
     indicator is the exact complement of the container's; a result is ok
     when lhs <= rhs up to 1e-8 relative.
 
-    K_h, K_h*1_substrate, the tent-gradient kernels and J_4h are sampled
-    once and shared by the fields, which must live on one geometry.
-    Returns one report per field, in order.
+    Returns one list per h of ``h_values``, in order, holding one report
+    per field (the fields must live on one geometry).  For each h, K_h,
+    K_h*1_substrate, the tent-gradient kernels and J_4h are sampled once
+    and shared by the fields.  The shift counts of a field do not depend
+    on h, so one :func:`shift_weighted_sum` call weights them with K_h
+    and J_4h of every h at once.
     """
     geo = _shared_geometry(fields)
     grid = geo.grid
     s_d = grid.cell_measure
     inside = geo.omega_mask
     omega = inside.astype(np.float64)
-    kh = scale_kernel(kernel, grid, h)
-    conv_s = kh.convolve(geo.substrate_mask.astype(np.float64))
-    grad_jh = scale_kernel_gradient(_TENT, grid, h)
-    grad_kernels = [
-        SampledKernel(grid=grid, h=h, values=grad_jh[..., i]) for i in range(grid.d)
-    ]
-    j4h = _kernel_values(_TENT, grid, 4.0 * h)
+    substrate = geo.substrate_mask.astype(np.float64)
     c_grad = (2.0**grid.d) * (2.0 / _TENT.radius)
-    shift_sums = shift_weighted_sum(fields, (kh.values, j4h))
+    kernels = [scale_kernel(kernel, grid, h) for h in h_values]
+    weights = []
+    for h, kh in zip(h_values, kernels):
+        weights += [kh.values, _kernel_values(_TENT, grid, 4.0 * h)]
+    shift_sums = shift_weighted_sum(fields, weights)
 
     reports = []
-    for u, (sum_k, sum_j) in zip(fields, shift_sums):
-        v = u.values
-        conv_v = kh.convolve(v)
-        shift_k = s_d * s_d * sum_k
-
-        lhs1 = shift_k
-        rhs1 = float(
-            2.0 * s_d * (((omega - v) * conv_v)[inside].sum())
-            + s_d * ((v * conv_s)[inside]).sum()
-        )
-
-        lhs2 = float(s_d * np.abs(conv_v - v)[inside].sum())
-        rhs2 = shift_k
-
-        lhs3 = float(s_d * (v * (omega - v))[inside].sum())
-        rhs3 = float(s_d * (((omega - v) * conv_v)[inside]).sum()) + lhs2
-
-        grad_jv = np.stack([g.convolve(v) for g in grad_kernels], axis=-1)
-        lhs4 = float(s_d * np.linalg.norm(grad_jv, axis=-1)[inside].sum())
-        rhs4 = c_grad / math.sqrt(h) * s_d * s_d * sum_j
-
-        results = [
-            InequalityResult("shift-bound", lhs1, rhs1),
-            InequalityResult("jensen", lhs2, rhs2),
-            InequalityResult("defect-bound", lhs3, rhs3),
-            InequalityResult("gradient-bound", lhs4, rhs4),
+    for i, (h, kh) in enumerate(zip(h_values, kernels)):
+        conv_s = kh.convolve(substrate)
+        grad_jh = scale_kernel_gradient(_TENT, grid, h)
+        grad_kernels = [
+            SampledKernel(grid=grid, h=h, values=grad_jh[..., a]) for a in range(grid.d)
         ]
-        reports.append(InequalityReport(results=results, h=h))
+        per_field = []
+        for u, sums in zip(fields, shift_sums):
+            sum_k, sum_j = sums[2 * i], sums[2 * i + 1]
+            v = u.values
+            conv_v = kh.convolve(v)
+            shift_k = s_d * s_d * sum_k
+
+            lhs1 = shift_k
+            rhs1 = float(
+                2.0 * s_d * (((omega - v) * conv_v)[inside].sum())
+                + s_d * ((v * conv_s)[inside]).sum()
+            )
+
+            lhs2 = float(s_d * np.abs(conv_v - v)[inside].sum())
+            rhs2 = shift_k
+
+            lhs3 = float(s_d * (v * (omega - v))[inside].sum())
+            rhs3 = float(s_d * (((omega - v) * conv_v)[inside]).sum()) + lhs2
+
+            grad_jv = np.stack([g.convolve(v) for g in grad_kernels], axis=-1)
+            lhs4 = float(s_d * np.linalg.norm(grad_jv, axis=-1)[inside].sum())
+            rhs4 = c_grad / math.sqrt(h) * s_d * s_d * sum_j
+
+            results = [
+                InequalityResult("shift-bound", lhs1, rhs1),
+                InequalityResult("jensen", lhs2, rhs2),
+                InequalityResult("defect-bound", lhs3, rhs3),
+                InequalityResult("gradient-bound", lhs4, rhs4),
+            ]
+            per_field.append(InequalityReport(results=results, h=h))
+        reports.append(per_field)
     return reports
 
 

@@ -356,12 +356,14 @@ def _experiment_monotonic(ws: Workspace, out: Path) -> dict:
     constant = ws.tensions.is_spatially_constant
     rows = []
     c_by_combo: dict[tuple, list] = {}
-    for h in p["h_values"]:
-        for N in p["factors"]:
-            results = monotonicity_check(fields, ws.tensions, ws.kernel, h, N)
-            for name, res in zip(names, results):
-                rows.append((name, h, N, res.lhs, res.rhs, res.c_est))
-                c_by_combo.setdefault((h, N), []).append(res.c_est)
+    checked = monotonicity_check(
+        fields, ws.tensions, ws.kernel, p["h_values"], p["factors"]
+    )
+    pairs = [(h, N) for h in p["h_values"] for N in p["factors"]]
+    for (h, N), results in zip(pairs, checked):
+        for name, res in zip(names, results):
+            rows.append((name, h, N, res.lhs, res.rhs, res.c_est))
+            c_by_combo.setdefault((h, N), []).append(res.c_est)
     io.write_csv(
         out / "monotonicity.csv",
         ("field", "h", "factor", "lhs", "rhs", "c_est"),
@@ -394,14 +396,13 @@ def _experiment_inequalities(ws: Workspace, out: Path) -> dict:
     rows = []
     worst = math.inf
     all_ok = True
-    for h in p["h_values"]:
-        reports = inequality_suite(fields, ws.kernel, h)
+    for reports in inequality_suite(fields, ws.kernel, p["h_values"]):
         for name, report in zip(names, reports):
             for res in report.results:
                 scale = max(abs(res.lhs), abs(res.rhs), 1.0)
                 worst = min(worst, res.slack / scale)
                 all_ok = all_ok and res.ok()
-                rows.append((name, h, res.name, res.lhs, res.rhs, res.ok()))
+                rows.append((name, report.h, res.name, res.lhs, res.rhs, res.ok()))
     io.write_csv(
         out / "inequalities.csv",
         ("field", "h", "inequality", "lhs", "rhs", "ok"),

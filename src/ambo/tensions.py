@@ -26,6 +26,12 @@ works).
 All boundary value problems use the cell-centered 5-point (d=2) /
 7-point (d=3) Laplacian, whose discrete maximum principle the
 construction's inequalities rely on, solved by conjugate gradients.
+When the unknown cells fill at least a quarter of the grid, as the
+exterior of a container does, CG is preconditioned by the inverse of
+the periodic Laplacian plus a small shift, applied by FFT: it cuts the
+exterior solve from hundreds of iterations to tens.  A thin region, as
+each strip is, converges in few plain iterations, each far cheaper than
+a full-grid FFT pair, so it is solved unpreconditioned.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .anisotropy import Anisotropy
 from .errors import NumericalError
@@ -148,6 +154,48 @@ def validate_raw_tensions(
 # Discrete Dirichlet problems
 # ---------------------------------------------------------------------------
 
+# CG is preconditioned by the FFT inverse of the periodic Laplacian only
+# when the unknowns fill at least this share of the grid: every
+# preconditioned iteration pays one full-grid FFT pair, which a thin
+# region's few plain iterations undercut.  Plain -> preconditioned at
+# n = 256 on 2 vCPUs (min of 5): the extend_disk exterior (70% of the
+# grid) 588 -> 56 iterations, 420 -> 138 ms; its six strips (5% each)
+# 6-11 -> 40-64 ms each.  Annuli and straight strips break even between
+# 20% and 30% of the grid at n = 256, between 30% and 50% at n = 128.
+_PRECONDITIONED_SHARE = 0.25
+# Shift that makes the periodic Laplacian invertible.  On the extend_disk
+# exterior 1e-4 and 1e-3 take 56 iterations, 1e-2 70 and 1e-1 111.
+_PRECONDITIONER_SHIFT = 1e-3
+
+
+def _torus_laplace_inverse(grid: TorusGrid, unknown_mask: np.ndarray):
+    """The preconditioner r -> (L + shift)^-1 r on the unknown cells.
+
+    L is the periodic 2d+1-point Laplacian of the whole torus, inverted
+    by one FFT pair; r is extended by zero and the result restricted to
+    the unknowns, so the operator is symmetric positive definite as CG
+    needs (a fast Poisson solver as preconditioner: Concus & Golub, SIAM
+    J. Numer. Anal. 1973).
+    """
+    from .kernel import _irfftn, _rfftn
+
+    n = grid.n
+    symbol = np.full((n,) * (grid.d - 1) + (n // 2 + 1,), _PRECONDITIONER_SHIFT)
+    for axis, size in enumerate(symbol.shape):
+        k = np.arange(size).reshape((-1,) + (1,) * (grid.d - 1 - axis))
+        symbol += 2.0 - 2.0 * np.cos(2.0 * math.pi * k / n)
+    inverse = 1.0 / symbol
+    cells = np.flatnonzero(unknown_mask)
+    full = np.zeros(grid.cell_count)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        full[cells] = r.reshape(-1)
+        z = _irfftn(_rfftn(full.reshape(grid.shape)) * inverse, grid.shape)
+        return z.reshape(-1)[cells]
+
+    return LinearOperator((cells.size, cells.size), matvec=apply, dtype=np.float64)
+
+
 def laplace_solve(
     grid: TorusGrid,
     unknown_mask: np.ndarray,
@@ -160,8 +208,9 @@ def laplace_solve(
     Cells outside the mask are Dirichlet cells carrying
     ``dirichlet_values``; the 2d+1-point Laplacian vanishes on every
     unknown cell.  Returns the full-grid solution array.  The system is
-    symmetric positive definite and solved with conjugate gradients to a
-    residual infinity-norm below ``1e-10 * (range of referenced data)``
+    symmetric positive definite and solved with conjugate gradients,
+    preconditioned as the module docstring says, to a residual
+    infinity-norm below ``1e-10 * (range of referenced data)``
     plus a floating-point floor ``~eps * |A| * |x|`` (without the floor,
     constant data — range zero — would demand an unattainable residual);
     the discrete maximum principle is asserted (1e-8 slack).
@@ -223,7 +272,12 @@ def laplace_solve(
     tol = 1e-10 * data_range + floor
     if maxiter is None:
         maxiter = 20 * grid.n + 200
-    solution, info = cg(matrix, rhs, rtol=0.0, atol=tol, maxiter=maxiter)
+    precondition = None
+    if n_unknown >= _PRECONDITIONED_SHARE * grid.cell_count:
+        precondition = _torus_laplace_inverse(grid, unknown_mask)
+    solution, info = cg(
+        matrix, rhs, rtol=0.0, atol=tol, maxiter=maxiter, M=precondition
+    )
     residual = float(np.abs(matrix @ solution - rhs).max())
     if info != 0 or residual > tol:
         raise NumericalError(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from ambo import energy
 from ambo.anisotropy import Elliptic, Isotropic
 from ambo.energy import (
     EnergyError,
@@ -21,6 +22,7 @@ from ambo.energy import (
     sharp_energy,
     shift_weighted_sum,
 )
+from ambo.errors import NumericalError
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid
 from ambo.kernel import GaussianKernel, SampledKernel, scale_kernel
@@ -329,7 +331,7 @@ def test_monotonicity_constant_tensions_random_fields(full_geometry, unit_tensio
         PhaseField.random(full_geometry, np.random.default_rng(seed), levels=5)
         for seed in range(20)
     ]
-    results = monotonicity_check(fields, unit_tensions, GaussianKernel(), 1e-3, 2)
+    (results,) = monotonicity_check(fields, unit_tensions, GaussianKernel(), [1e-3], [2])
     assert len(results) == 20
     for result in results:
         assert result.lhs <= result.rhs * (1.0 + 1e-10)
@@ -337,8 +339,8 @@ def test_monotonicity_constant_tensions_random_fields(full_geometry, unit_tensio
 
 
 def test_monotonicity_empty_field(full_geometry, unit_tensions):
-    (result,) = monotonicity_check(
-        [PhaseField.zeros(full_geometry)], unit_tensions, GaussianKernel(), 1e-3, 2
+    ((result,),) = monotonicity_check(
+        [PhaseField.zeros(full_geometry)], unit_tensions, GaussianKernel(), [1e-3], [2]
     )
     assert result.lhs == result.rhs == 0.0
     assert result.c_est == 0.0
@@ -350,25 +352,32 @@ def test_monotonicity_varying_tensions_bounded(full_geometry, grid256, disk_fiel
         grid256, 1.0 + 0.2 * x1, np.ones(grid256.shape), np.ones(grid256.shape)
     )
     estimates = [
-        monotonicity_check([disk_field], t, GaussianKernel(), 1e-3, N)[0].c_est
-        for N in (2, 3, 4)
+        result.c_est
+        for (result,) in monotonicity_check(
+            [disk_field], t, GaussianKernel(), [1e-3], [2, 3, 4]
+        )
     ]
+    assert len(estimates) == 3
     assert all(np.isfinite(c) and 0.0 <= c <= 1.0 for c in estimates)
 
 
 def test_monotonicity_rejects_bad_n(full_geometry, unit_tensions):
     with pytest.raises(EnergyError, match="N"):
         monotonicity_check(
-            [PhaseField.zeros(full_geometry)], unit_tensions, GaussianKernel(), 1e-3, 0
+            [PhaseField.zeros(full_geometry)],
+            unit_tensions,
+            GaussianKernel(),
+            [1e-3],
+            [2, 0],
         )
 
 
 def test_suites_reject_empty_and_mixed_batches(full_geometry, disk_geometry, unit_tensions):
     with pytest.raises(EnergyError, match="at least one field"):
-        monotonicity_check([], unit_tensions, GaussianKernel(), 1e-3, 2)
+        monotonicity_check([], unit_tensions, GaussianKernel(), [1e-3], [2])
     mixed = [PhaseField.zeros(full_geometry), PhaseField.zeros(disk_geometry)]
     with pytest.raises(EnergyError, match="one geometry"):
-        inequality_suite(mixed, GaussianKernel(), 1e-3)
+        inequality_suite(mixed, GaussianKernel(), [1e-3])
     with pytest.raises(EnergyError, match="one geometry"):
         shift_weighted_sum(mixed, (np.ones(full_geometry.grid.shape),))
 
@@ -382,12 +391,76 @@ def test_suite_batches_match_single_field_calls(grid64):
         PhaseField.zeros(geometry),
     ]
     kernel, h = GaussianKernel(), 4e-3
-    batch = monotonicity_check(fields, tensions, kernel, h, 2)
-    assert batch == [monotonicity_check([u], tensions, kernel, h, 2)[0] for u in fields]
+    (batch,) = monotonicity_check(fields, tensions, kernel, [h], [2])
+    assert batch == [
+        monotonicity_check([u], tensions, kernel, [h], [2])[0][0] for u in fields
+    ]
     assert batch[0] != batch[1]
-    reports = inequality_suite(fields, kernel, h)
-    assert reports == [inequality_suite([u], kernel, h)[0] for u in fields]
+    (reports,) = inequality_suite(fields, kernel, [h])
+    assert reports == [inequality_suite([u], kernel, [h])[0][0] for u in fields]
     assert reports[0] != reports[1]
+
+
+def test_monotonicity_check_matches_fresh_operators(grid128):
+    """Each (h, N) entry equals E_h and E_{N^2 h} of operators built for it
+    alone, although the pairs share step sizes (4e-3 = 2^2 * 1e-3, and
+    N = 1 asks for h twice)."""
+    geometry = build_geometry(make_shape("disk", center=(0.5, 0.5), radius=0.3), grid128)
+    x1, x2 = grid128.meshgrid()
+    tensions = ModifiedTensions.from_fields(
+        grid128,
+        1.3 + 0.35 * np.cos(4 * math.pi * (x1 - 0.5)) + 0.35 * np.cos(4 * math.pi * x2),
+        np.full(grid128.shape, 1.2),
+        np.full(grid128.shape, 0.9),
+    )
+    fields = [
+        PhaseField.random(geometry, np.random.default_rng(5), levels=4),
+        ShapeSpec.disk((0.5, 0.5), 0.15).indicator(geometry),
+    ]
+    kernel, h_values, factors = GaussianKernel(), [1e-3, 4e-3], [1, 2]
+    checked = monotonicity_check(fields, tensions, kernel, h_values, factors)
+    pairs = [(h, N) for h in h_values for N in factors]
+    assert len(checked) == len(pairs)
+
+    def fresh(u, h):
+        kh = scale_kernel(kernel, grid128, h)
+        return approx_energy(u, RunOperator.build(geometry, tensions, kh))
+
+    for (h, N), results in zip(pairs, checked):
+        assert len(results) == len(fields)
+        for u, result in zip(fields, results):
+            rhs, lhs = fresh(u, h), fresh(u, N * N * h)
+            assert (result.lhs, result.rhs) == (lhs, rhs)
+            assert result.c_est == max(0.0, (lhs - rhs) / (rhs * N * math.sqrt(h)))
+
+
+def test_constant_tension_violation_raised_at_the_first_pair(
+    full_geometry, unit_tensions, monkeypatch
+):
+    """Energies are shared across the pairs, but a miss is still reported at
+    the first (h, N, field) in order: here N = 2 before N = 3."""
+    h = 1e-3
+    table = {h: [1.0, 1.0], 4 * h: [1.0, 1.5], 9 * h: [2.0, 1.0]}
+    monkeypatch.setattr(
+        energy, "_energies", lambda fields, geometry, tensions, kernel, step: table[step]
+    )
+    fields = [PhaseField.zeros(full_geometry)] * 2
+    first = r"E_\(N\^2 h\)=1.5 > E_h=1.0 .* at N=2, h=0.001"
+    with pytest.raises(NumericalError, match=first):
+        monotonicity_check(fields, unit_tensions, GaussianKernel(), [h], [2, 3])
+
+
+def test_multi_h_inequality_suite_equals_single_h_calls(grid64):
+    """One call over several h, sharing one shift sum, equals one call per h
+    bit for bit; a repeated h gives the same reports twice."""
+    geometry = build_geometry(make_shape("disk", center=(0.5, 0.5), radius=0.3), grid64)
+    rng = np.random.default_rng(11)
+    fields = [PhaseField.random(geometry, rng, levels=6) for _ in range(2)]
+    kernel, h_values = GaussianKernel(), [1e-2, 4e-3, 1e-2]
+    reports = inequality_suite(fields, kernel, h_values)
+    assert reports == [inequality_suite(fields, kernel, [h])[0] for h in h_values]
+    assert [[r.h for r in per_h] for per_h in reports] == [[h, h] for h in h_values]
+    assert reports[0][0] != reports[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +502,16 @@ def test_shift_sum_matches_brute_force():
 
 
 def test_inequalities_vanish_on_empty_field(full_geometry):
-    (report,) = inequality_suite([PhaseField.zeros(full_geometry)], GaussianKernel(), 1e-3)
+    ((report,),) = inequality_suite(
+        [PhaseField.zeros(full_geometry)], GaussianKernel(), [1e-3]
+    )
     assert report.h == 1e-3
     for result in report.results:
         assert result.lhs == result.rhs == 0.0
 
 
 def test_inequalities_on_disk(disk_field):
-    (report,) = inequality_suite([disk_field], GaussianKernel(), 1e-3)
+    ((report,),) = inequality_suite([disk_field], GaussianKernel(), [1e-3])
     assert all(r.ok() for r in report.results)
     by_name = {r.name: r for r in report.results}
     assert set(by_name) == {"shift-bound", "jensen", "defect-bound", "gradient-bound"}
@@ -451,7 +526,7 @@ def test_inequalities_on_random_fields(full_geometry, h):
         PhaseField.random(full_geometry, np.random.default_rng(seed), levels=5)
         for seed in range(3)
     ]
-    reports = inequality_suite(fields, GaussianKernel(), h)
+    (reports,) = inequality_suite(fields, GaussianKernel(), [h])
     assert len(reports) == 3
     for report in reports:
         assert all(r.ok() for r in report.results), [

@@ -14,11 +14,11 @@ import pytest
 import yaml
 
 import ambo
-from ambo import cli, io
+from ambo import cli, energy, io
 from ambo.anisotropy import Elliptic
 from ambo.config import EXPERIMENTS, load_config
 from ambo.geometry import boundary_layer_mask
-from ambo.harness import prepare
+from ambo.harness import prepare, run_experiment
 
 # Each experiment kind at a small size: (preset, grid n, section changes).
 SMALL = {
@@ -259,3 +259,43 @@ def test_varying_tension_monotonicity_constant_stays_at_its_measurement(
     assert results["n_fields"] == 101 and len(results["combos"]) == 6
     assert not results["constant_tensions"]
     assert results["c_overall_max"] <= 0.0
+
+
+def _counted(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _run_preset(preset, tmp_path, **overrides):
+    entry = resources.files("ambo") / "presets" / f"{preset}.yaml"
+    with resources.as_file(entry) as path:
+        config = load_config(path, {"output.dir": str(tmp_path / preset), **overrides})
+    return run_experiment(config)["results"]
+
+
+def test_monotonic_preset_samples_each_step_size_once(tmp_path, monkeypatch):
+    """The six (h, N) pairs of monotonic_constant ask for twelve step sizes,
+    six of them distinct (2^2 * 2.5e-4 = 1e-3, 4^2 * 2.5e-4 = 2^2 * 1e-3)."""
+    sampled = _counted(monkeypatch, energy, "scale_kernel")
+    approx = _counted(monkeypatch, energy, "approx_energy")
+    results = _run_preset("monotonic_constant", tmp_path, **{"experiment.n_fields": 2})
+    assert len(results["combos"]) == 6 and results["n_fields"] == 3
+    steps = [args[2] for args in sampled]
+    assert len(steps) == len(set(steps)) == 6
+    assert len(approx) == 6 * 3
+
+
+def test_inequalities_preset_makes_one_shift_sum(tmp_path, monkeypatch):
+    sums = _counted(monkeypatch, energy, "shift_weighted_sum")
+    results = _run_preset("inequalities", tmp_path, **{"experiment.n_fields": 1})
+    assert len(results["h_values"]) == 3 and results["all_ok"]
+    ((fields, weights),) = sums
+    assert len(fields) == 1 and len(weights) == 6
