@@ -7,6 +7,11 @@ randomized suites.  Loading is strict — unknown keys are rejected by name
 together with their section, so typos cannot silently fall back to
 defaults.
 
+Every experiment reads these sections; ``experiment`` adds only what is
+specific to the study.  The angle experiment's ``sigma_ratio`` fixes the
+direct-mode tensions (1, 1 + rho/2, 1 - rho/2) and ``preserve_volume:
+true`` at load time and rejects other values, so the echo describes the run.
+
 There is no anisotropy section: the surface-tension anisotropy is the one
 the kernel induces (:func:`ambo.anisotropy.induced_anisotropy`).  For
 older configs, ``anisotropy: {kind: isotropic}`` or an empty section is
@@ -114,26 +119,12 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
         "n_fields": 100,
         "levels": 16,
     },
-    "angle": {
-        "sigma_ratio": 0.0,
-        "coarse_h": 1.0e-3,
-        "fine_h": 2.5e-4,
-        "max_steps": 400,
-        "initial_angle": 90.0,
-        "initial_radius": 0.16,
-        "window_cells": 12,
-    },
+    "angle": {"sigma_ratio": 0.0, "coarse_h": 1.0e-3, "window_cells": 12},
     "validate": {},
 }
 
-_FLOAT_PARAMS = {
-    "sigma_ratio",
-    "coarse_h",
-    "fine_h",
-    "initial_angle",
-    "initial_radius",
-}
-_INT_PARAMS = {"max_steps", "window_cells", "n_fields", "levels"}
+_FLOAT_PARAMS = {"sigma_ratio", "coarse_h"}
+_INT_PARAMS = {"window_cells", "n_fields", "levels"}
 _BOOL_PARAMS = {"include_disk"}
 _FLOAT_LIST_PARAMS = {"h_values"}
 _INT_LIST_PARAMS = {"factors"}
@@ -213,6 +204,42 @@ def _check_legacy_anisotropy(doc: dict, kernel_kind: str, source: str) -> None:
         "section 'anisotropy' is not configurable: the anisotropy is the "
         f"one the '{kernel_kind}' kernel induces; choose it in section 'kernel'",
     )
+
+
+def _angle_settings(
+    doc: dict, tensions: dict, scheme: dict, rho: float, source: str
+) -> tuple[dict, dict]:
+    """The tensions and scheme sections as ``sigma_ratio`` fixes them.
+
+    Tensions (1, 1 + rho/2, 1 - rho/2) give the equilibrium cos(theta) = -rho.
+    A config may restate these settings, as a summary's echo does.
+    """
+    if not -1.0 <= rho <= 1.0:
+        raise _fail(
+            source,
+            "key 'sigma_ratio' in section 'experiment' must lie in [-1, 1] "
+            f"for a wetting equilibrium, got {rho}",
+        )
+    implied = {
+        "mode": "direct",
+        "gamma_pv": "1",
+        "gamma_sp": repr(1.0 + 0.5 * rho),
+        "gamma_sv": repr(1.0 - 0.5 * rho),
+        "delta": None,
+    }
+    if "tensions" in doc and tensions != implied:
+        raise _fail(
+            source,
+            "section 'tensions' is set by key 'sigma_ratio' in section "
+            "'experiment' of an angle experiment; remove it",
+        )
+    if (doc.get("scheme") or {}).get("preserve_volume") is False:
+        raise _fail(
+            source,
+            "key 'preserve_volume' in section 'scheme' cannot be false in an "
+            "angle experiment: the droplet keeps its volume",
+        )
+    return implied, {**scheme, "preserve_volume": True}
 
 
 def _kinded_section(
@@ -349,7 +376,7 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
     scheme = _mapping_section(doc, "scheme", source)
     _check_keys(
         scheme,
-        {"h", "preserve_volume", "target_volume", "max_steps", "stationarity_window"},
+        {"h", "preserve_volume", "max_steps", "stationarity_window"},
         "scheme",
         source,
     )
@@ -357,11 +384,6 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
         "h": _as_float(scheme.get("h", 1.0e-3), "h", "scheme", source),
         "preserve_volume": _as_bool(
             scheme.get("preserve_volume", False), "preserve_volume", "scheme", source
-        ),
-        "target_volume": (
-            None
-            if scheme.get("target_volume") is None
-            else _as_float(scheme["target_volume"], "target_volume", "scheme", source)
         ),
         "max_steps": _as_int(scheme.get("max_steps", 200), "max_steps", "scheme", source),
         "stationarity_window": _as_int(
@@ -419,6 +441,10 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
                 )
             value = [_as_int(v, key, "experiment", source) for v in value]
         experiment_params[key] = value
+    if kind == "angle":
+        tensions, scheme = _angle_settings(
+            doc, tensions, scheme, experiment_params["sigma_ratio"], source
+        )
 
     output = _mapping_section(doc, "output", source)
     _check_keys(output, {"dir", "snapshot_every"}, "output", source)

@@ -342,7 +342,11 @@ def build_geometry(
         norm = np.sqrt(np.sum(grad**2, axis=0))
         bad = band & (norm < 1e-12)
         if np.any(bad):
-            raise GeometryError("vanishing distance gradient inside the normal band")
+            raise GeometryError(
+                "vanishing distance gradient inside the normal band of width "
+                f"delta + 2 spacing = {band_width:.4g} (delta={delta}, reach "
+                f"{shape.reach():.4g}); choose a smaller delta"
+            )
         with np.errstate(invalid="ignore", divide="ignore"):
             nu = -grad / norm
         normal[:, band] = nu[:, band]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .config import (
 from .energy import (
     PhaseField,
     RunOperator,
-    ShapeSpec,
     approx_energy,
     convergence_study,
     indicator_defect,
@@ -44,14 +43,8 @@ from .energy import (
 from .errors import ConfigError, NumericalError, ResolutionWarning
 from .geometry import Band, Geometry
 from .kernel import Kernel, scale_kernel, validate_kernel
-from .scheme import (
-    SchemeConfig,
-    SchemeError,
-    Trajectory,
-    measure_contact_angle,
-    run as run_scheme,
-)
-from .tensions import ModifiedTensions, TensionError, verify_triangle
+from .scheme import SchemeError, Trajectory, measure_contact_angle, run as run_scheme
+from .tensions import ModifiedTensions, TensionError
 
 __all__ = ["Workspace", "prepare", "run_experiment", "STEP_COLUMNS"]
 
@@ -419,52 +412,31 @@ def _experiment_inequalities(ws: Workspace, out: Path) -> dict:
 
 
 def _experiment_angle(ws: Workspace, out: Path) -> dict:
+    """Young's law: the ``initial`` cap relaxes at fixed volume under the
+    tensions ``sigma_ratio`` fixed, towards cos(theta) = -rho.
+
+    The fine stage runs ``scheme``; a coarse stage at ``coarse_h`` comes
+    first, because at the fine step the contact line pins short of the
+    equilibrium."""
     config = ws.config
     p = config.experiment_params
-    rho = p["sigma_ratio"]
-    if not -1.0 <= rho <= 1.0:
+    if config.initial["kind"] != "cap" or not isinstance(ws.geometry.shape, Band):
         raise ConfigError(
-            f"sigma_ratio must lie in [-1, 1] for a wetting equilibrium, got {rho}"
+            "the angle experiment needs a cap initial phase on a 2-d band geometry"
         )
-    if not isinstance(ws.geometry.shape, Band) or config.d != 2:
-        raise ConfigError("the angle experiment needs a 2-d band geometry")
-
-    # Unit particle-vapor tension; the wetting contrast is rho by
-    # construction, so the equilibrium satisfies cos(theta) = -rho.
-    tensions = ModifiedTensions.constant(
-        ws.grid, 1.0, 1.0 + 0.5 * rho, 1.0 - 0.5 * rho
-    )
-    ws.flags["triangle"] = verify_triangle(tensions).ok
-    ws.flags["tensions"] = True
-
-    band = ws.geometry.shape
-    cap = ShapeSpec.cap(
-        p["initial_angle"],
-        p["initial_radius"],
-        substrate_y=band.lo % 1.0,
-        center_x=0.5,
-    )
-    initial = cap.indicator(ws.geometry)
-
-    # Coarse stage first: at the target step size the contact line moves
-    # below one cell per step and pins short of the equilibrium.
+    fine = build_scheme_config(config)
     stages = []
-    u = initial
-    traj = None
-    for label, h in (("coarse", p["coarse_h"]), ("fine", p["fine_h"])):
-        scheme_config = SchemeConfig(
-            h=h,
-            preserve_volume=True,
-            target_volume=None,
-            max_steps=p["max_steps"],
-            stationarity_window=config.scheme["stationarity_window"],
-        )
-        traj = run_scheme(u, scheme_config, tensions, ws.kernel)
+    u = build_initial(config, ws.geometry)
+    for label, scheme_config in (
+        ("coarse", replace(fine, h=p["coarse_h"])),
+        ("fine", fine),
+    ):
+        traj = run_scheme(u, scheme_config, ws.tensions, ws.kernel)
         io.write_csv(out / f"steps_{label}.csv", STEP_COLUMNS, traj.diagnostics)
         stages.append(
             {
                 "label": label,
-                "h": h,
+                "h": scheme_config.h,
                 "steps": traj.final.step,
                 "stationary": traj.stationary,
                 "oscillating": traj.oscillating,
@@ -472,12 +444,12 @@ def _experiment_angle(ws: Workspace, out: Path) -> dict:
         )
         u = traj.final.u
 
-    spacing = ws.grid.spacing
-    skip = max(3, math.ceil(3.0 * math.sqrt(2.0 * p["fine_h"]) / spacing))
+    rho = p["sigma_ratio"]
+    skip = max(3, math.ceil(3.0 * math.sqrt(2.0 * fine.h) / ws.grid.spacing))
     angles = _maybe_angles(
         u, ws.geometry, window_cells=p["window_cells"], skip_cells=skip
     )
-    target = math.degrees(math.acos(max(-1.0, min(1.0, -rho))))
+    target = math.degrees(math.acos(-rho))
     outputs = {
         "steps_coarse": "steps_coarse.csv",
         "steps_fine": "steps_fine.csv",

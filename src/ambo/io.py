@@ -17,6 +17,7 @@ their final name.  Formats are fixed:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -189,13 +190,22 @@ def summary_schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _summary_validator():
+    """A validator for the shipped schema, checked against its meta-schema once."""
+    schema = summary_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def write_summary(path, summary: dict) -> dict:
     """Validate the summary against the shipped schema and write it.
 
     Returns the sanitized document that was written (plain JSON types).
     """
     doc = jsonable(summary)
-    jsonschema.validate(doc, summary_schema())
+    _summary_validator().validate(doc)
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with atomic_write(path, "w") as out:
         out.write(text + "\n")
@@ -205,7 +215,7 @@ def write_summary(path, summary: dict) -> dict:
 def read_summary(path) -> dict:
     with open(path, "r", encoding="utf-8") as src:
         doc = json.load(src)
-    jsonschema.validate(doc, summary_schema())
+    _summary_validator().validate(doc)
     return doc
 
 

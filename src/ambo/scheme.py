@@ -48,7 +48,6 @@ __all__ = [
     "step",
     "run",
     "measure_contact_angle",
-    "best_fit_disk_mismatch",
     "periodic_components",
 ]
 
@@ -59,11 +58,10 @@ class SchemeError(ValueError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time step, volume target and stopping rules for a run."""
+    """Time step, volume constraint (keep the initial volume) and stopping rules."""
 
     h: float
     preserve_volume: bool = False
-    target_volume: float | None = None
     max_steps: int = 100
     stationarity_window: int = 3
 
@@ -74,8 +72,6 @@ class SchemeConfig:
             raise SchemeError("max_steps must be at least 1")
         if self.stationarity_window < 1:
             raise SchemeError("stationarity window must be at least 1")
-        if self.target_volume is not None and not self.target_volume > 0.0:
-            raise SchemeError("target volume must be positive")
 
 
 @dataclass(frozen=True)
@@ -194,9 +190,7 @@ def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeSta
     """Advance one thresholding step."""
     phi = comparison_field(state.u, op, state.ku)
     geometry = state.u.geometry
-    m = None
-    if config.preserve_volume:
-        m = config.target_volume or state.u.volume()
+    m = state.u.volume() if config.preserve_volume else None
     lam, cells = _select(phi, geometry, m)
     u_next = PhaseField.from_support(geometry, cells)
     if m is not None:
@@ -226,20 +220,9 @@ def run(
     failed numerically.
     """
     geometry = initial.geometry
-    grid = geometry.grid
-    kh = scale_kernel(kernel, grid, config.h)
+    kh = scale_kernel(kernel, geometry.grid, config.h)
     if not initial.is_binary():
         raise SchemeError("initial phase field must be binary")
-    if config.preserve_volume:
-        m = config.target_volume
-        if m is not None:
-            if not m < geometry.omega_volume:
-                raise SchemeError("target volume must be below the container's")
-            if abs(initial.volume() - m) > grid.cell_measure:
-                raise SchemeError(
-                    f"initial volume {initial.volume()} misses the target "
-                    f"{m} by more than one cell"
-                )
 
     def diag_row(s: SchemeState):
         return (s.step, s.energy, s.volume, s.interface_cells, s.lam, s.defect)
@@ -319,37 +302,6 @@ def periodic_components(mask: np.ndarray) -> tuple[int, np.ndarray]:
     nz = labels > 0
     out[nz] = [remap[find(int(v))] for v in labels[nz]]
     return len(roots), out
-
-
-def best_fit_disk_mismatch(u: PhaseField) -> tuple[float, np.ndarray, float]:
-    """Symmetric-difference fraction of u against its best-fit disk (d=2).
-
-    The centre is the torus-aware centroid (circular mean per axis), the
-    radius matches the volume.  Returns (fraction of area, centre, R).
-    """
-    grid = u.grid
-    if grid.d != 2:
-        raise SchemeError("best-fit disk is a 2-d measurement")
-    vals = u.values
-    total = vals.sum()
-    if total == 0.0:
-        raise SchemeError("empty phase has no best-fit disk")
-    center = np.empty(2)
-    for axis in range(2):
-        coords = grid.axis_coords()
-        weights = vals.sum(axis=1 - axis)
-        angles = 2.0 * math.pi * coords
-        mean_angle = math.atan2(
-            float((weights * np.sin(angles)).sum()),
-            float((weights * np.cos(angles)).sum()),
-        )
-        center[axis] = (mean_angle / (2.0 * math.pi)) % 1.0
-    area = total * grid.cell_measure
-    radius = math.sqrt(area / math.pi)
-    pts = np.stack(grid.meshgrid(), axis=-1)
-    disk = grid.torus_distance(pts, center) < radius
-    mismatch = float(np.logical_xor(vals > 0.5, disk).sum() * grid.cell_measure)
-    return mismatch / area, center, radius
 
 
 def measure_contact_angle(

@@ -367,20 +367,6 @@ class ModifiedTensions:
                 raise TensionError(f"{name} field shape does not match grid")
 
     @classmethod
-    def constant(cls, grid: TorusGrid, pv: float, sp: float, sv: float):
-        vals = (pv, sp, sv)
-        if min(vals) <= 0.0:
-            raise TensionError(f"tension constants must be positive, got {vals}")
-        return cls(
-            grid=grid,
-            pv=np.full(grid.shape, float(pv)),
-            sp=np.full(grid.shape, float(sp)),
-            sv=np.full(grid.shape, float(sv)),
-            lower=float(min(vals)),
-            upper=float(max(vals)),
-        )
-
-    @classmethod
     def from_fields(cls, grid: TorusGrid, pv, sp, sv, **extra):
         pv, sp, sv = (np.asarray(a, dtype=np.float64) for a in (pv, sp, sv))
         lo = float(min(pv.min(), sp.min(), sv.min()))

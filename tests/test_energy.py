@@ -28,13 +28,14 @@ from ambo.grid import TorusGrid
 from ambo.kernel import GaussianKernel, SampledKernel, scale_kernel
 from ambo.scheme import comparison_field
 from ambo.tensions import ModifiedTensions
+from helpers import constant_tensions
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
 @pytest.fixture(scope="module")
 def unit_tensions(grid256):
-    return ModifiedTensions.constant(grid256, 1.0, 1.0, 1.0)
+    return constant_tensions(grid256, 1.0, 1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -176,14 +177,14 @@ def test_empty_field_with_flat_substrate(band_geometry):
     # Only the substrate-vapor term survives; for a flat boundary it
     # converges to sv * (1/sqrt(pi)) * contact length (two lines here).
     grid = band_geometry.grid
-    t = ModifiedTensions.constant(grid, 1.0, 1.0, 1.3)
+    t = constant_tensions(grid, 1.0, 1.0, 1.3)
     kh = scale_kernel(GaussianKernel(), grid, 1e-3)
     op = RunOperator.build(band_geometry, t, kh)
     energy = approx_energy(PhaseField.zeros(band_geometry), op)
     target = 1.3 * 2.0 * INV_SQRT_PI
     assert abs(energy - target) / target < 1e-3
 
-    doubled = ModifiedTensions.constant(grid, 1.0, 1.0, 2.6)
+    doubled = constant_tensions(grid, 1.0, 1.0, 2.6)
     op = RunOperator.build(band_geometry, doubled, kh)
     assert approx_energy(PhaseField.zeros(band_geometry), op) == 2.0 * energy
 
@@ -231,7 +232,7 @@ def test_energy_is_linear_in_tensions(full_geometry, grid256, rng):
         approx_energy(
             u,
             RunOperator.build(
-                full_geometry, ModifiedTensions.constant(grid256, pv, 1.0, 1.0), kh
+                full_geometry, constant_tensions(grid256, pv, 1.0, 1.0), kh
             ),
         )
         for pv in (1.0, 2.0)
@@ -255,7 +256,7 @@ def test_energy_rejects_mismatched_grids(full_geometry, grid256, unit_tensions):
         RunOperator.build(full_geometry, unit_tensions, kh)
     small_geometry = build_geometry(make_shape("full"), small)
     op = RunOperator.build(
-        small_geometry, ModifiedTensions.constant(small, 1.0, 1.0, 1.0), kh
+        small_geometry, constant_tensions(small, 1.0, 1.0, 1.0), kh
     )
     with pytest.raises(EnergyError, match="grid"):
         approx_energy(PhaseField.zeros(full_geometry), op)
@@ -384,7 +385,7 @@ def test_suites_reject_empty_and_mixed_batches(full_geometry, disk_geometry, uni
 
 def test_suite_batches_match_single_field_calls(grid64):
     geometry = build_geometry(make_shape("full"), grid64)
-    tensions = ModifiedTensions.constant(grid64, 1.0, 1.0, 1.0)
+    tensions = constant_tensions(grid64, 1.0, 1.0, 1.0)
     fields = [
         PhaseField.random(geometry, np.random.default_rng(7), levels=4),
         ShapeSpec.disk((0.5, 0.5), 0.2).indicator(geometry),
@@ -541,7 +542,7 @@ def test_inequalities_on_random_fields(full_geometry, h):
 
 def test_study_guards_resolution_and_ordering(grid64, unit_tensions):
     geometry = build_geometry(make_shape("full"), grid64)
-    tensions = ModifiedTensions.constant(grid64, 1.0, 1.0, 1.0)
+    tensions = constant_tensions(grid64, 1.0, 1.0, 1.0)
     spec = ShapeSpec.disk((0.5, 0.5), 0.2)
     gamma = Isotropic(2, INV_SQRT_PI)
 

@@ -172,6 +172,21 @@ def test_delta_beyond_reach_rejected():
         )
 
 
+def test_band_reaching_the_medial_axis_names_delta():
+    """delta = 0.1 is below the reach 0.15 of a ball of radius 0.15, but at
+    n = 24 the band delta + 2 spacing reaches the ball's centre."""
+    with pytest.raises(
+        GeometryError,
+        match=r"normal band of width delta \+ 2 spacing = 0\.1833 "
+        r"\(delta=0\.1, reach 0\.15\)",
+    ):
+        build_geometry(
+            make_shape("disk", center=(0.5, 0.5, 0.5), radius=0.15),
+            TorusGrid(3, 24),
+            delta=0.1,
+        )
+
+
 def test_unknown_shape_kind_rejected():
     with pytest.raises(GeometryError):
         make_shape("pentagon", radius=0.2)

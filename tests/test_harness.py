@@ -39,7 +39,7 @@ SMALL = {
     "angle": (
         "angle",
         128,
-        {"experiment": {"max_steps": 20, "coarse_h": 4.0e-3, "fine_h": 1.0e-3}},
+        {"scheme": {"h": 1.0e-3, "max_steps": 20}, "experiment": {"coarse_h": 4.0e-3}},
     ),
 }
 
@@ -80,6 +80,22 @@ def test_experiment_runs_through_the_cli(kind, tmp_path, capsys):
     status, results = capsys.readouterr().out.split("\n", 1)
     assert status.startswith(f"{kind}: wrote ")
     assert json.loads(results) == summary["results"]
+
+
+def test_angle_runs_the_settings_it_echoes(tmp_path, capsys):
+    """--h is the fine stage's step and --max-steps caps both stages; the
+    echo shows the cap and the tensions that sigma_ratio fixed."""
+    out = tmp_path / "angle"
+    argv = ["--n", "128", "--h", "1e-3", "--max-steps", "2", "--sigma-ratio", "0.5"]
+    code = cli.main(["angle", *argv, "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    summary = io.read_summary(out / "summary.json")
+    params, stages = summary["parameters"], summary["results"]["stages"]
+    assert [stage["label"] for stage in stages] == ["coarse", "fine"]
+    assert stages[1]["h"] == params["scheme"]["h"] == 1e-3
+    assert all(stage["steps"] <= 2 for stage in stages)
+    assert params["initial"]["kind"] == "cap"
+    assert params["tensions"]["gamma_sp"] == "1.25"
 
 
 def test_same_config_reproduces_every_output_byte(tmp_path, capsys):

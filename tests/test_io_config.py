@@ -4,12 +4,14 @@ import dataclasses
 import json
 import math
 import textwrap
+from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
 from ambo import cli
+from ambo.anisotropy import Isotropic
 from ambo.config import (
     RunConfig,
     apply_overrides,
@@ -17,6 +19,7 @@ from ambo.config import (
     build_initial,
     build_raw_tensions,
     build_scheme_config,
+    build_tensions,
     config_from_mapping,
     initial_shape_spec,
     load_config,
@@ -34,6 +37,7 @@ from ambo.io import (
     write_pgm,
     write_summary,
 )
+from helpers import constant_tensions
 
 # ---------------------------------------------------------------------------
 # field binaries
@@ -216,7 +220,6 @@ def test_defaults(tmp_path):
     assert cfg.scheme == {
         "h": 1.0e-3,
         "preserve_volume": False,
-        "target_volume": None,
         "max_steps": 200,
         "stationarity_window": 3,
     }
@@ -332,9 +335,11 @@ def test_file_level_errors(tmp_path):
 def test_experiment_section_forms(tmp_path):
     cfg = load_config(_write_yaml(tmp_path, "experiment: angle\n"))
     assert cfg.experiment == "angle"
-    assert cfg.experiment_params["sigma_ratio"] == 0.0
-    assert cfg.experiment_params["coarse_h"] == 1.0e-3
-    assert cfg.experiment_params["max_steps"] == 400
+    assert cfg.experiment_params == {
+        "sigma_ratio": 0.0,
+        "coarse_h": 1.0e-3,
+        "window_cells": 12,
+    }
 
     cfg = load_config(
         _write_yaml(
@@ -384,7 +389,7 @@ def test_document_round_trip_and_hash_stability(tmp_path):
             grid: {d: 2, n: 128}
             geometry: {kind: band, lo: 0.25, hi: 0.95, axis: 1}
             tensions: {mode: direct, gamma_pv: "1", gamma_sp: "1.2", gamma_sv: "0.9"}
-            scheme: {h: 1.0e-3, preserve_volume: true, target_volume: 0.02}
+            scheme: {h: 1.0e-3, preserve_volume: true}
             initial: {kind: cap, angle: 100.0, radius: 0.12}
             experiment: {kind: run}
             seed: 11
@@ -395,6 +400,73 @@ def test_document_round_trip_and_hash_stability(tmp_path):
     again = config_from_mapping(doc)
     assert again == cfg
     assert config_hash(doc) == config_hash(again.document())
+
+
+def test_every_preset_loads_and_its_echo_round_trips():
+    presets = cli.list_presets()
+    assert len(presets) == 12
+    for name in presets:
+        with resources.as_file(resources.files("ambo") / "presets" / f"{name}.yaml") as path:
+            cfg = load_config(path)
+        assert config_from_mapping(cfg.document()) == cfg, name
+
+
+ANGLE = {
+    "grid": {"n": 64},
+    "geometry": {"kind": "band", "lo": 0.25, "hi": 0.95, "axis": 1},
+    "initial": {"kind": "cap", "angle": 90.0, "radius": 0.16},
+}
+
+
+def test_sigma_ratio_fixes_the_angle_tensions_and_volume_constraint():
+    cfg = config_from_mapping({**ANGLE, "experiment": {"kind": "angle", "sigma_ratio": 0.5}})
+    assert cfg.tensions == {
+        "mode": "direct",
+        "gamma_pv": "1",
+        "gamma_sp": "1.25",
+        "gamma_sv": "0.75",
+        "delta": None,
+    }
+    assert cfg.scheme["preserve_volume"] is True
+
+    rejected = {
+        "tensions": (
+            {"tensions": {"gamma_pv": "1", "gamma_sp": "1", "gamma_sv": "1"}},
+            r"section 'tensions' is set by key 'sigma_ratio'",
+        ),
+        "preserve_volume": (
+            {"scheme": {"preserve_volume": False}},
+            r"key 'preserve_volume' in section 'scheme' cannot be false",
+        ),
+        "sigma_ratio": (
+            {"experiment": {"kind": "angle", "sigma_ratio": 1.5}},
+            r"key 'sigma_ratio' in section 'experiment' must lie in \[-1, 1\]",
+        ),
+    }
+    for sections, message in rejected.values():
+        doc = {**ANGLE, "experiment": {"kind": "angle", "sigma_ratio": 0.5}, **sections}
+        with pytest.raises(ConfigError, match=message):
+            config_from_mapping(doc)
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.1, 0.3, 0.5, 1.0])
+def test_angle_tensions_equal_the_constant_fields(rho):
+    """The expressions sigma_ratio writes sample to exactly 1, 1 +- rho/2."""
+    cfg = config_from_mapping({**ANGLE, "experiment": {"kind": "angle", "sigma_ratio": rho}})
+    geometry = build_geometry_from(cfg)
+    t, audit = build_tensions(cfg, geometry, Isotropic(2, 1.0))
+    ref = constant_tensions(geometry.grid, 1.0, 1.0 + 0.5 * rho, 1.0 - 0.5 * rho)
+    for name in ("pv", "sp", "sv"):
+        assert np.array_equal(getattr(t, name), getattr(ref, name)), name
+    assert (t.lower, t.upper) == (ref.lower, ref.upper)
+    assert audit.ok
+
+
+def test_angle_needs_a_cap_on_a_band(tmp_path, capsys):
+    disk = tmp_path / "disk.yaml"
+    disk.write_text(json.dumps({**ANGLE, "initial": {"kind": "disk"}}))
+    assert cli.main(["angle", str(disk), "--out", str(tmp_path / "out")]) == 1
+    assert "needs a cap initial phase on a 2-d band" in capsys.readouterr().err
 
 
 def test_builders(tmp_path):

@@ -21,19 +21,19 @@ from ambo.scheme import (
     SchemeConfig,
     SchemeError,
     _select,
-    best_fit_disk_mismatch,
     comparison_field,
     measure_contact_angle,
     run,
 )
-from ambo.tensions import ModifiedTensions, RawTensions, extend_substrate
+from ambo.tensions import RawTensions, extend_substrate
+from helpers import best_fit_disk_mismatch, constant_tensions
 
 UNIT_KERNEL = GaussianKernel()
 
 
 @pytest.fixture(scope="module")
 def unit_tensions(grid256):
-    return ModifiedTensions.constant(grid256, 1.0, 1.0, 1.0)
+    return constant_tensions(grid256, 1.0, 1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +58,6 @@ def test_config_validation():
         SchemeConfig(h=1e-3, max_steps=0)
     with pytest.raises(SchemeError, match="window"):
         SchemeConfig(h=1e-3, stationarity_window=0)
-    with pytest.raises(SchemeError, match="volume"):
-        SchemeConfig(h=1e-3, preserve_volume=True, target_volume=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ def test_substrate_term_cancels_when_tensions_agree(small_band):
     )
 
     def field_for(substrate_tension):
-        t = ModifiedTensions.constant(grid, 1.0, substrate_tension, substrate_tension)
+        t = constant_tensions(grid, 1.0, substrate_tension, substrate_tension)
         return comparison_field(u, RunOperator.build(small_band, t, kh))
 
     assert np.array_equal(field_for(1.7), field_for(0.3))
@@ -138,7 +136,7 @@ def test_comparison_field_grid_mismatch(full_geometry, small_band):
     grid = small_band.grid
     op = RunOperator.build(
         small_band,
-        ModifiedTensions.constant(grid, 1.0, 1.0, 1.0),
+        constant_tensions(grid, 1.0, 1.0, 1.0),
         scale_kernel(UNIT_KERNEL, grid, 4e-3),
     )
     with pytest.raises(SchemeError, match="grid"):
@@ -222,7 +220,7 @@ def test_preserving_step_matches_sort_oracle(full_geometry, grid256, unit_tensio
     oracle = np.zeros(grid256.cell_count, dtype=bool)
     oracle[order] = True
 
-    cfg = SchemeConfig(h=1e-3, preserve_volume=True, target_volume=m, max_steps=1)
+    cfg = SchemeConfig(h=1e-3, preserve_volume=True, max_steps=1)
     traj = run(u, cfg, unit_tensions, UNIT_KERNEL)
     assert np.array_equal(traj.final.u.values > 0, oracle.reshape(grid256.shape))
 
@@ -234,7 +232,7 @@ def test_preserving_step_matches_sort_oracle(full_geometry, grid256, unit_tensio
 def test_preserved_disk_stays_a_disk(full_geometry, grid256, unit_tensions):
     u = ShapeSpec.disk((0.5, 0.5), 0.2).indicator(full_geometry)
     m = u.volume()
-    cfg = SchemeConfig(h=1e-3, preserve_volume=True, target_volume=m, max_steps=200)
+    cfg = SchemeConfig(h=1e-3, preserve_volume=True, max_steps=200)
     traj = run(u, cfg, unit_tensions, UNIT_KERNEL)
     for row in traj.diagnostics:
         assert abs(row[2] - m) <= grid256.cell_measure
@@ -292,7 +290,7 @@ def test_run_stops_on_a_two_cycle_only(period, full_geometry, unit_tensions, mon
 
 
 def test_empty_phase_persists_on_dewetting_substrate(small_band):
-    t = ModifiedTensions.constant(small_band.grid, 1.0, 2.0, 1.0)
+    t = constant_tensions(small_band.grid, 1.0, 2.0, 1.0)
     traj = run(
         PhaseField.zeros(small_band), SchemeConfig(h=1e-3, max_steps=8), t, UNIT_KERNEL
     )
@@ -307,7 +305,7 @@ def test_reflection_symmetry_is_preserved_exactly():
     grid = TorusGrid(2, 256)
     band = build_geometry(make_shape("band", lo=0.25, hi=0.95, axis=1), grid)
     cap = ShapeSpec.cap(100.0, 0.15, 0.25).indicator(band)
-    t = ModifiedTensions.constant(grid, 1.0, 1.2, 0.9)
+    t = constant_tensions(grid, 1.0, 1.2, 0.9)
     mirrored = (grid.n - np.arange(grid.n)) % grid.n
 
     symmetric, obstacle_free = [], []
@@ -323,21 +321,6 @@ def test_reflection_symmetry_is_preserved_exactly():
 
 
 def test_run_input_guards(full_geometry, unit_tensions, rng):
-    disk = ShapeSpec.disk((0.5, 0.5), 0.2).indicator(full_geometry)
-    with pytest.raises(SchemeError, match="below the container"):
-        run(
-            disk,
-            SchemeConfig(h=1e-3, preserve_volume=True, target_volume=2.0, max_steps=2),
-            unit_tensions,
-            UNIT_KERNEL,
-        )
-    with pytest.raises(SchemeError, match="misses the target"):
-        run(
-            disk,
-            SchemeConfig(h=1e-3, preserve_volume=True, target_volume=0.01, max_steps=2),
-            unit_tensions,
-            UNIT_KERNEL,
-        )
     with pytest.raises(SchemeError, match="binary"):
         run(
             PhaseField.random(full_geometry, rng, levels=4),
@@ -349,14 +332,7 @@ def test_run_input_guards(full_geometry, unit_tensions, rng):
 
 def test_trajectory_bookkeeping(full_geometry, unit_tensions):
     u = ShapeSpec.disk((0.5, 0.5), 0.2).indicator(full_geometry)
-    m = u.volume()
-    cfg = SchemeConfig(
-        h=1e-3,
-        preserve_volume=True,
-        target_volume=m,
-        max_steps=3,
-        stationarity_window=10,
-    )
+    cfg = SchemeConfig(h=1e-3, preserve_volume=True, max_steps=3, stationarity_window=10)
     states = []
     traj = run(u, cfg, unit_tensions, UNIT_KERNEL, on_state=states.append)
     assert len(states) == len(traj.diagnostics) == 4
@@ -388,7 +364,7 @@ def test_states_match_fresh_evaluation():
             SchemeConfig(
                 h=h, preserve_volume=True, max_steps=4, stationarity_window=10
             ),
-            ModifiedTensions.constant(grid, 1.0, 1.2, 0.9),
+            constant_tensions(grid, 1.0, 1.2, 0.9),
         ),
         (
             ShapeSpec.disk((0.5, 0.5), 0.2).indicator(disk),

@@ -7,6 +7,7 @@ from scipy.sparse.linalg import spsolve
 
 from ambo import tensions as tensions_module
 from ambo.anisotropy import Elliptic, Isotropic
+from ambo.config import build_geometry_from, build_tensions, config_from_mapping
 from ambo.errors import NumericalError
 from ambo.geometry import band_mask, boundary_layer_mask, build_geometry, make_shape
 from ambo.grid import TorusGrid
@@ -20,6 +21,7 @@ from ambo.tensions import (
     validate_raw_tensions,
     verify_triangle,
 )
+from helpers import constant_tensions
 
 DISK = make_shape("disk", center=(0.5, 0.5), radius=0.3)
 VARYING = RawTensions.from_values("1 + 0.2*x1", 2.0, 1.5)
@@ -331,7 +333,7 @@ def test_lipschitz_constant_stable_under_refinement():
 
 
 def test_triangle_report_on_constant_triple(grid64):
-    t = ModifiedTensions.constant(grid64, 1.0, 1.0, 1.0)
+    t = constant_tensions(grid64, 1.0, 1.0, 1.0)
     report = verify_triangle(t)
     assert report.ok
     assert all(slack == 1.0 for slack in report.worst_slack.values())
@@ -352,13 +354,14 @@ def test_zeroed_sv_is_flagged(disk_geometry):
 
 
 def test_modified_tensions_constructors(grid64):
+    zero_sp = config_from_mapping({"grid": {"n": 64}, "tensions": {"gamma_sp": "0"}})
     with pytest.raises(TensionError, match="positive"):
-        ModifiedTensions.constant(grid64, 1.0, 0.0, 1.0)
+        build_tensions(zero_sp, build_geometry_from(zero_sp), Isotropic(2, 1.0))
     with pytest.raises(TensionError, match="shape"):
         ModifiedTensions.from_fields(
             grid64, np.ones(grid64.shape), np.ones(grid64.shape), np.ones((4, 4))
         )
-    t = ModifiedTensions.constant(grid64, 2.0, 1.0, 1.5)
+    t = constant_tensions(grid64, 2.0, 1.0, 1.5)
     assert t.is_spatially_constant
     assert t.lower == 1.0 and t.upper == 2.0
 
