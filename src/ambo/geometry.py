@@ -213,7 +213,8 @@ class FullTorus(Shape):
     boundaryless = True
 
     def signed_distance(self, grid: TorusGrid) -> FloatArray:
-        return np.full(grid.shape, 1.0)
+        # Read-only and zero-stride: a constant holds no per-cell memory.
+        return np.broadcast_to(1.0, grid.shape)
 
     def reach(self) -> float:
         return np.inf
@@ -256,9 +257,12 @@ class Geometry:
     Attributes:
         omega_mask / substrate_mask: boolean masks, exact complements.
         signed_distance: d_s(.; dOmega), > 0 exactly where omega_mask.
-        normal_band: outer unit normal nu_S = -grad d_s / |grad d_s| on cells
-            within ``band_width`` of dOmega, NaN elsewhere; shape (d, n, ...).
+        band_width: half-width of the band on which ``normal_band`` is set.
         delta: strip width for the tension construction strips Omega_delta^+-.
+
+    ``signed_distance`` and ``normal_band`` may be read-only views (the
+    full torus holds both as zero-stride constants), so callers copy
+    before they write.
     """
 
     grid: TorusGrid
@@ -266,13 +270,32 @@ class Geometry:
     omega_mask: np.ndarray
     substrate_mask: np.ndarray
     signed_distance: FloatArray
-    normal_band: FloatArray
     band_width: float
     delta: float
 
     @property
     def has_substrate(self) -> bool:
         return not self.shape.boundaryless
+
+    @cached_property
+    def normal_band(self) -> FloatArray:
+        """Outer unit normal nu_S = -grad d_s / |grad d_s|, shape (d, n, ...).
+
+        Set on the cells within ``band_width`` of dOmega, NaN elsewhere
+        (everywhere on a boundaryless shape); read-only, computed on first
+        read and cached.  :func:`build_geometry` has checked that the
+        gradient does not vanish on the band.
+        """
+        shape = (self.grid.d,) + self.grid.shape
+        if not self.has_substrate:
+            return np.broadcast_to(np.nan, shape)
+        ds = self.signed_distance
+        grad, norm = _distance_gradient(ds, self.grid)
+        band = np.abs(ds) < self.band_width
+        normal = np.full(shape, np.nan)
+        normal[:, band] = -grad[:, band] / norm[band]
+        normal.flags.writeable = False
+        return normal
 
     @cached_property
     def omega_cells(self) -> np.ndarray:
@@ -330,26 +353,14 @@ def build_geometry(
         substrate = np.zeros_like(omega)
 
     band_width = delta + 2.0 * grid.spacing
-    normal = np.full((grid.d,) + grid.shape, np.nan)
     if not shape.boundaryless:
-        band = np.abs(ds) < band_width
-        grad = np.stack(
-            [
-                (np.roll(ds, -1, axis=ax) - np.roll(ds, 1, axis=ax)) / (2.0 * grid.spacing)
-                for ax in range(grid.d)
-            ]
-        )
-        norm = np.sqrt(np.sum(grad**2, axis=0))
-        bad = band & (norm < 1e-12)
-        if np.any(bad):
+        _, norm = _distance_gradient(ds, grid)
+        if np.any((np.abs(ds) < band_width) & (norm < 1e-12)):
             raise GeometryError(
                 "vanishing distance gradient inside the normal band of width "
                 f"delta + 2 spacing = {band_width:.4g} (delta={delta}, reach "
                 f"{shape.reach():.4g}); choose a smaller delta"
             )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            nu = -grad / norm
-        normal[:, band] = nu[:, band]
 
     return Geometry(
         grid=grid,
@@ -357,10 +368,20 @@ def build_geometry(
         omega_mask=omega,
         substrate_mask=substrate,
         signed_distance=ds,
-        normal_band=normal,
         band_width=band_width,
         delta=float(delta),
     )
+
+
+def _distance_gradient(ds: FloatArray, grid: TorusGrid) -> tuple[FloatArray, FloatArray]:
+    """Central-difference gradient of d_s, shape (d, n, ...), and its norm."""
+    grad = np.stack(
+        [
+            (np.roll(ds, -1, axis=ax) - np.roll(ds, 1, axis=ax)) / (2.0 * grid.spacing)
+            for ax in range(grid.d)
+        ]
+    )
+    return grad, np.sqrt(np.sum(grad**2, axis=0))
 
 
 def band_mask(geometry: Geometry, sign: int, delta: float | None = None) -> np.ndarray:

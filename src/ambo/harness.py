@@ -248,10 +248,17 @@ def _experiment_validate(ws: Workspace, out: Path) -> dict:
 
 def _experiment_run(ws: Workspace, out: Path) -> dict:
     config = ws.config
-    initial = build_initial(config, ws.geometry)
     scheme_config = build_scheme_config(config)
     writer, outputs = _snapshot_writer(out, config.snapshot_every, config.d)
-    traj = run_scheme(initial, scheme_config, ws.tensions, ws.kernel, on_state=writer)
+    # Passed without a name here, so the run can release the initial field
+    # once its first step replaces it.
+    traj = run_scheme(
+        build_initial(config, ws.geometry),
+        scheme_config,
+        ws.tensions,
+        ws.kernel,
+        on_state=writer,
+    )
     io.write_csv(out / "steps.csv", STEP_COLUMNS, traj.diagnostics)
     outputs["steps"] = "steps.csv"
     outputs.update(_dump_final(out, traj, config.d))

@@ -39,6 +39,7 @@ runs it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -278,9 +279,22 @@ class TriangularKernel(Kernel):
         return _radial_mass(self, d, self.radius)
 
 
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1] (read-only).
+
+    Solved once per process: ``leggauss`` runs an order x order
+    eigenproblem on every call.
+    """
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _radial_mass(kernel: Kernel, d: int, r_cut: float, order: int = 256) -> float:
     """Mass of a radially symmetric kernel by 1-d Gauss-Legendre in r."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     r = 0.5 * r_cut * (nodes + 1.0)
     w = 0.5 * r_cut * weights
     pts = np.zeros((order, d))

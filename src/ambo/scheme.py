@@ -192,6 +192,7 @@ def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeSta
     geometry = state.u.geometry
     m = state.u.volume() if config.preserve_volume else None
     lam, cells = _select(phi, geometry, m)
+    del phi  # released before the new phase is convolved
     u_next = PhaseField.from_support(geometry, cells)
     if m is not None:
         tol = geometry.grid.cell_measure  # one cell
@@ -229,6 +230,7 @@ def run(
 
     op = RunOperator.build(geometry, t, kh)
     state = _make_state(0, initial, math.nan, op)
+    del initial  # state 0 holds it only until the first step replaces it
     diagnostics = [diag_row(state)]
     if on_state is not None:
         on_state(state)

@@ -84,16 +84,21 @@ class RawTensions:
         )
 
     def sample(self, which: str, grid: TorusGrid) -> np.ndarray:
-        """Sample one expression at every cell centre."""
+        """Sample one expression at every cell centre.
+
+        An expression that reads no coordinate comes back as a read-only
+        zero-stride view of its value, which holds no per-cell memory; one
+        that reads a coordinate, as a full writable array.  Callers copy
+        before they write.
+        """
         expr = getattr(self, f"gamma_{which}")
         if expr.max_coordinate > grid.d:
             raise TensionError(
                 f"gamma_{which} uses x{expr.max_coordinate} on a {grid.d}-d grid"
             )
-        coords = tuple(grid.meshgrid())
-        return np.broadcast_to(
-            np.asarray(expr(coords), dtype=np.float64), grid.shape
-        ).copy()
+        if expr.max_coordinate == 0:
+            return np.broadcast_to(np.float64(expr(())), grid.shape)
+        return np.asarray(expr(tuple(grid.meshgrid())), dtype=np.float64)
 
 
 @dataclass
@@ -348,7 +353,12 @@ def extend_pv(
 
 @dataclass(frozen=True)
 class ModifiedTensions:
-    """The three torus-wide tension fields with their global bounds."""
+    """The three torus-wide tension fields with their global bounds.
+
+    A spatially constant field may be a read-only zero-stride view (as
+    :meth:`RawTensions.sample` returns it), so callers copy a field
+    before they write into it.
+    """
 
     grid: TorusGrid
     pv: np.ndarray
@@ -400,12 +410,20 @@ def verify_triangle(t: ModifiedTensions, tol: float = 0.0) -> TriangleReport:
     the worst slack and the number of violating cells per inequality.
     """
     combos = {
-        "pv<=sp+sv": t.sp + t.sv - t.pv,
-        "sp<=pv+sv": t.pv + t.sv - t.sp,
-        "sv<=pv+sp": t.pv + t.sp - t.sv,
+        "pv<=sp+sv": (t.sp, t.sv, t.pv),
+        "sp<=pv+sv": (t.pv, t.sv, t.sp),
+        "sv<=pv+sp": (t.pv, t.sp, t.sv),
     }
-    worst = {name: float(s.min()) for name, s in combos.items()}
-    viol = {name: int((s < -tol).sum()) for name, s in combos.items()}
+    worst, viol = {}, {}
+    for name, (a, b, c) in combos.items():
+        # One slack array at a time, reduced before the next is built;
+        # cells are counted only when the minimum says some violate.
+        slack = a + b - c
+        worst[name] = float(slack.min())
+        viol[name] = (
+            0 if worst[name] >= -tol else int(np.count_nonzero(slack < -tol))
+        )
+        del slack
     return TriangleReport(
         worst_slack=worst, violations=viol, total_cells=t.pv.size
     )

@@ -81,6 +81,48 @@ def test_full_torus_has_no_substrate(full_geometry):
     assert full_geometry.omega_mask.all()
 
 
+def test_full_torus_holds_no_per_cell_distance_or_normals(full_geometry):
+    grid = full_geometry.grid
+    ds, normals = full_geometry.signed_distance, full_geometry.normal_band
+    assert ds.shape == grid.shape and normals.shape == (grid.d,) + grid.shape
+    for field in (ds, normals):
+        assert not any(field.strides) and not field.flags.writeable
+    assert np.all(ds == 1.0) and np.all(np.isnan(normals))
+    with pytest.raises(ValueError):
+        ds[0, 0] = 0.0
+
+
+def _eager_normal_band(geo):
+    """Reference: the normals of the whole grid, restricted to the band."""
+    ds, grid = geo.signed_distance, geo.grid
+    band = np.abs(ds) < geo.band_width
+    grad = np.stack(
+        [
+            (np.roll(ds, -1, axis=ax) - np.roll(ds, 1, axis=ax)) / (2.0 * grid.spacing)
+            for ax in range(grid.d)
+        ]
+    )
+    norm = np.sqrt(np.sum(grad**2, axis=0))
+    normal = np.full((grid.d,) + grid.shape, np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nu = -grad / norm
+    normal[:, band] = nu[:, band]
+    return normal
+
+
+@pytest.mark.parametrize("kind", ["band", "disk"])
+def test_lazy_normal_band_equals_the_eager_computation(kind):
+    shape = {
+        "band": make_shape("band", lo=0.25, hi=0.95, axis=1),
+        "disk": make_shape("disk", center=(0.5, 0.5), radius=0.3),
+    }[kind]
+    geo = build_geometry(shape, TorusGrid(2, 128))
+    assert "normal_band" not in vars(geo)  # not computed until read
+    normals = geo.normal_band
+    assert geo.normal_band is normals and not normals.flags.writeable
+    assert normals.tobytes() == _eager_normal_band(geo).tobytes()
+
+
 def test_band_normal_points_down_on_lower_boundary(band_geometry):
     geo = band_geometry
     grid = geo.grid

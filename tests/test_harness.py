@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -66,7 +67,20 @@ def _run_small(kind, tmp_path, out_name="out", *extra):
     return code, out
 
 
-@pytest.mark.parametrize("kind", EXPERIMENTS)
+# sqrt(h) = 0.0316 is under 3 spacings at n = 64 in the small run, energy
+# and monotonic configurations; their ResolutionWarning is expected.
+UNDER_RESOLVED = pytest.mark.filterwarnings("ignore::ambo.errors.ResolutionWarning")
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        pytest.param(kind, marks=UNDER_RESOLVED)
+        if kind in ("run", "energy", "monotonic")
+        else kind
+        for kind in EXPERIMENTS
+    ],
+)
 def test_experiment_runs_through_the_cli(kind, tmp_path, capsys):
     code, out = _run_small(kind, tmp_path)
     assert code == 0, capsys.readouterr().err
@@ -98,6 +112,7 @@ def test_angle_runs_the_settings_it_echoes(tmp_path, capsys):
     assert params["tensions"]["gamma_sp"] == "1.25"
 
 
+@UNDER_RESOLVED
 def test_same_config_reproduces_every_output_byte(tmp_path, capsys):
     dirs = []
     for name in ("first", "second"):
@@ -225,6 +240,28 @@ def test_three_dimensional_ball_through_the_cli(preserve, tmp_path, capsys):
     else:
         assert np.all(np.diff(energy) <= 1e-8 * energy[0])
         assert results["stationary"] and results["final_volume"] == 0.0
+
+
+# Traced peak of the run below, in full-grid float64 arrays: 9.07 measured
+# with numpy 2.4.6 and scipy 1.17.1.  Holding one more array through a step
+# (phi, or the initial field) reads 10.12.
+FULL_GRID_ARRAYS_AT_PEAK = 10.0
+
+
+def test_three_dimensional_run_holds_few_full_grid_arrays(tmp_path):
+    """A 3-d full-torus ball run at n = 32 allocates at most ten full-grid
+    arrays at once, counted by tracemalloc (numpy reports its buffers)."""
+    config = load_config(
+        _ball_config(tmp_path, 32, False, 30), {"output.dir": str(tmp_path / "out")}
+    )
+    tracemalloc.start()
+    try:
+        results = run_experiment(config)["results"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert results["stationary"] and results["steps"] > 3
+    assert peak <= FULL_GRID_ARRAYS_AT_PEAK * 32**3 * 8
 
 
 @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5])

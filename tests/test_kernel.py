@@ -63,6 +63,26 @@ def test_three_dimensional_gaussian_validates():
     assert validate_kernel(GaussianKernel(), 3).admissible
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_cached_quadrature_rule_gives_the_same_mass_bits(d):
+    """The rule is solved once per process and shared read-only; every
+    mass equals the one from a freshly solved rule, bit for bit."""
+    rule = kernel_module._gauss_legendre(256)
+    assert kernel_module._gauss_legendre(256) is rule
+    assert not any(a.flags.writeable for a in rule)
+    nodes, weights = np.polynomial.legendre.leggauss(256)
+    gauss, tent = GaussianKernel(), TriangularKernel(radius=0.8)
+    for kernel, r_cut in ((gauss, gauss.suggested_cutoff(d)), (tent, tent.radius)):
+        r = 0.5 * r_cut * (nodes + 1.0)
+        pts = np.zeros((256, d))
+        pts[:, 0] = r
+        surface = d * kernel_module._BALL_VOLUME[d]
+        fresh = float(
+            surface * np.sum(0.5 * r_cut * weights * r ** (d - 1) * kernel.evaluate(pts))
+        )
+        assert kernel.mass_quadrature(d) == fresh
+
+
 # --- scaling ----------------------------------------------------------------
 
 def test_scaled_mass_is_one_across_h():

@@ -1,5 +1,7 @@
 """Tension extensions: Dirichlet solver, maximum principle, assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -328,8 +330,78 @@ def test_lipschitz_constant_stable_under_refinement():
         assert fine <= 1.25 * coarse
 
 
+def test_extend_mode_does_not_depend_on_how_constants_are_sampled(
+    disk_geometry, monkeypatch
+):
+    """Constant raw data sampled as zero-stride views build the same
+    fields, bit for bit, as the same data sampled as full arrays."""
+    gamma = Elliptic(2, matrix=((1.3, 0.2), (0.2, 0.7)))
+    lean = extend_substrate(VARYING, disk_geometry, gamma)
+    sample = RawTensions.sample
+    monkeypatch.setattr(
+        RawTensions, "sample", lambda self, which, grid: np.array(sample(self, which, grid))
+    )
+    full = extend_substrate(VARYING, disk_geometry, gamma)
+    for name in ("pv", "sp", "sv"):
+        field = getattr(lean, name)
+        assert field.flags.writeable and all(field.strides)
+        assert field.tobytes() == getattr(full, name).tobytes()
+    for name in ("lower", "upper", "delta_used", "halvings", "strict_slack"):
+        assert getattr(lean, name) == getattr(full, name)
+
+
 # ---------------------------------------------------------------------------
-# validation and reports
+# sampling, validation and reports
+
+
+@pytest.mark.parametrize("which, value", [("sp", 2.0), ("sv", 1.5)])
+def test_constant_expression_samples_to_a_read_only_view(grid64, which, value):
+    field = VARYING.sample(which, grid64)
+    assert field.shape == grid64.shape and not any(field.strides)
+    assert not field.flags.writeable and np.all(field == value)
+    with pytest.raises(ValueError):
+        field[0, 0] = 0.0
+
+
+def test_coordinate_expression_samples_to_a_writable_array(grid64):
+    field = VARYING.sample("pv", grid64)
+    x1, _ = grid64.meshgrid()
+    assert field.flags.writeable and field.flags.c_contiguous
+    assert np.array_equal(field, 1.0 + 0.2 * x1)
+    field[0, 0] = 0.0  # the caller's own array
+
+
+def test_triangle_report_reduces_each_slack_as_the_full_arrays_did(grid64, rng):
+    pv, sp, sv = (rng.uniform(0.5, 2.0, grid64.shape) for _ in range(3))
+    t = ModifiedTensions.from_fields(grid64, pv, sp, sv)
+    slacks = {
+        "pv<=sp+sv": sp + sv - pv,
+        "sp<=pv+sv": pv + sv - sp,
+        "sv<=pv+sp": pv + sp - sv,
+    }
+    for tol in (0.0, 0.5, 10.0):
+        report = verify_triangle(t, tol=tol)
+        assert report.worst_slack == {k: float(s.min()) for k, s in slacks.items()}
+        assert report.violations == {
+            k: int((s < -tol).sum()) for k, s in slacks.items()
+        }
+    assert 0 < sum(verify_triangle(t).violations.values())
+    assert verify_triangle(t, tol=10.0).ok
+
+
+def test_triangle_audit_holds_one_slack_array_at_a_time(grid256):
+    t = ModifiedTensions.from_fields(
+        grid256, *(CONSTANT.sample(which, grid256) for which in ("pv", "sp", "sv"))
+    )
+    tracemalloc.start()
+    try:
+        report = verify_triangle(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    # 1.00 measured, in full-grid float64 arrays; three at once would be 3.
+    assert peak <= 1.5 * grid256.cell_count * 8
 
 
 def test_triangle_report_on_constant_triple(grid64):
