@@ -103,7 +103,10 @@ class PhaseField:
                 f"phase values must lie in [0,1]; got range "
                 f"[{vals.min()}, {vals.max()}]"
             )
-        if np.any(vals[~self.geometry.omega_mask] != 0.0):
+        # The substrate mask is the container mask's exact complement, and
+        # empty without a substrate.
+        geometry = self.geometry
+        if geometry.has_substrate and np.any(vals[geometry.substrate_mask] != 0.0):
             raise EnergyError("phase field must vanish outside the container")
         object.__setattr__(self, "values", vals)
 
@@ -827,4 +830,6 @@ def indicator_defect(w: np.ndarray, geometry: Geometry) -> float:
     """The two-phase defect integral of a convolved field on the container."""
     if geometry.has_substrate:
         w = w[geometry.omega_mask]
-    return float((w * (1.0 - w)).sum() * geometry.grid.cell_measure)
+    d = 1.0 - w
+    d *= w  # w (1 - w) in one temporary: the product commutes exactly
+    return float(d.sum() * geometry.grid.cell_measure)

@@ -17,15 +17,21 @@ the container, optionally under an exact volume constraint:
 Everything fixed for a run lives in one :class:`~ambo.energy.RunOperator`
 and every state carries K_h*u, so with constant g_pv a step costs one
 convolution: that of the new phase, which serves both its diagnostics
-and the next comparison field.
+and the next comparison field.  From state 1 on, a step that keeps the
+phase costs no convolution: it returns its input state with the new
+step index and lambda.
 
 The run driver detects exact stationarity over a window, flags 2-cycles
 (both states are kept), and — without the volume constraint — asserts
-that the energy never increases beyond a small relative slack.
+that the energy never increases beyond a small relative slack.  A step
+is a pure function of u and K_h*u, so once one step has kept the phase
+the remaining window steps are copies of its state with the step index
+advanced; the scheme is not run for them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -93,7 +99,9 @@ class Trajectory:
     """Per-step diagnostics plus the final state of a run.
 
     ``diagnostics`` covers every step, one
-    (step, energy, volume, interface cells, lambda, defect) row each;
+    (step, energy, volume, interface cells, lambda, defect) row each,
+    the window steps that confirm stationarity included (they are
+    copies of the state that first kept the phase);
     ``cycle_states`` holds both states of a 2-cycle.
     """
 
@@ -126,12 +134,15 @@ def comparison_field(
     if ku is None:
         ku = op.kh.convolve(u.values)
     phi = op.k_omega - ku
-    if op.pv_constant is not None:
-        phi *= op.pv_constant
-        phi -= op.pv_constant * ku
-    else:
+    pv = op.pv_constant
+    if pv is None:
         phi *= op.tensions.pv
         phi -= op.kh.convolve(op.tensions.pv * u.values)
+    elif pv == 1.0:
+        phi -= ku  # x * 1.0 == x exactly, so both products are skipped
+    else:
+        phi *= pv
+        phi -= pv * ku
     if op.wetting is not None:
         phi += op.wetting
     return phi
@@ -147,7 +158,10 @@ def _select(
     ceil(m / cell) container cells of smallest phi, ties to the lowest
     index, as the first k of a stable sort."""
     if m is None:
-        return 0.0, np.flatnonzero((phi < 0.0) & geometry.omega_mask)
+        negative = phi < 0.0
+        if geometry.has_substrate:
+            negative &= geometry.omega_mask
+        return 0.0, np.flatnonzero(negative)
     # ceil with a relative guard so that m = k * cell_measure (computed in
     # floating point) maps to k, not k+1.
     ratio = m / geometry.grid.cell_measure
@@ -171,7 +185,10 @@ def _select(
     return float(values[ties[-1]]), geometry.omega_cells[chosen]
 
 
-def _make_state(k: int, u: PhaseField, lam: float, op: RunOperator) -> SchemeState:
+def _make_state(
+    k: int, u: PhaseField, lam: float, op: RunOperator, volume: float | None = None
+) -> SchemeState:
+    """The state of phase u: K_h*u and its diagnostics (``volume`` if known)."""
     ku = op.kh.convolve(u.values)
     ku.flags.writeable = False
     return SchemeState(
@@ -180,27 +197,38 @@ def _make_state(k: int, u: PhaseField, lam: float, op: RunOperator) -> SchemeSta
         lam=lam,
         ku=ku,
         energy=approx_energy(u, op, ku),
-        volume=u.volume(),
+        volume=u.volume() if volume is None else volume,
         interface_cells=u.interface_cell_count(),
         defect=indicator_defect(ku, u.geometry),
     )
 
 
 def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeState:
-    """Advance one thresholding step."""
+    """Advance one thresholding step.
+
+    A step that keeps the phase of a state from step 1 on returns that
+    state with the new step index and lambda: its field was built by
+    :meth:`PhaseField.from_support`, so u, K_h*u and every diagnostic are
+    already the bits a rebuild would give, and no convolution runs.
+    State 0 is excluded: it may hold a user field (zero cells stored as
+    -0.0, say) whose bits, and so whose convolution, may differ from
+    those of the rebuilt field.
+    """
     phi = comparison_field(state.u, op, state.ku)
     geometry = state.u.geometry
-    m = state.u.volume() if config.preserve_volume else None
+    m = state.volume if config.preserve_volume else None
     lam, cells = _select(phi, geometry, m)
     del phi  # released before the new phase is convolved
+    if state.step >= 1 and np.array_equal(cells, state.u.support):
+        return dataclasses.replace(state, step=state.step + 1, lam=lam)
     u_next = PhaseField.from_support(geometry, cells)
+    # The field is binary, so its sum is exactly the cell count.
+    volume = cells.size * geometry.grid.cell_measure
     if m is not None:
         tol = geometry.grid.cell_measure  # one cell
-        if abs(u_next.volume() - m) > tol:
-            raise NumericalError(
-                f"volume drifted: |{u_next.volume()} - {m}| > {tol}"
-            )
-    return _make_state(state.step + 1, u_next, lam, op)
+        if abs(volume - m) > tol:
+            raise NumericalError(f"volume drifted: |{volume} - {m}| > {tol}")
+    return _make_state(state.step + 1, u_next, lam, op, volume)
 
 
 def run(
@@ -219,6 +247,12 @@ def run(
     energy must be non-increasing up to ``1e-8 * E(u0)`` slack —
     violation raises, since it would mean the linearisation argument
     failed numerically.
+
+    From state 1 on, a step that keeps the phase costs no convolution,
+    and each further step of the stationarity window is emitted as a
+    copy of its state with the step index advanced, without calling
+    :func:`step`: it would see the same u and K_h*u and return the same
+    state.  The bytes are those of a full recompute.
     """
     geometry = initial.geometry
     kh = scale_kernel(kernel, geometry.grid, config.h)
@@ -239,7 +273,13 @@ def run(
     prev_support = None
     streak = 0
     for _ in range(config.max_steps):
-        new_state = step(state, config, op)
+        if streak and state.step >= 2:
+            # The last step kept the phase of a state from step 1 on, so
+            # ``step`` returned that state; this one would see the same
+            # inputs and return it again.
+            new_state = dataclasses.replace(state, step=state.step + 1)
+        else:
+            new_state = step(state, config, op)
         diagnostics.append(diag_row(new_state))
         if on_state is not None:
             on_state(new_state)

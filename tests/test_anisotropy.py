@@ -11,9 +11,9 @@ from ambo.anisotropy import (
     Elliptic,
     Isotropic,
     induced_anisotropy,
-    induced_gamma,
 )
 from ambo.kernel import EllipticGaussianKernel, GaussianKernel, TriangularKernel
+from helpers import induced_gamma
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 

@@ -157,6 +157,12 @@ def test_phase_field_rejects_bad_values(disk_geometry, grid256):
     outside = np.where(disk_geometry.omega_mask, 0.0, 0.5)
     with pytest.raises(EnergyError, match="outside"):
         PhaseField(disk_geometry, outside)
+    # One substrate cell is enough, with the same message.
+    one_cell = np.zeros(grid256.shape)
+    one_cell.flat[np.flatnonzero(disk_geometry.substrate_mask)[-1]] = 1.0
+    with pytest.raises(EnergyError) as rejected:
+        PhaseField(disk_geometry, one_cell)
+    assert str(rejected.value) == "phase field must vanish outside the container"
     with pytest.raises(EnergyError):
         PhaseField(disk_geometry, np.zeros((4, 4)))
     with pytest.raises(EnergyError, match="levels"):

@@ -16,7 +16,7 @@ from ambo.energy import (
 )
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid
-from ambo.kernel import GaussianKernel, scale_kernel
+from ambo.kernel import GaussianKernel, SampledKernel, scale_kernel
 from ambo.scheme import (
     SchemeConfig,
     SchemeError,
@@ -143,12 +143,35 @@ def test_comparison_field_grid_mismatch(full_geometry, small_band):
         comparison_field(PhaseField.zeros(full_geometry), op)
 
 
+@pytest.mark.parametrize("kind", ["band", "full"])
+@pytest.mark.parametrize("pv", [1.0, 1.3])
+def test_constant_pv_field_equals_both_products_bit_for_bit(kind, pv):
+    """With g_pv == 1 the two multiplications by 1 are skipped: x * 1.0 ==
+    x exactly, so the bytes equal the full formula; other constants take
+    both products."""
+    grid = TorusGrid(2, 128)
+    shape = make_shape("full") if kind == "full" else make_shape("band", lo=0.25, hi=0.95)
+    geometry = build_geometry(shape, grid)
+    op = RunOperator.build(
+        geometry, constant_tensions(grid, pv, 1.2, 0.9), scale_kernel(UNIT_KERNEL, grid, 1e-3)
+    )
+    assert op.pv_constant == pv
+    u = PhaseField.from_mask(geometry, _radial(grid, (0.5, 0.3)) < 0.2)
+    ku = op.kh.convolve(u.values)
+    expected = (op.k_omega - ku) * pv - pv * ku
+    if op.wetting is not None:
+        expected += op.wetting
+    assert comparison_field(u, op, ku).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # thresholding
 
 
 def test_select_without_target_is_the_negative_container_set(band_geometry, rng):
-    """Unconstrained selection: lambda 0 and the container cells with phi < 0."""
+    """Unconstrained selection: lambda 0 and the container cells with phi < 0.
+
+    The full tori take the path that does not AND with the all-true mask."""
     geometries = [band_geometry, build_geometry(make_shape("full"), TorusGrid(2, 64))]
     for shape in ("band", "full"):
         params = {"lo": 0.25, "hi": 0.95, "axis": 1} if shape == "band" else {}
@@ -384,6 +407,86 @@ def test_states_match_fresh_evaluation():
             assert state.defect == indicator_defect(ku, initial.geometry)
 
 
+def _repeat_cases():
+    """A volume-preserving cap that goes stationary, a 3-d ball that
+    vanishes and a half-space that is stationary from the start:
+    (initial field, config, tensions)."""
+    grid = TorusGrid(2, 128)
+    band = build_geometry(make_shape("band", lo=0.25, hi=0.95, axis=1), grid)
+    _, x2 = grid.meshgrid()
+    grid3 = TorusGrid(3, 32)
+    ball = PhaseField.from_mask(
+        build_geometry(make_shape("full"), grid3), _radial(grid3, (0.5, 0.5, 0.5)) < 0.25
+    )
+    return [
+        (
+            ShapeSpec.cap(100.0, 0.15, 0.25).indicator(band),
+            SchemeConfig(h=1e-3, preserve_volume=True, max_steps=40),
+            constant_tensions(grid, 1.0, 1.2, 0.9),
+        ),
+        (ball, SchemeConfig(h=9e-3, max_steps=40), constant_tensions(grid3, 1.0, 1.0, 1.0)),
+        (
+            PhaseField.from_mask(
+                build_geometry(make_shape("full"), grid), (x2 >= 0.25) & (x2 < 0.75)
+            ),
+            SchemeConfig(h=1e-3, max_steps=40),
+            constant_tensions(grid, 1.0, 1.0, 1.0),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["band_cap", "ball3d", "half_space"])
+def test_repeat_steps_equal_a_full_recompute(case, monkeypatch):
+    """A run whose repeat steps cost nothing gives the bits of a loop that
+    rebuilds the field and convolves it at every step, and its stationary
+    tail makes no convolution."""
+    initial, cfg, t = _repeat_cases()[case]
+    geometry = initial.geometry
+    calls, stepped = [], []
+    convolve, step = SampledKernel.convolve, scheme.step
+    monkeypatch.setattr(
+        SampledKernel, "convolve", lambda kh, f: calls.append(None) or convolve(kh, f)
+    )
+    monkeypatch.setattr(scheme, "step", lambda s, *a: stepped.append(s.step) or step(s, *a))
+    convolutions = []  # convolutions made by the time each state is emitted
+    traj = run(initial, cfg, t, UNIT_KERNEL, on_state=lambda s: convolutions.append(len(calls)))
+    monkeypatch.undo()
+    assert traj.stationary
+    assert (traj.final.volume == 0.0) == (case == 1)  # the ball vanishes
+    steps = len(traj.diagnostics) - 1
+
+    op = RunOperator.build(geometry, t, scale_kernel(UNIT_KERNEL, geometry.grid, cfg.h))
+    state = scheme._make_state(0, initial, math.nan, op)
+    states = [state]
+    for k in range(1, steps + 1):
+        phi = comparison_field(state.u, op, state.ku)
+        m = state.u.volume() if cfg.preserve_volume else None
+        lam, cells = _select(phi, geometry, m)
+        state = scheme._make_state(k, PhaseField.from_support(geometry, cells), lam, op)
+        states.append(state)
+    rows = [
+        (s.step, s.energy, s.volume, s.interface_cells, s.lam, s.defect) for s in states
+    ]
+    supports = [s.u.support for s in states]
+    assert np.asarray(traj.diagnostics).tobytes() == np.asarray(rows).tobytes()
+    assert traj.final.u.values.tobytes() == state.u.values.tobytes()
+    assert traj.final.ku.tobytes() == state.ku.tobytes()
+
+    # Constant g_pv: a step convolves the new phase once, unless it keeps
+    # the phase of a state from step 1 on; the half-space keeps its phase
+    # from state 0, and step 1 still rebuilds and convolves it.
+    kept = [np.array_equal(supports[k], supports[k - 1]) for k in range(1, steps + 1)]
+    assert kept[-cfg.stationarity_window:] == [True] * cfg.stationarity_window
+    assert kept[0] == (case == 2)
+    for k in range(1, steps + 1):
+        expected = 0 if k >= 2 and kept[k - 1] else 1
+        assert convolutions[k] - convolutions[k - 1] == expected, k
+    # After such a step the run copies the state instead of stepping.
+    copies = [k for k in range(3, steps + 1) if kept[k - 2]]
+    assert stepped == [k - 1 for k in range(1, steps + 1) if k not in copies]
+    assert len(copies) == cfg.stationarity_window - 1 - (case == 2)
+
+
 # ---------------------------------------------------------------------------
 # measurements
 
@@ -402,6 +505,56 @@ def test_best_fit_disk_measurement(full_geometry):
 
     with pytest.raises(SchemeError, match="empty"):
         best_fit_disk_mismatch(PhaseField.zeros(full_geometry))
+
+
+def _roll_flood_labels(mask):
+    """Component labels by flood fill over periodic neighbours: every cell
+    takes the largest label among itself and its np.roll neighbours until
+    nothing changes; 0 off the mask."""
+    labels = np.where(mask, np.arange(1, mask.size + 1).reshape(mask.shape), 0)
+    while True:
+        spread = labels.copy()
+        for axis in range(mask.ndim):
+            for shift in (1, -1):
+                np.maximum(spread, np.roll(labels, shift, axis=axis), out=spread)
+        spread[~mask] = 0
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
+
+
+def _box(shape, *ranges):
+    """Boolean mask of a box given per axis as index ranges that may wrap."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[np.ix_(*[np.arange(lo, hi) % n for (lo, hi), n in zip(ranges, shape)])] = True
+    return mask
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        # one seam: a box across the x1 seam, plus a separate interior box
+        _box((16, 16), (-3, 2), (5, 9)) | _box((16, 16), (6, 9), (6, 9)),
+        # both seams: a box across the corner is one component, and a
+        # strip across the x2 seam beside it is another
+        _box((16, 16), (-2, 3), (-2, 3)) | _box((16, 16), (6, 8), (-4, 4)),
+        # a 3-d box across the x3 seam, a ring around x1, and a lone cell
+        _box((10, 10, 10), (2, 5), (2, 5), (-2, 2))
+        | _box((10, 10, 10), (0, 10), (7, 8), (5, 6))
+        | _box((10, 10, 10), (6, 7), (2, 3), (5, 6)),
+        np.zeros((8, 8), dtype=bool),
+    ],
+    ids=["one_seam", "both_seams", "3d_seam", "empty"],
+)
+def test_periodic_components_match_a_roll_flood_fill(mask):
+    count, labels = scheme.periodic_components(mask)
+    oracle = _roll_flood_labels(mask)
+    assert np.array_equal(labels > 0, mask)
+    assert count == np.unique(oracle[mask]).size
+    assert set(np.unique(labels[mask]).tolist()) == set(range(1, count + 1))
+    # The same partition: each label pairs with exactly one oracle label.
+    pairs = set(zip(labels[mask].tolist(), oracle[mask].tolist()))
+    assert len(pairs) == count
 
 
 @pytest.mark.parametrize(
