@@ -87,7 +87,6 @@ _GEOMETRY_KINDS = {
     "disk": {"center", "radius"},
     "ellipse": {"center", "a", "b"},
     "band": {"lo", "hi", "axis"},
-    "rounded_polygon": {"vertices", "rho"},
     "full": set(),
 }
 _KERNEL_KINDS = {
@@ -477,7 +476,7 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
 # Builders
 # ---------------------------------------------------------------------------
 
-_SCALAR_SHAPE_KEYS = {"radius", "lo", "hi", "a", "b", "rho"}
+_SCALAR_SHAPE_KEYS = {"radius", "lo", "hi", "a", "b"}
 
 
 def build_geometry_from(config: RunConfig) -> Geometry:

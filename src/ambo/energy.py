@@ -55,7 +55,7 @@ from .kernel import (
     SampledKernel,
     TriangularKernel,
     _irfftn,
-    _kernel_values,
+    _kernel_samples,
     _rfftn,
     scale_kernel,
     scale_kernel_gradient,
@@ -124,7 +124,14 @@ class PhaseField:
             raise EnergyError("support cells must be strictly increasing cell indices")
         values = np.zeros(geometry.grid.shape)
         values.reshape(-1)[cells] = 1.0
-        u = cls(geometry, values)
+        # The values are 0 and 1 by construction, so only the cells are
+        # checked against the container, not the grid (``__post_init__``).
+        omega = geometry.omega_mask.reshape(-1)
+        if geometry.has_substrate and not omega.take(cells).all():
+            raise EnergyError("phase field must vanish outside the container")
+        u = object.__new__(cls)
+        object.__setattr__(u, "geometry", geometry)
+        object.__setattr__(u, "values", values)
         u.__dict__["support"] = _read_only(cells)
         return u
 
@@ -782,7 +789,7 @@ def inequality_suite(fields, kernel: Kernel, h_values) -> list[list[InequalityRe
     kernels = [scale_kernel(kernel, grid, h) for h in h_values]
     weights = []
     for h, kh in zip(h_values, kernels):
-        weights += [kh.values, _kernel_values(_TENT, grid, 4.0 * h)]
+        weights += [kh.values, _kernel_samples(_TENT, grid, 4.0 * h)[0]]
     shift_sums = shift_weighted_sum(fields, weights)
 
     reports = []

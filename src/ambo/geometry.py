@@ -2,10 +2,9 @@
 
 The container Omega is an open set compactly contained in the torus; the
 substrate is its complement, S = T^d \\ closure(Omega).  Shapes are specified
-analytically (disk, ellipse, axis band, convex polygon with rounded corners)
-and the signed distance d_s(.; dOmega) is evaluated from the analytic
-descriptor -- never reconstructed from the rasterized mask.  Convention:
-d_s > 0 inside Omega.
+analytically (disk, ellipse, axis band, the full torus) and the signed
+distance d_s(.; dOmega) is evaluated from the analytic descriptor -- never
+reconstructed from the rasterized mask.  Convention: d_s > 0 inside Omega.
 
 On the grid, cells partition between the two phases by the sign of d_s at
 the cell center: ``omega_mask + substrate_mask == 1`` cellwise.  Several
@@ -146,67 +145,6 @@ class Band(Shape):
 
 
 @dataclass(frozen=True)
-class RoundedPolygon(Shape):
-    """Convex polygon with corners rounded at radius rho (d=2).
-
-    The region is the Minkowski sum of the rho-inset polygon with a ball of
-    radius rho, so the signed distance is (signed distance to the inset
-    polygon) + rho, exact for convex polygons.  The boundary is C^{1,1}
-    (curvature jumps where arcs meet edges); this is the documented smoothing
-    compromise for polygonal containers.
-    """
-
-    vertices: tuple[tuple[float, float], ...]
-    rho: float
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
-            raise GeometryError("polygon needs at least 3 vertices")
-        v = np.asarray(self.vertices, dtype=float)
-        e = np.roll(v, -1, axis=0) - v
-        cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-        if not (np.all(cross > 0) or np.all(cross < 0)):
-            raise GeometryError("rounded polygon must be convex")
-
-    def _inset_vertices(self) -> FloatArray:
-        v = np.asarray(self.vertices, dtype=float)
-        e = np.roll(v, -1, axis=0) - v
-        cross_sign = np.sign(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])
-        # inward unit normal of each edge
-        normals = np.stack([-e[:, 1], e[:, 0]], axis=-1) * cross_sign
-        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
-        # intersect consecutive inset edge lines
-        lines_p = v + self.rho * normals  # a point on each inset line
-        inset = []
-        m = len(v)
-        for i in range(m):
-            j = (i - 1) % m
-            # solve p_i + t e_i = p_j + s e_j for the new vertex i
-            A = np.array([[e[i, 0], -e[j, 0]], [e[i, 1], -e[j, 1]]])
-            rhs = lines_p[j] - lines_p[i]
-            t, _ = np.linalg.solve(A, rhs)
-            inset.append(lines_p[i] + t * e[i])
-        out = np.asarray(inset)
-        if _polygon_signed_distance(out, out.mean(axis=0)[None, :])[0] <= 0:
-            raise GeometryError(f"corner radius {self.rho} collapses the polygon inset")
-        return out
-
-    def signed_distance(self, grid: TorusGrid) -> FloatArray:
-        if grid.d != 2:
-            raise GeometryError("rounded polygon is 2-d only")
-        pts = np.stack(grid.meshgrid(), axis=-1).reshape(-1, 2)
-        d_inset = _polygon_signed_distance(self._inset_vertices(), pts)
-        return (d_inset + self.rho).reshape(grid.shape)
-
-    def reach(self) -> float:
-        return self.rho
-
-    def seam_distance(self) -> float:
-        v = np.asarray(self.vertices, dtype=float)
-        return float(min(np.min(v % 1.0), np.min(1.0 - v % 1.0)))
-
-
-@dataclass(frozen=True)
 class FullTorus(Shape):
     """Omega = T^d, S empty.  Testing variant for substrate-free energies."""
 
@@ -221,29 +159,6 @@ class FullTorus(Shape):
 
     def seam_distance(self) -> float:
         return np.inf
-
-
-def _polygon_signed_distance(verts: FloatArray, pts: FloatArray) -> FloatArray:
-    """Exact signed distance to a convex polygon, positive inside."""
-    m = len(verts)
-    a = verts
-    b = np.roll(verts, -1, axis=0)
-    e = b - a  # (m,2)
-    # orient so the interior is on the left of each edge
-    area2 = np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])
-    if area2 < 0:
-        a, b = b, a
-        e = -e
-    d2 = np.full(pts.shape[0], np.inf)
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for i in range(m):
-        w = pts - a[i]
-        t = np.clip((w @ e[i]) / (e[i] @ e[i]), 0.0, 1.0)
-        proj = a[i] + t[:, None] * e[i]
-        d2 = np.minimum(d2, np.sum((pts - proj) ** 2, axis=-1))
-        inside &= (w[:, 0] * e[i, 1] - w[:, 1] * e[i, 0]) <= 0.0
-    d = np.sqrt(d2)
-    return np.where(inside, d, -d)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +330,10 @@ def make_shape(kind: str, **kwargs) -> Shape:
         "disk": Disk,
         "ellipse": Ellipse,
         "band": Band,
-        "rounded_polygon": RoundedPolygon,
         "full": FullTorus,
     }
     if kind not in kinds:
         raise GeometryError(f"unknown shape kind '{kind}' (have {sorted(kinds)})")
-    if kind == "rounded_polygon" and "vertices" in kwargs:
-        kwargs["vertices"] = tuple(tuple(map(float, v)) for v in kwargs["vertices"])
     if "center" in kwargs:
         kwargs["center"] = tuple(map(float, kwargs["center"]))
     return kinds[kind](**kwargs)

@@ -12,7 +12,8 @@ sum, the first up to rounding (a few 1e-16 of the peak):
 
 * a Gaussian, or an elliptic Gaussian ``|det L| G(Lx)`` with a diagonal
   ``L``, is a product over the axes of 1-d image sums, so it is sampled
-  as an outer product of one length-n array per axis (values only);
+  as an outer product of one length-n array per axis (values only); the
+  sampled kernel keeps these ``factors``;
 * a tent whose support radius ``radius*sqrt(h)`` is at most 1/2 meets
   only the zero image, so it and its gradient are evaluated on the
   support box alone, bit for bit equal to the image sum;
@@ -26,15 +27,22 @@ Convolution is the mass-weighted circular sum
 
 evaluated either with the FFT (default; the kernel transform is
 computed once, when the sampled kernel is built) or by direct summation
-(an independent oracle used in tests).  Every real FFT of the package,
-the shift sums of :mod:`ambo.energy` included, goes through
-:func:`_rfftn` and :func:`_irfftn`, which call ``scipy.fft``.  A
-transform of at least ``_THREADED_FFT_CELLS`` cells runs on
-``AMBO_THREADS`` workers (default 1, capped at the CPUs this process
-may use), a smaller one on a single worker, below which the threads
-cost more than they save.  The worker count changes no bit of the
-result: each 1-d transform is computed the same way whichever thread
-runs it.
+(an independent oracle used in tests).  :meth:`SampledKernel.convolve`
+is the only FFT convolution.  In 2-d, a kernel with factors also updates a
+convolved binary field from the cells that flipped
+(:func:`flip_update`): each flip adds a rolled outer product of the two
+factors, so F flips cost one F-term matrix product instead of an FFT
+pair, and the result equals the convolution up to rounding.
+
+Every real FFT of the package, the shift sums of :mod:`ambo.energy`
+included, goes through :func:`_rfftn` and :func:`_irfftn`, which call
+``scipy.fft``.  A transform of at least ``_THREADED_FFT_CELLS`` cells
+runs on ``AMBO_THREADS`` workers (default 1, capped at the CPUs this
+process may use), a smaller one on a single worker, below which the
+threads cost more than they save.  The worker count changes no bit of
+the result: each 1-d transform is computed the same way whichever thread
+runs it.  The tests check the same of the flip update's matrix product
+on 1 and 2 BLAS threads.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ __all__ = [
     "SampledKernel",
     "scale_kernel",
     "scale_kernel_gradient",
+    "flip_update",
     "validate_kernel",
     "make_kernel",
 ]
@@ -313,13 +322,16 @@ class SampledKernel:
     """K_h sampled at cell centres with +-1 periodic images, origin at index 0.
 
     ``values`` come from :func:`scale_kernel`, by whichever of the three
-    sampling paths of the module docstring fits the kernel; ``transform``
-    is their real FFT, computed on construction.
+    sampling paths of the module docstring fits the kernel; ``factors``
+    are the read-only axis factors of a diagonal Gaussian (None for every
+    other kernel), whose outer product is ``values`` up to rounding;
+    ``transform`` is the real FFT of ``values``, computed on construction.
     """
 
     grid: TorusGrid
     h: float
     values: np.ndarray
+    factors: tuple | None = field(default=None, repr=False, compare=False)
     transform: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -345,6 +357,38 @@ class SampledKernel:
         if method == "direct":
             return _shifted_sums(self.values, vals) * self.grid.cell_measure
         raise KernelError(f"unknown convolution method {method!r}")
+
+
+def flip_update(
+    kh: SampledKernel, conv: np.ndarray, entered: np.ndarray, left: np.ndarray
+) -> np.ndarray:
+    """K_h*u' from ``conv`` = K_h*u, where u' is u plus 1 on the flat
+    indices ``entered`` and minus 1 on ``left``; 2-d, factorized kernels.
+
+    A cell p that flips with sign s adds s spacing^2 f1(. - p1) (x)
+    f2(. - p2) to the convolution, so F flips add A^T B: row i of the
+    F x n matrix A is s_i spacing^2 f1 rolled by p1 of flip i, row i of
+    B is f2 rolled by p2.  One matrix product of about 2 F n^2 flops
+    replaces an FFT pair.  Equal to ``kh.convolve(u')`` up to rounding.
+    """
+    if kh.factors is None or kh.grid.d != 2:
+        raise KernelError("flip updates need a factorized 2-d kernel")
+    f1, f2 = kh.factors
+    rows, cols = np.divmod(np.concatenate([entered, left]), kh.grid.n)
+    a = _rolled(f1, rows)
+    a[: entered.size] *= kh.grid.cell_measure
+    a[entered.size :] *= -kh.grid.cell_measure
+    out = a.T @ _rolled(f2, cols)
+    out += conv
+    return out
+
+
+def _rolled(factor: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The rows ``np.roll(factor, s)`` for each s in ``shifts`` (a copy)."""
+    n = factor.size
+    doubled = np.concatenate([factor, factor])
+    # Window j starts at doubled[j], so window n - s is factor rolled by s.
+    return np.lib.stride_tricks.sliding_window_view(doubled, n)[n - shifts]
 
 
 def _shifted_sums(kernel_vals: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -402,24 +446,23 @@ def _sample_on_support(
     return out
 
 
-def _sample_gaussian_product(
-    scales: np.ndarray, det: float, grid: TorusGrid, sqrt_h: float
-) -> np.ndarray:
-    """Sample |det L| G(L x / sqrt_h) for a diagonal L = diag(scales).
+def _gaussian_factors(
+    scales: np.ndarray, grid: TorusGrid, sqrt_h: float
+) -> list[np.ndarray]:
+    """The axis factors of G(L x / sqrt_h) for a diagonal L = diag(scales).
 
     G and the image sum both factorize over the axes, so each axis
     contributes one length-n array, the sum over s in {-1, 0, 1} of
-    (4 pi)^{-1/2} exp(-((x + s) L_kk / sqrt_h)^2 / 4), and the sample
-    is their outer product.
+    (4 pi)^{-1/2} exp(-((x + s) L_kk / sqrt_h)^2 / 4); the sample of
+    |det L| G(L x / sqrt_h) is |det L| times their outer product.
     """
     coords = grid.centered_axis_coords()
     images = coords + np.array([[-1.0], [0.0], [1.0]])  # (3, n)
-    out = np.ones(())
+    factors = []
     for scale in scales:
         y = images / sqrt_h * scale
-        factor = ((4.0 * math.pi) ** -0.5 * np.exp(-0.25 * y * y)).sum(axis=0)
-        out = np.multiply.outer(out, factor)
-    return out * det
+        factors.append(((4.0 * math.pi) ** -0.5 * np.exp(-0.25 * y * y)).sum(axis=0))
+    return factors
 
 
 def _diagonal_gaussian(kernel: Kernel, d: int):
@@ -464,20 +507,30 @@ def _check_resolution(kernel: Kernel, grid: TorusGrid, h: float) -> float:
     return sqrt_h
 
 
-def _kernel_values(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarray:
-    """The values of K_h on the grid, without building a SampledKernel."""
+def _kernel_samples(
+    kernel: Kernel, grid: TorusGrid, h: float
+) -> tuple[np.ndarray, tuple | None]:
+    """The values of K_h on the grid and, for a diagonal Gaussian, the
+    read-only axis factors whose outer product they are (else None); the
+    first factor carries the constant |det L| h^{-d/2}."""
     sqrt_h = _check_resolution(kernel, grid, h)
+    scale = h ** (-0.5 * grid.d)
     diagonal = _diagonal_gaussian(kernel, grid.d)
-    if diagonal is not None:
-        values = _sample_gaussian_product(*diagonal, grid, sqrt_h)
-    else:
-        values = _sample(kernel.evaluate, kernel, grid, sqrt_h)
-    return values * h ** (-0.5 * grid.d)
+    if diagonal is None:
+        return _sample(kernel.evaluate, kernel, grid, sqrt_h) * scale, None
+    scales, det = diagonal
+    factors = _gaussian_factors(scales, grid, sqrt_h)
+    values = functools.reduce(np.multiply.outer, factors, np.ones(())) * det * scale
+    factors[0] = factors[0] * (det * scale)
+    for f in factors:
+        f.flags.writeable = False
+    return values, tuple(factors)
 
 
 def scale_kernel(kernel: Kernel, grid: TorusGrid, h: float) -> SampledKernel:
     """Sample K_h(x) = h^{-d/2} K(x/sqrt(h)) on the grid."""
-    return SampledKernel(grid=grid, h=h, values=_kernel_values(kernel, grid, h))
+    values, factors = _kernel_samples(kernel, grid, h)
+    return SampledKernel(grid=grid, h=h, values=values, factors=factors)
 
 
 def scale_kernel_gradient(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarray:

@@ -15,11 +15,16 @@ the container, optionally under an exact volume constraint:
   ties broken by ascending lexicographic cell order (deterministic).
 
 Everything fixed for a run lives in one :class:`~ambo.energy.RunOperator`
-and every state carries K_h*u, so with constant g_pv a step costs one
-convolution: that of the new phase, which serves both its diagnostics
-and the next comparison field.  From state 1 on, a step that keeps the
-phase costs no convolution: it returns its input state with the new
-step index and lambda.
+and every state carries K_h*u, so with constant g_pv a step costs at
+most one convolution: that of the new phase, which serves both its
+diagnostics and the next comparison field.  A 2-d step with a
+factorized kernel (a Gaussian, or an elliptic one with a diagonal L)
+that flips few cells costs none: it updates K_h*u from the flipped
+cells with one matrix product (:func:`~ambo.kernel.flip_update`), and
+after ``_MAX_UPDATES`` such steps the next changed step convolves by
+FFT again.  Which path a step takes depends on cell counts alone.  From
+state 1 on, a step that keeps the phase costs no convolution: it
+returns its input state with the new step index and lambda.
 
 The run driver detects exact stationarity over a window, flags 2-cycles
 (both states are kept), and — without the volume constraint — asserts
@@ -42,7 +47,7 @@ from .energy import PhaseField, RunOperator, approx_energy, indicator_defect
 from .errors import NumericalError
 from .geometry import Band, Geometry
 from .grid import TorusGrid
-from .kernel import GaussianKernel, Kernel, scale_kernel
+from .kernel import GaussianKernel, Kernel, SampledKernel, flip_update, scale_kernel
 from .tensions import ModifiedTensions
 
 __all__ = [
@@ -60,6 +65,26 @@ __all__ = [
 
 class SchemeError(ValueError):
     """Raised for invalid scheme configurations or measurement inputs."""
+
+
+# Flip updates of K_h*u after which the next step that changes the phase
+# convolves by FFT, which bounds the drift.  Over every updated state of
+# the three n = 512 droplet runs, max |K_h*u - FFT| was 8.9e-16, both
+# with this limit and with none (then up to 39 updates in a row).
+_MAX_UPDATES = 32
+
+
+def _flip_budget(n: int, d: int) -> int:
+    """Flipped cells up to which a step updates K_h*u from the flips.
+
+    n // 2 in 2-d, none in 3-d (a flip costs n^3 there).  An n // 2-flip
+    update against one FFT convolution, min of 15 calls in each of three
+    processes on 2 vCPUs, 1 or 2 threads: n = 128 0.10-0.14 against
+    0.17-0.26 ms, n = 256 0.56-0.88 against 1.2-1.8 ms, n = 512 2.1-3.6
+    against 5.5-7.5 ms, n = 1024 15-27 against 20-32 ms; the break-even
+    lies at 0.7 n to n flips.  Cell counts alone decide, never the host.
+    """
+    return n // 2 if d == 2 else 0
 
 
 @dataclass(frozen=True)
@@ -82,7 +107,8 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class SchemeState:
-    """One snapshot of the evolution (immutable); ``ku`` is K_h*u."""
+    """One snapshot of the evolution (immutable); ``ku`` is K_h*u, and
+    ``updates`` counts the flip updates of ``ku`` since its last FFT."""
 
     step: int
     u: PhaseField
@@ -92,6 +118,7 @@ class SchemeState:
     volume: float
     interface_cells: int
     defect: float
+    updates: int
 
 
 @dataclass
@@ -186,10 +213,18 @@ def _select(
 
 
 def _make_state(
-    k: int, u: PhaseField, lam: float, op: RunOperator, volume: float | None = None
+    k: int,
+    u: PhaseField,
+    lam: float,
+    op: RunOperator,
+    volume: float | None = None,
+    ku: np.ndarray | None = None,
+    updates: int = 0,
 ) -> SchemeState:
-    """The state of phase u: K_h*u and its diagnostics (``volume`` if known)."""
-    ku = op.kh.convolve(u.values)
+    """The state of phase u and its diagnostics (``volume`` and K_h*u if
+    known, else computed; K_h*u by FFT)."""
+    if ku is None:
+        ku = op.kh.convolve(u.values)
     ku.flags.writeable = False
     return SchemeState(
         step=k,
@@ -200,12 +235,41 @@ def _make_state(
         volume=u.volume() if volume is None else volume,
         interface_cells=u.interface_cell_count(),
         defect=indicator_defect(ku, u.geometry),
+        updates=updates,
     )
+
+
+def _flips(
+    state: SchemeState, u_next: PhaseField, kh: SampledKernel
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cells that entered and left the phase, when K_h*u_next is to be
+    updated from them by :func:`~ambo.kernel.flip_update`; else None.
+
+    The update needs a factorized kernel, a state from step 1 on (state 0
+    may hold a user field, whose bits the flips would not describe), fewer
+    than ``_MAX_UPDATES`` updates since the last FFT and at most
+    ``_flip_budget`` flips.  When the support sizes alone differ by more,
+    the flips are not gathered.
+    """
+    if state.step == 0 or state.updates >= _MAX_UPDATES or kh.factors is None:
+        return None
+    budget = _flip_budget(kh.grid.n, kh.grid.d)
+    old, new = state.u.support, u_next.support
+    if budget == 0 or abs(new.size - old.size) > budget:
+        return None
+    # Both fields are binary: a cell flipped where the other one is 0.
+    entered = new[state.u.values.take(new) == 0.0]
+    left = old[u_next.values.take(old) == 0.0]
+    if entered.size + left.size > budget:
+        return None
+    return entered, left
 
 
 def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeState:
     """Advance one thresholding step.
 
+    A step that changes the phase convolves the new phase by FFT, or
+    updates K_h*u from the flipped cells when :func:`_flips` allows it.
     A step that keeps the phase of a state from step 1 on returns that
     state with the new step index and lambda: its field was built by
     :meth:`PhaseField.from_support`, so u, K_h*u and every diagnostic are
@@ -228,7 +292,11 @@ def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeSta
         tol = geometry.grid.cell_measure  # one cell
         if abs(volume - m) > tol:
             raise NumericalError(f"volume drifted: |{volume} - {m}| > {tol}")
-    return _make_state(state.step + 1, u_next, lam, op, volume)
+    flips = _flips(state, u_next, op.kh)
+    if flips is None:
+        return _make_state(state.step + 1, u_next, lam, op, volume)
+    ku = flip_update(op.kh, state.ku, *flips)
+    return _make_state(state.step + 1, u_next, lam, op, volume, ku, state.updates + 1)
 
 
 def run(

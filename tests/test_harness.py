@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 import ambo
-from ambo import cli, energy, io
+from ambo import cli, energy, io, scheme
 from ambo.anisotropy import Elliptic
 from ambo.config import EXPERIMENTS, load_config
 from ambo.geometry import boundary_layer_mask
@@ -180,6 +180,18 @@ def test_thread_count_changes_no_output_byte(kind, tmp_path):
     assert "summary.json" in files and any(f.endswith(".csv") for f in files)
     for name in files:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_thread_test_angle_run_takes_the_flip_update(tmp_path, monkeypatch):
+    """The angle run of the thread-count test updates K_h*u from the
+    flips, so that test also covers the matrix product of the update."""
+    preset, _, changes = SMALL["angle"]
+    config = _config(tmp_path / "angle.yaml", preset, changes)
+    calls, update = [], scheme.flip_update
+    monkeypatch.setattr(scheme, "flip_update", lambda *a: calls.append(None) or update(*a))
+    code = cli.main(["angle", str(config), "--n", "512", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(calls) >= 1, len(calls)
 
 
 def test_bad_config_exits_1(tmp_path, capsys):

@@ -24,6 +24,7 @@ from ambo.kernel import (
     _parse_threads,
     _rfftn,
     _sample_with_images,
+    flip_update,
     make_kernel,
     scale_kernel,
     scale_kernel_gradient,
@@ -251,6 +252,65 @@ def test_convolution_is_self_adjoint(rng):
     lhs = float(np.sum(f * kh.convolve(g)))
     rhs = float(np.sum(kh.convolve(f) * g))
     assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+
+
+# --- flip updates -------------------------------------------------------------
+
+FACTORED = [
+    GaussianKernel(),
+    EllipticGaussianKernel(matrix=((1.25, 0.0), (0.0, 0.8))),
+]
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("kernel", FACTORED, ids=["gaussian", "diagonal"])
+def test_flip_update_matches_the_fft_convolution(n, kernel, rng):
+    """K_h*u updated from random flip sets of 1 up to n // 2 cells equals
+    the FFT convolution of the new field within 2e-15 (K_h*u lies in
+    [0, 1]; measured at most 5.8e-16), and 32 chained updates stay
+    within 4e-15 (measured at most 1.0e-15 after 40)."""
+    grid = TorusGrid(2, n)
+    kh = scale_kernel(kernel, grid, 1e-3)
+    x1, x2 = grid.meshgrid()
+    u = (((x1 - 0.5) ** 2 + (x2 - 0.4) ** 2) < 0.2**2).astype(np.float64)
+    ku = kh.convolve(u)
+    for count in (1, 2, 7, 40, n // 4, n // 2):
+        cells = rng.choice(grid.cell_count, count, replace=False)
+        entered = np.sort(cells[u.flat[cells] == 0.0])
+        left = np.sort(cells[u.flat[cells] == 1.0])
+        v = u.copy()
+        v.flat[entered], v.flat[left] = 1.0, 0.0
+        assert np.abs(flip_update(kh, ku, entered, left) - kh.convolve(v)).max() <= 2e-15
+    v, kv = u.copy(), ku
+    for _ in range(32):
+        cells = rng.choice(grid.cell_count, n // 2, replace=False)
+        entered = np.sort(cells[v.flat[cells] == 0.0])
+        left = np.sort(cells[v.flat[cells] == 1.0])
+        kv = flip_update(kh, kv, entered, left)
+        v.flat[entered], v.flat[left] = 1.0, 0.0
+    assert np.abs(kv - kh.convolve(v)).max() <= 4e-15
+
+
+def test_only_diagonal_gaussians_keep_axis_factors():
+    """The axis factors are read-only and their outer product is the
+    sample up to rounding; the tent, a sheared L and a 3-d kernel cannot
+    be updated from flips."""
+    grid = TorusGrid(2, 64)
+    for kernel in FACTORED:
+        kh = scale_kernel(kernel, grid, 4e-3)
+        f1, f2 = kh.factors
+        assert not f1.flags.writeable and not f2.flags.writeable
+        error = np.abs(np.multiply.outer(f1, f2) - kh.values).max()
+        assert error <= 1e-15 * kh.values.max()
+    cell = np.array([5])
+    for kernel in (TriangularKernel(), EllipticGaussianKernel(((1.2, 0.1), (0.1, 0.8)))):
+        kh = scale_kernel(kernel, grid, 4e-3)
+        assert kh.factors is None
+        with pytest.raises(KernelError, match="factorized 2-d"):
+            flip_update(kh, np.zeros(grid.shape), cell, cell[:0])
+    kh3 = scale_kernel(GaussianKernel(), TorusGrid(3, 32), 1e-2)
+    with pytest.raises(KernelError, match="factorized 2-d"):
+        flip_update(kh3, np.zeros(kh3.grid.shape), cell, cell[:0])
 
 
 def test_convolve_rejects_wrong_shape():

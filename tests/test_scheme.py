@@ -16,7 +16,13 @@ from ambo.energy import (
 )
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid
-from ambo.kernel import GaussianKernel, SampledKernel, scale_kernel
+from ambo.kernel import (
+    EllipticGaussianKernel,
+    GaussianKernel,
+    SampledKernel,
+    TriangularKernel,
+    scale_kernel,
+)
 from ambo.scheme import (
     SchemeConfig,
     SchemeError,
@@ -365,13 +371,15 @@ def test_trajectory_bookkeeping(full_geometry, unit_tensions):
     assert all(row[5] >= 0.0 for row in traj.diagnostics)  # defects
 
 
-def test_states_match_fresh_evaluation():
+def test_states_match_fresh_evaluation(monkeypatch):
     """Each state's K_h*u, energy and defect equal a fresh evaluation of u.
 
     Covers a volume-preserving run with constant tensions and an
     unconstrained run with spatially varying g_pv, where the comparison
-    field convolves g_pv u separately.
+    field convolves g_pv u separately.  The flip budget is pinned to 0,
+    so every K_h*u is an FFT; the update path has its own test.
     """
+    monkeypatch.setattr(scheme, "_flip_budget", lambda n, d: 0)
     grid = TorusGrid(2, 128)
     h = 1e-3
     kh = scale_kernel(UNIT_KERNEL, grid, h)
@@ -439,7 +447,9 @@ def _repeat_cases():
 def test_repeat_steps_equal_a_full_recompute(case, monkeypatch):
     """A run whose repeat steps cost nothing gives the bits of a loop that
     rebuilds the field and convolves it at every step, and its stationary
-    tail makes no convolution."""
+    tail makes no convolution.  The flip budget is pinned to 0, so every
+    changed step convolves by FFT."""
+    monkeypatch.setattr(scheme, "_flip_budget", lambda n, d: 0)
     initial, cfg, t = _repeat_cases()[case]
     geometry = initial.geometry
     calls, stepped = [], []
@@ -485,6 +495,118 @@ def test_repeat_steps_equal_a_full_recompute(case, monkeypatch):
     copies = [k for k in range(3, steps + 1) if kept[k - 2]]
     assert stepped == [k - 1 for k in range(1, steps + 1) if k not in copies]
     assert len(copies) == cfg.stationarity_window - 1 - (case == 2)
+
+
+def _count_calls(monkeypatch, name):
+    """Calls of ``scheme.<name>``, recorded by a wrapper (one None each)."""
+    calls, original = [], getattr(scheme, name)
+    monkeypatch.setattr(scheme, name, lambda *a: calls.append(None) or original(*a))
+    return calls
+
+
+def _band_cap(n, angle=100.0):
+    grid = TorusGrid(2, n)
+    band = build_geometry(make_shape("band", lo=0.25, hi=0.95, axis=1), grid)
+    initial = ShapeSpec.cap(angle, 0.15, 0.25).indicator(band)
+    return initial, constant_tensions(grid, 1.0, 1.2, 0.9)
+
+
+def test_cap_run_updates_k_u_from_the_flips(monkeypatch):
+    """A volume-preserving cap at (2, 256) updates K_h*u from the flips on
+    every changed step after the first; every state stays within stated
+    tolerances of a fresh FFT evaluation, and the run ends on the field of
+    the same run with every K_h*u an FFT.
+
+    Tolerances (measured): K_h*u 4e-15 absolute (5.6e-16), energy and
+    defect 2e-15 relative (0 and 3.5e-16).
+    """
+    initial, t = _band_cap(256)
+    geometry = initial.geometry
+    cfg = SchemeConfig(h=1e-3, preserve_volume=True, max_steps=40)
+    updates = _count_calls(monkeypatch, "flip_update")
+    states = []
+    traj = run(initial, cfg, t, UNIT_KERNEL, on_state=states.append)
+    changed = sum(
+        not np.array_equal(a.u.support, b.u.support) for a, b in zip(states, states[1:])
+    )
+    assert len(updates) == changed - 1 >= 10
+    kh = scale_kernel(UNIT_KERNEL, geometry.grid, cfg.h)
+    op = RunOperator.build(geometry, t, kh)
+    for state in states:
+        ku = kh.convolve(state.u.values)
+        assert np.abs(state.ku - ku).max() <= 4e-15
+        assert state.energy == pytest.approx(approx_energy(state.u, op), rel=2e-15, abs=0)
+        assert state.defect == pytest.approx(
+            indicator_defect(ku, geometry), rel=2e-15, abs=0
+        )
+
+    monkeypatch.setattr(scheme, "_flip_budget", lambda n, d: 0)
+    pinned = run(initial, cfg, t, UNIT_KERNEL)
+    assert len(updates) == changed - 1  # no update with the budget at 0
+    assert len(pinned.diagnostics) == len(traj.diagnostics)
+    assert pinned.final.u.values.tobytes() == traj.final.u.values.tobytes()
+
+
+def test_an_fft_follows_the_last_allowed_update_or_too_many_flips(monkeypatch):
+    """With at most 3 updates in a row and a budget of 6 flips, a changed
+    step convolves by FFT at step 1, after every third update and when it
+    flips more than 6 cells; the other changed steps convolve nothing."""
+    monkeypatch.setattr(scheme, "_MAX_UPDATES", 3)
+    monkeypatch.setattr(scheme, "_flip_budget", lambda n, d: 6)
+    initial, t = _band_cap(256)
+    calls = []
+    convolve = SampledKernel.convolve
+    monkeypatch.setattr(
+        SampledKernel, "convolve", lambda kh, f: calls.append(None) or convolve(kh, f)
+    )
+    seen = []  # (state, convolutions made by the time it is emitted)
+    cfg = SchemeConfig(h=1e-3, preserve_volume=True, max_steps=40)
+    run(initial, cfg, t, UNIT_KERNEL, on_state=lambda s: seen.append((s, len(calls))))
+    reasons = set()
+    for (before, count_before), (state, count) in zip(seen, seen[1:]):
+        flips = np.setxor1d(state.u.support, before.u.support).size
+        if flips == 0:
+            assert state.updates == before.updates and count == count_before
+            continue
+        fft = {
+            "state 0": before.step == 0, "limit": before.updates == 3, "flips": flips > 6
+        }
+        expected = 0 if any(fft.values()) else before.updates + 1
+        assert state.updates == expected, state.step
+        assert count - count_before == (expected == 0), state.step
+        reasons |= {reason for reason, taken in fft.items() if taken}
+    assert reasons == {"state 0", "limit", "flips"}
+
+
+@pytest.mark.parametrize("case", ["tent", "sheared", "ball3d"])
+def test_kernels_without_factors_and_3d_runs_never_update(case, monkeypatch):
+    """The tent, a non-diagonal L and a 3-d run convolve every changed
+    step by FFT, although some of their steps flip no more cells than
+    the 2-d budget would allow."""
+    if case == "ball3d":
+        grid = TorusGrid(3, 32)
+        pts = np.stack(grid.meshgrid(), axis=-1)
+        geometry = build_geometry(make_shape("full"), grid)
+        initial = PhaseField.from_mask(
+            geometry, grid.torus_distance(pts, (0.51, 0.47, 0.5)) < 0.25
+        )
+        t, kernel, h = constant_tensions(grid, 1.0, 1.0, 1.0), UNIT_KERNEL, 9e-3
+    elif case == "tent":
+        (initial, t), kernel, h = _band_cap(128, 60.0), TriangularKernel(1.0), 4e-3
+    else:
+        kernel = EllipticGaussianKernel(matrix=((1.2, 0.1), (0.1, 0.8)))
+        (initial, t), h = _band_cap(128), 1e-3
+    updates = _count_calls(monkeypatch, "flip_update")
+    states = []
+    cfg = SchemeConfig(h=h, preserve_volume=True, max_steps=30)
+    run(initial, cfg, t, kernel, on_state=states.append)
+    # Flips of the steps after the first, which always convolves by FFT.
+    flips = [
+        np.setxor1d(a.u.support, b.u.support).size for a, b in zip(states[1:], states[2:])
+    ]
+    assert any(0 < f <= initial.grid.n // 2 for f in flips)
+    assert updates == []
+    assert all(s.updates == 0 for s in states)
 
 
 # ---------------------------------------------------------------------------
