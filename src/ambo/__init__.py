@@ -7,11 +7,12 @@ descent.  The package is organised along the objects of the underlying
 construction:
 
 * :mod:`ambo.grid` / :mod:`ambo.geometry` — periodic grids, container and
-  substrate masks, analytic signed distances;
-* :mod:`ambo.anisotropy` — the surface-tension anisotropy a convolution
-  kernel induces, in closed form and by quadrature;
-* :mod:`ambo.kernel` — kernels (Gaussian, elliptic, tent), grid sampling,
-  FFT and direct convolution;
+  substrate masks (disk, band, full torus), analytic signed distances;
+* :mod:`ambo.anisotropy` — the surface-tension anisotropy a run kernel
+  induces, in closed form;
+* :mod:`ambo.kernel` — the run kernels (Gaussian, elliptic Gaussian), the
+  tent of the inequality suite, grid sampling, FFT and direct
+  convolution;
 * :mod:`ambo.tensions` — torus-wide extension of the three surface
   tensions with pointwise triangle-inequality guarantees;
 * :mod:`ambo.energy` — the approximate energy, sharp limits, convergence,

@@ -6,11 +6,11 @@ the particle's anisotropy is the one K induces on free interfaces,
     gamma_K(nu) = 1/2 * int |x . nu| K(x) dx.
 
 It is one-homogeneous and even; we evaluate it on unit directions and
-extend by homogeneity.  Every kernel of :mod:`ambo.kernel` has a closed
-form (:func:`induced_anisotropy`), so gamma_K is always one of two
+extend by homogeneity.  Every run kernel of :mod:`ambo.kernel` has a
+closed form (:func:`induced_anisotropy`), so gamma_K is always one of two
 families, both norms by construction:
 
-* :class:`Isotropic`, ``gamma(nu) = c0 |nu|`` (Gaussian and tent kernels);
+* :class:`Isotropic`, ``gamma(nu) = c0 |nu|`` (Gaussian kernel);
 * :class:`Elliptic`, ``gamma(nu) = sqrt(nu . A nu)`` with A symmetric
   positive definite, checked on construction (elliptic Gaussian kernels).
 
@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (
-    _BALL_VOLUME,
-    EllipticGaussianKernel,
-    GaussianKernel,
-    TriangularKernel,
-)
+from .kernel import EllipticGaussianKernel, GaussianKernel
 
 __all__ = [
     "Anisotropy",
@@ -145,20 +140,13 @@ class Elliptic(Anisotropy):
 # ---------------------------------------------------------------------------
 
 def induced_anisotropy(kernel, dim: int) -> Anisotropy:
-    """Return gamma_K in closed form for the kernels of :mod:`ambo.kernel`.
+    """Return gamma_K in closed form for the run kernels of :mod:`ambo.kernel`.
 
     * Gaussian: the integral is ``1/2 * E|Z.nu|`` for Z with density
       (4 pi)^{-d/2} e^{-|z|^2/4}, a centred normal with variance 2 per
       axis, so ``gamma(nu) = |nu| / sqrt(pi)``;
     * elliptic Gaussian K(x) = G(Lx) |det L|: substituting y = Lx gives
-      ``gamma(nu) = |L^{-T} nu| / sqrt(pi)``, i.e. A = (L L^T)^{-1} / pi;
-    * tent of radius R: in polar form the angular factor is
-      ``int |xi.nu| dsigma = 2 omega_{d-1}`` and the radial one
-      ``int_0^R r^d J(r) dr = R / ((d+2) omega_d)``, so
-      ``gamma(nu) = omega_{d-1} R / ((d+2) omega_d) |nu|``
-      (R / (2 pi) in 2-d, 3R/20 in 3-d).
-
-    Here omega_k is the volume of the unit ball in R^k.
+      ``gamma(nu) = |L^{-T} nu| / sqrt(pi)``, i.e. A = (L L^T)^{-1} / pi.
     """
     if isinstance(kernel, GaussianKernel):
         return Isotropic(dim=dim, c0=1.0 / math.sqrt(math.pi))
@@ -170,7 +158,4 @@ def induced_anisotropy(kernel, dim: int) -> Anisotropy:
             )
         a = np.linalg.inv(lmat @ lmat.T) / math.pi
         return Elliptic(dim=dim, matrix=tuple(map(tuple, a)))
-    if isinstance(kernel, TriangularKernel):
-        c0 = _BALL_VOLUME[dim - 1] * kernel.radius / ((dim + 2) * _BALL_VOLUME[dim])
-        return Isotropic(dim=dim, c0=c0)
     raise AnisotropyError(f"no closed-form induced anisotropy for {kernel!r}")

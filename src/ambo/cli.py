@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="grid cells per axis")
         p.add_argument("--h", type=float, help="scheme time step")
         p.add_argument("--max-steps", type=int, help="step limit")
-        p.add_argument("--snapshot-every", type=int, help="snapshot cadence (0: none)")
+        if name == "run":
+            p.add_argument("--snapshot-every", type=int, help="snapshot cadence (0: none)")
         if name == "angle":
             p.add_argument(
                 "--sigma-ratio",
@@ -81,7 +82,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
         "grid.n": args.n,
         "scheme.h": args.h,
         "scheme.max_steps": args.max_steps,
-        "output.snapshot_every": args.snapshot_every,
+        "output.snapshot_every": getattr(args, "snapshot_every", None),
     }
     if getattr(args, "sigma_ratio", None) is not None:
         overrides["experiment.sigma_ratio"] = args.sigma_ratio

@@ -12,6 +12,14 @@ specific to the study.  The angle experiment's ``sigma_ratio`` fixes the
 direct-mode tensions (1, 1 + rho/2, 1 - rho/2) and ``preserve_volume:
 true`` at load time and rejects other values, so the echo describes the run.
 
+The language offers only what runs set.  The kernels are the Gaussian
+and the elliptic Gaussian; the containers a disk, a band in x2 and the
+full torus; the initial phase a disk, a cap on the band, a field file or
+nothing.  What every run sets alike is a constant of the code, not a
+key: the strip width of the tension construction (8 spacings), the 16
+levels of the random ensemble fields, the disk indicator in the
+monotonicity ensemble and the 12 interface rows of the contact-angle fit.
+
 There is no anisotropy section: the surface-tension anisotropy is the one
 the kernel induces (:func:`ambo.anisotropy.induced_anisotropy`).  For
 older configs, ``anisotropy: {kind: isotropic}`` or an empty section is
@@ -85,19 +93,16 @@ _TOP_KEYS = {
 
 _GEOMETRY_KINDS = {
     "disk": {"center", "radius"},
-    "ellipse": {"center", "a", "b"},
-    "band": {"lo", "hi", "axis"},
+    "band": {"lo", "hi"},
     "full": set(),
 }
 _KERNEL_KINDS = {
     "gaussian": set(),
     "elliptic_gaussian": {"matrix"},
-    "triangular": {"radius"},
 }
 _INITIAL_KINDS = {
     "disk": {"center", "radius"},
-    "ellipse": {"center", "a", "b"},
-    "cap": {"angle", "radius", "center_x"},
+    "cap": {"angle", "radius"},
     "field": {"path"},
     "empty": set(),
 }
@@ -110,21 +115,17 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
         "factors": [2, 3, 4],
         "h_values": [2.5e-4, 1.0e-3],
         "n_fields": 100,
-        "levels": 16,
-        "include_disk": True,
     },
     "inequalities": {
         "h_values": [4.0e-3, 1.0e-3, 2.5e-4],
         "n_fields": 100,
-        "levels": 16,
     },
-    "angle": {"sigma_ratio": 0.0, "coarse_h": 1.0e-3, "window_cells": 12},
+    "angle": {"sigma_ratio": 0.0, "coarse_h": 1.0e-3},
     "validate": {},
 }
 
 _FLOAT_PARAMS = {"sigma_ratio", "coarse_h"}
-_INT_PARAMS = {"window_cells", "n_fields", "levels"}
-_BOOL_PARAMS = {"include_disk"}
+_INT_PARAMS = {"n_fields"}
 _FLOAT_LIST_PARAMS = {"h_values"}
 _INT_LIST_PARAMS = {"factors"}
 
@@ -167,6 +168,16 @@ def _as_bool(value, key: str, section: str, source: str) -> bool:
     )
 
 
+def _as_point(value, dim: int, key: str, section: str, source: str) -> list[float]:
+    if not isinstance(value, (list, tuple)) or len(value) != dim:
+        raise _fail(
+            source,
+            f"key '{key}' in section '{section}' must be a list of {dim} numbers, "
+            f"got {value!r}",
+        )
+    return [_as_float(v, key, section, source) for v in value]
+
+
 def _mapping_section(doc: dict, name: str, source: str) -> dict:
     raw = doc.get(name) or {}
     if not isinstance(raw, dict):
@@ -184,19 +195,12 @@ def _check_keys(raw: dict, allowed, name: str, source: str) -> None:
             )
 
 
-_EXTRA_SECTION_KEYS = {"geometry": {"delta"}}
-
-# Kernels whose induced anisotropy is isotropic.
-_ISOTROPIC_KERNELS = {"gaussian", "triangular"}
-
-
 def _check_legacy_anisotropy(doc: dict, kernel_kind: str, source: str) -> None:
     """Accept the old anisotropy section only where it says what the kernel does."""
     if "anisotropy" not in doc:
         return
-    if doc["anisotropy"] in (None, {}, {"kind": "isotropic"}) and (
-        kernel_kind in _ISOTROPIC_KERNELS
-    ):
+    # The Gaussian is the one kernel whose induced anisotropy is isotropic.
+    if doc["anisotropy"] in (None, {}, {"kind": "isotropic"}) and kernel_kind == "gaussian":
         return
     raise _fail(
         source,
@@ -224,7 +228,6 @@ def _angle_settings(
         "gamma_pv": "1",
         "gamma_sp": repr(1.0 + 0.5 * rho),
         "gamma_sv": repr(1.0 - 0.5 * rho),
-        "delta": None,
     }
     if "tensions" in doc and tensions != implied:
         raise _fail(
@@ -251,12 +254,7 @@ def _kinded_section(
             source,
             f"unknown kind '{kind}' in section '{name}' (have {sorted(kinds)})",
         )
-    _check_keys(
-        {k: v for k, v in raw.items() if k != "kind"},
-        kinds[kind] | _EXTRA_SECTION_KEYS.get(name, set()),
-        name,
-        source,
-    )
+    _check_keys({k: v for k, v in raw.items() if k != "kind"}, kinds[kind], name, source)
     raw["kind"] = kind
     return raw
 
@@ -346,15 +344,15 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
 
     geometry = _kinded_section(doc, "geometry", _GEOMETRY_KINDS, "disk", source)
     if geometry["kind"] == "disk":
-        geometry.setdefault("center", [0.5, 0.5] if d == 2 else [0.5, 0.5, 0.5])
+        geometry["center"] = _as_point(
+            geometry.get("center", [0.5] * d), d, "center", "geometry", source
+        )
         geometry.setdefault("radius", 0.3)
     kernel = _kinded_section(doc, "kernel", _KERNEL_KINDS, "gaussian", source)
     _check_legacy_anisotropy(doc, kernel["kind"], source)
 
     tensions = _mapping_section(doc, "tensions", source)
-    _check_keys(
-        tensions, {"mode", "gamma_pv", "gamma_sp", "gamma_sv", "delta"}, "tensions", source
-    )
+    _check_keys(tensions, {"mode", "gamma_pv", "gamma_sp", "gamma_sv"}, "tensions", source)
     mode = tensions.get("mode", "direct")
     if mode not in ("direct", "extend"):
         raise _fail(
@@ -365,11 +363,6 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
         "gamma_pv": str(tensions.get("gamma_pv", "1")),
         "gamma_sp": str(tensions.get("gamma_sp", "1")),
         "gamma_sv": str(tensions.get("gamma_sv", "1")),
-        "delta": (
-            None
-            if tensions.get("delta") is None
-            else _as_float(tensions["delta"], "delta", "tensions", source)
-        ),
     }
 
     scheme = _mapping_section(doc, "scheme", source)
@@ -391,14 +384,16 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
     }
 
     initial = _kinded_section(doc, "initial", _INITIAL_KINDS, "disk", source)
-    if d == 3 and initial["kind"] in ("disk", "ellipse", "cap"):
+    if d == 3 and initial["kind"] in ("disk", "cap"):
         raise _fail(
             source,
             f"key 'kind' in section 'initial' is '{initial['kind']}', a 2-d shape; "
             "with d = 3 use 'field' or 'empty'",
         )
     if initial["kind"] == "disk":
-        initial.setdefault("center", [0.5, 0.5])
+        initial["center"] = _as_point(
+            initial.get("center", [0.5, 0.5]), 2, "center", "initial", source
+        )
         initial.setdefault("radius", 0.15)
 
     experiment_raw = doc.get("experiment") or {}
@@ -425,8 +420,6 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
                 raise _fail(
                     source, f"key 'n_fields' in section 'experiment' must be >= 1, got {value}"
                 )
-        elif key in _BOOL_PARAMS:
-            value = _as_bool(value, key, "experiment", source)
         elif key in _FLOAT_LIST_PARAMS:
             if not isinstance(value, (list, tuple)) or not value:
                 raise _fail(
@@ -453,6 +446,12 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
     )
     if snapshot_every < 0:
         raise _fail(source, "key 'snapshot_every' in section 'output' must be >= 0")
+    if snapshot_every > 0 and kind != "run":
+        raise _fail(
+            source,
+            f"key 'snapshot_every' in section 'output' applies to the run experiment "
+            f"only; the {kind} experiment writes no snapshots",
+        )
 
     seed = _as_int(doc.get("seed", 0), "seed", "top level", source)
 
@@ -476,28 +475,18 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
 # Builders
 # ---------------------------------------------------------------------------
 
-_SCALAR_SHAPE_KEYS = {"radius", "lo", "hi", "a", "b"}
-
-
 def build_geometry_from(config: RunConfig) -> Geometry:
-    grid = TorusGrid(config.d, config.n)
     params = {
-        k: (float(v) if k in _SCALAR_SHAPE_KEYS else v)
+        k: (v if k == "center" else float(v))
         for k, v in config.geometry.items()
-        if k not in ("kind", "delta")
+        if k != "kind"
     }
-    if "axis" in params:
-        params["axis"] = int(params["axis"])
     shape = make_shape(config.geometry["kind"], **params)
-    delta = config.geometry.get("delta")
-    return build_geometry(shape, grid, delta=None if delta is None else float(delta))
+    return build_geometry(shape, TorusGrid(config.d, config.n))
 
 
 def build_kernel_from(config: RunConfig) -> Kernel:
-    params = {k: v for k, v in config.kernel.items() if k != "kind"}
-    if "radius" in params:
-        params["radius"] = float(params["radius"])
-    return make_kernel(config.kernel["kind"], **params)
+    return make_kernel(**config.kernel)
 
 
 def build_raw_tensions(config: RunConfig) -> RawTensions:
@@ -530,7 +519,7 @@ def build_tensions(
         t = ModifiedTensions.from_fields(grid, pv, sp, sv)
         return t, verify_triangle(t)
     # extend_substrate raises unless the raw tensions are admissible.
-    t = extend_substrate(raw, geometry, gamma, delta=config.tensions["delta"])
+    t = extend_substrate(raw, geometry, gamma)
     return t, verify_triangle(t, tol=1e-12 * t.upper)
 
 
@@ -543,17 +532,12 @@ def initial_shape_spec(config: RunConfig, geometry: Geometry) -> ShapeSpec | Non
     spec = config.initial
     kind = spec["kind"]
     if kind == "disk":
-        return ShapeSpec.disk(tuple(map(float, spec["center"])), float(spec["radius"]))
-    if kind == "ellipse":
-        return ShapeSpec.ellipse(
-            tuple(map(float, spec["center"])), float(spec["a"]), float(spec["b"])
-        )
+        return ShapeSpec.disk(spec["center"], float(spec["radius"]))
     if kind == "cap" and isinstance(geometry.shape, Band):
         return ShapeSpec.cap(
             float(spec.get("angle", 90.0)),
             float(spec["radius"]),
             substrate_y=geometry.shape.lo % 1.0,
-            center_x=float(spec.get("center_x", 0.5)),
         )
     return None
 

@@ -328,29 +328,6 @@ class CircleArc(Arc):
 
 
 @dataclass(frozen=True)
-class EllipseArc(Arc):
-    center: tuple
-    semi_x: float
-    semi_y: float
-    angle0: float = 0.0
-    angle1: float = 2.0 * math.pi
-
-    def point(self, t):
-        a = self.angle0 + (self.angle1 - self.angle0) * np.asarray(t)
-        c = np.asarray(self.center)
-        return c + np.stack(
-            [self.semi_x * np.cos(a), self.semi_y * np.sin(a)], axis=-1
-        )
-
-    def velocity(self, t):
-        a = self.angle0 + (self.angle1 - self.angle0) * np.asarray(t)
-        da = self.angle1 - self.angle0
-        return da * np.stack(
-            [-self.semi_x * np.sin(a), self.semi_y * np.cos(a)], axis=-1
-        )
-
-
-@dataclass(frozen=True)
 class Segment(Arc):
     start: tuple
     end: tuple
@@ -401,10 +378,6 @@ class ShapeSpec:
         return cls(free=(CircleArc(tuple(center), radius),))
 
     @classmethod
-    def ellipse(cls, center, semi_x: float, semi_y: float) -> "ShapeSpec":
-        return cls(free=(EllipseArc(tuple(center), semi_x, semi_y),))
-
-    @classmethod
     def cap(
         cls,
         contact_angle_deg: float,
@@ -443,25 +416,16 @@ class ShapeSpec:
     # -- rasterisation --------------------------------------------------------
     def indicator(self, geometry: Geometry) -> PhaseField:
         """Binary phase field of the enclosed region (built-in specs only)."""
-        grid = geometry.grid
         arc = self.free[0]
+        if not isinstance(arc, CircleArc):
+            raise EnergyError(f"no indicator rule for arc type {type(arc).__name__}")
+        grid = geometry.grid
         pts = np.stack(grid.meshgrid(), axis=-1)
-        if isinstance(arc, CircleArc) and not self.wetted:
-            dist = grid.torus_distance(pts, np.asarray(arc.center))
-            return PhaseField.from_mask(geometry, dist < arc.radius)
-        if isinstance(arc, EllipseArc):
-            delta = grid.wrap_delta(pts - np.asarray(arc.center))
-            val = (delta[..., 0] / arc.semi_x) ** 2 + (
-                delta[..., 1] / arc.semi_y
-            ) ** 2
-            return PhaseField.from_mask(geometry, val < 1.0)
-        if isinstance(arc, CircleArc) and self.wetted:
-            seg = self.wetted[0]
-            y0 = float(np.asarray(seg.start)[1])
-            dist = grid.torus_distance(pts, np.asarray(arc.center))
-            above = pts[..., 1] >= y0
-            return PhaseField.from_mask(geometry, (dist < arc.radius) & above)
-        raise EnergyError(f"no indicator rule for arc type {type(arc).__name__}")
+        inside = grid.torus_distance(pts, np.asarray(arc.center)) < arc.radius
+        if self.wetted:
+            # a cap: the disk cut at the substrate line under the wetted segment
+            inside &= pts[..., 1] >= float(np.asarray(self.wetted[0].start)[1])
+        return PhaseField.from_mask(geometry, inside)
 
 
 def _adaptive_arc_quadrature(func, arc: Arc):

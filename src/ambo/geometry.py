@@ -2,7 +2,7 @@
 
 The container Omega is an open set compactly contained in the torus; the
 substrate is its complement, S = T^d \\ closure(Omega).  Shapes are specified
-analytically (disk, ellipse, axis band, the full torus) and the signed
+analytically (disk, a band in x2, the full torus) and the exact signed
 distance d_s(.; dOmega) is evaluated from the analytic descriptor -- never
 reconstructed from the rasterized mask.  Convention: d_s > 0 inside Omega.
 
@@ -31,7 +31,7 @@ class GeometryError(ValueError):
 
 
 class Shape:
-    """Analytic region with an exact (or densely sampled) signed distance."""
+    """Analytic region with an exact signed distance."""
 
     #: shapes with no boundary on the torus (testing variant)
     boundaryless = False
@@ -69,67 +69,20 @@ class Disk(Shape):
 
 
 @dataclass(frozen=True)
-class Ellipse(Shape):
-    """Axis-aligned ellipse (d=2), semi-axes (a, b).
-
-    There is no closed-form signed distance; the distance is taken as the
-    minimum over a dense boundary polyline (2^14 points), which is accurate
-    to O(arc_step^2 * curvature) ~ 1e-8 here, far below grid spacing.
-    """
-
-    center: tuple[float, float]
-    a: float
-    b: float
-    _samples: int = 16384
-
-    def _boundary(self) -> FloatArray:
-        t = np.linspace(0.0, 2.0 * np.pi, self._samples, endpoint=False)
-        return np.stack(
-            [self.center[0] + self.a * np.cos(t), self.center[1] + self.b * np.sin(t)],
-            axis=-1,
-        )
-
-    def signed_distance(self, grid: TorusGrid) -> FloatArray:
-        if grid.d != 2:
-            raise GeometryError("ellipse shape is 2-d only")
-        from scipy.spatial import cKDTree
-
-        pts = np.stack(grid.meshgrid(), axis=-1).reshape(-1, 2)
-        # non-periodic distance is exact here: the shape sits away from the seam
-        dist, _ = cKDTree(self._boundary()).query(pts, k=1)
-        dx = (pts[:, 0] - self.center[0]) / self.a
-        dy = (pts[:, 1] - self.center[1]) / self.b
-        inside = dx**2 + dy**2 < 1.0
-        return np.where(inside, dist, -dist).reshape(grid.shape)
-
-    def reach(self) -> float:
-        lo, hi = min(self.a, self.b), max(self.a, self.b)
-        return lo**2 / hi  # curvature radius at the tip of the major axis
-
-    def seam_distance(self) -> float:
-        gaps = [
-            min(self.center[0] % 1.0, 1.0 - self.center[0] % 1.0) - self.a,
-            min(self.center[1] % 1.0, 1.0 - self.center[1] % 1.0) - self.b,
-        ]
-        return min(gaps)
-
-
-@dataclass(frozen=True)
 class Band(Shape):
-    """Slab {lo < x_axis < hi}; the flat-substrate geometry.
+    """Slab {lo < x2 < hi}; the flat-substrate geometry.
 
-    With ``axis=1`` (the vertical coordinate in d=2) the substrate occupies
-    the complement band and the lower boundary has outer normal (0, -1).
+    The substrate occupies the complement band, and the lower boundary
+    has outer normal (0, -1) in d=2.
     """
 
     lo: float
     hi: float
-    axis: int = 1
 
     def signed_distance(self, grid: TorusGrid) -> FloatArray:
         if not 0.0 <= self.lo < self.hi <= 1.0:
             raise GeometryError(f"band requires 0 <= lo < hi <= 1, got ({self.lo}, {self.hi})")
-        x = grid.meshgrid()[self.axis]
+        x = grid.meshgrid()[1]
         w = self.hi - self.lo
         t = (x - self.lo) % 1.0
         inside = t < w
@@ -139,7 +92,7 @@ class Band(Shape):
         return min(self.hi - self.lo, 1.0 - (self.hi - self.lo)) / 2.0
 
     def seam_distance(self) -> float:
-        # the band wraps the periodic axes; only the slab axis has a seam gap,
+        # the band wraps the periodic axes; only x2 has a seam gap,
         # and the substrate fills it.  Treat as always admissible.
         return np.inf
 
@@ -328,7 +281,6 @@ def make_shape(kind: str, **kwargs) -> Shape:
     """Shape factory used by the config layer."""
     kinds = {
         "disk": Disk,
-        "ellipse": Ellipse,
         "band": Band,
         "full": FullTorus,
     }

@@ -309,7 +309,7 @@ def _experiment_sharp_limit(ws: Workspace, out: Path) -> dict:
     spec = initial_shape_spec(config, ws.geometry)
     if spec is None or spec.wetted:
         raise ConfigError(
-            "converge needs an analytic free-boundary initial shape (disk/ellipse)"
+            "converge needs an analytic free-boundary initial shape (disk)"
         )
     if np.ptp(ws.tensions.pv) != 0.0:
         raise ConfigError("converge needs a spatially constant gamma_pv")
@@ -337,11 +337,16 @@ def _experiment_sharp_limit(ws: Workspace, out: Path) -> dict:
     return _write_summary(ws, out, results, {"table": "convergence.csv"})
 
 
-def _ensemble(ws: Workspace, n_fields: int, levels: int, include_disk: bool):
-    """Field names and the seeded phase fields, in the same order."""
+# Quantisation levels of the random ensemble fields.
+_LEVELS = 16
+
+
+def _ensemble(ws: Workspace, n_fields: int, include_disk: bool):
+    """Field names and the seeded phase fields, in the same order; with
+    ``include_disk`` the indicator of a free initial disk comes last."""
     rng = np.random.default_rng(ws.config.seed)
     names = [f"random_{i:03d}" for i in range(n_fields)]
-    fields = [PhaseField.random(ws.geometry, rng, levels) for _ in names]
+    fields = [PhaseField.random(ws.geometry, rng, _LEVELS) for _ in names]
     if include_disk:
         spec = initial_shape_spec(ws.config, ws.geometry)
         if spec is not None and not spec.wetted:
@@ -352,7 +357,7 @@ def _ensemble(ws: Workspace, n_fields: int, levels: int, include_disk: bool):
 
 def _experiment_monotonic(ws: Workspace, out: Path) -> dict:
     p = ws.config.experiment_params
-    names, fields = _ensemble(ws, p["n_fields"], p["levels"], p["include_disk"])
+    names, fields = _ensemble(ws, p["n_fields"], include_disk=True)
     constant = ws.tensions.is_spatially_constant
     rows = []
     c_by_combo: dict[tuple, list] = {}
@@ -392,7 +397,7 @@ def _experiment_monotonic(ws: Workspace, out: Path) -> dict:
 
 def _experiment_inequalities(ws: Workspace, out: Path) -> dict:
     p = ws.config.experiment_params
-    names, fields = _ensemble(ws, p["n_fields"], p["levels"], include_disk=False)
+    names, fields = _ensemble(ws, p["n_fields"], include_disk=False)
     rows = []
     worst = math.inf
     all_ok = True
@@ -453,9 +458,7 @@ def _experiment_angle(ws: Workspace, out: Path) -> dict:
 
     rho = p["sigma_ratio"]
     skip = max(3, math.ceil(3.0 * math.sqrt(2.0 * fine.h) / ws.grid.spacing))
-    angles = _maybe_angles(
-        u, ws.geometry, window_cells=p["window_cells"], skip_cells=skip
-    )
+    angles = _maybe_angles(u, ws.geometry, skip_cells=skip)
     target = math.degrees(math.acos(-rho))
     outputs = {
         "steps_coarse": "steps_coarse.csv",

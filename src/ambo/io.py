@@ -92,6 +92,9 @@ def read_field(path) -> np.ndarray:
         blob = src.read()
     if blob[:4] != FIELD_MAGIC:
         raise ConfigError(f"{path}: not a field file (bad magic {blob[:4]!r})")
+    # the magic, version and dimension bytes, then one uint32 per axis
+    if len(blob) < 6 or len(blob) < 6 + 4 * blob[5]:
+        raise ConfigError(f"{path}: truncated field file (only {len(blob)} bytes)")
     version, ndim = struct.unpack_from("<BB", blob, 4)
     if version != FIELD_VERSION:
         raise ConfigError(f"{path}: unsupported field version {version}")

@@ -1,6 +1,12 @@
 """Convolution kernels, their grid sampling, and periodic convolution.
 
 A kernel ``K`` is an even, nonnegative function on R^d with unit mass.
+A run convolves with a Gaussian or an elliptic Gaussian: both have a
+nonnegative Fourier transform, on which the energy-descent argument of
+the thresholding step rests.  The tent J (:class:`TriangularKernel`), whose
+transform changes sign, serves only the inequality suite of
+:mod:`ambo.energy`, which samples it and its gradient.
+
 The scaled family is ``K_h(x) = h^{-d/2} K(x / sqrt(h))``; it keeps unit
 mass, because the substitution ``y = x/sqrt(h)`` contributes a factor
 ``h^{d/2}`` that the prefactor cancels.  Discretely we sample ``K_h`` at
@@ -18,8 +24,7 @@ sum, the first up to rounding (a few 1e-16 of the peak):
   only the zero image, so it and its gradient are evaluated on the
   support box alone, bit for bit equal to the image sum;
 * everything else (an elliptic Gaussian with a non-diagonal ``L``, a
-  wider tent, a Gaussian gradient) is evaluated on the full grid once
-  per image, 3^d times.
+  wider tent) is evaluated on the full grid once per image, 3^d times.
 
 Convolution is the mass-weighted circular sum
 
@@ -129,7 +134,8 @@ class Kernel:
         raise NotImplementedError
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad K at points of shape (..., d); same shape as ``x``."""
+        """grad K at points of shape (..., d); same shape as ``x``
+        (the tent only)."""
         raise NotImplementedError
 
     def suggested_cutoff(self, d: int) -> float:
@@ -166,10 +172,6 @@ class GaussianKernel(Kernel):
         d = x.shape[-1]
         r2 = np.sum(x * x, axis=-1)
         return (4.0 * math.pi) ** (-0.5 * d) * np.exp(-0.25 * r2)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return -0.5 * x * self.evaluate(x)[..., None]
 
     def suggested_cutoff(self, d: int) -> float:
         return 16.0
@@ -216,11 +218,6 @@ class EllipticGaussianKernel(Kernel):
             )
         return self._gauss.evaluate(x @ self._l.T) * self._det
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        inner = self._gauss.gradient(x @ self._l.T) * self._det
-        return inner @ self._l  # chain rule: (grad G)(Lx) L
-
     def suggested_cutoff(self, d: int) -> float:
         return 16.0 / self._sigma_min
 
@@ -241,6 +238,10 @@ class EllipticGaussianKernel(Kernel):
 @dataclass(frozen=True)
 class TriangularKernel(Kernel):
     """Tent kernel J(x) = peak * (1 - |x|/radius) on the ball |x| < radius.
+
+    The J of the fourth inequality of :func:`ambo.energy.inequality_suite`;
+    no config selects it as a run kernel, because its transform changes
+    sign (first at |k| radius ~ 5.9 in 2-d).
 
     The peak ``(d+1) / (omega_d radius^d)`` makes the mass one (in d=2
     with radius b this is ``3 / (pi b^2)``).  Wherever J is differentiable
@@ -275,17 +276,8 @@ class TriangularKernel(Kernel):
             inside[..., None], -(self.peak(d) / self.radius) * unit, 0.0
         )
 
-    def suggested_cutoff(self, d: int) -> float:
-        return self.radius
-
     def wrap_radius(self) -> float:
         return self.radius
-
-    def positivity_pair(self, d: int) -> tuple[float, float]:
-        return 0.5 * self.peak(d), 0.5 * self.radius
-
-    def mass_quadrature(self, d: int) -> float:
-        return _radial_mass(self, d, self.radius)
 
 
 @functools.cache
@@ -539,8 +531,8 @@ def scale_kernel_gradient(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarr
     grad(K_h)(x) = h^{-(d+1)/2} (grad K)(x / sqrt(h)).  Sampling the
     analytic gradient (rather than differencing the sampled kernel) keeps
     the array exactly odd under x -> -x, which the inequality checks rely
-    on.  Only the tent takes a shortcut (its support box); a Gaussian
-    gradient is not factorized, because the only caller samples the tent.
+    on.  The only kernel with a gradient is the tent, sampled on its
+    support box where that fits inside the zero image.
     """
     sqrt_h = _check_resolution(kernel, grid, h)
     values = _sample(kernel.gradient, kernel, grid, sqrt_h)
@@ -633,12 +625,9 @@ def make_kernel(kind: str, **kwargs) -> Kernel:
     kinds = {
         "gaussian": GaussianKernel,
         "elliptic_gaussian": EllipticGaussianKernel,
-        "triangular": TriangularKernel,
     }
     if kind not in kinds:
         raise KernelError(
             f"unknown kernel kind {kind!r}; expected one of {sorted(kinds)}"
         )
-    if "matrix" in kwargs:
-        kwargs["matrix"] = tuple(map(tuple, kwargs["matrix"]))
     return kinds[kind](**kwargs)

@@ -414,11 +414,14 @@ def periodic_components(mask: np.ndarray) -> tuple[int, np.ndarray]:
     return len(roots), out
 
 
+# Interface points per side that the contact-angle fit uses.
+_WINDOW_CELLS = 12
+
+
 def measure_contact_angle(
     u: PhaseField,
     geometry: Geometry,
     *,
-    window_cells: int = 12,
     skip_cells: int = 13,
 ) -> list[float]:
     """Interior contact angles (degrees) of a droplet on a flat substrate.
@@ -427,10 +430,10 @@ def measure_contact_angle(
     row above the substrate).  Near each contact the free boundary is
     sampled at subpixel accuracy from the 1/2 level of the indicator
     smoothed by K_h with h = (3 spacing)^2.  A circle is fitted through
-    the ``window_cells`` interface points and the angle is taken between
-    its tangent at substrate height and the substrate line; when the
-    circle misses that line, straight-line fits through the same points
-    give the angles instead.
+    the interface points of 12 rows per side (``_WINDOW_CELLS``) and the
+    angle is taken between its tangent at substrate height and the
+    substrate line; when the circle misses that line, straight-line fits
+    through the same points give the angles instead.
 
     ``skip_cells`` rows nearest the substrate are excluded: there the
     level set is bent by the substrate truncation, over a layer about
@@ -450,9 +453,6 @@ def measure_contact_angle(
     if n_comp == 0:
         raise SchemeError("empty phase: no contact points")
 
-    axis = geometry.shape.axis
-    if axis != 1:
-        raise SchemeError("flat substrate must bound the x2 coordinate")
     y0 = geometry.shape.lo % 1.0
     spacing = grid.spacing
     coords = grid.axis_coords()
@@ -473,11 +473,11 @@ def measure_contact_angle(
 
     pts_left = _trace_interface(
         f, grid, start_col=int(wetted_cols[0]), start_row=j0, side="left",
-        skip=skip_cells, count=window_cells,
+        skip=skip_cells, count=_WINDOW_CELLS,
     )
     pts_right = _trace_interface(
         f, grid, start_col=int(wetted_cols[-1]), start_row=j0, side="right",
-        skip=skip_cells, count=window_cells,
+        skip=skip_cells, count=_WINDOW_CELLS,
     )
     # The free boundary of a capillary droplet is a single circular arc,
     # so one circle is fitted through both branches: the joint fit pins

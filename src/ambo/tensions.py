@@ -433,14 +433,12 @@ def extend_substrate(
     raw: RawTensions,
     geometry: Geometry,
     gamma: Anisotropy,
-    *,
-    delta: float | None = None,
 ) -> ModifiedTensions:
     """Build the full :class:`ModifiedTensions` triple.
 
     On the boundary layer the substrate tensions become
     ``gamma_s(x) / gamma(normal(x))``; on the two strips of width delta
-    they are the ratio of two harmonic strip solutions (data gamma_s on
+    (``geometry.delta``) they are the ratio of two harmonic strip solutions (data gamma_s on
     the boundary, ``C_gamma C_pv / 2`` on the outer strip edge, against
     the reference solution with data gamma(normal) and ``c_gamma``);
     everywhere else they take the constant ``C_gamma C_pv / (2 c_gamma)``.
@@ -468,11 +466,10 @@ def extend_substrate(
     sp_data = raw.sample("sp", grid)[layer]
     sv_data = raw.sample("sv", grid)[layer]
 
-    delta0 = geometry.delta if delta is None else float(delta)
     last_failure = ""
     max_halvings = 4
     for halving in range(max_halvings + 1):
-        delta_k = delta0 / 2**halving
+        delta_k = geometry.delta / 2**halving
         strips = {}
         ok = True
         slack_min = math.inf

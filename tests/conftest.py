@@ -37,7 +37,7 @@ def full_geometry(grid256):
 def band_geometry():
     """Flat substrate below y=0.25 at droplet-experiment resolution."""
     grid = TorusGrid(2, 512)
-    return build_geometry(make_shape("band", lo=0.25, hi=0.95, axis=1), grid)
+    return build_geometry(make_shape("band", lo=0.25, hi=0.95), grid)
 
 
 @pytest.fixture

@@ -295,17 +295,19 @@ def test_sharp_cap_closed_form():
 
 
 def test_sharp_ellipse_against_dense_quadrature():
+    """The adaptive arc quadrature of a circle under a sheared elliptic
+    gamma and a varying density, against a dense Simpson rule."""
     gamma = Elliptic(2, matrix=((1.4, 0.3), (0.3, 0.9)))
-    a, b = 0.23, 0.11
+    center, r = (0.45, 0.55), 0.17
     ts = np.linspace(0.0, 2 * math.pi, (1 << 17) + 1)
-    pts = np.stack([0.5 + a * np.cos(ts), 0.5 + b * np.sin(ts)], axis=-1)
-    velocity = np.stack([-a * np.sin(ts), b * np.cos(ts)], axis=-1)
+    pts = np.stack([center[0] + r * np.cos(ts), center[1] + r * np.sin(ts)], axis=-1)
+    velocity = np.stack([-r * np.sin(ts), r * np.cos(ts)], axis=-1)
     speed = np.linalg.norm(velocity, axis=-1)
     normal = np.stack([velocity[:, 1], -velocity[:, 0]], axis=-1) / speed[:, None]
     integrand = (1.0 + 0.2 * pts[:, 0]) * gamma(normal) * speed
     oracle = simpson(integrand, x=ts)
 
-    value = sharp_energy(ShapeSpec.ellipse((0.5, 0.5), a, b), "1 + 0.2*x1", gamma)
+    value = sharp_energy(ShapeSpec.disk(center, r), "1 + 0.2*x1", gamma)
     assert value == pytest.approx(oracle, rel=1e-9)
 
 

@@ -13,6 +13,7 @@ import pytest
 from ambo import cli
 from ambo.anisotropy import Isotropic
 from ambo.config import (
+    EXPERIMENTS,
     RunConfig,
     apply_overrides,
     build_geometry_from,
@@ -72,6 +73,12 @@ def test_field_reader_rejects_corruption(tmp_path):
     (tmp_path / "short.bin").write_bytes(good[:-8])
     with pytest.raises(ConfigError, match="truncated"):
         read_field(tmp_path / "short.bin")
+
+    # ends inside the 6-byte header, then inside the shape words
+    for size in (5, 7):
+        (tmp_path / "head.bin").write_bytes(good[:size])
+        with pytest.raises(ConfigError, match="truncated field file"):
+            read_field(tmp_path / "head.bin")
 
     with pytest.raises(ConfigError, match="axis"):
         write_field(tmp_path / "scalar.bin", np.float64(3.0))
@@ -247,11 +254,10 @@ def test_unknown_keys_are_named(tmp_path):
 
 
 def test_three_dimensional_initial_must_be_a_field_or_empty(tmp_path, capsys):
-    """The disk, ellipse and cap shapes are 2-d; d = 3 takes a field file."""
+    """The disk and cap shapes are 2-d; d = 3 takes a field file."""
     shapes = (
         "",  # the default initial kind is disk
         "initial: {kind: disk, center: [0.5, 0.5, 0.5], radius: 0.3}\n",
-        "initial: {kind: ellipse, center: [0.5, 0.5], a: 0.3, b: 0.2}\n",
         "initial: {kind: cap, angle: 90.0, radius: 0.1}\n",
     )
     for shape in shapes:
@@ -272,7 +278,6 @@ def test_anisotropy_section_only_restates_the_kernel(tmp_path):
         "anisotropy: {kind: isotropic}\n",
         "anisotropy: {}\n",
         "anisotropy:\n",
-        "anisotropy: {kind: isotropic}\nkernel: {kind: triangular, radius: 1.0}\n",
     ):
         cfg = load_config(_write_yaml(tmp_path, text))
         assert "anisotropy" not in cfg.document()
@@ -285,6 +290,53 @@ def test_anisotropy_section_only_restates_the_kernel(tmp_path):
     for text, kernel in rejected.items():
         with pytest.raises(ConfigError, match=rf"'anisotropy'.*'{kernel}' kernel"):
             load_config(_write_yaml(tmp_path, text))
+
+
+# Settings that no run varied: the tent kernel and the ellipse shapes went,
+# and keys that every run set to one value are now constants of the code.
+REMOVED_KINDS = {
+    "kernel.triangular": "kernel: {kind: triangular}",
+    "geometry.ellipse": "geometry: {kind: ellipse}",
+    "initial.ellipse": "initial: {kind: ellipse}",
+}
+REMOVED_KEYS = {
+    "kernel.radius": "kernel: {kind: gaussian, radius: 1.0}",
+    "geometry.a": "geometry: {kind: disk, a: 0.3}",
+    "geometry.b": "geometry: {kind: disk, b: 0.2}",
+    "geometry.axis": "geometry: {kind: band, lo: 0.25, hi: 0.95, axis: 1}",
+    "geometry.delta": "geometry: {kind: disk, delta: 0.05}",
+    "tensions.delta": "tensions: {delta: 0.05}",
+    "initial.a": "initial: {kind: disk, a: 0.2}",
+    "initial.b": "initial: {kind: disk, b: 0.1}",
+    "initial.center_x": "initial: {kind: cap, radius: 0.1, center_x: 0.5}",
+    "experiment.window_cells": "experiment: {kind: angle, window_cells: 12}",
+    "experiment.levels": "experiment: {kind: inequalities, levels: 16}",
+    "experiment.include_disk": "experiment: {kind: monotonic, include_disk: true}",
+}
+
+
+@pytest.mark.parametrize("setting", [*REMOVED_KINDS, *REMOVED_KEYS])
+def test_removed_settings_are_rejected_by_name(tmp_path, setting):
+    section, name = setting.split(".")
+    if setting in REMOVED_KINDS:
+        text, what = REMOVED_KINDS[setting], "kind"
+    else:
+        text, what = REMOVED_KEYS[setting], "key"
+    with pytest.raises(ConfigError, match=rf"unknown {what} '{name}' in section '{section}'"):
+        load_config(_write_yaml(tmp_path, text + "\n"))
+
+
+def test_snapshot_cadence_is_for_runs_only(tmp_path, capsys):
+    """Only the run experiment writes snapshots, so only it takes a cadence."""
+    assert load_config(_write_yaml(tmp_path, "output: {snapshot_every: 2}\n")).snapshot_every == 2
+    for kind in sorted(set(EXPERIMENTS) - {"run"}):
+        path = _write_yaml(tmp_path, f"experiment: {kind}\noutput: {{snapshot_every: 2}}\n")
+        with pytest.raises(ConfigError, match=r"key 'snapshot_every' in section 'output'"):
+            load_config(path)
+        assert load_config(path, {"output.snapshot_every": 0}).snapshot_every == 0
+        with pytest.raises(SystemExit):
+            cli.main([kind, "--snapshot-every", "2"])
+        assert "--snapshot-every" in capsys.readouterr().err
 
 
 def test_type_errors_are_specific(tmp_path):
@@ -302,6 +354,23 @@ def test_type_errors_are_specific(tmp_path):
         load_config(
             _write_yaml(tmp_path, "experiment: {kind: converge, h_values: []}\n")
         )
+    # a center has one number per axis of its shape: d for the container,
+    # 2 for the initial disk; nothing is broadcast
+    list_of = r"'center' in section '{}' must be a list of {} numbers"
+    centers = {
+        "initial: {kind: disk, center: [0.3]}\n": list_of.format("initial", 2),
+        "initial: {kind: disk, center: 5}\n": list_of.format("initial", 2),
+        "initial: {kind: disk, center: [0.5, half]}\n": r"'center' .* must be a number",
+        "geometry: {kind: disk, center: [0.5, 0.5, 0.5]}\n": list_of.format("geometry", 2),
+        "grid: {d: 3}\ngeometry: {kind: disk, center: [0.5, 0.5]}\ninitial: {kind: empty}\n": (
+            list_of.format("geometry", 3)
+        ),
+    }
+    for text, message in centers.items():
+        with pytest.raises(ConfigError, match=message):
+            load_config(_write_yaml(tmp_path, text))
+    path = _write_yaml(tmp_path, "initial: {kind: disk, center: 5}\nexperiment: energy\n")
+    assert cli.main(["energy", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
 def test_yaml_coercions(tmp_path):
@@ -335,11 +404,7 @@ def test_file_level_errors(tmp_path):
 def test_experiment_section_forms(tmp_path):
     cfg = load_config(_write_yaml(tmp_path, "experiment: angle\n"))
     assert cfg.experiment == "angle"
-    assert cfg.experiment_params == {
-        "sigma_ratio": 0.0,
-        "coarse_h": 1.0e-3,
-        "window_cells": 12,
-    }
+    assert cfg.experiment_params == {"sigma_ratio": 0.0, "coarse_h": 1.0e-3}
 
     cfg = load_config(
         _write_yaml(
@@ -349,11 +414,11 @@ def test_experiment_section_forms(tmp_path):
     )
     assert cfg.experiment_params["factors"] == [2]
     assert cfg.experiment_params["n_fields"] == 5
-    assert cfg.experiment_params["include_disk"] is True  # default survives
+    assert cfg.experiment_params["h_values"] == [2.5e-4, 1.0e-3]  # default survives
 
-    with pytest.raises(ConfigError, match=r"'window_cells' in section 'experiment'"):
+    with pytest.raises(ConfigError, match=r"'coarse_h' in section 'experiment'"):
         load_config(
-            _write_yaml(tmp_path, "experiment: {kind: angle, window_cells: [1]}\n")
+            _write_yaml(tmp_path, "experiment: {kind: angle, coarse_h: [1]}\n")
         )
 
     # an empty or negative ensemble would pass every check vacuously
@@ -387,7 +452,7 @@ def test_document_round_trip_and_hash_stability(tmp_path):
             tmp_path,
             """\
             grid: {d: 2, n: 128}
-            geometry: {kind: band, lo: 0.25, hi: 0.95, axis: 1}
+            geometry: {kind: band, lo: 0.25, hi: 0.95}
             tensions: {mode: direct, gamma_pv: "1", gamma_sp: "1.2", gamma_sv: "0.9"}
             scheme: {h: 1.0e-3, preserve_volume: true}
             initial: {kind: cap, angle: 100.0, radius: 0.12}
@@ -413,7 +478,7 @@ def test_every_preset_loads_and_its_echo_round_trips():
 
 ANGLE = {
     "grid": {"n": 64},
-    "geometry": {"kind": "band", "lo": 0.25, "hi": 0.95, "axis": 1},
+    "geometry": {"kind": "band", "lo": 0.25, "hi": 0.95},
     "initial": {"kind": "cap", "angle": 90.0, "radius": 0.16},
 }
 
@@ -425,7 +490,6 @@ def test_sigma_ratio_fixes_the_angle_tensions_and_volume_constraint():
         "gamma_pv": "1",
         "gamma_sp": "1.25",
         "gamma_sv": "0.75",
-        "delta": None,
     }
     assert cfg.scheme["preserve_volume"] is True
 
@@ -473,7 +537,7 @@ def test_builders(tmp_path):
     cfg = config_from_mapping(
         {
             "grid": {"n": 64},
-            "geometry": {"kind": "band", "lo": 0.25, "hi": 0.95, "axis": 1},
+            "geometry": {"kind": "band", "lo": 0.25, "hi": 0.95},
             "initial": {"kind": "cap", "angle": 90.0, "radius": 0.12},
             "scheme": {"h": 2e-3, "preserve_volume": True, "max_steps": 5},
         }

@@ -45,7 +45,7 @@ def unit_tensions(grid256):
 @pytest.fixture(scope="module")
 def small_band():
     grid = TorusGrid(2, 128)
-    return build_geometry(make_shape("band", lo=0.25, hi=0.95, axis=1), grid)
+    return build_geometry(make_shape("band", lo=0.25, hi=0.95), grid)
 
 
 def _radial(grid, center=(0.5, 0.5)):
@@ -180,7 +180,7 @@ def test_select_without_target_is_the_negative_container_set(band_geometry, rng)
     The full tori take the path that does not AND with the all-true mask."""
     geometries = [band_geometry, build_geometry(make_shape("full"), TorusGrid(2, 64))]
     for shape in ("band", "full"):
-        params = {"lo": 0.25, "hi": 0.95, "axis": 1} if shape == "band" else {}
+        params = {"lo": 0.25, "hi": 0.95} if shape == "band" else {}
         geometries.append(
             build_geometry(make_shape(shape, **params), TorusGrid(3, 32), delta=0.1)
         )
@@ -332,7 +332,7 @@ def test_reflection_symmetry_is_preserved_exactly():
     # bitwise symmetric; the volume-preserving selector may split a
     # symmetric tie pair, so exactness is only claimed for lambda = 0.
     grid = TorusGrid(2, 256)
-    band = build_geometry(make_shape("band", lo=0.25, hi=0.95, axis=1), grid)
+    band = build_geometry(make_shape("band", lo=0.25, hi=0.95), grid)
     cap = ShapeSpec.cap(100.0, 0.15, 0.25).indicator(band)
     t = constant_tensions(grid, 1.0, 1.2, 0.9)
     mirrored = (grid.n - np.arange(grid.n)) % grid.n
@@ -383,7 +383,7 @@ def test_states_match_fresh_evaluation(monkeypatch):
     grid = TorusGrid(2, 128)
     h = 1e-3
     kh = scale_kernel(UNIT_KERNEL, grid, h)
-    band = build_geometry(make_shape("band", lo=0.25, hi=0.95, axis=1), grid)
+    band = build_geometry(make_shape("band", lo=0.25, hi=0.95), grid)
     disk = build_geometry(make_shape("disk", center=(0.5, 0.5), radius=0.3), grid)
     varying = extend_substrate(
         RawTensions.from_values("1 + 0.2*x1", 2.0, 1.5), disk, Isotropic(2, 1.0)
@@ -420,7 +420,7 @@ def _repeat_cases():
     vanishes and a half-space that is stationary from the start:
     (initial field, config, tensions)."""
     grid = TorusGrid(2, 128)
-    band = build_geometry(make_shape("band", lo=0.25, hi=0.95, axis=1), grid)
+    band = build_geometry(make_shape("band", lo=0.25, hi=0.95), grid)
     _, x2 = grid.meshgrid()
     grid3 = TorusGrid(3, 32)
     ball = PhaseField.from_mask(
@@ -506,7 +506,7 @@ def _count_calls(monkeypatch, name):
 
 def _band_cap(n, angle=100.0):
     grid = TorusGrid(2, n)
-    band = build_geometry(make_shape("band", lo=0.25, hi=0.95, axis=1), grid)
+    band = build_geometry(make_shape("band", lo=0.25, hi=0.95), grid)
     initial = ShapeSpec.cap(angle, 0.15, 0.25).indicator(band)
     return initial, constant_tensions(grid, 1.0, 1.2, 0.9)
 

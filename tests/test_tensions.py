@@ -324,7 +324,7 @@ def test_lipschitz_constant_stable_under_refinement():
     for n in (128, 256):
         grid = TorusGrid(2, n)
         geometry = build_geometry(DISK, grid, delta=0.05)
-        t = extend_substrate(VARYING, geometry, Isotropic(2, 1.0), delta=0.05)
+        t = extend_substrate(VARYING, geometry, Isotropic(2, 1.0))
         lipschitz[n] = [_max_lipschitz(f, grid) for f in (t.pv, t.sp, t.sv)]
     for coarse, fine in zip(lipschitz[128], lipschitz[256]):
         assert fine <= 1.25 * coarse
