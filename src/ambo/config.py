@@ -178,6 +178,22 @@ def _as_point(value, dim: int, key: str, section: str, source: str) -> list[floa
     return [_as_float(v, key, section, source) for v in value]
 
 
+def _shape_numbers(
+    section: dict, keys: tuple, required: tuple, name: str, source: str
+) -> None:
+    """Check the scalar ``keys`` of a shape section as numbers, in place;
+    each key of ``required`` must be there."""
+    for key in required:
+        if key not in section:
+            raise _fail(
+                source,
+                f"kind '{section['kind']}' in section '{name}' needs key '{key}'",
+            )
+    for key in keys:
+        if key in section:
+            section[key] = _as_float(section[key], key, name, source)
+
+
 def _mapping_section(doc: dict, name: str, source: str) -> dict:
     raw = doc.get(name) or {}
     if not isinstance(raw, dict):
@@ -348,6 +364,8 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
             geometry.get("center", [0.5] * d), d, "center", "geometry", source
         )
         geometry.setdefault("radius", 0.3)
+    band = ("lo", "hi") if geometry["kind"] == "band" else ()
+    _shape_numbers(geometry, ("radius", "lo", "hi"), band, "geometry", source)
     kernel = _kinded_section(doc, "kernel", _KERNEL_KINDS, "gaussian", source)
     _check_legacy_anisotropy(doc, kernel["kind"], source)
 
@@ -395,6 +413,8 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
             initial.get("center", [0.5, 0.5]), 2, "center", "initial", source
         )
         initial.setdefault("radius", 0.15)
+    cap = ("radius",) if initial["kind"] == "cap" else ()
+    _shape_numbers(initial, ("radius", "angle"), cap, "initial", source)
 
     experiment_raw = doc.get("experiment") or {}
     if isinstance(experiment_raw, str):
@@ -476,11 +496,7 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def build_geometry_from(config: RunConfig) -> Geometry:
-    params = {
-        k: (v if k == "center" else float(v))
-        for k, v in config.geometry.items()
-        if k != "kind"
-    }
+    params = {k: v for k, v in config.geometry.items() if k != "kind"}
     shape = make_shape(config.geometry["kind"], **params)
     return build_geometry(shape, TorusGrid(config.d, config.n))
 
@@ -532,11 +548,11 @@ def initial_shape_spec(config: RunConfig, geometry: Geometry) -> ShapeSpec | Non
     spec = config.initial
     kind = spec["kind"]
     if kind == "disk":
-        return ShapeSpec.disk(spec["center"], float(spec["radius"]))
+        return ShapeSpec.disk(spec["center"], spec["radius"])
     if kind == "cap" and isinstance(geometry.shape, Band):
         return ShapeSpec.cap(
-            float(spec.get("angle", 90.0)),
-            float(spec["radius"]),
+            spec.get("angle", 90.0),
+            spec["radius"],
             substrate_y=geometry.shape.lo % 1.0,
         )
     return None

@@ -17,14 +17,25 @@ the container, optionally under an exact volume constraint:
 Everything fixed for a run lives in one :class:`~ambo.energy.RunOperator`
 and every state carries K_h*u, so with constant g_pv a step costs at
 most one convolution: that of the new phase, which serves both its
-diagnostics and the next comparison field.  A 2-d step with a
-factorized kernel (a Gaussian, or an elliptic one with a diagonal L)
-that flips few cells costs none: it updates K_h*u from the flipped
-cells with one matrix product (:func:`~ambo.kernel.flip_update`), and
-after ``_MAX_UPDATES`` such steps the next changed step convolves by
-FFT again.  Which path a step takes depends on cell counts alone.  From
-state 1 on, a step that keeps the phase costs no convolution: it
-returns its input state with the new step index and lambda.
+diagnostics and the next comparison field.  With a kernel that has axis
+factors (a Gaussian, or an elliptic one with a diagonal L), K_h*u comes
+from :func:`~ambo.kernel.box_convolve`, whose cost scales with the box
+of the cells it is given, when that pays; a step takes the first of
+
+1. the update: K_h*u of the previous state plus the box product over
+   the flipped cells with weights +1 (entered) and -1 (left), when the
+   flips' box costs fewer flops than the new phase's box and than an
+   FFT convolution, from state 1 on, and after fewer than
+   ``_MAX_UPDATES`` updates in a row (which bounds the drift);
+2. the box product over the new phase's support with weights 1, when
+   it costs at most ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops;
+3. the FFT convolution :meth:`~ambo.kernel.SampledKernel.convolve`.
+
+State 0 takes 2 or 3 with the weights of the user field at its support,
+and a spatially varying g_pv convolves g_pv u by the same choice.  Cell
+counts alone choose the path, never the host.  From state 1 on, a step
+that keeps the phase costs no convolution: it returns its input state
+with the new step index and lambda.
 
 The run driver detects exact stationarity over a window, flags 2-cycles
 (both states are kept), and — without the volume constraint — asserts
@@ -47,7 +58,14 @@ from .energy import PhaseField, RunOperator, approx_energy, indicator_defect
 from .errors import NumericalError
 from .geometry import Band, Geometry
 from .grid import TorusGrid
-from .kernel import GaussianKernel, Kernel, SampledKernel, flip_update, scale_kernel
+from .kernel import (
+    CellBox,
+    GaussianKernel,
+    Kernel,
+    SampledKernel,
+    box_convolve,
+    scale_kernel,
+)
 from .tensions import ModifiedTensions
 
 __all__ = [
@@ -68,23 +86,49 @@ class SchemeError(ValueError):
 
 
 # Flip updates of K_h*u after which the next step that changes the phase
-# convolves by FFT, which bounds the drift.  Over every updated state of
-# the three n = 512 droplet runs, max |K_h*u - FFT| was 8.9e-16, both
+# evaluates K_h*u afresh, which bounds the drift.  Over every updated state
+# of the three n = 512 droplet runs, max |K_h*u - FFT| was 8.9e-16, both
 # with this limit and with none (then up to 39 updates in a row).
 _MAX_UPDATES = 32
 
+# Flops of box_convolve per n^d log2(n^d) up to which it replaces an FFT
+# convolution.  Box product against one FFT convolution, min of 7 calls
+# on 2 vCPUs with 1 and with 2 threads, for balls of radius 0.05-0.49:
+# every box of at most 24 such units (2-d, n = 256-1024) or 16 (3-d,
+# n = 48-96) took at most 0.6 of the FFT's time, and the boxes that came
+# near the FFT's time cost 32-88 units in 2-d (20-24 at n = 128) and
+# 15-35 in 3-d.  The ball3d phase, radius 0.3 at (3, 96), costs 11.2
+# units: 5.7-9.8 ms against 19-33 ms.
+_BOX_FLOPS_PER_FFT = {2: 24.0, 3: 16.0}
 
-def _flip_budget(n: int, d: int) -> int:
-    """Flipped cells up to which a step updates K_h*u from the flips.
 
-    n // 2 in 2-d, none in 3-d (a flip costs n^3 there).  An n // 2-flip
-    update against one FFT convolution, min of 15 calls in each of three
-    processes on 2 vCPUs, 1 or 2 threads: n = 128 0.10-0.14 against
-    0.17-0.26 ms, n = 256 0.56-0.88 against 1.2-1.8 ms, n = 512 2.1-3.6
-    against 5.5-7.5 ms, n = 1024 15-27 against 20-32 ms; the break-even
-    lies at 0.7 n to n flips.  Cell counts alone decide, never the host.
-    """
-    return n // 2 if d == 2 else 0
+def _fft_flops(grid: TorusGrid) -> float:
+    """The flops up to which a box product replaces an FFT convolution."""
+    cells = grid.cell_count
+    return _BOX_FLOPS_PER_FFT[grid.d] * cells * math.log2(cells)
+
+
+def _support_box(kh: SampledKernel, u: PhaseField) -> CellBox | None:
+    """The box of u's support when :func:`~ambo.kernel.box_convolve`
+    over it costs at most an FFT convolution; else None, as for a kernel
+    without axis factors."""
+    if kh.factors is None:
+        return None
+    box = CellBox.of(kh.grid, u.support)
+    return box if box.flops() <= _fft_flops(kh.grid) else None
+
+
+def _convolved(
+    kh: SampledKernel, u: PhaseField, box: CellBox | None, g: np.ndarray | None = None
+) -> np.ndarray:
+    """K_h*(g u), g = 1 when None: over ``box``, the box of u's support,
+    when given; else by FFT."""
+    if box is None:
+        return kh.convolve(u.values if g is None else g * u.values)
+    weights = u.values.take(u.support)
+    if g is not None:
+        weights *= g.take(u.support)
+    return box_convolve(kh, box, weights)
 
 
 @dataclass(frozen=True)
@@ -108,7 +152,8 @@ class SchemeConfig:
 @dataclass(frozen=True)
 class SchemeState:
     """One snapshot of the evolution (immutable); ``ku`` is K_h*u, and
-    ``updates`` counts the flip updates of ``ku`` since its last FFT."""
+    ``updates`` counts the flip updates of ``ku`` since it was last
+    evaluated afresh."""
 
     step: int
     u: PhaseField
@@ -153,18 +198,19 @@ def comparison_field(
 
     ``ku`` is K_h*u when the caller already has it.  Meaningful on
     container cells; evaluated everywhere for convenience, in place on
-    one array.  The last term is the operator's precomputed ``wetting``
-    field, absent without a substrate.
+    one array.  A varying g_pv convolves g_pv u over the box of u's
+    support when that pays, as K_h*u is.  The last term is the
+    operator's precomputed ``wetting`` field, absent without a substrate.
     """
     if u.grid != op.grid:
         raise SchemeError("phase field and operator grids differ")
     if ku is None:
-        ku = op.kh.convolve(u.values)
+        ku = _convolved(op.kh, u, _support_box(op.kh, u))
     phi = op.k_omega - ku
     pv = op.pv_constant
     if pv is None:
         phi *= op.tensions.pv
-        phi -= op.kh.convolve(op.tensions.pv * u.values)
+        phi -= _convolved(op.kh, u, _support_box(op.kh, u), op.tensions.pv)
     elif pv == 1.0:
         phi -= ku  # x * 1.0 == x exactly, so both products are skipped
     else:
@@ -222,9 +268,10 @@ def _make_state(
     updates: int = 0,
 ) -> SchemeState:
     """The state of phase u and its diagnostics (``volume`` and K_h*u if
-    known, else computed; K_h*u by FFT)."""
+    known, else computed: over the box of u's support when that pays,
+    else by FFT)."""
     if ku is None:
-        ku = op.kh.convolve(u.values)
+        ku = _convolved(op.kh, u, _support_box(op.kh, u))
     ku.flags.writeable = False
     return SchemeState(
         step=k,
@@ -239,37 +286,36 @@ def _make_state(
     )
 
 
-def _flips(
-    state: SchemeState, u_next: PhaseField, kh: SampledKernel
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The cells that entered and left the phase, when K_h*u_next is to be
-    updated from them by :func:`~ambo.kernel.flip_update`; else None.
+def _next_ku(
+    state: SchemeState, u: PhaseField, kh: SampledKernel
+) -> tuple[np.ndarray, int]:
+    """K_h*u of the phase u that follows ``state``, and the flip updates
+    in a row that gave it, by the rule of the module docstring.
 
-    The update needs a factorized kernel, a state from step 1 on (state 0
-    may hold a user field, whose bits the flips would not describe), fewer
-    than ``_MAX_UPDATES`` updates since the last FFT and at most
-    ``_flip_budget`` flips.  When the support sizes alone differ by more,
-    the flips are not gathered.
+    The update needs a state from step 1 on (state 0 may hold a user
+    field, whose bits the flips would not describe) and fewer than
+    ``_MAX_UPDATES`` updates since the last fresh evaluation.
     """
-    if state.step == 0 or state.updates >= _MAX_UPDATES or kh.factors is None:
-        return None
-    budget = _flip_budget(kh.grid.n, kh.grid.d)
-    old, new = state.u.support, u_next.support
-    if budget == 0 or abs(new.size - old.size) > budget:
-        return None
-    # Both fields are binary: a cell flipped where the other one is 0.
-    entered = new[state.u.values.take(new) == 0.0]
-    left = old[u_next.values.take(old) == 0.0]
-    if entered.size + left.size > budget:
-        return None
-    return entered, left
+    box = _support_box(kh, u)
+    if kh.factors is not None and state.step >= 1 and state.updates < _MAX_UPDATES:
+        old, new = state.u.support, u.support
+        # Both fields are binary: a cell flipped where the other one is 0.
+        entered = new[state.u.values.take(new) == 0.0]
+        left = old[u.values.take(old) == 0.0]
+        flips = CellBox.of(kh.grid, np.concatenate([entered, left]))
+        if flips.flops() < (_fft_flops(kh.grid) if box is None else box.flops()):
+            ku = box_convolve(kh, flips, np.repeat([1.0, -1.0], [entered.size, left.size]))
+            ku += state.ku
+            return ku, state.updates + 1
+    return _convolved(kh, u, box), 0
 
 
 def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeState:
     """Advance one thresholding step.
 
-    A step that changes the phase convolves the new phase by FFT, or
-    updates K_h*u from the flipped cells when :func:`_flips` allows it.
+    A step that changes the phase gets K_h*u of the new phase by
+    :func:`_next_ku`: from the flipped cells, over the new phase's box,
+    or by FFT.
     A step that keeps the phase of a state from step 1 on returns that
     state with the new step index and lambda: its field was built by
     :meth:`PhaseField.from_support`, so u, K_h*u and every diagnostic are
@@ -292,11 +338,8 @@ def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeSta
         tol = geometry.grid.cell_measure  # one cell
         if abs(volume - m) > tol:
             raise NumericalError(f"volume drifted: |{volume} - {m}| > {tol}")
-    flips = _flips(state, u_next, op.kh)
-    if flips is None:
-        return _make_state(state.step + 1, u_next, lam, op, volume)
-    ku = flip_update(op.kh, state.ku, *flips)
-    return _make_state(state.step + 1, u_next, lam, op, volume, ku, state.updates + 1)
+    ku, updates = _next_ku(state, u_next, op.kh)
+    return _make_state(state.step + 1, u_next, lam, op, volume, ku, updates)
 
 
 def run(

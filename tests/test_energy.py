@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from ambo import energy
+from ambo import energy, scheme
 from ambo.anisotropy import Elliptic, Isotropic
 from ambo.energy import (
     EnergyError,
@@ -618,7 +618,10 @@ def _masked_oracles(u, op, ku):
 )
 @pytest.mark.parametrize("binary", [True, False])
 def test_energy_field_and_defect_equal_masked_formulas(kind, d, n, h, binary, monkeypatch):
-    """The comparison field and the defect keep the masked formulas' bytes.
+    """The defect keeps the masked formula's bytes, and so would the
+    comparison field, but for its varying-g_pv term: K_h*(g_pv u) is the
+    box product over u's support, which equals the masked formula's FFT
+    within 1e-14 absolute (g_pv u <= 2; measured <= 8.9e-16).
 
     E_h is summed over the phase cells plus the operator's constant, in
     another order than the masked formula, so it is checked against the
@@ -651,7 +654,11 @@ def test_energy_field_and_defect_equal_masked_formulas(kind, d, n, h, binary, mo
 
     energy, phi, defect = _masked_oracles(u, op, ku)
     assert approx_energy(u, op, ku) == pytest.approx(energy, rel=1e-14, abs=0.0)
-    assert comparison_field(u, op, ku).tobytes() == phi.tobytes()
+    boxes = []
+    box_product = scheme.box_convolve
+    monkeypatch.setattr(scheme, "box_convolve", lambda *a: boxes.append(a) or box_product(*a))
+    assert np.abs(comparison_field(u, op, ku) - phi).max() <= 1e-14
+    assert len(boxes) == 1
     assert indicator_defect(ku, geometry) == defect
     # On the band the substrate terms are there and are not zero.
     assert (op.wetting is None) == (op.dry_energy == 0.0) == (kind == "full")

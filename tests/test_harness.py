@@ -184,14 +184,36 @@ def test_thread_count_changes_no_output_byte(kind, tmp_path):
 
 def test_thread_test_angle_run_takes_the_flip_update(tmp_path, monkeypatch):
     """The angle run of the thread-count test updates K_h*u from the
-    flips, so that test also covers the matrix product of the update."""
+    flips, so that test also covers the box product of the update."""
     preset, _, changes = SMALL["angle"]
     config = _config(tmp_path / "angle.yaml", preset, changes)
-    calls, update = [], scheme.flip_update
-    monkeypatch.setattr(scheme, "flip_update", lambda *a: calls.append(None) or update(*a))
+    updates, next_ku = [], scheme._next_ku
+
+    def recorded(*args):
+        ku, count = next_ku(*args)
+        updates.append(count)
+        return ku, count
+
+    monkeypatch.setattr(scheme, "_next_ku", recorded)
     code = cli.main(["angle", str(config), "--n", "512", "--out", str(tmp_path / "out")])
     assert code == 0
-    assert len(calls) >= 1, len(calls)
+    assert sum(k > 0 for k in updates) >= 1, updates
+
+
+def test_thread_test_ball_run_takes_the_box_product(tmp_path, monkeypatch):
+    """The 3-d run of the thread-count test gets every K_h*u by a box
+    product, so that test also covers the box products in 3-d; its only
+    FFT convolution is K_h*1_container."""
+    calls, box_product, convolve = [], scheme.box_convolve, energy.SampledKernel.convolve
+    monkeypatch.setattr(
+        scheme, "box_convolve", lambda *a: calls.append("box") or box_product(*a)
+    )
+    monkeypatch.setattr(
+        energy.SampledKernel, "convolve", lambda kh, f: calls.append("fft") or convolve(kh, f)
+    )
+    argv = ["run", str(_ball_config(tmp_path, 64, True, 4)), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert calls[0] == "fft" and calls[1:] == ["box"] * 5, calls
 
 
 def test_bad_config_exits_1(tmp_path, capsys):

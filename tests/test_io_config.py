@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import textwrap
 from importlib import resources
 
@@ -371,6 +372,37 @@ def test_type_errors_are_specific(tmp_path):
             load_config(_write_yaml(tmp_path, text))
     path = _write_yaml(tmp_path, "initial: {kind: disk, center: 5}\nexperiment: energy\n")
     assert cli.main(["energy", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_shape_numbers_are_checked_at_load(tmp_path, capsys):
+    """The scalar shape keys must be real numbers (not bool), and a cap
+    and a band need their sizes; each error names the key and section."""
+    number = r"key '{}' in section '{}' must be a number"
+    cases = {
+        "geometry: {kind: disk, radius: big}\n": number.format("radius", "geometry"),
+        "geometry: {kind: band, lo: true, hi: 0.9}\n": number.format("lo", "geometry"),
+        "geometry: {kind: band, lo: 0.2, hi: [1]}\n": number.format("hi", "geometry"),
+        "initial: {kind: disk, radius: null}\n": number.format("radius", "initial"),
+        "initial: {kind: cap, angle: wide, radius: 0.1}\n": number.format("angle", "initial"),
+        "geometry: {kind: band, hi: 0.9}\n": "kind 'band' in section 'geometry' needs key 'lo'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ConfigError, match=message):
+            load_config(_write_yaml(tmp_path, text))
+    cfg = load_config(_write_yaml(tmp_path, "initial: {kind: disk, radius: '0.2'}\n"))
+    assert cfg.initial["radius"] == 0.2
+
+    for text, message in [
+        (
+            "geometry: {kind: band, lo: 0.25, hi: 0.95}\ninitial: {kind: cap, angle: 90}\n",
+            "kind 'cap' in section 'initial' needs key 'radius'",
+        ),
+        ("geometry: {kind: disk, radius: big}\n", number.format("radius", "geometry")),
+    ]:
+        path = _write_yaml(tmp_path, text + "grid: {n: 64}\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err), err
 
 
 def test_yaml_coercions(tmp_path):
