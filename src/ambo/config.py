@@ -452,6 +452,12 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
                     source, f"key '{key}' in section 'experiment' must be a non-empty list"
                 )
             value = [_as_int(v, key, "experiment", source) for v in value]
+        if key in ("coarse_h", "h_values") and not all(
+            h > 0.0 for h in (value if key == "h_values" else [value])
+        ):
+            raise _fail(
+                source, f"key '{key}' in section 'experiment' must be positive, got {value}"
+            )
         experiment_params[key] = value
     if kind == "angle":
         tensions, scheme = _angle_settings(

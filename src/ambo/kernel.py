@@ -33,14 +33,15 @@ Convolution is the mass-weighted circular sum
 evaluated either with the FFT (default; the kernel transform is
 computed once, when the sampled kernel is built) or by direct summation
 (an independent oracle used in tests).  :meth:`SampledKernel.convolve`
-is the only FFT convolution.  A kernel with factors also convolves a
-field that vanishes off a set of cells without an FFT
-(:func:`box_convolve`): the field is held on the product of the cells'
-axis projections (:class:`CellBox`), and contracting that box with the
-rolled factors along each axis costs d matrix products, whose flops
-scale with the box rather than with n^d log n.  The result equals the
-FFT convolution up to rounding (a few 1e-16 of its maximum); the
-scheme chooses between the two by a flop count of the box.
+is the only FFT convolution.  :func:`convolve_cells` convolves a field
+that vanishes off a given set of cells, as a phase does.  With a kernel
+that has factors it holds the field on the product of the cells' axis
+projections (their box) and contracts that box with the rolled factors
+along each axis: d matrix products, whose flops scale with the box
+rather than with n^d log n.  It takes this box product when it costs at
+most ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops, and otherwise the
+FFT convolution of the scattered field; the two agree up to rounding (a
+few 1e-16 of the maximum).
 
 Every real FFT of the package, the shift sums of :mod:`ambo.energy`
 included, goes through :func:`_rfftn` and :func:`_irfftn`, which call
@@ -77,8 +78,7 @@ __all__ = [
     "SampledKernel",
     "scale_kernel",
     "scale_kernel_gradient",
-    "CellBox",
-    "box_convolve",
+    "convolve_cells",
     "validate_kernel",
     "make_kernel",
 ]
@@ -355,68 +355,69 @@ class SampledKernel:
         raise KernelError(f"unknown convolution method {method!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class CellBox:
-    """The product of the axis projections of a set of flat cell indices.
-
-    ``axes[k]`` holds the distinct coordinates of the cells along axis k,
-    ascending, and ``where[k]`` the position of each cell's coordinate in
-    ``axes[k]``.  A set that crosses the seam needs no cyclic logic: its
-    box holds the coordinates at both ends of the axis.
-    """
-
-    n: int
-    axes: tuple
-    where: tuple
-
-    @classmethod
-    def of(cls, grid: TorusGrid, cells: np.ndarray) -> "CellBox":
-        axes, where = [], []
-        for c in np.unravel_index(cells, grid.shape):
-            present = np.zeros(grid.n, dtype=bool)
-            present[c] = True
-            axes.append(np.flatnonzero(present))
-            where.append((np.cumsum(present) - 1)[c])
-        return cls(grid.n, tuple(axes), tuple(where))
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(a.size for a in self.axes)
-
-    def flops(self) -> int:
-        """Flops of :func:`box_convolve` over this box: with axis sizes
-        m_1 ... m_d, contracting axis k (from 1) costs 2 n^k m_k ... m_d."""
-        shape = self.shape
-        return sum(
-            2 * self.n ** (k + 1) * math.prod(shape[k:]) for k in range(len(shape))
-        )
+# Flops of the box product per n^d log2(n^d) up to which it replaces an
+# FFT convolution.  Box product against one FFT convolution, min of 7 calls
+# on 2 vCPUs with 1 and with 2 threads, for balls of radius 0.05-0.49:
+# every box of at most 24 such units (2-d, n = 256-1024) or 16 (3-d,
+# n = 48-96) took at most 0.6 of the FFT's time, and the boxes that came
+# near the FFT's time cost 32-88 units in 2-d (20-24 at n = 128) and
+# 15-35 in 3-d.  The ball3d phase, radius 0.3 at (3, 96), costs 11.2
+# units: 5.7-9.8 ms against 19-33 ms.
+_BOX_FLOPS_PER_FFT = {2: 24.0, 3: 16.0}
 
 
-def box_convolve(kh: SampledKernel, box: CellBox, weights: np.ndarray) -> np.ndarray:
-    """K_h applied to the field that equals ``weights`` on the cells of
-    ``box`` (in the order :meth:`CellBox.of` was given them) and 0
-    elsewhere; for a kernel with ``factors``.
+def _cell_box(grid: TorusGrid, cells: np.ndarray) -> tuple[list, list]:
+    """The box of a set of flat cell indices: per axis, the distinct
+    coordinates of the cells, ascending, and the position of each cell's
+    coordinate among them.  A set that crosses the seam needs no cyclic
+    logic: its box holds the coordinates at both ends of the axis."""
+    axes, where = [], []
+    for c in np.unravel_index(cells, grid.shape):
+        present = np.zeros(grid.n, dtype=bool)
+        present[c] = True
+        axes.append(np.flatnonzero(present))
+        where.append((np.cumsum(present) - 1)[c])
+    return axes, where
+
+
+def _box_flops(n: int, shape: tuple) -> int:
+    """Flops of the box product over a box of axis sizes m_1 ... m_d:
+    contracting axis k (from 1) costs 2 n^k m_k ... m_d."""
+    return sum(2 * n ** (k + 1) * math.prod(shape[k:]) for k in range(len(shape)))
+
+
+def convolve_cells(kh: SampledKernel, cells: np.ndarray, weights) -> np.ndarray:
+    """K_h applied to the field that equals ``weights`` (one per cell, or
+    one for all) on ``cells``, distinct flat indices, and 0 elsewhere.
 
     With K_h = f_1 (x) ... (x) f_d, the convolution of a field held in
-    the box is the box contracted along each axis k with the m_k x n
-    matrix whose rows are f_k rolled to the box's coordinates: d matrix
-    products of :meth:`CellBox.flops` flops in all, which scale with the
-    box rather than with n^d log n.  Equal to ``kh.convolve`` of that
-    field up to rounding.
+    the cells' box is the box contracted along each axis k with the
+    m_k x n matrix whose rows are f_k rolled to the box's coordinates.
+    That box product is taken when it costs at most
+    ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops; otherwise, as for a
+    kernel without factors, the result is ``kh.convolve`` of the field.
     """
-    if kh.factors is None:
-        raise KernelError("box convolution needs a kernel with axis factors")
-    n = kh.grid.n
-    if not np.size(weights):
-        return np.zeros(kh.grid.shape)
-    out = np.zeros(box.shape)
-    out[box.where] = weights
-    out *= kh.grid.cell_measure
-    for factor, coords in zip(kh.factors, box.axes):
-        # Axis k leads; it is replaced by a trailing axis of n.
-        rolled = _rolled(factor, coords)
-        out = (out.reshape(coords.size, -1).T @ rolled).reshape(out.shape[1:] + (n,))
-    return out
+    grid = kh.grid
+    if kh.factors is not None:
+        axes, where = _cell_box(grid, cells)
+        shape = tuple(a.size for a in axes)
+        budget = _BOX_FLOPS_PER_FFT[grid.d] * grid.cell_count * math.log2(grid.cell_count)
+        if _box_flops(grid.n, shape) <= budget:
+            if not np.size(cells):
+                return np.zeros(grid.shape)
+            out = np.zeros(shape)
+            out[tuple(where)] = weights
+            out *= grid.cell_measure
+            for factor, coords in zip(kh.factors, axes):
+                # Axis k leads; it is replaced by a trailing axis of n.
+                rolled = _rolled(factor, coords)
+                out = (out.reshape(coords.size, -1).T @ rolled).reshape(
+                    out.shape[1:] + (grid.n,)
+                )
+            return out
+    field = np.zeros(grid.shape)
+    field.flat[cells] = weights
+    return kh.convolve(field)
 
 
 def _rolled(factor: np.ndarray, shifts: np.ndarray) -> np.ndarray:

@@ -17,25 +17,14 @@ the container, optionally under an exact volume constraint:
 Everything fixed for a run lives in one :class:`~ambo.energy.RunOperator`
 and every state carries K_h*u, so with constant g_pv a step costs at
 most one convolution: that of the new phase, which serves both its
-diagnostics and the next comparison field.  With a kernel that has axis
-factors (a Gaussian, or an elliptic one with a diagonal L), K_h*u comes
-from :func:`~ambo.kernel.box_convolve`, whose cost scales with the box
-of the cells it is given, when that pays; a step takes the first of
-
-1. the update: K_h*u of the previous state plus the box product over
-   the flipped cells with weights +1 (entered) and -1 (left), when the
-   flips' box costs fewer flops than the new phase's box and than an
-   FFT convolution, from state 1 on, and after fewer than
-   ``_MAX_UPDATES`` updates in a row (which bounds the drift);
-2. the box product over the new phase's support with weights 1, when
-   it costs at most ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops;
-3. the FFT convolution :meth:`~ambo.kernel.SampledKernel.convolve`.
-
-State 0 takes 2 or 3 with the weights of the user field at its support,
-and a spatially varying g_pv convolves g_pv u by the same choice.  Cell
-counts alone choose the path, never the host.  From state 1 on, a step
-that keeps the phase costs no convolution: it returns its input state
-with the new step index and lambda.
+diagnostics and the next comparison field.  Every state's K_h*u is
+:func:`~ambo.kernel.convolve_cells` over its own support, a box product
+or an FFT convolution as the cells' box dictates, and a spatially
+varying g_pv convolves g_pv u the same way.  Every state's field is
+built by :meth:`~ambo.energy.PhaseField.from_support`, state 0's from
+the user field's support, so a step that keeps the phase costs no
+convolution: it returns its input state with the new step index and
+lambda.
 
 The run driver detects exact stationarity over a window, flags 2-cycles
 (both states are kept), and — without the volume constraint — asserts
@@ -58,14 +47,7 @@ from .energy import PhaseField, RunOperator, approx_energy, indicator_defect
 from .errors import NumericalError
 from .geometry import Band, Geometry
 from .grid import TorusGrid
-from .kernel import (
-    CellBox,
-    GaussianKernel,
-    Kernel,
-    SampledKernel,
-    box_convolve,
-    scale_kernel,
-)
+from .kernel import GaussianKernel, Kernel, convolve_cells, scale_kernel
 from .tensions import ModifiedTensions
 
 __all__ = [
@@ -83,52 +65,6 @@ __all__ = [
 
 class SchemeError(ValueError):
     """Raised for invalid scheme configurations or measurement inputs."""
-
-
-# Flip updates of K_h*u after which the next step that changes the phase
-# evaluates K_h*u afresh, which bounds the drift.  Over every updated state
-# of the three n = 512 droplet runs, max |K_h*u - FFT| was 8.9e-16, both
-# with this limit and with none (then up to 39 updates in a row).
-_MAX_UPDATES = 32
-
-# Flops of box_convolve per n^d log2(n^d) up to which it replaces an FFT
-# convolution.  Box product against one FFT convolution, min of 7 calls
-# on 2 vCPUs with 1 and with 2 threads, for balls of radius 0.05-0.49:
-# every box of at most 24 such units (2-d, n = 256-1024) or 16 (3-d,
-# n = 48-96) took at most 0.6 of the FFT's time, and the boxes that came
-# near the FFT's time cost 32-88 units in 2-d (20-24 at n = 128) and
-# 15-35 in 3-d.  The ball3d phase, radius 0.3 at (3, 96), costs 11.2
-# units: 5.7-9.8 ms against 19-33 ms.
-_BOX_FLOPS_PER_FFT = {2: 24.0, 3: 16.0}
-
-
-def _fft_flops(grid: TorusGrid) -> float:
-    """The flops up to which a box product replaces an FFT convolution."""
-    cells = grid.cell_count
-    return _BOX_FLOPS_PER_FFT[grid.d] * cells * math.log2(cells)
-
-
-def _support_box(kh: SampledKernel, u: PhaseField) -> CellBox | None:
-    """The box of u's support when :func:`~ambo.kernel.box_convolve`
-    over it costs at most an FFT convolution; else None, as for a kernel
-    without axis factors."""
-    if kh.factors is None:
-        return None
-    box = CellBox.of(kh.grid, u.support)
-    return box if box.flops() <= _fft_flops(kh.grid) else None
-
-
-def _convolved(
-    kh: SampledKernel, u: PhaseField, box: CellBox | None, g: np.ndarray | None = None
-) -> np.ndarray:
-    """K_h*(g u), g = 1 when None: over ``box``, the box of u's support,
-    when given; else by FFT."""
-    if box is None:
-        return kh.convolve(u.values if g is None else g * u.values)
-    weights = u.values.take(u.support)
-    if g is not None:
-        weights *= g.take(u.support)
-    return box_convolve(kh, box, weights)
 
 
 @dataclass(frozen=True)
@@ -151,9 +87,7 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class SchemeState:
-    """One snapshot of the evolution (immutable); ``ku`` is K_h*u, and
-    ``updates`` counts the flip updates of ``ku`` since it was last
-    evaluated afresh."""
+    """One snapshot of the evolution (immutable); ``ku`` is K_h*u."""
 
     step: int
     u: PhaseField
@@ -163,7 +97,6 @@ class SchemeState:
     volume: float
     interface_cells: int
     defect: float
-    updates: int
 
 
 @dataclass
@@ -188,29 +121,26 @@ class Trajectory:
 # One step
 # ---------------------------------------------------------------------------
 
-def comparison_field(
-    u: PhaseField, op: RunOperator, ku: np.ndarray | None = None
-) -> np.ndarray:
+def comparison_field(u: PhaseField, op: RunOperator, ku: np.ndarray) -> np.ndarray:
     """First variation of the energy at u (up to the 1/sqrt(h) factor).
 
     phi(x) = g_pv(x) (K_h * (1_container - u))(x) - (K_h * (g_pv u))(x)
            + (g_sp(x) - g_sv(x)) (K_h * 1_substrate)(x).
 
-    ``ku`` is K_h*u when the caller already has it.  Meaningful on
-    container cells; evaluated everywhere for convenience, in place on
-    one array.  A varying g_pv convolves g_pv u over the box of u's
-    support when that pays, as K_h*u is.  The last term is the
-    operator's precomputed ``wetting`` field, absent without a substrate.
+    ``ku`` is K_h*u.  Meaningful on container cells; evaluated
+    everywhere for convenience, in place on one array.  A varying g_pv
+    convolves g_pv u by :func:`~ambo.kernel.convolve_cells`, as K_h*u is.
+    The last term is the operator's precomputed ``wetting`` field, absent
+    without a substrate.
     """
     if u.grid != op.grid:
         raise SchemeError("phase field and operator grids differ")
-    if ku is None:
-        ku = _convolved(op.kh, u, _support_box(op.kh, u))
     phi = op.k_omega - ku
     pv = op.pv_constant
     if pv is None:
         phi *= op.tensions.pv
-        phi -= _convolved(op.kh, u, _support_box(op.kh, u), op.tensions.pv)
+        cells = u.support
+        phi -= convolve_cells(op.kh, cells, u.values.take(cells) * op.tensions.pv.take(cells))
     elif pv == 1.0:
         phi -= ku  # x * 1.0 == x exactly, so both products are skipped
     else:
@@ -264,14 +194,11 @@ def _make_state(
     lam: float,
     op: RunOperator,
     volume: float | None = None,
-    ku: np.ndarray | None = None,
-    updates: int = 0,
 ) -> SchemeState:
-    """The state of phase u and its diagnostics (``volume`` and K_h*u if
-    known, else computed: over the box of u's support when that pays,
-    else by FFT)."""
-    if ku is None:
-        ku = _convolved(op.kh, u, _support_box(op.kh, u))
+    """The state of the binary phase u and its diagnostics (``volume`` if
+    known, else computed), K_h*u by :func:`~ambo.kernel.convolve_cells`
+    over u's support."""
+    ku = convolve_cells(op.kh, u.support, 1.0)
     ku.flags.writeable = False
     return SchemeState(
         step=k,
@@ -282,54 +209,24 @@ def _make_state(
         volume=u.volume() if volume is None else volume,
         interface_cells=u.interface_cell_count(),
         defect=indicator_defect(ku, u.geometry),
-        updates=updates,
     )
-
-
-def _next_ku(
-    state: SchemeState, u: PhaseField, kh: SampledKernel
-) -> tuple[np.ndarray, int]:
-    """K_h*u of the phase u that follows ``state``, and the flip updates
-    in a row that gave it, by the rule of the module docstring.
-
-    The update needs a state from step 1 on (state 0 may hold a user
-    field, whose bits the flips would not describe) and fewer than
-    ``_MAX_UPDATES`` updates since the last fresh evaluation.
-    """
-    box = _support_box(kh, u)
-    if kh.factors is not None and state.step >= 1 and state.updates < _MAX_UPDATES:
-        old, new = state.u.support, u.support
-        # Both fields are binary: a cell flipped where the other one is 0.
-        entered = new[state.u.values.take(new) == 0.0]
-        left = old[u.values.take(old) == 0.0]
-        flips = CellBox.of(kh.grid, np.concatenate([entered, left]))
-        if flips.flops() < (_fft_flops(kh.grid) if box is None else box.flops()):
-            ku = box_convolve(kh, flips, np.repeat([1.0, -1.0], [entered.size, left.size]))
-            ku += state.ku
-            return ku, state.updates + 1
-    return _convolved(kh, u, box), 0
 
 
 def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeState:
     """Advance one thresholding step.
 
-    A step that changes the phase gets K_h*u of the new phase by
-    :func:`_next_ku`: from the flipped cells, over the new phase's box,
-    or by FFT.
-    A step that keeps the phase of a state from step 1 on returns that
-    state with the new step index and lambda: its field was built by
+    A step that changes the phase builds the new field and evaluates its
+    K_h*u afresh.  A step that keeps the phase returns its input state
+    with the new step index and lambda: every state's field was built by
     :meth:`PhaseField.from_support`, so u, K_h*u and every diagnostic are
     already the bits a rebuild would give, and no convolution runs.
-    State 0 is excluded: it may hold a user field (zero cells stored as
-    -0.0, say) whose bits, and so whose convolution, may differ from
-    those of the rebuilt field.
     """
     phi = comparison_field(state.u, op, state.ku)
     geometry = state.u.geometry
     m = state.volume if config.preserve_volume else None
     lam, cells = _select(phi, geometry, m)
     del phi  # released before the new phase is convolved
-    if state.step >= 1 and np.array_equal(cells, state.u.support):
+    if np.array_equal(cells, state.u.support):
         return dataclasses.replace(state, step=state.step + 1, lam=lam)
     u_next = PhaseField.from_support(geometry, cells)
     # The field is binary, so its sum is exactly the cell count.
@@ -338,8 +235,7 @@ def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeSta
         tol = geometry.grid.cell_measure  # one cell
         if abs(volume - m) > tol:
             raise NumericalError(f"volume drifted: |{volume} - {m}| > {tol}")
-    ku, updates = _next_ku(state, u_next, op.kh)
-    return _make_state(state.step + 1, u_next, lam, op, volume, ku, updates)
+    return _make_state(state.step + 1, u_next, lam, op, volume)
 
 
 def run(
@@ -359,11 +255,13 @@ def run(
     violation raises, since it would mean the linearisation argument
     failed numerically.
 
-    From state 1 on, a step that keeps the phase costs no convolution,
-    and each further step of the stationarity window is emitted as a
-    copy of its state with the step index advanced, without calling
-    :func:`step`: it would see the same u and K_h*u and return the same
-    state.  The bytes are those of a full recompute.
+    State 0 holds the field rebuilt from the initial field's support, so
+    its bytes do not depend on how the user stored the zeros.  A step
+    that keeps the phase costs no convolution, and each further step of
+    the stationarity window is emitted as a copy of its state with the
+    step index advanced, without calling :func:`step`: it would see the
+    same u and K_h*u and return the same state.  The bytes are those of
+    a full recompute.
     """
     geometry = initial.geometry
     kh = scale_kernel(kernel, geometry.grid, config.h)
@@ -374,6 +272,8 @@ def run(
         return (s.step, s.energy, s.volume, s.interface_cells, s.lam, s.defect)
 
     op = RunOperator.build(geometry, t, kh)
+    # Rebuilt, as every later field is: the user's zeros may be -0.0.
+    initial = PhaseField.from_support(geometry, initial.support)
     state = _make_state(0, initial, math.nan, op)
     del initial  # state 0 holds it only until the first step replaces it
     diagnostics = [diag_row(state)]
@@ -384,10 +284,9 @@ def run(
     prev_support = None
     streak = 0
     for _ in range(config.max_steps):
-        if streak and state.step >= 2:
-            # The last step kept the phase of a state from step 1 on, so
-            # ``step`` returned that state; this one would see the same
-            # inputs and return it again.
+        if streak:
+            # The last step kept the phase, so ``step`` returned its input
+            # state; this one would see the same inputs and return it again.
             new_state = dataclasses.replace(state, step=state.step + 1)
         else:
             new_state = step(state, config, op)
@@ -612,19 +511,19 @@ def _circle_contact_angle(
     half = math.sqrt(under)
     x_contact = xc + half if side == "right" else xc - half
     radial = np.asarray([(x_contact - xc) / radius, (y0 - yc) / radius])
-    tangent = np.asarray([-radial[1], radial[0]])
-    if tangent[1] < 0:
-        tangent = -tangent
-    if side == "right":
-        return math.degrees(math.atan2(tangent[1], -tangent[0]))
-    return math.degrees(math.atan2(tangent[1], tangent[0]))
+    return _interior_angle(np.asarray([-radial[1], radial[0]]), side)
 
 
 def _line_contact_angle(pts: np.ndarray, side: str) -> float:
     """Interior angle of the principal line through the points."""
     centered = pts - pts.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    t = vt[0]
+    return _interior_angle(vt[0], side)
+
+
+def _interior_angle(t: np.ndarray, side: str) -> float:
+    """Interior angle (degrees) at the ``side`` contact between the
+    substrate line and the direction t, taken pointing upwards."""
     if t[1] < 0:
         t = -t
     if side == "right":

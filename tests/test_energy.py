@@ -654,11 +654,15 @@ def test_energy_field_and_defect_equal_masked_formulas(kind, d, n, h, binary, mo
 
     energy, phi, defect = _masked_oracles(u, op, ku)
     assert approx_energy(u, op, ku) == pytest.approx(energy, rel=1e-14, abs=0.0)
-    boxes = []
-    box_product = scheme.box_convolve
-    monkeypatch.setattr(scheme, "box_convolve", lambda *a: boxes.append(a) or box_product(*a))
+    made, cells_convolve, convolve = [], scheme.convolve_cells, SampledKernel.convolve
+    monkeypatch.setattr(
+        scheme, "convolve_cells", lambda *a: made.append("cells") or cells_convolve(*a)
+    )
+    monkeypatch.setattr(
+        SampledKernel, "convolve", lambda kh, f: made.append("fft") or convolve(kh, f)
+    )
     assert np.abs(comparison_field(u, op, ku) - phi).max() <= 1e-14
-    assert len(boxes) == 1
+    assert made == ["cells"]
     assert indicator_defect(ku, geometry) == defect
     # On the band the substrate terms are there and are not zero.
     assert (op.wetting is None) == (op.dry_energy == 0.0) == (kind == "full")

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 import ambo
-from ambo import cli, energy, io, scheme
+from ambo import cli, energy, io, kernel, scheme
 from ambo.anisotropy import Elliptic
 from ambo.config import EXPERIMENTS, load_config
 from ambo.geometry import boundary_layer_mask
@@ -182,38 +182,45 @@ def test_thread_count_changes_no_output_byte(kind, tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
-def test_thread_test_angle_run_takes_the_flip_update(tmp_path, monkeypatch):
-    """The angle run of the thread-count test updates K_h*u from the
-    flips, so that test also covers the box product of the update."""
-    preset, _, changes = SMALL["angle"]
-    config = _config(tmp_path / "angle.yaml", preset, changes)
-    updates, next_ku = [], scheme._next_ku
+def _box_products(monkeypatch):
+    """Wraps that record each FFT convolution as "fft" and each
+    convolve_cells call of the scheme as "box", or as "cells fft" when
+    it took its FFT path."""
+    calls, cells_convolve, convolve = [], kernel.convolve_cells, kernel.SampledKernel.convolve
 
     def recorded(*args):
-        ku, count = next_ku(*args)
-        updates.append(count)
-        return ku, count
+        start = len(calls)
+        out = cells_convolve(*args)
+        calls[start:] = ["cells fft" if calls[start:] else "box"]
+        return out
 
-    monkeypatch.setattr(scheme, "_next_ku", recorded)
+    monkeypatch.setattr(scheme, "convolve_cells", recorded)
+    monkeypatch.setattr(
+        kernel.SampledKernel, "convolve", lambda kh, f: calls.append("fft") or convolve(kh, f)
+    )
+    return calls
+
+
+def test_thread_test_angle_run_takes_the_box_product(tmp_path, monkeypatch):
+    """The angle run of the thread-count test gets the K_h*u of every
+    state, state 0 and each changed step, by a box product, so that test
+    also covers the box products in 2-d."""
+    preset, _, changes = SMALL["angle"]
+    config = _config(tmp_path / "angle.yaml", preset, changes)
+    calls = _box_products(monkeypatch)
     code = cli.main(["angle", str(config), "--n", "512", "--out", str(tmp_path / "out")])
     assert code == 0
-    assert sum(k > 0 for k in updates) >= 1, updates
+    assert calls.count("box") >= 10 and "cells fft" not in calls, calls
 
 
 def test_thread_test_ball_run_takes_the_box_product(tmp_path, monkeypatch):
     """The 3-d run of the thread-count test gets every K_h*u by a box
     product, so that test also covers the box products in 3-d; its only
     FFT convolution is K_h*1_container."""
-    calls, box_product, convolve = [], scheme.box_convolve, energy.SampledKernel.convolve
-    monkeypatch.setattr(
-        scheme, "box_convolve", lambda *a: calls.append("box") or box_product(*a)
-    )
-    monkeypatch.setattr(
-        energy.SampledKernel, "convolve", lambda kh, f: calls.append("fft") or convolve(kh, f)
-    )
+    calls = _box_products(monkeypatch)
     argv = ["run", str(_ball_config(tmp_path, 64, True, 4)), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0
-    assert calls[0] == "fft" and calls[1:] == ["box"] * 5, calls
+    assert calls == ["fft"] + ["box"] * 5, calls
 
 
 def test_bad_config_exits_1(tmp_path, capsys):

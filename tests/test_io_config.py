@@ -466,6 +466,31 @@ def test_experiment_section_forms(tmp_path):
                 )
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        "{kind: converge, h_values: [4.0e-3, 1.0e-3, -2.5e-4]}",
+        "{kind: converge, h_values: [4.0e-3, 0.0]}",
+        "{kind: monotonic, h_values: [.nan]}",
+        "{kind: inequalities, h_values: [-1.0e-3]}",
+        "{kind: angle, coarse_h: -1.0e-3}",
+        "{kind: angle, coarse_h: 0}",
+    ],
+)
+def test_experiment_time_steps_must_be_positive(experiment, tmp_path, capsys):
+    """A non-positive (or NaN) entry of h_values or coarse_h is refused at
+    load, by a message that names the key and its section, and the CLI
+    exits 1 with it."""
+    key = "coarse_h" if "coarse_h" in experiment else "h_values"
+    message = f"key '{key}' in section 'experiment' must be positive"
+    path = _write_yaml(tmp_path, f"experiment: {experiment}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    kind = experiment.split(",")[0].split()[-1]
+    assert cli.main([kind, str(path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_apply_overrides_dotted_paths():
     doc = {"scheme": {"h": 1.0}}
     out = apply_overrides(

@@ -15,19 +15,20 @@ from ambo import kernel as kernel_module
 from ambo.errors import NumericalError, ResolutionWarning
 from ambo.geometry import TorusGrid
 from ambo.kernel import (
-    CellBox,
     EllipticGaussianKernel,
     GaussianKernel,
     KernelError,
     SampledKernel,
     TriangularKernel,
+    _box_flops,
+    _cell_box,
     _diagonal_gaussian,
     _irfftn,
     _parse_threads,
     _rfftn,
     _sample_with_images,
     _shifted_sums,
-    box_convolve,
+    convolve_cells,
     make_kernel,
     scale_kernel,
     scale_kernel_gradient,
@@ -284,26 +285,28 @@ def _cell_sets(d, n, rng):
     ],
     ids=["gaussian2", "diagonal2", "gaussian3", "diagonal3"],
 )
-def test_box_convolution_matches_the_direct_sum_and_the_fft(d, matrix, rng):
+def test_box_convolution_matches_the_direct_sum_and_the_fft(d, matrix, rng, monkeypatch):
     """Over cell sets that cross each seam, one cell, no cell and a
-    scatter, with unit, signed and non-binary weights, the box product
-    equals the direct shifted sum and the FFT convolution within 4e-16
-    (measured at most 5.6e-17 over five seeds).  The diagonal
-    L has a different factor on every axis, so swapped axes would show.
-    No cell gives exact zeros."""
+    scatter, with unit, signed and non-binary weights, the box product of
+    :func:`convolve_cells` (it makes no FFT here) equals the direct
+    shifted sum and the FFT convolution within 4e-16 (measured at most
+    5.6e-17 over five seeds).  The diagonal L has a different factor on
+    every axis, so swapped axes would show.  No cell gives exact zeros."""
     kernel = GaussianKernel() if matrix is None else EllipticGaussianKernel(matrix)
     n = 32
     kh = scale_kernel(kernel, TorusGrid(d, n), 1e-2)
     for name, cells in _cell_sets(d, n, rng).items():
-        box = CellBox.of(kh.grid, cells)
+        axes, _ = _cell_box(kh.grid, cells)
         coords = np.unravel_index(cells, kh.grid.shape)
-        assert box.shape == tuple(np.unique(c).size for c in coords), name
+        assert [a.size for a in axes] == [np.unique(c).size for c in coords], name
         for weights in (
             np.ones(cells.size),
             rng.choice([-1.0, 1.0], cells.size),
             rng.uniform(-1.0, 1.0, cells.size),
         ):
-            got = box_convolve(kh, box, weights)
+            with monkeypatch.context() as m:
+                m.setattr(SampledKernel, "convolve", None)  # no FFT
+                got = convolve_cells(kh, cells, weights)
             if name == "empty":
                 assert got.shape == kh.grid.shape and not got.any()
                 break
@@ -320,20 +323,22 @@ def test_box_flops_count_the_axis_contractions():
     """2 n^k m_k ... m_d flops for the contraction of axis k (from 1)."""
     grid = TorusGrid(3, 16)
     cells = np.ravel_multi_index(([1, 2, 2], [3, 3, 3], [0, 9, 15]), grid.shape)
-    box = CellBox.of(grid, cells)
-    assert box.shape == (2, 1, 3)
-    assert box.flops() == 2 * (16 * 2 * 1 * 3 + 16**2 * 1 * 3 + 16**3 * 3)
-    assert CellBox.of(grid, cells[:0]).flops() == 0
+    axes, where = _cell_box(grid, cells)
+    shape = tuple(a.size for a in axes)
+    assert shape == (2, 1, 3)
+    assert [w.tolist() for w in where] == [[0, 1, 1], [0, 0, 0], [0, 1, 2]]
+    assert _box_flops(grid.n, shape) == 2 * (16 * 2 * 1 * 3 + 16**2 * 1 * 3 + 16**3 * 3)
+    assert _box_flops(grid.n, (0, 0, 0)) == 0
 
 
 @pytest.mark.parametrize("n", [128, 256])
 @pytest.mark.parametrize("kernel", FACTORED, ids=["gaussian", "diagonal"])
 def test_flip_update_matches_the_fft_convolution(n, kernel, rng):
-    """K_h*u updated from random flip sets of 1 up to n // 2 cells, by
-    the box product with weights +1 and -1, equals the FFT convolution of
+    """K_h*u plus :func:`convolve_cells` over random flip sets of 1 up to
+    n // 2 cells, with weights +1 and -1, equals the FFT convolution of
     the new field within 2e-15 (K_h*u lies in [0, 1]; measured at most
-    5.6e-16 over five seeds), and 32 chained updates stay within 4e-15
-    (measured at most 1.0e-15)."""
+    5.6e-16 over five seeds), and 32 such sums in a row stay within
+    4e-15 (measured at most 1.0e-15)."""
     grid = TorusGrid(2, n)
     kh = scale_kernel(kernel, grid, 1e-3)
     x1, x2 = grid.meshgrid()
@@ -341,7 +346,7 @@ def test_flip_update_matches_the_fft_convolution(n, kernel, rng):
 
     def update(conv, v, cells):
         weights = 1.0 - 2.0 * v.flat[cells]  # +1 where a cell enters
-        out = box_convolve(kh, CellBox.of(grid, cells), weights) + conv
+        out = convolve_cells(kh, cells, weights) + conv
         v.flat[cells] += weights
         return out
 
@@ -359,19 +364,42 @@ def test_flip_update_matches_the_fft_convolution(n, kernel, rng):
 def test_only_diagonal_gaussians_keep_axis_factors():
     """The axis factors are read-only and their outer product is the
     sample up to rounding, in 2-d and 3-d; the tent and a sheared L have
-    none, so they take no box product."""
+    none."""
     for kernel, d in [*((k, 2) for k in FACTORED), (GaussianKernel(), 3)]:
         kh = scale_kernel(kernel, TorusGrid(d, 32), 1e-2)
         assert all(not f.flags.writeable for f in kh.factors)
         product = functools.reduce(np.multiply.outer, kh.factors)
         assert np.abs(product - kh.values).max() <= 1e-15 * kh.values.max()
-    grid = TorusGrid(2, 64)
-    box = CellBox.of(grid, np.array([5]))
     for kernel in (TriangularKernel(), EllipticGaussianKernel(((1.2, 0.1), (0.1, 0.8)))):
-        kh = scale_kernel(kernel, grid, 4e-3)
-        assert kh.factors is None
-        with pytest.raises(KernelError, match="axis factors"):
-            box_convolve(kh, box, np.ones(1))
+        assert scale_kernel(kernel, TorusGrid(2, 64), 4e-3).factors is None
+
+
+@pytest.mark.parametrize(
+    "d, n, kernel",
+    [
+        (2, 64, TriangularKernel()),
+        (2, 64, EllipticGaussianKernel(((1.2, 0.1), (0.1, 0.8)))),
+        (2, 128, GaussianKernel()),
+        (3, 64, GaussianKernel()),
+    ],
+    ids=["tent", "sheared", "over_budget2", "over_budget3"],
+)
+def test_convolve_cells_takes_the_fft_without_factors_or_over_budget(d, n, kernel, rng):
+    """Without axis factors, or when the cells' box costs more flops than
+    ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) (a scatter over the whole
+    grid), convolve_cells gives the bytes of ``kh.convolve`` of the
+    field that holds the weights on the cells."""
+    grid = TorusGrid(d, n)
+    kh = scale_kernel(kernel, grid, 4e-3 if d == 2 else 9e-3)
+    cells = np.flatnonzero(rng.uniform(size=grid.cell_count) < 0.5)
+    if kh.factors is not None:
+        shape = tuple(a.size for a in _cell_box(grid, cells)[0])
+        budget = kernel_module._BOX_FLOPS_PER_FFT[d] * n**d * math.log2(n**d)
+        assert _box_flops(n, shape) > budget
+    weights = rng.uniform(0.5, 1.5, cells.size)
+    field = np.zeros(grid.shape)
+    field.flat[cells] = weights
+    assert convolve_cells(kh, cells, weights).tobytes() == kh.convolve(field).tobytes()
 
 
 def test_convolve_rejects_wrong_shape():
