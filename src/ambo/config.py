@@ -400,6 +400,13 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
             scheme.get("stationarity_window", 3), "stationarity_window", "scheme", source
         ),
     }
+    if not scheme["h"] > 0.0:
+        raise _fail(source, f"key 'h' in section 'scheme' must be positive, got {scheme['h']}")
+    for key in ("max_steps", "stationarity_window"):
+        if scheme[key] < 1:
+            raise _fail(
+                source, f"key '{key}' in section 'scheme' must be >= 1, got {scheme[key]}"
+            )
 
     initial = _kinded_section(doc, "initial", _INITIAL_KINDS, "disk", source)
     if d == 3 and initial["kind"] in ("disk", "cap"):

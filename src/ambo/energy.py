@@ -98,7 +98,7 @@ class PhaseField:
             raise EnergyError(
                 f"values shape {vals.shape} != grid {self.geometry.grid.shape}"
             )
-        if vals.min() < 0.0 or vals.max() > 1.0:
+        if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # NaN fails both
             raise EnergyError(
                 f"phase values must lie in [0,1]; got range "
                 f"[{vals.min()}, {vals.max()}]"
@@ -182,10 +182,9 @@ class PhaseField:
         """Cells of {u=1} with at least one zero neighbour (binary u).
 
         Counted as the cells of {u=1} minus those whose 2d neighbours all
-        equal 1, which is the same integer for any input, NaN included.
-        The neighbours are ANDed in through slices, with the periodic
-        wrap layer of each axis taken separately, so no shifted copy of
-        the field is made.
+        equal 1.  The neighbours are ANDed in through slices, with the
+        periodic wrap layer of each axis taken separately, so no shifted
+        copy of the field is made.
         """
         one = self.values == 1.0
         interior = one.copy()

@@ -5,9 +5,9 @@ from the core modules and writes its outputs: a schema-validated JSON
 summary (always), plus CSV tables and field/PGM snapshots where they
 apply.  Summaries carry a metadata block — configuration hash (output
 location excluded), full parameter echo, admissibility flags from the
-kernel and tension validators — so every result file is
-self-describing.  Nothing time- or host-dependent goes into the outputs:
-identical config and seed reproduce them byte for byte.
+tension checks — so every result file is self-describing.  Nothing
+time- or host-dependent goes into the outputs: identical config and
+seed reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .energy import (
 )
 from .errors import ConfigError, NumericalError, ResolutionWarning
 from .geometry import Band, Geometry
-from .kernel import Kernel, scale_kernel, validate_kernel
+from .kernel import Kernel, scale_kernel
 from .scheme import SchemeError, Trajectory, measure_contact_angle, run as run_scheme
 from .tensions import ModifiedTensions, TensionError
 
@@ -75,28 +75,17 @@ class Workspace:
 def prepare(config: RunConfig, *, tensions_required: bool = True) -> Workspace:
     """Build and validate the configured problem.
 
-    The kernel validator only sets a flag; an inadmissible tension set
-    raises unless ``tensions_required`` is off (the validate experiment
-    wants the failure as a report, not a crash).
+    An inadmissible tension set raises unless ``tensions_required`` is off
+    (the validate experiment wants the failure as a report, not a crash).
     """
     geometry = build_geometry_from(config)
     kernel = build_kernel_from(config)
     gamma = induced_anisotropy(kernel, config.d)
-    kreport = validate_kernel(kernel, config.d)
-    flags = {"kernel": kreport.admissible}
-    detail = {
-        "kernel": {
-            "mass": kreport.mass,
-            "decay_constant": kreport.decay_constant,
-            "positivity": list(kreport.positivity),
-            "failures": kreport.failures,
-        },
-    }
     tensions = None
     try:
         tensions, audit = build_tensions(config, geometry, gamma)
-        flags.update({"tensions": True, "triangle": audit.ok})
-        detail["tensions"] = {
+        flags = {"tensions": True, "triangle": audit.ok}
+        detail = {
             "mode": config.tensions["mode"],
             "bounds": [tensions.lower, tensions.upper],
             "worst_triangle_slack": min(audit.worst_slack.values()),
@@ -105,12 +94,14 @@ def prepare(config: RunConfig, *, tensions_required: bool = True) -> Workspace:
     except (TensionError, ConfigError) as exc:
         if tensions_required:
             raise
-        flags.update({"tensions": False, "triangle": None})
-        detail["tensions"] = {
+        flags = {"tensions": False, "triangle": None}
+        detail = {
             "mode": config.tensions["mode"],
             "failures": [str(exc)],
         }
-    return Workspace(config, geometry, gamma, kernel, tensions, flags, detail)
+    return Workspace(
+        config, geometry, gamma, kernel, tensions, flags, {"tensions": detail}
+    )
 
 
 def _base_summary(ws: Workspace, results: dict, outputs: dict) -> dict:
@@ -200,9 +191,8 @@ def _experiment_validate(ws: Workspace, out: Path) -> dict:
         theta = np.linspace(0.0, math.pi, 16, endpoint=False)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         vals = ws.gamma(dirs)
-        ws.detail["kernel"]["induced"] = {
-            "e1": float(vals[0]),
-            "spread": float(vals.max() - vals.min()),
+        ws.detail["kernel"] = {
+            "induced": {"e1": float(vals[0]), "spread": float(vals.max() - vals.min())}
         }
 
     # Cross-check the two convolution routes on grids small enough for

@@ -1,11 +1,23 @@
 """Convolution kernels, their grid sampling, and periodic convolution.
 
-A kernel ``K`` is an even, nonnegative function on R^d with unit mass.
-A run convolves with a Gaussian or an elliptic Gaussian: both have a
-nonnegative Fourier transform, on which the energy-descent argument of
-the thresholding step rests.  The tent J (:class:`TriangularKernel`), whose
-transform changes sign, serves only the inequality suite of
-:mod:`ambo.energy`, which samples it and its gradient.
+A run convolves with the Gaussian G or an elliptic Gaussian
+``K(x) = |det L| G(Lx)`` (G itself is L = I).  Each meets the kernel
+hypotheses of Esedoglu & Otto (CPAM 2015) in closed form, so no run
+checks them:
+
+* K is even and nonnegative, and has unit mass (substitute y = Lx);
+* ``|x| K(x) <= c K(x/2)`` with ``c = sqrt(8/3) e^{-1/2} / sigma_min(L)``
+  (0.99046 for G): the ratio is ``|x| exp(-3 |Lx|^2 / 16)``, with
+  ``|x| <= |Lx| / sigma_min(L)``, and ``r exp(-3 r^2 / 16)`` peaks at
+  ``r^2 = 8/3``;
+* ``K >= a`` on the ball of radius b, for ``b = 1 / max(1, |L|_2)`` and
+  ``a = (4 pi)^{-d/2} e^{-1/4} |det L|``, because ``|Lx| <= 1`` there.
+
+Both also have a nonnegative Fourier transform, on which the
+energy-descent argument of the thresholding step rests.  The tent J
+(:class:`TriangularKernel`), whose transform changes sign, serves only
+the inequality suite of :mod:`ambo.energy`, which samples it and its
+gradient.
 
 The scaled family is ``K_h(x) = h^{-d/2} K(x / sqrt(h))``; it keeps unit
 mass, because the substitution ``y = x/sqrt(h)`` contributes a factor
@@ -79,7 +91,6 @@ __all__ = [
     "scale_kernel",
     "scale_kernel_gradient",
     "convolve_cells",
-    "validate_kernel",
     "make_kernel",
 ]
 
@@ -142,24 +153,12 @@ class Kernel:
         (the tent only)."""
         raise NotImplementedError
 
-    def suggested_cutoff(self, d: int) -> float:
-        """Radius beyond which the tail of (1 + |x|) K is below ~1e-12."""
-        raise NotImplementedError
-
     def wrap_radius(self) -> float:
         """Radius containing all but a ~1e-14 relative tail of K.
 
         Used to decide whether sampling with +-1 periodic images is exact
         enough: we require sqrt(h) * wrap_radius() <= 3/2.
         """
-        raise NotImplementedError
-
-    def positivity_pair(self, d: int) -> tuple[float, float]:
-        """Constants (a, b) with K >= a on the ball of radius b."""
-        raise NotImplementedError
-
-    def mass_quadrature(self, d: int) -> float:
-        """Unit-mass check by quadrature (independent of normalisation)."""
         raise NotImplementedError
 
 
@@ -177,19 +176,9 @@ class GaussianKernel(Kernel):
         r2 = np.sum(x * x, axis=-1)
         return (4.0 * math.pi) ** (-0.5 * d) * np.exp(-0.25 * r2)
 
-    def suggested_cutoff(self, d: int) -> float:
-        return 16.0
-
     def wrap_radius(self) -> float:
         # exp(-r^2/4) < 1e-14 for r > sqrt(4 * 14 ln 10) ~ 11.36
         return math.sqrt(4.0 * 14.0 * math.log(10.0))
-
-    def positivity_pair(self, d: int) -> tuple[float, float]:
-        b = 1.0
-        return (4.0 * math.pi) ** (-0.5 * d) * math.exp(-0.25), b
-
-    def mass_quadrature(self, d: int) -> float:
-        return _radial_mass(self, d, self.suggested_cutoff(d))
 
 
 @dataclass(frozen=True)
@@ -222,21 +211,8 @@ class EllipticGaussianKernel(Kernel):
             )
         return self._gauss.evaluate(x @ self._l.T) * self._det
 
-    def suggested_cutoff(self, d: int) -> float:
-        return 16.0 / self._sigma_min
-
     def wrap_radius(self) -> float:
         return self._gauss.wrap_radius() / self._sigma_min
-
-    def positivity_pair(self, d: int) -> tuple[float, float]:
-        b = 1.0 / max(1.0, float(np.linalg.norm(self._l, 2)))
-        # |Lx| <= |L| b <= 1 on B_b, so K >= G(unit) * det there.
-        a = (4.0 * math.pi) ** (-0.5 * d) * math.exp(-0.25) * self._det
-        return a, b
-
-    def mass_quadrature(self, d: int) -> float:
-        # Substituting y = Lx, the mass equals the Gaussian mass.
-        return _radial_mass(self._gauss, d, self._gauss.suggested_cutoff(d))
 
 
 @dataclass(frozen=True)
@@ -282,31 +258,6 @@ class TriangularKernel(Kernel):
 
     def wrap_radius(self) -> float:
         return self.radius
-
-
-@functools.cache
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss-Legendre rule on [-1, 1] (read-only).
-
-    Solved once per process: ``leggauss`` runs an order x order
-    eigenproblem on every call.
-    """
-    rule = np.polynomial.legendre.leggauss(order)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
-def _radial_mass(kernel: Kernel, d: int, r_cut: float, order: int = 256) -> float:
-    """Mass of a radially symmetric kernel by 1-d Gauss-Legendre in r."""
-    nodes, weights = _gauss_legendre(order)
-    r = 0.5 * r_cut * (nodes + 1.0)
-    w = 0.5 * r_cut * weights
-    pts = np.zeros((order, d))
-    pts[:, 0] = r
-    vals = kernel.evaluate(pts)
-    surface = d * _BALL_VOLUME[d]  # |S^{d-1}|
-    return float(surface * np.sum(w * r ** (d - 1) * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -582,87 +533,6 @@ def scale_kernel_gradient(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarr
     sqrt_h = _check_resolution(kernel, grid, h)
     values = _sample(kernel.gradient, kernel, grid, sqrt_h)
     return values * h ** (-0.5 * (grid.d + 1))
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class KernelReport:
-    """Outcome of :func:`validate_kernel`."""
-
-    admissible: bool
-    mass: float
-    decay_constant: float
-    positivity: tuple
-    failures: list = field(default_factory=list)
-
-
-def validate_kernel(
-    kernel: Kernel,
-    d: int,
-    *,
-    seed: int = 0,
-) -> KernelReport:
-    """Check symmetry, nonnegativity, unit mass, decay and positivity.
-
-    * symmetry/nonnegativity: sampled at 4096 random points;
-    * mass: quadrature within 1e-8 of 1;
-    * decay: the constant c = sup |x| K(x) / K(x/2) over samples must be
-      finite — i.e. no sample has K(x/2) = 0 while |x| K(x) > 0;
-    * positivity: K >= a on the ball of radius b for the family's
-      declared pair (a, b).
-    """
-    rng = np.random.default_rng(seed)
-    n_samples = 4096
-    failures: list[str] = []
-
-    cutoff = kernel.suggested_cutoff(d)
-    x = rng.normal(size=(n_samples, d))
-    x *= (rng.uniform(0.0, cutoff, size=n_samples) / np.linalg.norm(x, axis=-1))[
-        :, None
-    ]
-    kx = kernel.evaluate(x)
-    if not np.allclose(kx, kernel.evaluate(-x), rtol=1e-13, atol=1e-300):
-        failures.append("kernel is not even")
-    if np.any(kx < 0.0):
-        failures.append("kernel takes negative values")
-
-    mass = kernel.mass_quadrature(d)
-    if abs(mass - 1.0) > 1e-8:
-        failures.append(f"kernel mass {mass!r} differs from 1 beyond 1e-8")
-
-    khalf = kernel.evaluate(0.5 * x)
-    numer = np.linalg.norm(x, axis=-1) * kx
-    bad = (khalf == 0.0) & (numer > 0.0)
-    if np.any(bad):
-        failures.append("decay bound |x| K(x) <= c K(x/2) fails (c infinite)")
-        c_decay = math.inf
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = np.where(khalf > 0.0, numer / khalf, 0.0)
-        c_decay = float(ratios.max())
-
-    a, b = kernel.positivity_pair(d)
-    if not (a > 0.0 and b > 0.0):
-        failures.append(f"positivity pair ({a}, {b}) is not positive")
-    else:
-        y = rng.normal(size=(n_samples, d))
-        y *= (rng.uniform(0.0, b, size=n_samples) / np.linalg.norm(y, axis=-1))[
-            :, None
-        ]
-        ky = kernel.evaluate(y)
-        if np.any(ky < a * (1.0 - 1e-12)):
-            failures.append(f"kernel falls below a={a} inside the radius-{b} ball")
-
-    return KernelReport(
-        admissible=not failures,
-        mass=mass,
-        decay_constant=c_decay,
-        positivity=(a, b),
-        failures=failures,
-    )
 
 
 def make_kernel(kind: str, **kwargs) -> Kernel:

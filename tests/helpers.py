@@ -73,7 +73,10 @@ def induced_gamma(kernel, nu: np.ndarray, *, tol: float = 1e-8):
     d = nu.shape[-1]
     norms, units = _as_directions(nu, d)
     flat_units = units.reshape(-1, d)
-    r_cut = kernel.suggested_cutoff(d)
+    # |x| = 16 / sigma_min(L) puts |Lx| >= 16, where the Gaussian is
+    # below 1e-27 of its peak (L = I for the Gaussian itself).
+    matrix = getattr(kernel, "matrix", None)
+    r_cut = 16.0 / (np.linalg.svd(matrix, compute_uv=False)[-1] if matrix else 1.0)
 
     prev = None
     n_rad, n_ang = 32, 32

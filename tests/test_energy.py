@@ -64,10 +64,14 @@ def test_phase_field_basics(disk_geometry, rng):
     assert zero.interface_cell_count() == 0
 
 
+# The largest phase value that is not 1: no interface count may take it for 1.
+BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def test_interface_cells_match_neighbour_oracle(rng):
     """Cells with u = 1 and some of their 2d neighbours != 1, cell by cell."""
     grid = TorusGrid(3, 8)
-    values = rng.choice([0.0, 1.0, 1.0, 1.0, 0.5, np.nan], size=grid.shape)
+    values = rng.choice([0.0, 1.0, 1.0, 1.0, 0.5, BELOW_ONE], size=grid.shape)
     expected = 0
     for idx in np.ndindex(grid.shape):
         if values[idx] == 1.0:
@@ -83,7 +87,7 @@ def test_interface_cells_match_neighbour_oracle(rng):
 
 @pytest.mark.parametrize("d, n", [(2, 4), (2, 17), (3, 5), (3, 8)])
 @pytest.mark.parametrize(
-    "levels", [(0.0, 1.0, 1.0), (0.0, 0.5, 1.0, 1.0), (0.0, 1.0, 1.0, np.nan)]
+    "levels", [(0.0, 1.0, 1.0), (0.0, 0.5, 1.0, 1.0), (0.0, 1.0, 1.0, BELOW_ONE)]
 )
 def test_interface_cells_match_roll_oracle(d, n, levels):
     """The sliced neighbour AND counts the same integer as 2d np.roll copies."""
@@ -154,6 +158,11 @@ def test_from_support_builds_the_binary_field(disk_geometry):
 def test_phase_field_rejects_bad_values(disk_geometry, grid256):
     with pytest.raises(EnergyError, match="\\[0, 1\\]|0, 1|range"):
         PhaseField(disk_geometry, np.full(grid256.shape, 1.5))
+    # A NaN compares false with both bounds; one container cell is enough.
+    nan_cell = np.zeros(grid256.shape)
+    nan_cell.flat[disk_geometry.omega_cells[0]] = np.nan
+    with pytest.raises(EnergyError, match="range"):
+        PhaseField(disk_geometry, nan_cell)
     outside = np.where(disk_geometry.omega_mask, 0.0, 0.5)
     with pytest.raises(EnergyError, match="outside"):
         PhaseField(disk_geometry, outside)

@@ -256,7 +256,23 @@ def test_extend_disk_divides_substrate_tensions_by_kernel_anisotropy():
     assert gamma_nu.min() < gamma_nu.max() - 0.2  # the wall sees the ellipse
     assert np.abs(ws.tensions.sp[layer] * gamma_nu - 1.1).max() <= 1e-12
     assert np.abs(ws.tensions.sv[layer] * gamma_nu - 0.9).max() <= 1e-12
-    assert ws.flags == {"kernel": True, "tensions": True, "triangle": True}
+    assert ws.flags == {"tensions": True, "triangle": True}
+
+
+def test_energy_of_a_field_file_with_a_nan_cell_exits_1(tmp_path, capsys):
+    """A field file with one NaN cell is refused as a phase, not reported
+    with a null energy."""
+    values = np.zeros((64, 64))
+    values[32, 32] = np.nan
+    io.write_field(tmp_path / "nan.bin", values)
+    doc = _preset("energy_disk")
+    doc["initial"] = {"kind": "field", "path": str(tmp_path / "nan.bin")}
+    config = tmp_path / "energy.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    argv = ["energy", str(config), "--n", "64", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert "phase values must lie in [0,1]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("preserve", [False, True])

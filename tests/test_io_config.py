@@ -142,7 +142,7 @@ def _summary_doc(**results):
         "config_hash": "0" * 64,
         "seed": 3,
         "parameters": {"grid": {"d": 2, "n": 64}},
-        "admissibility": {"kernel": np.bool_(True), "triangle": None},
+        "admissibility": {"tensions": np.bool_(True), "triangle": None},
         "results": results,
     }
 
@@ -159,7 +159,7 @@ def test_summary_sanitizes_and_round_trips(tmp_path):
     assert written["results"]["infinite"] is None
     assert written["results"]["table"] == [0.0, 1.0, 2.0]
     assert written["results"]["count"] == 4
-    assert written["admissibility"] == {"kernel": True, "triangle": None}
+    assert written["admissibility"] == {"tensions": True, "triangle": None}
     assert read_summary(path) == written == json.loads(path.read_text())
 
 
@@ -489,6 +489,33 @@ def test_experiment_time_steps_must_be_positive(experiment, tmp_path, capsys):
     kind = experiment.split(",")[0].split()[-1]
     assert cli.main([kind, str(path), "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scheme, argv",
+    [
+        ("{h: -1.0}", ["--h", "-1"]),
+        ("{h: 0}", ["--h", "0"]),
+        ("{h: .nan}", ["--h", "nan"]),
+        ("{max_steps: 0}", ["--max-steps", "0"]),
+        ("{stationarity_window: 0}", None),
+    ],
+)
+def test_scheme_settings_out_of_range_name_their_key(scheme, argv, tmp_path, capsys):
+    """A non-positive (or NaN) scheme.h, and a max_steps or
+    stationarity_window below 1, are refused at load by a message that
+    names the key and its section, from a config file and from a flag."""
+    key = scheme[1:].split(":")[0]
+    bound = "positive" if key == "h" else ">= 1"
+    message = f"key '{key}' in section 'scheme' must be {bound}"
+    path = _write_yaml(tmp_path, f"scheme: {scheme}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    if argv is not None:
+        assert cli.main(["run", *argv, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_apply_overrides_dotted_paths():

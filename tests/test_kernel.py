@@ -32,53 +32,58 @@ from ambo.kernel import (
     make_kernel,
     scale_kernel,
     scale_kernel_gradient,
-    validate_kernel,
 )
 
 
-# --- validation -------------------------------------------------------------
+# --- admissibility ---------------------------------------------------------
 
-def test_gaussian_kernel_validates():
-    report = validate_kernel(GaussianKernel(), 2)
-    assert report.admissible
-    assert report.mass == pytest.approx(1.0, abs=1e-8)
-    assert math.isfinite(report.decay_constant)
-    assert report.failures == []
+# The elliptic Gaussian of the extend_disk preset, whose gamma_K is diag(1.3, 0.7).
+EXTEND_MATRIX = (((1.3 * math.pi) ** -0.5, 0.0), (0.0, (0.7 * math.pi) ** -0.5))
 
-
-def test_decay_constant_stable_under_resampling():
-    c1 = validate_kernel(GaussianKernel(), 2, seed=1).decay_constant
-    c2 = validate_kernel(GaussianKernel(), 2, seed=2).decay_constant
-    assert abs(c1 - c2) < 1e-4 * c1
+# Every run kernel in 2-d and 3-d: (kernel, d, grid n, resolved h).
+ADMISSIBLE = [
+    (GaussianKernel(), 2, 256, 1.0e-3),
+    (GaussianKernel(), 3, 48, 4.0e-3),
+    (EllipticGaussianKernel(matrix=EXTEND_MATRIX), 2, 256, 1.0e-3),
+    (EllipticGaussianKernel(matrix=((1.2, 0.1), (0.1, 0.8))), 2, 256, 1.0e-3),
+]
 
 
-def test_elliptic_gaussian_validates():
-    report = validate_kernel(EllipticGaussianKernel(matrix=((1.2, 0.1), (0.1, 0.8))), 2)
-    assert report.admissible
+@pytest.mark.parametrize(
+    "kernel, d, n, h", ADMISSIBLE, ids=["gaussian2", "gaussian3", "diagonal", "sheared"]
+)
+def test_run_kernels_meet_the_closed_form_hypotheses(kernel, d, n, h):
+    """K is even (bit for bit) and nonnegative, |x| K(x) <= c K(x/2) with
+    c = sqrt(8/3) e^{-1/2} / sigma_min(L), K >= a on B_b with
+    b = 1 / max(1, |L|_2) and a = (4 pi)^{-d/2} e^{-1/4} |det L|, and the
+    sampled K_h has unit mass; the module docstring derives each."""
+    lmat = np.asarray(getattr(kernel, "matrix", None) or np.eye(d))
+    sigma = np.linalg.svd(lmat, compute_uv=False)
+    c = math.sqrt(8.0 / 3.0) * math.exp(-0.5) / sigma[-1]
+    b = 1.0 / max(1.0, sigma[0])
+    a = (4.0 * math.pi) ** (-0.5 * d) * math.exp(-0.25) * abs(np.linalg.det(lmat))
+    rng = np.random.default_rng(0)
 
+    def in_ball(radius):
+        x = rng.normal(size=(4096, d))
+        x *= (rng.uniform(0.0, radius, size=4096) / np.linalg.norm(x, axis=-1))[:, None]
+        return x
 
-def test_three_dimensional_gaussian_validates():
-    assert validate_kernel(GaussianKernel(), 3).admissible
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_cached_quadrature_rule_gives_the_same_mass_bits(d):
-    """The rule is solved once per process and shared read-only; every
-    mass equals the one from a freshly solved rule, bit for bit."""
-    rule = kernel_module._gauss_legendre(256)
-    assert kernel_module._gauss_legendre(256) is rule
-    assert not any(a.flags.writeable for a in rule)
-    nodes, weights = np.polynomial.legendre.leggauss(256)
-    kernel = GaussianKernel()
-    r_cut = kernel.suggested_cutoff(d)
-    r = 0.5 * r_cut * (nodes + 1.0)
-    pts = np.zeros((256, d))
-    pts[:, 0] = r
-    surface = d * kernel_module._BALL_VOLUME[d]
-    fresh = float(
-        surface * np.sum(0.5 * r_cut * weights * r ** (d - 1) * kernel.evaluate(pts))
-    )
-    assert kernel.mass_quadrature(d) == fresh
+    x = in_ball(16.0 / sigma[-1])
+    kx = kernel.evaluate(x)
+    assert np.array_equal(kernel.evaluate(-x), kx)
+    assert np.all(kx >= 0.0)
+    radius = np.linalg.norm(x, axis=-1)
+    assert np.all(radius * kx <= c * kernel.evaluate(0.5 * x) * (1.0 + 1e-12))
+    # c is attained at sqrt(8/3) v / sigma_min, v the right singular
+    # vector of sigma_min.
+    worst = np.linalg.svd(lmat)[2][-1] * math.sqrt(8.0 / 3.0) / sigma[-1]
+    ratio = np.linalg.norm(worst) * kernel.evaluate(worst) / kernel.evaluate(worst / 2)
+    assert ratio == pytest.approx(c, rel=1e-12)
+    assert np.all(kernel.evaluate(in_ball(b)) >= a * (1.0 - 1e-12))
+    grid = TorusGrid(d, n)
+    mass = scale_kernel(kernel, grid, h).values.sum() * grid.cell_measure
+    assert abs(mass - 1.0) <= 1e-12
 
 
 # --- scaling ----------------------------------------------------------------
@@ -127,10 +132,6 @@ def test_under_resolved_h_warns_and_tiny_h_errors():
 
 
 # --- sampling paths ---------------------------------------------------------
-
-# The elliptic Gaussian of the extend_disk preset, whose gamma_K is diag(1.3, 0.7).
-EXTEND_MATRIX = (((1.3 * math.pi) ** -0.5, 0.0), (0.0, (0.7 * math.pi) ** -0.5))
-
 
 def _dense_image_sum(kernel, grid, h):
     """K_h at every cell centre, summed over all 3^d periodic images."""

@@ -1,9 +1,12 @@
 """Package-level checks that span every module."""
 
+import ast
 import importlib
 import importlib.util
+import io
 import pkgutil
 import sys
+import tokenize
 from pathlib import Path
 
 import ambo
@@ -43,3 +46,48 @@ def test_every_traced_layer_resolves(monkeypatch):
         assert callable(owner), f"{layer}: {owner_name}.{target} is not callable"
         checked += 1
     assert checked >= 15
+
+
+# Entry points called from outside the package: the console script and
+# the summary reader of the benchmark worker.
+CALLED_FROM_OUTSIDE = {"cli.main", "io.read_summary"}
+
+
+def test_every_definition_is_named_by_the_package():
+    """Each module-level function or class, and each method, of ``ambo``
+    is named in ``ambo`` code somewhere outside its own definition (a
+    name token: strings such as ``__all__`` entries do not count), so no
+    code exists that only its own tests call."""
+    package = Path(ambo.__path__[0])
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    names = {
+        module: [
+            (token.string, token.start[0])
+            for token in tokenize.generate_tokens(io.StringIO(text).readline)
+            if token.type == tokenize.NAME
+        ]
+        for module, text in sources.items()
+    }
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unnamed = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, kinds):
+                continue
+            defs = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (m, f"{node.name}.{m.name}") for m in node.body if isinstance(m, kinds)
+                ]
+            for definition, qualified in defs:
+                name = definition.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                span = range(definition.lineno, definition.end_lineno + 1)
+                if not any(
+                    string == name and not (other == module and line in span)
+                    for other, tokens in names.items()
+                    for string, line in tokens
+                ):
+                    unnamed.append(f"{module}.{qualified}")
+    assert sorted(set(unnamed) - CALLED_FROM_OUTSIDE) == []
