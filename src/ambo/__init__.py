@@ -25,12 +25,14 @@ construction:
 
 import os as _os
 
-# AMBO_THREADS is the FFT worker count, which ambo.kernel parses on
-# import.  It also caps the BLAS/OpenMP pools, through the variables
-# below, set before numpy loads; only effective when the package import
-# is what first pulls numpy in.
+# AMBO_THREADS caps the BLAS/OpenMP pools, which the box products of
+# ambo.kernel use, through the variables below, set before numpy loads;
+# only effective when the package import is what first pulls numpy in.
+# The FFTs always run on one thread.
 _threads = _os.environ.get("AMBO_THREADS")
 if _threads:
+    if not (_threads.isdecimal() and int(_threads) >= 1):
+        raise ValueError(f"AMBO_THREADS must be a positive integer, got {_threads!r}")
     for _var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",

@@ -10,9 +10,9 @@ exceptions into exit codes —
 * 2: numerical failure (non-convergence, violated invariant).
 
 Environment: ``AMBO_OUT_DIR`` overrides the output directory (an
-explicit ``--out`` still wins); ``AMBO_THREADS`` (a positive integer,
-default 1) is the number of FFT workers, and when set before the package
-is imported it also caps the BLAS/OpenMP thread pools.
+explicit ``--out`` still wins); ``AMBO_THREADS`` (a positive integer),
+when set before the package is imported, caps the BLAS/OpenMP thread
+pools that the box products use.
 """
 
 from __future__ import annotations

@@ -357,6 +357,8 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
     n = _as_int(grid.get("n", 256), "n", "grid", source)
     if d not in (2, 3):
         raise _fail(source, f"key 'd' in section 'grid' must be 2 or 3, got {d}")
+    if n < 4:
+        raise _fail(source, f"key 'n' in section 'grid' must be >= 4, got {n}")
 
     geometry = _kinded_section(doc, "geometry", _GEOMETRY_KINDS, "disk", source)
     if geometry["kind"] == "disk":

@@ -82,3 +82,34 @@ class TorusGrid:
         """
         delta = self.wrap_delta(x - np.asarray(center, dtype=float))
         return np.sqrt(np.sum(delta**2, axis=-1))
+
+
+def periodic_components(mask: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of a boolean mask on the torus, where cells
+    that share a face, across a seam too, are connected: the component
+    count and labels 1 .. count (0 off the mask).
+
+    Union-find over all face pairs at once: each pair whose roots differ
+    hooks the larger root to the smaller, pointer jumping brings every
+    cell back to its root, and the pairs within one tree are dropped.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    cells = np.flatnonzero(mask)
+    index = np.full(mask.shape, -1, dtype=np.intp)
+    index.flat[cells] = np.arange(cells.size)
+    ahead = [np.roll(index, -1, axis=axis).flat[cells] for axis in range(mask.ndim)]
+    a = np.concatenate([np.flatnonzero(nb >= 0) for nb in ahead])
+    b = np.concatenate([nb[nb >= 0] for nb in ahead])
+    parent = np.arange(cells.size)
+    while a.size:
+        root_a, root_b = parent[a], parent[b]
+        apart = root_a != root_b
+        a, b, root_a, root_b = a[apart], b[apart], root_a[apart], root_b[apart]
+        parent[np.maximum(root_a, root_b)] = np.minimum(root_a, root_b)
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
+    roots, labels = np.unique(parent, return_inverse=True)
+    out = np.zeros(mask.shape, dtype=np.intp)
+    out.flat[cells] = labels + 1
+    return roots.size, out

@@ -9,9 +9,9 @@ their final name.  Formats are fixed:
   row-major little-endian float64;
 * CSV — header row always present, floats rendered with ``%.17g`` so a
   read-back parses to the identical double;
-* summary JSON — sorted keys, validated against the schema shipped with
-  the package (non-finite numbers are nulled, keeping the files strict
-  JSON);
+* summary JSON — sorted keys, checked against the schema shipped with
+  the package when written and when read (non-finite numbers are nulled,
+  keeping the files strict JSON);
 * PGM — binary ``P5`` at 16 bits, for quick visual inspection only.
 """
 
@@ -22,13 +22,13 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -36,7 +36,9 @@ from .errors import ConfigError
 __all__ = [
     "FIELD_MAGIC",
     "FIELD_VERSION",
+    "SummaryError",
     "atomic_write",
+    "check_summary",
     "config_hash",
     "jsonable",
     "read_field",
@@ -193,22 +195,69 @@ def summary_schema() -> dict:
     return json.loads(text)
 
 
-@functools.cache
-def _summary_validator():
-    """A validator for the shipped schema, checked against its meta-schema once."""
-    schema = summary_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+_shipped_schema = functools.cache(summary_schema)  # read once, never modified
+
+
+class SummaryError(ValueError):
+    """A summary document does not match the shipped schema."""
+
+
+# The test of each JSON type the schema names (an integral float is an
+# integer).  _schema_problems checks type, enum (of strings, for which ==
+# is JSON equality), pattern, required, properties and additionalProperties
+# with their draft-7 meaning; the tests hold the shipped schema to these.
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "integer": lambda v: type(v) is int or isinstance(v, float) and v.is_integer(),
+}
+
+
+def _schema_problems(doc, schema: dict, where: str = "$"):
+    """Yield each way ``doc`` breaks ``schema``."""
+    if "type" in schema:
+        types = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not any(_JSON_TYPES[t](doc) for t in types):
+            yield f"{where}: {doc!r} is not of type {', '.join(types)}"
+            return
+    if "enum" in schema and doc not in schema["enum"]:
+        yield f"{where}: {doc!r} is not one of {schema['enum']}"
+    if isinstance(doc, str) and not re.search(schema.get("pattern", ""), doc):
+        yield f"{where}: {doc!r} does not match {schema['pattern']!r}"
+    if not isinstance(doc, dict):
+        return
+    for key in schema.get("required", []):
+        if key not in doc:
+            yield f"{where}: required key {key!r} is missing"
+    properties = schema.get("properties", {})
+    extra = schema.get("additionalProperties", True)
+    for key, value in doc.items():
+        if key in properties:
+            yield from _schema_problems(value, properties[key], f"{where}.{key}")
+        elif extra is False:
+            yield f"{where}: key {key!r} is not allowed"
+        elif isinstance(extra, dict):
+            yield from _schema_problems(value, extra, f"{where}.{key}")
+
+
+def check_summary(doc, source: str = "summary") -> None:
+    """Raise SummaryError naming every way ``doc`` breaks the shipped schema."""
+    problems = list(_schema_problems(doc, _shipped_schema()))
+    if problems:
+        raise SummaryError(
+            f"{source} does not match the summary schema: " + "; ".join(problems)
+        )
 
 
 def write_summary(path, summary: dict) -> dict:
-    """Validate the summary against the shipped schema and write it.
+    """Check the summary against the shipped schema and write it.
 
     Returns the sanitized document that was written (plain JSON types).
     """
     doc = jsonable(summary)
-    _summary_validator().validate(doc)
+    check_summary(doc, str(path))
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with atomic_write(path, "w") as out:
         out.write(text + "\n")
@@ -218,7 +267,7 @@ def write_summary(path, summary: dict) -> dict:
 def read_summary(path) -> dict:
     with open(path, "r", encoding="utf-8") as src:
         doc = json.load(src)
-    _summary_validator().validate(doc)
+    check_summary(doc, str(path))
     return doc
 
 

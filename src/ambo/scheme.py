@@ -41,12 +41,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .energy import PhaseField, RunOperator, approx_energy, indicator_defect
 from .errors import NumericalError
 from .geometry import Band, Geometry
-from .grid import TorusGrid
+from .grid import TorusGrid, periodic_components
 from .kernel import GaussianKernel, Kernel, convolve_cells, scale_kernel
 from .tensions import ModifiedTensions
 
@@ -59,7 +58,6 @@ __all__ = [
     "step",
     "run",
     "measure_contact_angle",
-    "periodic_components",
 ]
 
 
@@ -323,38 +321,6 @@ def run(
 # ---------------------------------------------------------------------------
 # Measurements
 # ---------------------------------------------------------------------------
-
-def periodic_components(mask: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components of a binary mask with periodic wrapping."""
-    labels, n = ndimage.label(mask)
-    if n == 0:
-        return 0, labels
-    parent = list(range(n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for axis in range(mask.ndim):
-        first = np.take(labels, 0, axis=axis)
-        last = np.take(labels, -1, axis=axis)
-        both = (first > 0) & (last > 0)
-        for a, b in zip(first[both].ravel(), last[both].ravel()):
-            union(int(a), int(b))
-    roots = {find(i) for i in range(1, n + 1)}
-    remap = {r: i + 1 for i, r in enumerate(sorted(roots))}
-    out = np.zeros_like(labels)
-    nz = labels > 0
-    out[nz] = [remap[find(int(v))] for v in labels[nz]]
-    return len(roots), out
-
 
 # Interface points per side that the contact-angle fit uses.
 _WINDOW_CELLS = 12

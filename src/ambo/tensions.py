@@ -25,24 +25,25 @@ works).
 
 All boundary value problems use the cell-centered 5-point (d=2) /
 7-point (d=3) Laplacian, whose discrete maximum principle the
-construction's inequalities rely on, solved by conjugate gradients.
-When the unknown cells fill at least a quarter of the grid, as the
-exterior of a container does, CG is preconditioned by the inverse of
-the periodic Laplacian plus a small shift, applied by FFT: it cuts the
-exterior solve from hundreds of iterations to tens.  A thin region, as
-each strip is, converges in few plain iterations, each far cheaper than
-a full-grid FFT pair, so it is solved unpreconditioned.
+construction's inequalities rely on, solved by conjugate gradients in
+numpy.  The Laplacian is applied matrix-free: each solve gathers the
+indices of the 2d neighbours of every unknown cell once, and every
+iteration reads the iterate at them.  When the unknown cells fill at
+least a quarter of the grid, as the exterior of a container does, CG is
+preconditioned by the inverse of the periodic Laplacian plus a small
+shift, applied by FFT: it cuts the exterior solve from hundreds of
+iterations to tens.  A thin region, as each strip is, converges in few
+plain iterations, each far cheaper than a full-grid FFT pair, so it is
+solved unpreconditioned.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .anisotropy import Anisotropy
 from .errors import NumericalError
@@ -194,11 +195,35 @@ def _torus_laplace_inverse(grid: TorusGrid, unknown_mask: np.ndarray):
     full = np.zeros(grid.cell_count)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        full[cells] = r.reshape(-1)
+        full[cells] = r
         z = _irfftn(_rfftn(full.reshape(grid.shape)) * inverse, grid.shape)
         return z.reshape(-1)[cells]
 
-    return LinearOperator((cells.size, cells.size), matvec=apply, dtype=np.float64)
+    return apply
+
+
+def _conjugate_gradients(apply, rhs, precondition, atol: float, maxiter: int):
+    """Preconditioned CG (Hestenes & Stiefel 1952) for apply(x) = rhs from
+    x = 0 until the updated residual's 2-norm is below ``atol``: the
+    iterate and the iterations taken (None if maxiter fell short)."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, iteration
+        z = r if precondition is None else precondition(r)
+        rho = np.dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = apply(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, None
 
 
 def laplace_solve(
@@ -230,45 +255,39 @@ def laplace_solve(
     n_unknown = int(unknown_mask.sum())
     if n_unknown == 0:
         return values
+    # A connected component of the unknowns other than the whole torus
+    # has a neighbour outside itself, which is a Dirichlet cell; so the
+    # problem is singular exactly when every cell is unknown.
+    if n_unknown == grid.cell_count:
+        raise TensionError(
+            "the unknown region is the whole torus and touches no Dirichlet "
+            "cell; the problem is singular"
+        )
 
-    index = np.full(grid.shape, -1, dtype=np.int64)
+    index = np.full(grid.shape, -1, dtype=np.intp)
     index[unknown_mask] = np.arange(n_unknown)
 
-    rows, cols, known_touch = [], [], np.zeros(n_unknown, dtype=bool)
+    # The 2d neighbours of each unknown cell, as its unknown index or, for
+    # a Dirichlet cell, n_unknown, which reads the zero appended to x.
+    neighbours = np.empty((2 * grid.d, n_unknown), dtype=np.intp)
     rhs = np.zeros(n_unknown)
     ref_min, ref_max = math.inf, -math.inf
-    center = index[unknown_mask]
-    for axis in range(grid.d):
-        for shift in (1, -1):
-            nb_index = np.roll(index, shift, axis=axis)[unknown_mask]
-            nb_value = np.roll(values, shift, axis=axis)[unknown_mask]
-            interior = nb_index >= 0
-            rows.append(center[interior])
-            cols.append(nb_index[interior])
-            if np.any(~interior):
-                rhs_vals = nb_value[~interior]
-                np.add.at(rhs, center[~interior], rhs_vals)
-                known_touch[center[~interior]] = True
-                ref_min = min(ref_min, float(rhs_vals.min()))
-                ref_max = max(ref_max, float(rhs_vals.max()))
+    for k, (axis, shift) in enumerate(itertools.product(range(grid.d), (1, -1))):
+        nb_index = np.roll(index, shift, axis=axis)[unknown_mask]
+        known = nb_index < 0
+        neighbours[k] = np.where(known, n_unknown, nb_index)
+        if known.any():
+            rhs_vals = np.roll(values, shift, axis=axis)[unknown_mask][known]
+            rhs[known] += rhs_vals
+            ref_min = min(ref_min, float(rhs_vals.min()))
+            ref_max = max(ref_max, float(rhs_vals.max()))
 
     two_d = 2 * grid.d
-    adjacency = sp.csr_matrix(
-        (
-            np.ones(sum(len(r) for r in rows)),
-            (np.concatenate(rows), np.concatenate(cols)),
-        ),
-        shape=(n_unknown, n_unknown),
-    )
-    if not known_touch.all():
-        n_comp, labels = connected_components(adjacency, directed=False)
-        dataless = set(range(n_comp)) - set(labels[known_touch])
-        if dataless:
-            raise TensionError(
-                f"{len(dataless)} connected component(s) of the unknown "
-                "region touch no Dirichlet cell; the problem is singular"
-            )
-    matrix = sp.identity(n_unknown, format="csr") * two_d - adjacency
+    padded = np.zeros(n_unknown + 1)
+
+    def laplacian(x: np.ndarray) -> np.ndarray:
+        padded[:-1] = x
+        return two_d * x - padded[neighbours].sum(axis=0)
 
     data_range = ref_max - ref_min
     scale = max(abs(ref_min), abs(ref_max), 1e-30)
@@ -280,14 +299,14 @@ def laplace_solve(
     precondition = None
     if n_unknown >= _PRECONDITIONED_SHARE * grid.cell_count:
         precondition = _torus_laplace_inverse(grid, unknown_mask)
-    solution, info = cg(
-        matrix, rhs, rtol=0.0, atol=tol, maxiter=maxiter, M=precondition
+    solution, iterations = _conjugate_gradients(
+        laplacian, rhs, precondition, tol, maxiter
     )
-    residual = float(np.abs(matrix @ solution - rhs).max())
-    if info != 0 or residual > tol:
+    residual = float(np.abs(laplacian(solution) - rhs).max())
+    if iterations is None or residual > tol:
         raise NumericalError(
             f"Dirichlet solve did not converge: residual {residual:.3e} "
-            f"(tolerance {tol:.3e}, cg status {info})"
+            f"(tolerance {tol:.3e}, {maxiter} CG iterations allowed)"
         )
 
     slack = 1e-8 * max(1.0, data_range, abs(ref_min), abs(ref_max))

@@ -10,6 +10,7 @@ import tracemalloc
 from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
@@ -85,6 +86,7 @@ def test_experiment_runs_through_the_cli(kind, tmp_path, capsys):
     code, out = _run_small(kind, tmp_path)
     assert code == 0, capsys.readouterr().err
     summary = io.read_summary(out / "summary.json")
+    jsonschema.validate(summary, io.summary_schema())  # the oracle agrees
     assert summary["experiment"] == kind
     assert summary["parameters"]["grid"]["n"] == SMALL[kind][1]
     assert summary["outputs"]["summary"] == "summary.json"
@@ -126,6 +128,30 @@ def test_same_config_reproduces_every_output_byte(tmp_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
+def test_runs_import_neither_scipy_nor_jsonschema(tmp_path):
+    """A fresh process that imports the command line and runs the small
+    angle case and extend_disk's validate (the contact-angle labelling,
+    the Dirichlet solves, the summary check) loads no scipy or jsonschema
+    module."""
+    preset, n, changes = SMALL["angle"]
+    angle = ["angle", str(_config(tmp_path / "angle.yaml", preset, changes)), "--n", str(n)]
+    extend = ["validate", "--preset", "extend_disk", "--n", "128"]
+    script = f"""
+import sys
+import ambo.harness, ambo.cli
+assert ambo.cli.main({angle + ["--out", str(tmp_path / "angle")]!r}) == 0
+assert ambo.cli.main({extend + ["--out", str(tmp_path / "extend")]!r}) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema")))
+"""
+    src = str(Path(ambo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def _ball_config(tmp_path, n, preserve, max_steps):
     """A 3-d ball of radius 0.4 read from a field file."""
     x = (np.arange(n) + 0.5) / n
@@ -146,11 +172,12 @@ def _ball_config(tmp_path, n, preserve, max_steps):
 
 @pytest.mark.parametrize("kind", ["angle", "run"])
 def test_thread_count_changes_no_output_byte(kind, tmp_path):
-    """AMBO_THREADS = 1 and 2 write the same bytes, in fresh processes.
+    """AMBO_THREADS = 1 and 2, which cap the BLAS pools, write the same
+    bytes, in fresh processes.
 
-    The sizes reach the threaded FFTs (at least 2^18 cells): the angle
-    preset's small stages at n = 512, and a volume-preserving 3-d ball
-    at n = 64.
+    Both runs get their K_h*u by box products, which run on BLAS (the two
+    tests below check that): the angle preset's small stages at n = 512,
+    and a volume-preserving 3-d ball at n = 64.
     """
     if kind == "angle":
         preset, _, changes = SMALL["angle"]

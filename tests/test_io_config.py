@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ambo import cli
+from ambo import io as io_module
 from ambo.anisotropy import Isotropic
 from ambo.config import (
     EXPERIMENTS,
@@ -30,10 +31,13 @@ from ambo.errors import ConfigError
 from ambo.geometry import Band, build_geometry, make_shape
 from ambo.grid import TorusGrid
 from ambo.io import (
+    SummaryError,
     atomic_write,
+    check_summary,
     config_hash,
     read_field,
     read_summary,
+    summary_schema,
     write_csv,
     write_field,
     write_pgm,
@@ -167,25 +171,96 @@ def test_summary_schema_is_enforced(tmp_path):
     path = tmp_path / "summary.json"
     bad = _summary_doc()
     bad["experiment"] = "mystery"
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SummaryError, match=r"\$\.experiment: 'mystery' is not one of"):
         write_summary(path, bad)
 
     missing = _summary_doc()
     del missing["results"]
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SummaryError, match="required key 'results'"):
         write_summary(path, missing)
 
     extra = _summary_doc()
     extra["comment"] = "hi"
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SummaryError, match="key 'comment' is not allowed"):
         write_summary(path, extra)
 
     short_hash = _summary_doc()
     short_hash["config_hash"] = "abc"
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SummaryError, match="does not match"):
         write_summary(path, short_hash)
 
     assert not path.exists()  # validation precedes writing
+
+
+def _jsonschema_validator():
+    """jsonschema's draft-7 validator of the shipped schema, the oracle of
+    the package's own check; the schema itself must be a valid draft 7."""
+    schema = summary_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def test_shipped_schema_uses_only_the_checked_keywords():
+    """The package's own check implements these keywords, types and
+    string enums; a schema that used anything else would be half checked."""
+    keywords = {"type", "required", "properties", "additionalProperties", "enum", "pattern"}
+    pending = [summary_schema()]
+    while pending:
+        schema = pending.pop()
+        assert isinstance(schema, dict), schema
+        assert set(schema) <= keywords | {"$schema", "title", "description"}, schema
+        types = schema.get("type", [])
+        assert set([types] if isinstance(types, str) else types) <= set(io_module._JSON_TYPES)
+        assert all(isinstance(v, str) for v in schema.get("enum", []))
+        pending += schema.get("properties", {}).values()
+        extra = schema.get("additionalProperties", True)
+        if not isinstance(extra, bool):
+            pending.append(extra)
+
+
+def _changed(**changes):
+    """A valid summary with top-level keys replaced (None deletes one)."""
+    doc = json.loads(json.dumps(_summary_doc(), default=bool))
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+# Documents that break the schema, at least one per keyword it uses,
+# and borderline ones that meet it.
+SCHEMA_CASES = {
+    "type_object": ["not", "a", "mapping"],
+    "type_string": _changed(experiment=7),
+    "type_integer": _changed(seed=2.5),
+    "type_bool_is_no_integer": _changed(seed=True),
+    "type_union": _changed(admissibility={"tensions": "yes"}),
+    "required": _changed(admissibility=None),
+    "properties_nested": _changed(outputs={"summary": 3}),
+    "additional_false": _changed(extra={}),
+    "additional_schema": _changed(admissibility={"kernel": 1.0}),
+    "enum": _changed(experiment="mystery"),
+    "pattern": _changed(config_hash="A" * 64),
+    "valid": _changed(),
+    "valid_integral_float_seed": _changed(seed=3.0),
+    "valid_no_seed": _changed(seed=None),
+    "valid_extra_flag": _changed(admissibility={"tensions": None, "kernel": False}),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_CASES)
+def test_summary_check_agrees_with_jsonschema(case):
+    doc = SCHEMA_CASES[case]
+    valid = _jsonschema_validator().is_valid(doc)
+    assert valid == case.startswith("valid")
+    if valid:
+        check_summary(doc)
+    else:
+        with pytest.raises(SummaryError):
+            check_summary(doc)
 
 
 def test_atomic_write_discards_partial_output(tmp_path):
@@ -518,6 +593,15 @@ def test_scheme_settings_out_of_range_name_their_key(scheme, argv, tmp_path, cap
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [0, 3, -8])
+def test_grid_size_below_four_names_its_key(n, tmp_path, capsys):
+    message = f"key 'n' in section 'grid' must be >= 4, got {n}"
+    with pytest.raises(ConfigError, match=message):
+        load_config(_write_yaml(tmp_path, f"grid: {{n: {n}}}\n"))
+    assert cli.main(["validate", "--n", str(n), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_apply_overrides_dotted_paths():
     doc = {"scheme": {"h": 1.0}}
     out = apply_overrides(
@@ -553,7 +637,7 @@ def test_document_round_trip_and_hash_stability(tmp_path):
 
 def test_every_preset_loads_and_its_echo_round_trips():
     presets = cli.list_presets()
-    assert len(presets) == 12
+    assert len(presets) == 10
     for name in presets:
         with resources.as_file(resources.files("ambo") / "presets" / f"{name}.yaml") as path:
             cfg = load_config(path)

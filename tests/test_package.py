@@ -91,3 +91,21 @@ def test_every_definition_is_named_by_the_package():
                 ):
                     unnamed.append(f"{module}.{qualified}")
     assert sorted(set(unnamed) - CALLED_FROM_OUTSIDE) == []
+
+
+def test_no_module_imports_scipy_or_jsonschema():
+    """The package runs on numpy and PyYAML alone; scipy and jsonschema
+    serve the tests only, not even through a deferred import."""
+    package = Path(ambo.__path__[0])
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("scipy", "jsonschema") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

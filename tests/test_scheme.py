@@ -16,7 +16,7 @@ from ambo.energy import (
     indicator_defect,
 )
 from ambo.geometry import build_geometry, make_shape
-from ambo.grid import TorusGrid
+from ambo.grid import TorusGrid, periodic_components
 from ambo.kernel import GaussianKernel, SampledKernel, convolve_cells, scale_kernel
 from ambo.scheme import (
     SchemeConfig,
@@ -643,6 +643,21 @@ def _box(shape, *ranges):
     return mask
 
 
+# Seeded random masks, 2-d and 3-d, odd and even sides, sparse to dense;
+# each has face-neighbour cells across the seam of every axis.
+_RANDOM_MASKS = [
+    np.random.default_rng(seed).random(shape) < density
+    for seed, shape, density in [
+        (1, (16, 16), 0.4),
+        (2, (16, 16), 0.6),
+        (3, (9, 13), 0.5),
+        (4, (8, 8, 8), 0.3),
+        (5, (8, 8, 8), 0.5),
+        (6, (5, 7, 6), 0.45),
+    ]
+]
+
+
 @pytest.mark.parametrize(
     "mask",
     [
@@ -656,11 +671,13 @@ def _box(shape, *ranges):
         | _box((10, 10, 10), (0, 10), (7, 8), (5, 6))
         | _box((10, 10, 10), (6, 7), (2, 3), (5, 6)),
         np.zeros((8, 8), dtype=bool),
+        *_RANDOM_MASKS,
     ],
-    ids=["one_seam", "both_seams", "3d_seam", "empty"],
+    ids=["one_seam", "both_seams", "3d_seam", "empty"]
+    + [f"random{i}" for i in range(len(_RANDOM_MASKS))],
 )
 def test_periodic_components_match_a_roll_flood_fill(mask):
-    count, labels = scheme.periodic_components(mask)
+    count, labels = periodic_components(mask)
     oracle = _roll_flood_labels(mask)
     assert np.array_equal(labels > 0, mask)
     assert count == np.unique(oracle[mask]).size
