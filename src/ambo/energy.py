@@ -55,7 +55,6 @@ from .kernel import (
     SampledKernel,
     TriangularKernel,
     _irfftn,
-    _kernel_samples,
     _rfftn,
     scale_kernel,
     scale_kernel_gradient,
@@ -85,19 +84,21 @@ class EnergyError(ValueError):
 # Phase fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PhaseField:
-    """A [0,1]-valued field supported on the container."""
+    """A [0,1]-valued field supported on the container.
 
-    geometry: Geometry
-    values: np.ndarray
+    ``PhaseField(geometry, values)`` holds the given values.  A field
+    built by :meth:`from_support` is the indicator of its cells and holds
+    only them: ``volume``, ``is_binary``, the interface count and E_h
+    read the cells, and ``values`` is built on first read and then kept.
+    """
 
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != self.geometry.grid.shape:
-            raise EnergyError(
-                f"values shape {vals.shape} != grid {self.geometry.grid.shape}"
-            )
+    _indicator = False  # built from its cells: 1 on ``support``, 0 elsewhere
+
+    def __init__(self, geometry: Geometry, values: np.ndarray) -> None:
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.shape != geometry.grid.shape:
+            raise EnergyError(f"values shape {vals.shape} != grid {geometry.grid.shape}")
         if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # NaN fails both
             raise EnergyError(
                 f"phase values must lie in [0,1]; got range "
@@ -105,10 +106,9 @@ class PhaseField:
             )
         # The substrate mask is the container mask's exact complement, and
         # empty without a substrate.
-        geometry = self.geometry
         if geometry.has_substrate and np.any(vals[geometry.substrate_mask] != 0.0):
             raise EnergyError("phase field must vanish outside the container")
-        object.__setattr__(self, "values", vals)
+        self.geometry, self.values = geometry, vals
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -118,21 +118,20 @@ class PhaseField:
     @classmethod
     def from_support(cls, geometry: Geometry, cells: np.ndarray) -> "PhaseField":
         """The binary field that is 1 on ``cells``, strictly increasing flat
-        indices of container cells; a read-only copy becomes ``support``."""
+        indices of container cells; a read-only copy becomes ``support``.
+        Cells that are not integers or lie past the grid raise IndexError."""
         cells = np.array(cells).reshape(-1)
+        if not np.issubdtype(cells.dtype, np.integer):
+            raise IndexError(f"support cells must be integers, got {cells.dtype}")
         if np.any(cells[:1] < 0) or np.any(cells[1:] <= cells[:-1]):
             raise EnergyError("support cells must be strictly increasing cell indices")
-        values = np.zeros(geometry.grid.shape)
-        values.reshape(-1)[cells] = 1.0
-        # The values are 0 and 1 by construction, so only the cells are
-        # checked against the container, not the grid (``__post_init__``).
+        if np.any(cells[-1:] >= geometry.grid.cell_count):
+            raise IndexError(f"cell {cells[-1]} lies past the grid")
         omega = geometry.omega_mask.reshape(-1)
         if geometry.has_substrate and not omega.take(cells).all():
             raise EnergyError("phase field must vanish outside the container")
         u = object.__new__(cls)
-        object.__setattr__(u, "geometry", geometry)
-        object.__setattr__(u, "values", values)
-        u.__dict__["support"] = _read_only(cells)
+        u.geometry, u.support, u._indicator = geometry, _read_only(cells), True
         return u
 
     @classmethod
@@ -162,6 +161,13 @@ class PhaseField:
         return self.geometry.grid
 
     @cached_property
+    def values(self) -> np.ndarray:
+        """The field on the grid (built from the cells of an indicator)."""
+        values = np.zeros(self.grid.shape)
+        values.reshape(-1)[self.support] = 1.0
+        return values
+
+    @cached_property
     def support(self) -> np.ndarray:
         """Flat C-order indices of the cells where u != 0 (read-only).
 
@@ -171,10 +177,22 @@ class PhaseField:
         """
         return _read_only(np.flatnonzero(self.values))
 
+    def weigh(self, a: np.ndarray) -> np.ndarray:
+        """``a``, one entry per support cell, times u at those cells, in
+        place; an indicator's values there are 1, and x * 1.0 == x."""
+        if not self._indicator:
+            a *= self.values.take(self.support)
+        return a
+
     def volume(self) -> float:
+        if self._indicator:
+            # The sum of the values is exactly the cell count.
+            return float(self.support.size * self.grid.cell_measure)
         return float(self.values.sum() * self.grid.cell_measure)
 
     def is_binary(self) -> bool:
+        if self._indicator:
+            return True
         v = self.values
         return bool(np.all((v == 0.0) | (v == 1.0)))
 
@@ -182,17 +200,22 @@ class PhaseField:
         """Cells of {u=1} with at least one zero neighbour (binary u).
 
         Counted as the cells of {u=1} minus those whose 2d neighbours all
-        equal 1.  The neighbours are ANDed in through slices, with the
-        periodic wrap layer of each axis taken separately, so no shifted
-        copy of the field is made.
+        equal 1, on the box of {u=1} with a margin of one cell
+        (:func:`_margin_box`).  The neighbours are ANDed in through
+        slices, with the periodic wrap layer of each axis taken
+        separately, so no shifted copy of the field is made; on a
+        widened axis the wrap meets only margin cells, which are 0.
         """
-        one = self.values == 1.0
+        cells = self.support if self._indicator else np.flatnonzero(self.values == 1.0)
+        if not cells.size:
+            return 0
+        one = _margin_box(self.grid, cells)
         interior = one.copy()
         for axis in range(one.ndim):
             lead = (slice(None),) * axis
-            for cells, neighbours in _NEIGHBOUR_SLICES:
-                interior[lead + (cells,)] &= one[lead + (neighbours,)]
-        return int(np.count_nonzero(one)) - int(np.count_nonzero(interior))
+            for inner, neighbours in _NEIGHBOUR_SLICES:
+                interior[lead + (inner,)] &= one[lead + (neighbours,)]
+        return int(cells.size) - int(np.count_nonzero(interior))
 
 
 # (cells, their neighbours) along one axis: i - 1 for i >= 1, then the
@@ -203,6 +226,40 @@ _NEIGHBOUR_SLICES = (
     (slice(None, -1), slice(1, None)),
     (slice(-1, None), slice(None, 1)),
 )
+
+
+def _margin_box(grid: TorusGrid, cells: np.ndarray) -> np.ndarray:
+    """The nonempty ``cells`` (ascending flat indices) as a bool array on
+    their box with a margin of one cell.
+
+    Along each axis the box is the shortest periodic interval that holds
+    the cells' coordinates, widened by one cell at both ends (taken
+    across the seam where it crosses it), or the whole axis where the
+    cells fill it.  The coordinates along the leading axes come from the
+    grid rows (lines along the last axis) that hold cells, found by
+    bisecting ``cells`` at the row starts; those along the last axis
+    from the rows of the box cut so far.  So only the box's rows are read.
+    """
+    n, d = grid.n, grid.d
+    one = np.zeros(grid.shape, dtype=bool)
+    one.reshape(-1)[cells] = True
+    starts = np.searchsorted(cells, np.arange(0, grid.cell_count + 1, n))
+    rows = (np.diff(starts) > 0).reshape(grid.shape[:-1])
+    for axis in range(d):
+        others = tuple(k for k in range(d - 1) if k != axis)
+        present = rows.any(axis=others) if axis < d - 1 else one.any(axis=others)
+        at = np.flatnonzero(present)
+        gaps = np.diff(at, append=at[0] + n)
+        widest = int(np.argmax(gaps))
+        if gaps[widest] == 1:
+            continue  # the cells fill this axis
+        start = int(at[(widest + 1) % at.size]) - 1
+        stop = start + n + 3 - int(gaps[widest])
+        if 0 <= start and stop <= n:
+            one = one[(slice(None),) * axis + (slice(start, stop),)]
+        else:
+            one = one.take(np.arange(start, stop) % n, axis=axis)
+    return one
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -283,8 +340,7 @@ def approx_energy(
     density *= pv
     if op.wetting is not None:
         density += op.wetting.take(cells)
-    density *= u.values.take(cells)
-    total = density.sum() + op.dry_energy
+    total = u.weigh(density).sum() + op.dry_energy
     return float(total * op.grid.cell_measure / math.sqrt(op.kh.h))
 
 
@@ -414,17 +470,32 @@ class ShapeSpec:
 
     # -- rasterisation --------------------------------------------------------
     def indicator(self, geometry: Geometry) -> PhaseField:
-        """Binary phase field of the enclosed region (built-in specs only)."""
+        """Binary phase field of the enclosed region (built-in specs only).
+
+        The distances are evaluated on the box of cells whose torus
+        offset from the centre is below the radius along every axis (at
+        both ends of an axis that the disk crosses the seam of): a cell
+        off that box is at least the radius away, so the mask is the
+        full grid's, cell for cell.
+        """
         arc = self.free[0]
         if not isinstance(arc, CircleArc):
             raise EnergyError(f"no indicator rule for arc type {type(arc).__name__}")
         grid = geometry.grid
-        pts = np.stack(grid.meshgrid(), axis=-1)
-        inside = grid.torus_distance(pts, np.asarray(arc.center)) < arc.radius
+        center = np.asarray(arc.center, dtype=float)
+        coords = grid.axis_coords()
+        box = [
+            np.flatnonzero(np.abs(grid.wrap_delta(coords - c)) < arc.radius)
+            for c in center
+        ]
+        pts = np.stack(np.meshgrid(*[coords[i] for i in box], indexing="ij"), axis=-1)
+        inside = grid.torus_distance(pts, center) < arc.radius
         if self.wetted:
             # a cap: the disk cut at the substrate line under the wetted segment
             inside &= pts[..., 1] >= float(np.asarray(self.wetted[0].start)[1])
-        return PhaseField.from_mask(geometry, inside)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[np.ix_(*box)] = inside
+        return PhaseField.from_mask(geometry, mask)
 
 
 def _adaptive_arc_quadrature(func, arc: Arc):
@@ -752,7 +823,7 @@ def inequality_suite(fields, kernel: Kernel, h_values) -> list[list[InequalityRe
     kernels = [scale_kernel(kernel, grid, h) for h in h_values]
     weights = []
     for h, kh in zip(h_values, kernels):
-        weights += [kh.values, _kernel_samples(_TENT, grid, 4.0 * h)[0]]
+        weights += [kh.values, scale_kernel(_TENT, grid, 4.0 * h).values]
     shift_sums = shift_weighted_sum(fields, weights)
 
     reports = []

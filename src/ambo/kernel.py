@@ -31,7 +31,8 @@ sum, the first up to rounding (a few 1e-16 of the peak):
 * a Gaussian, or an elliptic Gaussian ``|det L| G(Lx)`` with a diagonal
   ``L``, is a product over the axes of 1-d image sums, so it is sampled
   as an outer product of one length-n array per axis (values only); the
-  sampled kernel keeps these ``factors``;
+  sampled kernel keeps these ``factors`` and builds its values and
+  their transform only when they are asked for;
 * a tent whose support radius ``radius*sqrt(h)`` is at most 1/2 meets
   only the zero image, so it and its gradient are evaluated on the
   support box alone, bit for bit equal to the image sum;
@@ -43,7 +44,7 @@ Convolution is the mass-weighted circular sum
     (K (*) f)[i] = spacing^d * sum_j Ktilde[j] f[i - j],
 
 evaluated either with the FFT (default; the kernel transform is
-computed once, when the sampled kernel is built) or by direct summation
+computed once, at the first FFT convolution) or by direct summation
 (an independent oracle used in tests).  :meth:`SampledKernel.convolve`
 is the only FFT convolution.  :func:`convolve_cells` convolves a field
 that vanishes off a given set of cells, as a phase does.  With a kernel
@@ -67,7 +68,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,29 +233,60 @@ class TriangularKernel(Kernel):
 # Grid sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SampledKernel:
     """K_h sampled at cell centres with +-1 periodic images, origin at index 0.
 
-    ``values`` come from :func:`scale_kernel`, by whichever of the three
-    sampling paths of the module docstring fits the kernel; ``factors``
-    are the read-only axis factors of a diagonal Gaussian (None for every
-    other kernel), whose outer product is ``values`` up to rounding;
-    ``transform`` is the real FFT of ``values``, computed on construction.
+    ``values`` are the samples, by whichever of the three sampling paths
+    of the module docstring fits the kernel; ``factors`` are the
+    read-only axis factors of a diagonal Gaussian (None for every other
+    kernel), whose outer product is ``values`` up to rounding;
+    ``transform`` is the real FFT of ``values``.
+
+    ``SampledKernel(grid, h, values)`` holds the given samples.  A kernel
+    from :meth:`from_axes` holds its axes alone: ``values`` and
+    ``transform`` are built on first request and kept.  Its transform is
+    taken of a temporary ``values``, which is dropped again unless
+    ``values`` was requested first, so a run whose steps read only the
+    factors and the transform never holds the samples.
     """
 
-    grid: TorusGrid
-    h: float
-    values: np.ndarray
-    factors: tuple | None = field(default=None, repr=False, compare=False)
-    transform: np.ndarray = field(init=False, repr=False, compare=False)
+    factors: tuple | None = None
 
-    def __post_init__(self) -> None:
-        if self.values.shape != self.grid.shape:
-            raise KernelError(
-                f"values shape {self.values.shape} != grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "transform", _rfftn(self.values))
+    def __init__(self, grid: TorusGrid, h: float, values: np.ndarray) -> None:
+        if values.shape != grid.shape:
+            raise KernelError(f"values shape {values.shape} != grid shape {grid.shape}")
+        self.grid, self.h, self.values = grid, h, values
+
+    @classmethod
+    def from_axes(
+        cls, grid: TorusGrid, h: float, axes: list[np.ndarray], constants: tuple
+    ) -> "SampledKernel":
+        """The kernel whose values are the outer product of ``axes``, one
+        length-n array per axis, times each of ``constants`` in turn; its
+        first factor is the first axis times their product."""
+        kh = object.__new__(cls)
+        kh.grid, kh.h = grid, h
+        kh._axes, kh._constants = axes, constants
+        factors = [axes[0] * math.prod(constants), *axes[1:]]
+        for f in factors:
+            f.flags.writeable = False
+        kh.factors = tuple(factors)
+        return kh
+
+    def _outer(self) -> np.ndarray:
+        values = functools.reduce(np.multiply.outer, self._axes, np.ones(()))
+        for c in self._constants:
+            values *= c
+        return values
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self._outer()
+
+    @functools.cached_property
+    def transform(self) -> np.ndarray:
+        values = self.__dict__.get("values")  # the kept samples, if built
+        return _rfftn(self._outer() if values is None else values)
 
     def convolve(self, f, method: str = "fft") -> np.ndarray:
         """Periodic convolution spacing^d * sum_j Ktilde[j] f[i-j]."""
@@ -463,30 +495,20 @@ def _check_resolution(kernel: Kernel, grid: TorusGrid, h: float) -> float:
     return sqrt_h
 
 
-def _kernel_samples(
-    kernel: Kernel, grid: TorusGrid, h: float
-) -> tuple[np.ndarray, tuple | None]:
-    """The values of K_h on the grid and, for a diagonal Gaussian, the
-    read-only axis factors whose outer product they are (else None); the
-    first factor carries the constant |det L| h^{-d/2}."""
+def scale_kernel(kernel: Kernel, grid: TorusGrid, h: float) -> SampledKernel:
+    """Sample K_h(x) = h^{-d/2} K(x/sqrt(h)) on the grid: a diagonal
+    Gaussian by its axis factors (:meth:`SampledKernel.from_axes`, with
+    the constants |det L| and h^{-d/2}), any other kernel by its values."""
     sqrt_h = _check_resolution(kernel, grid, h)
     scale = h ** (-0.5 * grid.d)
     diagonal = _diagonal_gaussian(kernel, grid.d)
     if diagonal is None:
-        return _sample(kernel.evaluate, kernel, grid, sqrt_h) * scale, None
+        values = _sample(kernel.evaluate, kernel, grid, sqrt_h) * scale
+        return SampledKernel(grid, h, values)
     scales, det = diagonal
-    factors = _gaussian_factors(scales, grid, sqrt_h)
-    values = functools.reduce(np.multiply.outer, factors, np.ones(())) * det * scale
-    factors[0] = factors[0] * (det * scale)
-    for f in factors:
-        f.flags.writeable = False
-    return values, tuple(factors)
-
-
-def scale_kernel(kernel: Kernel, grid: TorusGrid, h: float) -> SampledKernel:
-    """Sample K_h(x) = h^{-d/2} K(x/sqrt(h)) on the grid."""
-    values, factors = _kernel_samples(kernel, grid, h)
-    return SampledKernel(grid=grid, h=h, values=values, factors=factors)
+    return SampledKernel.from_axes(
+        grid, h, _gaussian_factors(scales, grid, sqrt_h), (det, scale)
+    )
 
 
 def scale_kernel_gradient(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarray:

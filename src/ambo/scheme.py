@@ -22,7 +22,8 @@ diagnostics and the next comparison field.  Every state's K_h*u is
 or an FFT convolution as the cells' box dictates, and a spatially
 varying g_pv convolves g_pv u the same way.  Every state's field is
 built by :meth:`~ambo.energy.PhaseField.from_support`, state 0's from
-the user field's support, so a step that keeps the phase costs no
+the user field's support, and holds only its cells, so a step streams
+no dense copy of the phase, and a step that keeps the phase costs no
 convolution: it returns its input state with the new step index and
 lambda.
 
@@ -138,7 +139,7 @@ def comparison_field(u: PhaseField, op: RunOperator, ku: np.ndarray) -> np.ndarr
     if pv is None:
         phi *= op.tensions.pv
         cells = u.support
-        phi -= convolve_cells(op.kh, cells, u.values.take(cells) * op.tensions.pv.take(cells))
+        phi -= convolve_cells(op.kh, cells, u.weigh(op.tensions.pv.take(cells)))
     elif pv == 1.0:
         phi -= ku  # x * 1.0 == x exactly, so both products are skipped
     else:
@@ -186,16 +187,9 @@ def _select(
     return float(values[ties[-1]]), geometry.omega_cells[chosen]
 
 
-def _make_state(
-    k: int,
-    u: PhaseField,
-    lam: float,
-    op: RunOperator,
-    volume: float | None = None,
-) -> SchemeState:
-    """The state of the binary phase u and its diagnostics (``volume`` if
-    known, else computed), K_h*u by :func:`~ambo.kernel.convolve_cells`
-    over u's support."""
+def _make_state(k: int, u: PhaseField, lam: float, op: RunOperator) -> SchemeState:
+    """The state of the binary phase u and its diagnostics, K_h*u by
+    :func:`~ambo.kernel.convolve_cells` over u's support."""
     ku = convolve_cells(op.kh, u.support, 1.0)
     ku.flags.writeable = False
     return SchemeState(
@@ -204,7 +198,7 @@ def _make_state(
         lam=lam,
         ku=ku,
         energy=approx_energy(u, op, ku),
-        volume=u.volume() if volume is None else volume,
+        volume=u.volume(),
         interface_cells=u.interface_cell_count(),
         defect=indicator_defect(ku, u.geometry),
     )
@@ -227,13 +221,11 @@ def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeSta
     if np.array_equal(cells, state.u.support):
         return dataclasses.replace(state, step=state.step + 1, lam=lam)
     u_next = PhaseField.from_support(geometry, cells)
-    # The field is binary, so its sum is exactly the cell count.
-    volume = cells.size * geometry.grid.cell_measure
     if m is not None:
-        tol = geometry.grid.cell_measure  # one cell
+        volume, tol = u_next.volume(), geometry.grid.cell_measure  # one cell
         if abs(volume - m) > tol:
             raise NumericalError(f"volume drifted: |{volume} - {m}| > {tol}")
-    return _make_state(state.step + 1, u_next, lam, op, volume)
+    return _make_state(state.step + 1, u_next, lam, op)
 
 
 def run(

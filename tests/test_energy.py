@@ -95,13 +95,66 @@ def test_interface_cells_match_roll_oracle(d, n, levels):
     geometry = build_geometry(make_shape("full"), grid)
     for seed in range(4):
         values = np.random.default_rng(seed).choice(levels, size=grid.shape)
-        one = values == 1.0
-        interior = one.copy()
-        for axis in range(d):
-            for shift in (1, -1):
-                interior &= np.roll(one, shift, axis=axis)
-        expected = np.count_nonzero(one) - np.count_nonzero(interior)
+        expected = _rolled_interface_count(values)
         assert PhaseField(geometry, values).interface_cell_count() == expected
+
+
+def _rolled_interface_count(values):
+    """The full-grid interface count: {u = 1} minus its cells whose 2d
+    neighbours, taken by np.roll, all equal 1."""
+    one = values == 1.0
+    interior = one.copy()
+    for axis in range(one.ndim):
+        for shift in (1, -1):
+            interior &= np.roll(one, shift, axis=axis)
+    return np.count_nonzero(one) - np.count_nonzero(interior)
+
+
+def _support_cases(grid, rng):
+    """Masks of random supports: blobs that cross the seam, sparse cells,
+    slabs that fill whole axes or leave one or two layers free, one cell
+    and nothing."""
+    pts = np.stack(grid.meshgrid(), axis=-1)
+    n, d = grid.n, grid.d
+    masks = []
+    for _ in range(6):
+        center = rng.uniform(size=d)
+        blob = grid.torus_distance(pts, center) < rng.uniform(0.05, 0.45)
+        masks.append(blob & (rng.uniform(size=grid.shape) < 0.9))
+    masks += [rng.uniform(size=grid.shape) < p for p in (0.02, 0.3, 0.97)]
+    corner = np.zeros(grid.shape, dtype=bool)
+    corner[(np.arange(-2, 2)[:, None] % n,) * d] = True  # both ends of every axis
+    masks.append(corner)
+    for free in (0, 1, 2, 3):
+        slab = np.zeros(grid.shape, dtype=bool)
+        start = int(rng.integers(n))
+        rows = (start + np.arange(n - free)) % n
+        slab[rows] = True
+        slab[(slice(None), slice(0, n // 3))] = False
+        masks.append(slab)
+    one = np.zeros(grid.shape, dtype=bool)
+    one.flat[rng.integers(grid.cell_count)] = True
+    masks += [one, np.zeros(grid.shape, dtype=bool), np.ones(grid.shape, dtype=bool)]
+    return masks
+
+
+@pytest.mark.parametrize("d, n", [(2, 16), (2, 33), (3, 8), (3, 13)])
+def test_support_fields_count_their_box_like_the_full_grid(d, n, rng):
+    """The interface count over the support's periodic box plus a margin
+    equals the full-grid count, for supports that cross the seam, fill
+    an axis, hold one cell or none; values, volume and is_binary of the
+    field built from the support equal those of the dense field, and
+    only ``values`` builds the dense array."""
+    grid = TorusGrid(d, n)
+    geometry = build_geometry(make_shape("full"), grid)
+    for mask in _support_cases(grid, rng):
+        u = PhaseField.from_support(geometry, np.flatnonzero(mask))
+        dense = PhaseField(geometry, mask.astype(np.float64))
+        expected = _rolled_interface_count(dense.values)
+        assert u.interface_cell_count() == dense.interface_cell_count() == expected
+        assert u.volume() == dense.volume() and u.is_binary() and dense.is_binary()
+        assert "values" not in vars(u)
+        assert u.values.tobytes() == dense.values.tobytes()
 
 
 def test_support_lists_the_nonzero_cells(disk_geometry, rng):
@@ -330,6 +383,33 @@ def test_shape_spec_guards():
     degenerate = ShapeSpec(free=(Segment((0.3, 0.3), (0.3, 0.3)),))
     with pytest.raises(EnergyError, match="stationary"):
         sharp_energy(degenerate, 1.0, Isotropic(2, 1.0))
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [((0.5, 0.5), 0.2), ((0.02, 0.97), 0.13), ((0.999, 0.5), 0.3), ((0.3, 0.6), 0.7)],
+    ids=["inside", "corner", "seam", "wider_than_the_torus"],
+)
+def test_disk_indicator_matches_the_full_grid_mask(center, radius, full_geometry):
+    """Rasterised over its periodic box, a disk has the full grid's mask,
+    across the seam too."""
+    grid = full_geometry.grid
+    inside = grid.torus_distance(np.stack(grid.meshgrid(), axis=-1), center) < radius
+    u = ShapeSpec.disk(center, radius).indicator(full_geometry)
+    assert np.array_equal(u.support, np.flatnonzero(inside))
+
+
+@pytest.mark.parametrize("center_x", [0.5, 0.03])
+def test_cap_indicator_matches_the_full_grid_mask(center_x, band_geometry):
+    """A cap on the band, also one across the seam, against the mask of
+    every cell's distance and height."""
+    cap = ShapeSpec.cap(120.0, 0.15, 0.25, center_x=center_x)
+    grid = band_geometry.grid
+    pts = np.stack(grid.meshgrid(), axis=-1)
+    arc = cap.free[0]
+    inside = (grid.torus_distance(pts, arc.center) < arc.radius) & (pts[..., 1] >= 0.25)
+    expected = np.flatnonzero(inside & band_geometry.omega_mask)
+    assert np.array_equal(cap.indicator(band_geometry).support, expected)
 
 
 def test_cap_indicator_is_binary_cap(band_geometry):

@@ -376,6 +376,30 @@ def test_only_diagonal_gaussians_keep_axis_factors():
         assert scale_kernel(kernel, TorusGrid(2, 64), 4e-3).factors is None
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_factored_kernels_build_values_and_transform_on_request(d):
+    """A diagonal Gaussian holds its axes alone.  Its values are built on
+    request, with the bytes of the outer product times |det L| times
+    h^{-d/2}; its transform is taken of a temporary outer product unless
+    the values were built first, with the same bytes either way."""
+    grid, h = TorusGrid(d, 32), 1e-2
+    kernel = EllipticGaussianKernel(np.diag([1.3, 0.8, 1.1][:d]))
+    scales, det = _diagonal_gaussian(kernel, d)
+    axes = kernel_module._gaussian_factors(scales, grid, math.sqrt(h))
+    expected = functools.reduce(np.multiply.outer, axes, np.ones(())) * det * h ** (-0.5 * d)
+    first = scale_kernel(kernel, grid, h)
+    assert "values" not in vars(first) and "transform" not in vars(first)
+    transform = first.transform
+    assert "values" not in vars(first)
+    assert transform.tobytes() == _rfftn(expected).tobytes()
+    assert first.values.tobytes() == expected.tobytes()
+    second = scale_kernel(kernel, grid, h)
+    values = second.values
+    assert second.transform.tobytes() == transform.tobytes() and second.values is values
+    tent = scale_kernel(TriangularKernel(), grid, h)
+    assert "values" in vars(tent) and tent.factors is None
+
+
 @pytest.mark.parametrize(
     "d, n, kernel",
     [
