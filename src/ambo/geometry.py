@@ -14,12 +14,13 @@ this exact partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grid import FloatArray, TorusGrid
+from .grid import FloatArray, TorusGrid, on_box
 
 
 class GeometryError(ValueError):
@@ -82,11 +83,14 @@ class Band(Shape):
     def signed_distance(self, grid: TorusGrid) -> FloatArray:
         if not 0.0 <= self.lo < self.hi <= 1.0:
             raise GeometryError(f"band requires 0 <= lo < hi <= 1, got ({self.lo}, {self.hi})")
-        x = grid.meshgrid()[1]
+        # Evaluated on the n values of x2 and broadcast read-only over the
+        # other axes, as FullTorus holds its constant.
+        x = grid.axis_coords()
         w = self.hi - self.lo
         t = (x - self.lo) % 1.0
         inside = t < w
-        return np.where(inside, np.minimum(t, w - t), -np.minimum(t - w, 1.0 - t))
+        ds = np.where(inside, np.minimum(t, w - t), -np.minimum(t - w, 1.0 - t))
+        return np.broadcast_to(ds.reshape((1, grid.n) + (1,) * (grid.d - 2)), grid.shape)
 
     def reach(self) -> float:
         return min(self.hi - self.lo, 1.0 - (self.hi - self.lo)) / 2.0
@@ -129,7 +133,8 @@ class Geometry:
         delta: strip width for the tension construction strips Omega_delta^+-.
 
     ``signed_distance`` and ``normal_band`` may be read-only views (the
-    full torus holds both as zero-stride constants), so callers copy
+    full torus holds both as zero-stride constants, a band its distance
+    as its x2 profile broadcast over the other axes), so callers copy
     before they write.
     """
 
@@ -171,6 +176,33 @@ class Geometry:
         cells = np.flatnonzero(self.omega_mask)
         cells.flags.writeable = False
         return cells
+
+    @cached_property
+    def extent(self) -> tuple:
+        """Per axis, the read-only bool mask of the coordinates that
+        container cells take (computed on first read and cached)."""
+        axes = tuple(range(self.grid.d))
+        masks = []
+        for axis in axes:
+            mask = self.omega_mask.any(axis=axes[:axis] + axes[axis + 1 :])
+            mask.flags.writeable = False
+            masks.append(mask)
+        return tuple(masks)
+
+    @cached_property
+    def fills_extent(self) -> bool:
+        """Whether the container is the product of its extents (a band, the
+        torus), so that every cell of a box inside them is a container cell."""
+        size = math.prod(int(mask.sum()) for mask in self.extent)
+        return size == int(np.count_nonzero(self.omega_mask))
+
+    def omega_on(self, box: tuple | None) -> np.ndarray | None:
+        """The container mask on ``box`` (per axis ascending coordinates
+        inside the extents; None: the grid), or None where every cell of
+        it is a container cell."""
+        if box is None:
+            return self.omega_mask if self.has_substrate else None
+        return None if self.fills_extent else on_box(self.omega_mask, box)
 
     @property
     def omega_cell_count(self) -> int:

@@ -84,6 +84,28 @@ class TorusGrid:
         return np.sqrt(np.sum(delta**2, axis=-1))
 
 
+def axis_index(coords: np.ndarray) -> slice | np.ndarray:
+    """An index for ascending axis coordinates: a slice when they are
+    contiguous, so that indexing with it gives a view, else ``coords``."""
+    if coords.size and coords[-1] - coords[0] + 1 == coords.size:
+        return slice(int(coords[0]), int(coords[-1]) + 1)
+    return coords
+
+
+def on_box(a: np.ndarray, box: tuple | None) -> np.ndarray:
+    """The grid array ``a`` on a box: per axis, the ascending coordinates
+    in ``box`` (None: the whole grid, ``a`` itself).  A view where every
+    axis is contiguous, else a copy; its C order is the grid's cell order
+    restricted to the box."""
+    for axis, coords in enumerate(box or ()):
+        index = axis_index(coords)
+        if isinstance(index, slice):
+            a = a[(slice(None),) * axis + (index,)]
+        else:
+            a = a.take(index, axis=axis)
+    return a
+
+
 def periodic_components(mask: np.ndarray) -> tuple[int, np.ndarray]:
     """Connected components of a boolean mask on the torus, where cells
     that share a face, across a seam too, are connected: the component

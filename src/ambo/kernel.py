@@ -47,14 +47,17 @@ evaluated either with the FFT (default; the kernel transform is
 computed once, at the first FFT convolution) or by direct summation
 (an independent oracle used in tests).  :meth:`SampledKernel.convolve`
 is the only FFT convolution.  :func:`convolve_cells` convolves a field
-that vanishes off a given set of cells, as a phase does.  With a kernel
-that has factors it holds the field on the product of the cells' axis
-projections (their box) and contracts that box with the rolled factors
-along each axis: d matrix products, whose flops scale with the box
-rather than with n^d log n.  It takes this box product when it costs at
-most ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops, and otherwise the
-FFT convolution of the scattered field; the two agree up to rounding (a
-few 1e-16 of the maximum).
+that vanishes off a given set of cells, as a phase does, and returns it
+on a box of output coordinates (the whole grid by default).  With a
+kernel that has factors it holds the field on the product of the cells'
+axis projections (their box) and contracts that box with the rolled
+factors along each axis, keeping only the output coordinates: d matrix
+products, whose flops scale with the two boxes rather than with
+n^d log n.  It takes this box product when it costs at most
+``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops, and otherwise the FFT
+convolution of the scattered field; the two agree up to rounding (a few
+1e-16 of the maximum).  :func:`tail_margins` gives the margins of the
+scheme's step boxes and the bound on K_h*u off them.
 
 Every real FFT of the package, the shift sums of :mod:`ambo.energy`
 included, goes through :func:`_rfftn` and :func:`_irfftn`, which call
@@ -73,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ResolutionWarning
-from .grid import TorusGrid
+from .grid import TorusGrid, axis_index, on_box
 
 __all__ = [
     "Kernel",
@@ -85,6 +88,7 @@ __all__ = [
     "scale_kernel",
     "scale_kernel_gradient",
     "convolve_cells",
+    "tail_margins",
     "make_kernel",
 ]
 
@@ -331,52 +335,118 @@ def _cell_box(grid: TorusGrid, cells: np.ndarray) -> tuple[list, list]:
     return axes, where
 
 
-def _box_flops(n: int, shape: tuple) -> int:
-    """Flops of the box product over a box of axis sizes m_1 ... m_d:
-    contracting axis k (from 1) costs 2 n^k m_k ... m_d."""
-    return sum(2 * n ** (k + 1) * math.prod(shape[k:]) for k in range(len(shape)))
+def _box_flops(n: int, shape: tuple, outputs: tuple | None = None) -> int:
+    """Flops of the box product over a box of axis sizes m_1 ... m_d with
+    b_1 ... b_d output coordinates (n each by default): contracting axis
+    k (from 1) costs 2 b_1 ... b_k m_k ... m_d."""
+    outputs = (n,) * len(shape) if outputs is None else outputs
+    return sum(
+        2 * math.prod(outputs[: k + 1]) * math.prod(shape[k:]) for k in range(len(shape))
+    )
 
 
-def convolve_cells(kh: SampledKernel, cells: np.ndarray, weights) -> np.ndarray:
+def convolve_cells(
+    kh: SampledKernel,
+    cells: np.ndarray,
+    weights,
+    box: tuple | None = None,
+    cell_box: tuple | None = None,
+) -> np.ndarray:
     """K_h applied to the field that equals ``weights`` (one per cell, or
-    one for all) on ``cells``, distinct flat indices, and 0 elsewhere.
+    one for all) on ``cells``, distinct flat indices, and 0 elsewhere,
+    on ``box``: per axis, the ascending output coordinates (None: the
+    whole grid).  The result has the box's shape and C order.
+    ``cell_box`` is :func:`_cell_box` of the cells, when the caller has it.
 
     With K_h = f_1 (x) ... (x) f_d, the convolution of a field held in
     the cells' box is the box contracted along each axis k with the
-    m_k x n matrix whose rows are f_k rolled to the box's coordinates.
-    That box product is taken when it costs at most
+    m_k x b_k matrix whose rows are f_k rolled to the cells' coordinates
+    and whose columns are the output coordinates on that axis.  Each
+    output is the same dot product whatever the other outputs are; BLAS
+    may still round the few outputs that it computes in a narrower edge
+    tile (the last coordinates of an axis) in the last bit.  In the
+    benchmark's droplet runs such outputs lay only at the far edge of a
+    step box, below 1e-23 of the maximum, and in its ball3d runs there
+    were none.  That box product is taken when it costs at most
     ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops; otherwise, as for a
-    kernel without factors, the result is ``kh.convolve`` of the field.
+    kernel without factors, the result is ``kh.convolve`` of the field,
+    restricted to the box.
     """
     grid = kh.grid
+    outputs = grid.shape if box is None else tuple(b.size for b in box)
     if kh.factors is not None:
-        axes, where = _cell_box(grid, cells)
+        axes, where = _cell_box(grid, cells) if cell_box is None else cell_box
         shape = tuple(a.size for a in axes)
         budget = _BOX_FLOPS_PER_FFT[grid.d] * grid.cell_count * math.log2(grid.cell_count)
-        if _box_flops(grid.n, shape) <= budget:
+        if _box_flops(grid.n, shape, outputs) <= budget:
             if not np.size(cells):
-                return np.zeros(grid.shape)
+                return np.zeros(outputs)
             out = np.zeros(shape)
             out[tuple(where)] = weights
             out *= grid.cell_measure
-            for factor, coords in zip(kh.factors, axes):
-                # Axis k leads; it is replaced by a trailing axis of n.
-                rolled = _rolled(factor, coords)
+            columns = [slice(None)] * grid.d if box is None else map(axis_index, box)
+            for factor, coords, keep in zip(kh.factors, axes, columns):
+                # Axis k leads; it is replaced by a trailing output axis.
+                rolled = _rolled(factor, coords, keep)
                 out = (out.reshape(coords.size, -1).T @ rolled).reshape(
-                    out.shape[1:] + (grid.n,)
+                    out.shape[1:] + (rolled.shape[1],)
                 )
             return out
     field = np.zeros(grid.shape)
     field.flat[cells] = weights
-    return kh.convolve(field)
+    out = kh.convolve(field)
+    return out if box is None else on_box(out, box).copy()
 
 
-def _rolled(factor: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """The rows ``np.roll(factor, s)`` for each s in ``shifts`` (a copy)."""
+def _rolled(factor: np.ndarray, shifts: np.ndarray, columns=slice(None)) -> np.ndarray:
+    """The rows ``np.roll(factor, s)[columns]`` for each s in ``shifts``
+    (a copy); ``columns`` is a slice or ascending indices."""
     n = factor.size
     doubled = np.concatenate([factor, factor])
     # Window j starts at doubled[j], so window n - s is factor rolled by s.
-    return np.lib.stride_tricks.sliding_window_view(doubled, n)[n - shifts]
+    windows = np.lib.stride_tricks.sliding_window_view(doubled, n)
+    if isinstance(columns, slice):
+        return windows[n - shifts, columns]
+    return windows[np.ix_(n - shifts, columns)]
+
+
+# The tail fraction tau of the step boxes of :mod:`ambo.scheme`: the
+# margin m_k of axis k is the smallest m whose tail
+# tail_k(m) = sum over |j| > m of f_k[j] is at most tau sum f_k.  Off the
+# step box K_h*u <= U = cell max_k tail_k(m_k) prod_{j != k} sum f_j,
+# about tau for a unit-mass kernel, and so is the mass of K_h*u off the
+# box per unit of phase, so the defect term the box drops,
+# sum off the box of (K_h*u)^2, is at most about d tau^2 |u|.  tau = 1e-8,
+# about sqrt(eps), puts that term at the rounding of the defect's own
+# sum, and lowers the certificate's bound on phi off the box by only
+# about 2 g_pv tau; a Gaussian's margin grows like sqrt(log(1/tau)),
+# 5.7 standard deviations here, so a smaller tau would widen the box for
+# nothing.
+_TAIL = 1e-8
+
+
+def tail_margins(kh: SampledKernel) -> tuple[tuple, float] | None:
+    """The step-box margins of a factored kernel and the bound U on
+    K_h*u off a step box (``_TAIL``); None for a kernel without factors,
+    whose steps use the whole grid."""
+    if kh.factors is None:
+        return None
+    n = kh.grid.n
+    offset = np.minimum(np.arange(n), n - np.arange(n))  # |j| of each index
+    margins, tails, sums = [], [], []
+    for f in kh.factors:
+        ring = np.bincount(offset, weights=f)  # the mass at each |j|
+        # beyond[m] = the mass at |j| > m, summed from the far end
+        beyond = np.append(np.cumsum(ring[::-1])[::-1][1:], 0.0)
+        total = float(f.sum())
+        m = int(np.argmax(beyond <= _TAIL * total))
+        margins.append(m)
+        tails.append(float(beyond[m]))
+        sums.append(total)
+    bound = kh.grid.cell_measure * max(
+        tail * math.prod(sums[:k] + sums[k + 1 :]) for k, tail in enumerate(tails)
+    )
+    return tuple(margins), bound
 
 
 def _shifted_sums(kernel_vals: np.ndarray, f: np.ndarray) -> np.ndarray:

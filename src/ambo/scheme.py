@@ -20,7 +20,28 @@ most one convolution: that of the new phase, which serves both its
 diagnostics and the next comparison field.  Every state's K_h*u is
 :func:`~ambo.kernel.convolve_cells` over its own support, a box product
 or an FFT convolution as the cells' box dictates, and a spatially
-varying g_pv convolves g_pv u the same way.  Every state's field is
+varying g_pv convolves g_pv u the same way.
+
+A state evaluates K_h*u only on its *step box*: per axis, the phase's
+coordinates dilated periodically by a margin m_k and clipped to the
+container's extent (Ruuth's narrow band for threshold dynamics).  m_k
+is the smallest m whose tail, the axis factor's mass at offsets beyond
+m, is at most 1e-8 of its total (``kernel._TAIL``), so K_h*u off the box
+is at most a bound U of about 1e-8.  The comparison field, the selection
+and the defect read only the box, whose C order is the grid's cell
+order, so ties break and cells come out as on the grid, and the box's
+K_h*u holds the grid's values (to the last bit, which BLAS may round
+otherwise at the box's far edges; see ``convolve_cells``).  A certificate
+shows that no cell off the box could be selected: the operator's
+``floor`` bounds phi from below there (min of g_pv K_h*1_container +
+wetting, less 2 g_pv,max U and a rounding slack); an unconstrained step
+passes when floor >= 0, a volume step when its k-th smallest phi on
+the box lies below floor.  A step that fails widens to the whole grid:
+it convolves the phase over the grid and selects there, so the phase,
+lambda and the energies keep the bytes of a run without boxes; only
+the defect, summed on the box plus a closed-form remainder, moves in
+the last digits.  A box of more than half of the grid is widened
+before any step uses it (``_WIDEST_BOX``).  Every state's field is
 built by :meth:`~ambo.energy.PhaseField.from_support`, state 0's from
 the user field's support, and holds only its cells, so a step streams
 no dense copy of the phase, and a step that keeps the phase costs no
@@ -46,8 +67,8 @@ import numpy as np
 from .energy import PhaseField, RunOperator, approx_energy, indicator_defect
 from .errors import NumericalError
 from .geometry import Band, Geometry
-from .grid import TorusGrid, periodic_components
-from .kernel import GaussianKernel, Kernel, convolve_cells, scale_kernel
+from .grid import TorusGrid, on_box, periodic_components
+from .kernel import GaussianKernel, Kernel, _cell_box, convolve_cells, scale_kernel
 from .tensions import ModifiedTensions
 
 __all__ = [
@@ -86,7 +107,9 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class SchemeState:
-    """One snapshot of the evolution (immutable); ``ku`` is K_h*u."""
+    """One snapshot of the evolution (immutable); ``ku`` is K_h*u on the
+    state's step ``box``: per axis the ascending coordinates, or None for
+    the whole grid."""
 
     step: int
     u: PhaseField
@@ -96,6 +119,7 @@ class SchemeState:
     volume: float
     interface_cells: int
     defect: float
+    box: tuple | None
 
 
 @dataclass
@@ -120,92 +144,192 @@ class Trajectory:
 # One step
 # ---------------------------------------------------------------------------
 
-def comparison_field(u: PhaseField, op: RunOperator, ku: np.ndarray) -> np.ndarray:
+def comparison_field(
+    u: PhaseField, op: RunOperator, ku: np.ndarray, box: tuple | None = None
+) -> np.ndarray:
     """First variation of the energy at u (up to the 1/sqrt(h) factor).
 
     phi(x) = g_pv(x) (K_h * (1_container - u))(x) - (K_h * (g_pv u))(x)
            + (g_sp(x) - g_sv(x)) (K_h * 1_substrate)(x).
 
-    ``ku`` is K_h*u.  Meaningful on container cells; evaluated
-    everywhere for convenience, in place on one array.  A varying g_pv
-    convolves g_pv u by :func:`~ambo.kernel.convolve_cells`, as K_h*u is.
-    The last term is the operator's precomputed ``wetting`` field, absent
-    without a substrate.
+    ``ku`` is K_h*u on ``box`` (per axis the ascending coordinates; None:
+    the whole grid), and so is phi, cell for cell the bytes of the whole
+    grid's phi.  Meaningful on container cells; evaluated everywhere for
+    convenience, in place on one array.  A varying g_pv convolves g_pv u
+    by :func:`~ambo.kernel.convolve_cells`, as K_h*u is.  The last term is
+    the operator's precomputed ``wetting`` field, absent without a
+    substrate.
     """
     if u.grid != op.grid:
         raise SchemeError("phase field and operator grids differ")
-    phi = op.k_omega - ku
+    k_omega = op.omega_constant
+    phi = (on_box(op.k_omega, box) if k_omega is None else k_omega) - ku
     pv = op.pv_constant
     if pv is None:
-        phi *= op.tensions.pv
+        phi *= on_box(op.tensions.pv, box)
         cells = u.support
-        phi -= convolve_cells(op.kh, cells, u.weigh(op.tensions.pv.take(cells)))
+        phi -= convolve_cells(op.kh, cells, u.weigh(op.tensions.pv.take(cells)), box)
     elif pv == 1.0:
         phi -= ku  # x * 1.0 == x exactly, so both products are skipped
     else:
         phi *= pv
         phi -= pv * ku
     if op.wetting is not None:
-        phi += op.wetting
+        phi += on_box(op.wetting, box)
     return phi
 
 
 def _select(
-    phi: np.ndarray, geometry: Geometry, m: float | None
-) -> tuple[float, np.ndarray]:
+    phi: np.ndarray,
+    geometry: Geometry,
+    m: float | None,
+    box: tuple | None = None,
+    floor: float = -math.inf,
+) -> tuple[float, np.ndarray] | None:
     """Lambda and the sorted flat indices of the new phase's cells.
 
     Without a volume target ``m``: 0 and the container cells where phi < 0.
     With one: the k-th smallest phi (``-inf`` when k = 0) and the k =
     ceil(m / cell) container cells of smallest phi, ties to the lowest
-    index, as the first k of a stable sort."""
+    index, as the first k of a stable sort.
+
+    ``phi`` lives on ``box`` (None: the whole grid), whose C order is the
+    grid's cell order.  Every container cell off the box has phi >=
+    ``floor``, so the box's selection is the grid's when floor >= 0
+    without a target, and when the k-th smallest phi on the box lies
+    below floor with one: no cell off the box is then selected or tied.
+    Otherwise this certificate fails and the result is None.
+    """
+    omega = geometry.omega_on(box)
     if m is None:
+        if box is not None and not floor >= 0.0:
+            return None
         negative = phi < 0.0
-        if geometry.has_substrate:
-            negative &= geometry.omega_mask
-        return 0.0, np.flatnonzero(negative)
+        if omega is not None:
+            negative &= omega
+        return 0.0, _grid_cells(np.flatnonzero(negative), box, geometry.grid)
     # ceil with a relative guard so that m = k * cell_measure (computed in
     # floating point) maps to k, not k+1.
     ratio = m / geometry.grid.cell_measure
     k = int(math.ceil(ratio - 1e-9 * max(1.0, ratio)))
     # A bool gather; measured faster than a take over omega_cells.
-    values = phi.ravel()[geometry.omega_mask.ravel()]
+    values = phi.ravel() if omega is None else phi.ravel()[omega.ravel()]
     if not np.all(np.isfinite(values)):
         raise SchemeError("comparison field is not finite on the container")
     if k > values.size:
+        if box is not None:
+            return None
         raise SchemeError(
             f"target volume {m} needs {k} cells but the container has "
             f"{values.size}"
         )
     if k <= 0:
-        return -math.inf, geometry.omega_cells[:0]
+        return -math.inf, np.zeros(0, dtype=np.intp)
     kth = np.partition(values, k - 1)[k - 1]
+    if box is not None and not kth < floor:
+        return None
     chosen = values < kth
     ties = np.flatnonzero(values == kth)[: k - int(chosen.sum())]
     chosen[ties] = True
     # The last tie taken is the stable sort's k-th entry (sign of zero included).
-    return float(values[ties[-1]]), geometry.omega_cells[chosen]
+    if omega is None:
+        positions = np.flatnonzero(chosen)
+    else:
+        positions = (geometry.omega_cells if box is None else np.flatnonzero(omega))[chosen]
+    return float(values[ties[-1]]), _grid_cells(positions, box, geometry.grid)
+
+
+def _grid_cells(positions: np.ndarray, box: tuple | None, grid: TorusGrid) -> np.ndarray:
+    """The flat grid indices of ascending flat positions in ``box``, ascending."""
+    if box is None:
+        return positions
+    at = np.unravel_index(positions, tuple(c.size for c in box))
+    return np.ravel_multi_index(tuple(c[i] for c, i in zip(box, at)), grid.shape)
+
+
+# The largest step box, as a share of the grid's cells; a larger one is
+# widened to the whole grid.  Such a box saves less than half of a step's
+# array work, and its arrays, just under grid size, went to the heap
+# instead of being mapped and unmapped as grid-sized ones are: with every
+# box taken, ball3d peak RSS rose from 93.0 to 96.2-97.1 MiB; with boxes
+# of at most half the grid it stayed at 93.0.  Droplet boxes hold at most
+# 39% of the grid.
+_WIDEST_BOX = 0.5
+
+
+def _step_box(u: PhaseField, op: RunOperator, phase: tuple) -> tuple:
+    """u's step box and the flat positions of u's cells in it, or
+    (None, None) for the whole grid; ``phase`` is the cells' own box,
+    per axis their distinct coordinates and each cell's position among
+    them (:func:`~ambo.kernel._cell_box`).
+
+    Per axis the step box holds the coordinates of u's cells, dilated
+    periodically by the run's margin on that axis and clipped to the
+    container's extent, ascending.  A kernel without factors has no
+    margins and gets the whole grid, and so does a box of more than
+    ``_WIDEST_BOX`` of the grid's cells.
+    """
+    if op.margins is None:
+        return None, None
+    grid = u.grid
+    box, inner = [], []
+    for coords, margin, extent in zip(phase[0], op.margins, u.geometry.extent):
+        present = np.zeros(grid.n, dtype=bool)
+        present[coords] = True
+        inside = _dilate(present, margin) & extent
+        box.append(np.flatnonzero(inside))
+        inner.append((np.cumsum(inside) - 1).take(coords))  # their positions in the box
+    shape = tuple(b.size for b in box)
+    if math.prod(shape) > _WIDEST_BOX * grid.cell_count:
+        return None, None
+    at = tuple(i.take(w) for i, w in zip(inner, phase[1]))
+    return tuple(box), np.ravel_multi_index(at, shape)
+
+
+def _dilate(present: np.ndarray, margin: int) -> np.ndarray:
+    """The coordinates within ``margin`` cells of a present one, periodically."""
+    n = present.size
+    if 2 * margin + 1 >= n:
+        return np.full(n, present.any())
+    wrapped = np.concatenate([present[n - margin :], present, present[:margin]])
+    counts = np.concatenate([[0], np.cumsum(wrapped)])
+    # Window i of 2 margin + 1 wrapped cells is centred on coordinate i.
+    return counts[2 * margin + 1 :] > counts[:n]
 
 
 def _make_state(k: int, u: PhaseField, lam: float, op: RunOperator) -> SchemeState:
     """The state of the binary phase u and its diagnostics, K_h*u by
-    :func:`~ambo.kernel.convolve_cells` over u's support."""
-    ku = convolve_cells(op.kh, u.support, 1.0)
+    :func:`~ambo.kernel.convolve_cells` over u's support on u's step box."""
+    phase = _cell_box(u.grid, u.support) if op.margins is not None else None
+    box, at = _step_box(u, op, phase)
+    ku = convolve_cells(op.kh, u.support, 1.0, box, phase)
+    del phase  # released before the diagnostics allocate
     ku.flags.writeable = False
+    mass = 0.0
+    if box is not None:
+        c = op.omega_constant
+        mass = u.support.size * c if c is not None else op.k_omega.take(u.support).sum()
     return SchemeState(
         step=k,
         u=u,
         lam=lam,
         ku=ku,
-        energy=approx_energy(u, op, ku),
+        energy=approx_energy(u, op, ku if box is None else ku.take(at)),
         volume=u.volume(),
         interface_cells=u.interface_cell_count(),
-        defect=indicator_defect(ku, u.geometry),
+        defect=indicator_defect(ku, u.geometry, box, mass),
+        box=box,
     )
 
 
 def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeState:
     """Advance one thresholding step.
+
+    The comparison field and the selection read the state's step box.
+    When the certificate of :func:`_select` fails, the step widens to the
+    whole grid: it convolves the phase over the grid and selects there,
+    as a run without step boxes does, so the new phase and lambda are the
+    same bytes either way.
 
     A step that changes the phase builds the new field and evaluates its
     K_h*u afresh.  A step that keeps the phase returns its input state
@@ -213,11 +337,16 @@ def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeSta
     :meth:`PhaseField.from_support`, so u, K_h*u and every diagnostic are
     already the bits a rebuild would give, and no convolution runs.
     """
-    phi = comparison_field(state.u, op, state.ku)
     geometry = state.u.geometry
     m = state.volume if config.preserve_volume else None
-    lam, cells = _select(phi, geometry, m)
-    del phi  # released before the new phase is convolved
+    phi = comparison_field(state.u, op, state.ku, state.box)
+    picked = _select(phi, geometry, m, state.box, op.floor)
+    del phi  # released before any further convolution
+    if picked is None:
+        ku = convolve_cells(op.kh, state.u.support, 1.0)
+        picked = _select(comparison_field(state.u, op, ku), geometry, m)
+        del ku  # released before the new phase is convolved
+    lam, cells = picked
     if np.array_equal(cells, state.u.support):
         return dataclasses.replace(state, step=state.step + 1, lam=lam)
     u_next = PhaseField.from_support(geometry, cells)

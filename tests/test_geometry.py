@@ -92,6 +92,23 @@ def test_full_torus_holds_no_per_cell_distance_or_normals(full_geometry):
         ds[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_band_distance_is_its_x2_profile_broadcast(d):
+    """The band's signed distance holds one value per x2 coordinate,
+    broadcast read-only over the other axes, with the bytes of the
+    expression evaluated on the whole grid."""
+    grid = TorusGrid(d, 64 if d == 2 else 24)
+    band = make_shape("band", lo=0.25, hi=0.95)
+    ds = band.signed_distance(grid)
+    x = grid.meshgrid()[1]
+    w = band.hi - band.lo
+    t = (x - band.lo) % 1.0
+    full = np.where(t < w, np.minimum(t, w - t), -np.minimum(t - w, 1.0 - t))
+    assert ds.shape == grid.shape and ds.tobytes() == full.tobytes()
+    assert not ds.flags.writeable
+    assert [s == 0 for s in ds.strides] == [k != 1 for k in range(d)]
+
+
 def _eager_normal_band(geo):
     """Reference: the normals of the whole grid, restricted to the band."""
     ds, grid = geo.signed_distance, geo.grid

@@ -240,6 +240,30 @@ def test_thread_test_angle_run_takes_the_box_product(tmp_path, monkeypatch):
     assert calls.count("box") >= 10 and "cells fft" not in calls, calls
 
 
+@pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5])
+def test_no_angle_step_fails_the_step_box_certificate(rho, tmp_path, monkeypatch):
+    """Perf guard: at the Tier-1 size no step of the shipped angle preset,
+    at any wetting contrast of the Young's-law check, fails its step-box
+    certificate, so none widens to the whole grid and pays a second
+    convolution.  The fine stage's steps select on step boxes (9-12 of
+    16-24 selections); the coarse stage's boxes hold more than half of
+    the grid at n = 128, so those steps use the whole grid."""
+    preset, n, changes = SMALL["angle"]
+    changes = {**changes, "experiment": {**changes["experiment"], "sigma_ratio": rho}}
+    config = _config(tmp_path / "angle.yaml", preset, changes)
+    picks, select = [], scheme._select
+
+    def recorded(*args):
+        picks.append((len(args) > 3 and args[3] is not None, select(*args)))
+        return picks[-1][1]
+
+    monkeypatch.setattr(scheme, "_select", recorded)
+    code = cli.main(["angle", str(config), "--n", str(n), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert None not in [picked for _, picked in picks]
+    assert sum(boxed for boxed, _ in picks) >= 9
+
+
 def test_thread_test_ball_run_takes_the_box_product(tmp_path, monkeypatch):
     """The 3-d run of the thread-count test gets every K_h*u by a box
     product, so that test also covers the box products in 3-d; its only

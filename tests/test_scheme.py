@@ -1,11 +1,13 @@
 """Thresholding dynamics: comparison field, volume control, measurements."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ambo import energy as energy_module
 from ambo import kernel as kernel_module
 from ambo import scheme
 from ambo.anisotropy import Isotropic
@@ -17,7 +19,7 @@ from ambo.energy import (
     indicator_defect,
 )
 from ambo.geometry import build_geometry, make_shape
-from ambo.grid import TorusGrid, periodic_components
+from ambo.grid import TorusGrid, on_box, periodic_components
 from ambo.kernel import GaussianKernel, SampledKernel, convolve_cells, scale_kernel
 from ambo.scheme import (
     SchemeConfig,
@@ -31,6 +33,11 @@ from ambo.tensions import RawTensions, extend_substrate
 from helpers import best_fit_disk_mismatch, constant_tensions
 
 UNIT_KERNEL = GaussianKernel()
+
+# Relative difference of a state's defect, summed on its step box, from
+# the whole grid's sum: measured at most 2.4e-15 on the benchmark's
+# droplet and ball3d runs and 1.2e-15 in these tests.
+DEFECT_RTOL = 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -371,8 +378,10 @@ def test_trajectory_bookkeeping(full_geometry, unit_tensions):
 
 
 def test_states_match_fresh_evaluation():
-    """Each state's K_h*u, energy and defect equal, bit for bit, a fresh
-    evaluation of u: K_h*u by convolve_cells over u's support.
+    """Each state's K_h*u and energy equal, bit for bit, a fresh
+    evaluation of u: K_h*u by convolve_cells over u's support on the
+    whole grid, read on the state's step box.  The defect, which a state
+    sums on its step box, is within DEFECT_RTOL of the whole grid's.
 
     Covers a volume-preserving run with constant tensions and an
     unconstrained run with spatially varying g_pv, where the comparison
@@ -407,12 +416,112 @@ def test_states_match_fresh_evaluation():
         run(initial, cfg, t, UNIT_KERNEL, on_state=states.append)
         assert len(states) == 5
         fresh_op = RunOperator.build(initial.geometry, t, kh)
+        assert all(state.box is not None for state in states)
         for state in states:
             ku = convolve_cells(kh, state.u.support, np.ones(state.u.support.size))
-            assert state.ku.tobytes() == ku.tobytes()
+            assert state.ku.tobytes() == on_box(ku, state.box).tobytes()
             assert np.abs(ku - kh.convolve(state.u.values)).max() <= 4e-15
             assert state.energy == approx_energy(state.u, fresh_op, ku)
-            assert state.defect == indicator_defect(ku, initial.geometry)
+            assert state.defect == pytest.approx(
+                indicator_defect(ku, initial.geometry), rel=DEFECT_RTOL, abs=0.0
+            )
+
+
+def _random_phases(geometry, rng, count, radius):
+    """Random supports: the container cells of a ball at a random centre,
+    each kept with probability 0.8; every other centre lies near the
+    seam of each axis, so that the phase's box crosses it."""
+    grid = geometry.grid
+    pts = np.stack(grid.meshgrid(), axis=-1)
+    phases = []
+    for i in range(count):
+        centre = rng.uniform(0.3, 0.7, grid.d) if i % 2 else rng.uniform(-0.04, 0.04, grid.d)
+        if geometry.has_substrate:
+            centre[1] = 0.5  # inside the band
+        ball = grid.torus_distance(pts, centre) < radius
+        keep = rng.uniform(size=grid.shape) < 0.8
+        phases.append(PhaseField.from_mask(geometry, ball & keep))
+    return phases
+
+
+# sqrt(h) = 1.5 spacings at (3, 48): a ResolutionWarning, but a margin of
+# 12 cells, so that the boxes of small balls stay well inside the grid.
+@pytest.mark.filterwarnings("ignore::ambo.errors.ResolutionWarning")
+@pytest.mark.parametrize("kind", ["band2d", "torus3d"])
+def test_narrow_band_steps_equal_whole_grid_steps(kind):
+    """On random supports, seam-crossing boxes included, a step on the
+    step box passes its certificate and gives the whole-grid step's cells,
+    lambda and energy byte for byte, for a volume-preserving and an
+    unconstrained step; K_h*u off the box is at most the operator's bound
+    U; the defect is within DEFECT_RTOL."""
+    if kind == "band2d":
+        grid, h = TorusGrid(2, 128), 1e-3
+        geometry = build_geometry(make_shape("band", lo=0.25, hi=0.95), grid)
+        t = constant_tensions(grid, 1.0, 1.2, 0.9)
+    else:
+        grid, h = TorusGrid(3, 48), 1e-3
+        geometry = build_geometry(make_shape("full"), grid)
+        t = constant_tensions(grid, 1.0, 1.0, 1.0)
+    kh = scale_kernel(UNIT_KERNEL, grid, h)
+    op = RunOperator.build(geometry, t, kh)
+    whole = dataclasses.replace(op, margins=None)
+    _, bound = kernel_module.tail_margins(kh)
+    crossing = 0
+    for u in _random_phases(geometry, np.random.default_rng(11), 6, 0.12):
+        state = scheme._make_state(0, u, math.nan, op)
+        reference = scheme._make_state(0, u, math.nan, whole)
+        assert state.box is not None and reference.box is None
+        crossing += any(c[-1] - c[0] + 1 > c.size for c in state.box)
+        off = np.ones(grid.shape, dtype=bool)
+        off[np.ix_(*state.box)] = False
+        assert reference.ku[off & geometry.omega_mask].max() <= bound
+        assert state.energy == reference.energy
+        assert state.defect == pytest.approx(reference.defect, rel=DEFECT_RTOL, abs=0.0)
+        for preserve in (True, False):
+            cfg = SchemeConfig(h=h, preserve_volume=preserve)
+            m = state.volume if preserve else None
+            phi = comparison_field(state.u, op, state.ku, state.box)
+            assert _select(phi, geometry, m, state.box, op.floor) is not None
+            narrow, wide = scheme.step(state, cfg, op), scheme.step(reference, cfg, whole)
+            assert np.array_equal(narrow.u.support, wide.u.support)
+            assert np.float64(narrow.lam).tobytes() == np.float64(wide.lam).tobytes()
+            assert narrow.energy == wide.energy
+            assert narrow.defect == pytest.approx(wide.defect, rel=DEFECT_RTOL, abs=0.0)
+    assert crossing >= 2
+
+
+def test_a_failed_certificate_widens_to_the_whole_grid(monkeypatch):
+    """With a margin of 0 (tail fraction 1) the bound off the box is
+    useless, so every boxed step fails its certificate and widens to the
+    whole grid: the run keeps the diagnostics and final field of a run
+    without step boxes, at the cost of one extra whole-grid convolution
+    per boxed step.  Its defect, summed on margin-0 boxes, drops the sum
+    of (K_h*u)^2 off them, which is no longer small, so it only exceeds
+    the whole grid's."""
+    initial, cfg, t = _repeat_cases()[0]
+    unconstrained = dataclasses.replace(cfg, preserve_volume=False, max_steps=6)
+    for config in (cfg, unconstrained):
+        runs = []
+        for mode in ("whole", "margin 0"):
+            with monkeypatch.context() as patch:
+                if mode == "whole":
+                    patch.setattr(energy_module, "tail_margins", lambda kh: None)
+                else:
+                    patch.setattr(kernel_module, "_TAIL", 1.0)
+                picks = []
+                select = scheme._select
+                patch.setattr(
+                    scheme, "_select", lambda *a: picks.append(select(*a)) or picks[-1]
+                )
+                traj = run(initial, config, t, UNIT_KERNEL)
+            runs.append((np.asarray(traj.diagnostics), traj.final.u.values, picks))
+        (rows, field, picks), (rows0, field0, picks0) = runs
+        assert None not in picks
+        assert picks0[::2] == [None] * (len(picks0) // 2)  # each boxed try failed
+        assert len(picks0) == 2 * len(picks)
+        assert rows0[:, :5].tobytes() == rows[:, :5].tobytes()
+        assert field0.tobytes() == field.tobytes()
+        assert np.all(rows0[1:, 5] > rows[1:, 5])
 
 
 def _repeat_cases():
@@ -446,7 +555,8 @@ def _repeat_cases():
 @pytest.mark.parametrize("case", [0, 1, 2], ids=["band_cap", "ball3d", "half_space"])
 def test_repeat_steps_equal_a_full_recompute(case, monkeypatch):
     """A run whose repeat steps cost nothing gives the bits of a loop that
-    rebuilds the field and convolves it at every step, and its stationary
+    rebuilds the field, convolves it and selects on the whole grid at
+    every step, and its stationary
     tail makes no convolution.  Every changed step convolves the new
     phase afresh: in all three cases by the box product over its
     support, a convolution with no FFT."""
@@ -472,7 +582,8 @@ def test_repeat_steps_equal_a_full_recompute(case, monkeypatch):
     state = scheme._make_state(0, initial, math.nan, op)
     states = [state]
     for k in range(1, steps + 1):
-        phi = comparison_field(state.u, op, state.ku)
+        # Selected on the whole grid, as a run without step boxes does.
+        phi = comparison_field(state.u, op, convolve_cells(op.kh, state.u.support, 1.0))
         m = state.u.volume() if cfg.preserve_volume else None
         lam, cells = _select(phi, geometry, m)
         state = scheme._make_state(k, PhaseField.from_support(geometry, cells), lam, op)
