@@ -56,6 +56,7 @@ from .kernel import (
     TriangularKernel,
     _irfftn,
     _rfftn,
+    convolve_product,
     scale_kernel,
     scale_kernel_gradient,
     tail_margins,
@@ -282,11 +283,17 @@ class RunOperator:
     (None without a substrate), the scalar ``dry_energy`` = the sum of
     g_sv K_h*1_substrate over the container (0 without a substrate), and
     the values of g_pv and of K_h*1_container when they are spatially
-    constant (else None).  On the torus the FFT gives K_h*1_container
-    bitwise constant, and ``k_omega`` is then a zero-stride broadcast of
-    that value (ball3d peak RSS 93.0 -> 91.5 MiB).  Without a substrate
-    K_h*1_substrate is zero, so it is not convolved.  The arrays are
-    read-only.
+    constant (else None).
+
+    A kernel with axis factors on a container that is the product of
+    its per-axis extents (a band, the torus) takes both convolutions in
+    closed form (:func:`~ambo.kernel.convolve_product`), with no FFT and
+    no kernel sample or transform: on the torus K_h*1_container is the
+    one value cell * prod_k sum f_k, held as a zero-stride broadcast,
+    and on a band it is a scalar times a 1-d convolution along x2, as is
+    K_h*1_substrate.  Other containers and kernels take FFT convolutions.
+    Without a substrate K_h*1_substrate is zero, so it is not convolved.
+    The arrays are read-only.
 
     The step boxes of :mod:`ambo.scheme` read ``margins``, one per axis
     (None for a kernel without factors: every step uses the whole grid),
@@ -310,17 +317,37 @@ class RunOperator:
     ) -> "RunOperator":
         if not (geometry.grid == tensions.grid == kh.grid):
             raise EnergyError("geometry, tensions and kernel use different grids")
-        k_omega = _read_only(kh.convolve(geometry.omega_mask.astype(np.float64)))
+        if kh.factors is not None and geometry.fills_extent:
+            extent = geometry.extent
+            k_omega = convolve_product(kh, extent)
+            # The substrate, the complement of E_1 x ... x E_d, is the
+            # disjoint union of the slabs E_1 x ... x E_{k-1} x (not E_k)
+            # x T x ... x T over the axes k that E_k does not fill.
+            slabs = [
+                extent[:k] + (~mask,) + (np.ones_like(mask),) * (len(extent) - k - 1)
+                for k, mask in enumerate(extent)
+                if not mask.all()
+            ]
+            k_substrate = sum(convolve_product(kh, slab) for slab in slabs)
+        else:
+            k_omega = kh.convolve(geometry.omega_mask.astype(np.float64))
+            if geometry.has_substrate:
+                k_substrate = kh.convolve(geometry.substrate_mask.astype(np.float64))
         wetting, dry_energy = None, 0.0
         if geometry.has_substrate:
-            k_substrate = kh.convolve(geometry.substrate_mask.astype(np.float64))
             wetting = _read_only((tensions.sp - tensions.sv) * k_substrate)
             dry_energy = float((tensions.sv * k_substrate)[geometry.omega_mask].sum())
         pv = tensions.pv
         pv_constant = float(pv.flat[0]) if np.ptp(pv) == 0.0 else None
         omega_constant = float(k_omega.flat[0]) if np.ptp(k_omega) == 0.0 else None
+        shape = geometry.grid.shape
         if omega_constant is not None:
-            k_omega = np.broadcast_to(omega_constant, k_omega.shape)
+            k_omega = np.broadcast_to(omega_constant, shape)
+        elif k_omega.shape != shape:
+            # A band's x2 profile, spread over the grid: a take from the
+            # broadcast view would copy the whole grid at every step.
+            k_omega = np.broadcast_to(k_omega, shape).copy()
+        k_omega = _read_only(k_omega)
         tails = tail_margins(kh)
         return cls(
             geometry, tensions, kh, k_omega, wetting, dry_energy, pv_constant,

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 # numpy loads these on first use; loading them with the harness keeps
-# about 30 ms of imports out of the first run: numpy.fft for every FFT,
-# numpy.random for the ensembles and numpy.ma, which np.unique loads.
+# their imports out of the first run: numpy.fft for the FFTs and numpy.ma,
+# which np.unique loads.  numpy.random (6 MiB of RSS) is left to load on
+# first use, by the ensembles and validate's convolution cross-check.
 import numpy.fft  # noqa: F401
 import numpy.ma  # noqa: F401
-import numpy.random  # noqa: F401
 
 from . import io
 from .anisotropy import Anisotropy, induced_anisotropy

@@ -56,12 +56,20 @@ products, whose flops scale with the two boxes rather than with
 n^d log n.  It takes this box product when it costs at most
 ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops, and otherwise the FFT
 convolution of the scattered field; the two agree up to rounding (a few
-1e-16 of the maximum).  :func:`tail_margins` gives the margins of the
-scheme's step boxes and the bound on K_h*u off them.
+1e-16 of the maximum).  :func:`convolve_product` convolves the
+indicator of a product of per-axis sets, such as a band or the torus,
+from the factors alone: per axis a scalar sum or one n-point circular
+convolution.  :func:`tail_margins` gives the margins of the scheme's
+step boxes and the bound on K_h*u off them.
 
 Every real FFT of the package, the shift sums of :mod:`ambo.energy`
 included, goes through :func:`_rfftn` and :func:`_irfftn`, which call
-numpy's pocketfft (``numpy.fft``) on one thread.  The box products run
+numpy's pocketfft (``numpy.fft``) on one thread.  A flow run of a
+factored kernel on a band or the torus takes none.  FFTs remain for a
+kernel without factors or a container that is not such a product (a
+disk), for a phase whose box costs more than the FFT, for the contact
+angle's smoothing, and where a given field is convolved whole (the
+energy and validate experiments, the lemma suites).  The box products run
 on BLAS; the tests check that 1 and 2 BLAS threads write the same bytes.
 """
 
@@ -88,6 +96,7 @@ __all__ = [
     "scale_kernel",
     "scale_kernel_gradient",
     "convolve_cells",
+    "convolve_product",
     "tail_margins",
     "make_kernel",
 ]
@@ -396,6 +405,24 @@ def convolve_cells(
     field.flat[cells] = weights
     out = kh.convolve(field)
     return out if box is None else on_box(out, box).copy()
+
+
+def convolve_product(kh: SampledKernel, masks: tuple) -> np.ndarray:
+    """K_h*1_E for a product set E = E_1 x ... x E_d of a kernel with
+    axis factors, E_k the coordinates where the bool mask ``masks[k]``
+    is set, as an array that broadcasts to the grid: the cell measure
+    times, per axis, the scalar sum of f_k where E_k is the whole axis,
+    else the n-point circular convolution of f_k with 1_{E_k} (the rows
+    of f_k rolled to E_k, summed) along that axis."""
+    d = kh.grid.d
+    out = np.full((1,) * d, kh.grid.cell_measure)
+    for axis, (factor, mask) in enumerate(zip(kh.factors, masks)):
+        if mask.all():
+            out = out * factor.sum()
+        else:
+            profile = _rolled(factor, np.flatnonzero(mask)).sum(axis=0)
+            out = out * profile.reshape((-1,) + (1,) * (d - 1 - axis))
+    return out
 
 
 def _rolled(factor: np.ndarray, shifts: np.ndarray, columns=slice(None)) -> np.ndarray:

@@ -427,11 +427,18 @@ def verify_triangle(t: ModifiedTensions, tol: float = 0.0) -> TriangleReport:
 
     ``slack >= -tol`` counts as satisfied; the default is exact.  Reports
     the worst slack and the number of violating cells per inequality.
+    When all three fields are zero-stride constants, one cell stands for
+    every cell: its slacks are the worst, and a violation counts them all.
     """
+    pv, sp, sv = t.pv, t.sp, t.sv
+    per_entry = 1  # the cells each slack entry stands for
+    if not any(pv.strides + sp.strides + sv.strides):
+        per_entry = pv.size
+        pv, sp, sv = (f[(0,) * f.ndim] for f in (pv, sp, sv))
     combos = {
-        "pv<=sp+sv": (t.sp, t.sv, t.pv),
-        "sp<=pv+sv": (t.pv, t.sv, t.sp),
-        "sv<=pv+sp": (t.pv, t.sp, t.sv),
+        "pv<=sp+sv": (sp, sv, pv),
+        "sp<=pv+sv": (pv, sv, sp),
+        "sv<=pv+sp": (pv, sp, sv),
     }
     worst, viol = {}, {}
     for name, (a, b, c) in combos.items():
@@ -440,7 +447,7 @@ def verify_triangle(t: ModifiedTensions, tol: float = 0.0) -> TriangleReport:
         slack = a + b - c
         worst[name] = float(slack.min())
         viol[name] = (
-            0 if worst[name] >= -tol else int(np.count_nonzero(slack < -tol))
+            0 if worst[name] >= -tol else per_entry * int(np.count_nonzero(slack < -tol))
         )
         del slack
     return TriangleReport(

@@ -132,14 +132,17 @@ def test_runs_import_neither_scipy_nor_jsonschema(tmp_path):
     """A fresh process that imports the command line and runs the small
     angle case and extend_disk's validate (the contact-angle labelling,
     the Dirichlet solves, the summary check) loads no scipy or jsonschema
-    module."""
+    module.  The import, and the angle run after it, load no numpy.random
+    (6 MiB of RSS), which only the ensembles and validate use."""
     preset, n, changes = SMALL["angle"]
     angle = ["angle", str(_config(tmp_path / "angle.yaml", preset, changes)), "--n", str(n)]
     extend = ["validate", "--preset", "extend_disk", "--n", "128"]
     script = f"""
 import sys
 import ambo.harness, ambo.cli
+assert "numpy.random" not in sys.modules
 assert ambo.cli.main({angle + ["--out", str(tmp_path / "angle")]!r}) == 0
+assert "numpy.random" not in sys.modules
 assert ambo.cli.main({extend + ["--out", str(tmp_path / "extend")]!r}) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema")))
 """
@@ -266,12 +269,12 @@ def test_no_angle_step_fails_the_step_box_certificate(rho, tmp_path, monkeypatch
 
 def test_thread_test_ball_run_takes_the_box_product(tmp_path, monkeypatch):
     """The 3-d run of the thread-count test gets every K_h*u by a box
-    product, so that test also covers the box products in 3-d; its only
-    FFT convolution is K_h*1_container."""
+    product, so that test also covers the box products in 3-d; it makes
+    no FFT convolution, as K_h*1_container comes from the axis factors."""
     calls = _box_products(monkeypatch)
     argv = ["run", str(_ball_config(tmp_path, 64, True, 4)), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0
-    assert calls == ["fft"] + ["box"] * 5, calls
+    assert calls == ["box"] * 5, calls
 
 
 def test_bad_config_exits_1(tmp_path, capsys):

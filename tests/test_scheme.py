@@ -559,7 +559,9 @@ def test_repeat_steps_equal_a_full_recompute(case, monkeypatch):
     every step, and its stationary
     tail makes no convolution.  Every changed step convolves the new
     phase afresh: in all three cases by the box product over its
-    support, a convolution with no FFT."""
+    support, a convolution with no FFT.  The containers are a band and
+    the torus, so the run operator takes no FFT either, and the run
+    never builds the kernel's samples or transform."""
     initial, cfg, t = _repeat_cases()[case]
     geometry = initial.geometry
     calls, stepped, ffts = [], [], []
@@ -571,9 +573,14 @@ def test_repeat_steps_equal_a_full_recompute(case, monkeypatch):
         scheme, "convolve_cells", lambda *a: calls.append(None) or cells_convolve(*a)
     )
     monkeypatch.setattr(scheme, "step", lambda s, *a: stepped.append(s.step) or step(s, *a))
+    kernels = []
+    monkeypatch.setattr(
+        scheme, "scale_kernel", lambda *args: kernels.append(scale_kernel(*args)) or kernels[-1]
+    )
     convolutions = []  # convolutions made by the time each state is emitted
     traj = run(initial, cfg, t, UNIT_KERNEL, on_state=lambda s: convolutions.append(len(calls)))
     monkeypatch.undo()
+    assert len(kernels) == 1 and not {"values", "transform"} & vars(kernels[0]).keys()
     assert traj.stationary
     assert (traj.final.volume == 0.0) == (case == 1)  # the ball vanishes
     steps = len(traj.diagnostics) - 1
@@ -607,7 +614,7 @@ def test_repeat_steps_equal_a_full_recompute(case, monkeypatch):
     copies = [k for k in range(2, steps + 1) if kept[k - 2]]
     assert stepped == [k - 1 for k in range(1, steps + 1) if k not in copies]
     assert len(copies) == cfg.stationarity_window - 1
-    assert len(ffts) == 1 + geometry.has_substrate  # RunOperator.build only
+    assert len(ffts) == 0
 
 
 def test_negative_zeros_of_the_initial_field_change_no_byte():
@@ -691,10 +698,10 @@ def _ball(n, center=(0.51, 0.47, 0.5), radius=0.25):
     return PhaseField.from_mask(geometry, grid.torus_distance(pts, center) < radius)
 
 
-def test_a_3d_ball_run_transforms_only_the_kernel_and_the_container(monkeypatch):
-    """Perf guard: a 3-d full-torus ball run at n = 32 makes two forward
-    real FFTs, the kernel's transform and that of the container for
-    K_h*1_container; every K_h*u is a box product."""
+def test_a_3d_ball_run_makes_no_transform(monkeypatch):
+    """Perf guard: a 3-d full-torus ball run at n = 32 makes no real FFT:
+    K_h*1_container comes from the kernel's axis factors, so the kernel
+    is never transformed, and every K_h*u is a box product."""
     initial = _ball(32)
     transforms = []
     rfftn = kernel_module._rfftn
@@ -709,13 +716,14 @@ def test_a_3d_ball_run_transforms_only_the_kernel_and_the_container(monkeypatch)
     )
     assert traj.stationary and traj.final.volume == 0.0
     assert len(traj.diagnostics) > 5
-    assert transforms == [initial.grid.shape] * 2
+    assert transforms == []
 
 
 # Bound on the tracemalloc peak of the n = 32 ball run below, in arrays
-# of n^3 doubles: 5.74 measured (8.68 while the kernel kept its samples
+# of n^3 doubles: 3.16 measured (5.74 while the run operator transformed
+# the kernel and the container, 8.68 while the kernel kept its samples
 # and every state its dense phase); one more kept array breaks it.
-BALL_PEAK_GRID_ARRAYS = 6.25
+BALL_PEAK_GRID_ARRAYS = 3.75
 
 
 def test_a_factored_3d_run_holds_no_dense_copies(monkeypatch):

@@ -408,8 +408,9 @@ def test_triangle_report_reduces_each_slack_as_the_full_arrays_did(grid64, rng):
 
 
 def test_triangle_audit_holds_one_slack_array_at_a_time(grid256):
+    # A varying g_pv, so that the slacks are grid arrays.
     t = ModifiedTensions.from_fields(
-        grid256, *(CONSTANT.sample(which, grid256) for which in ("pv", "sp", "sv"))
+        grid256, *(VARYING.sample(which, grid256) for which in ("pv", "sp", "sv"))
     )
     tracemalloc.start()
     try:
@@ -429,6 +430,25 @@ def test_triangle_report_on_constant_triple(grid64):
     assert all(slack == 1.0 for slack in report.worst_slack.values())
     assert all(count == 0 for count in report.violations.values())
     assert report.total_cells == grid64.cell_count
+
+
+@pytest.mark.parametrize("values", [(1.0, 1.2, 0.9), (3.0, 1.0, 1.0), (1.0, 0.4, 0.5)])
+@pytest.mark.parametrize("tol", [0.0, 0.05, 0.5])
+def test_triangle_audit_of_constant_fields_equals_the_cellwise_audit(grid64, values, tol):
+    """Zero-stride constant tensions are audited on one cell; the report
+    equals the cellwise audit of materialised copies, violations of every
+    cell included ((1, 0.4, 0.5) violates pv <= sp + sv by 0.1, which the
+    tolerance 0.5 forgives)."""
+    constant = ModifiedTensions.from_fields(
+        grid64, *(np.broadcast_to(v, grid64.shape) for v in values)
+    )
+    dense = ModifiedTensions.from_fields(
+        grid64, *(np.full(grid64.shape, v) for v in values)
+    )
+    assert not any(constant.pv.strides) and all(dense.pv.strides)
+    report = verify_triangle(constant, tol=tol)
+    assert report == verify_triangle(dense, tol=tol)
+    assert set(report.violations.values()) <= {0, grid64.cell_count}
 
 
 def test_zeroed_sv_is_flagged(disk_geometry):
