@@ -134,10 +134,8 @@ def _write_summary(ws: Workspace, out: Path, results: dict, outputs: dict) -> di
     return io.write_summary(out / "summary.json", summary)
 
 
-def _maybe_angles(u: PhaseField, geometry: Geometry, **kwargs):
-    """Contact angles when they are defined for this state, else None."""
-    if geometry.grid.d != 2 or not isinstance(geometry.shape, Band):
-        return None
+def _maybe_angle(u: PhaseField, geometry: Geometry, **kwargs):
+    """The contact angle when it is defined for this state, else None."""
     try:
         return measure_contact_angle(u, geometry, **kwargs)
     except SchemeError:
@@ -268,7 +266,7 @@ def _experiment_run(ws: Workspace, out: Path) -> dict:
         "final_volume": final.volume,
         "interface_cells": final.interface_cells,
         "defect": final.defect,
-        "angles": _maybe_angles(final.u, ws.geometry),
+        "angle": _maybe_angle(final.u, ws.geometry),
     }
     return _write_summary(ws, out, results, outputs)
 
@@ -455,7 +453,6 @@ def _experiment_angle(ws: Workspace, out: Path) -> dict:
 
     rho = p["sigma_ratio"]
     skip = max(3, math.ceil(3.0 * math.sqrt(2.0 * fine.h) / ws.grid.spacing))
-    angles = _maybe_angles(u, ws.geometry, skip_cells=skip)
     target = math.degrees(math.acos(-rho))
     outputs = {
         "steps_coarse": "steps_coarse.csv",
@@ -465,8 +462,8 @@ def _experiment_angle(ws: Workspace, out: Path) -> dict:
     results = {
         "sigma_ratio": rho,
         "target_angle": target,
-        "angles": angles,
-        "mean_angle": None if not angles else float(np.mean(angles)),
+        # One fitted angle; the key is kept for the readers of earlier summaries.
+        "mean_angle": _maybe_angle(u, ws.geometry, skip_cells=skip),
         "stages": stages,
         "final_volume": traj.final.volume,
         "skip_cells": skip,

@@ -67,10 +67,10 @@ included, goes through :func:`_rfftn` and :func:`_irfftn`, which call
 numpy's pocketfft (``numpy.fft``) on one thread.  A flow run of a
 factored kernel on a band or the torus takes none.  FFTs remain for a
 kernel without factors or a container that is not such a product (a
-disk), for a phase whose box costs more than the FFT, for the contact
-angle's smoothing, and where a given field is convolved whole (the
-energy and validate experiments, the lemma suites).  The box products run
-on BLAS; the tests check that 1 and 2 BLAS threads write the same bytes.
+disk), for a phase whose box costs more than the FFT, and where a
+given field is convolved whole (the energy and validate experiments,
+the lemma suites).  The box products run on BLAS; the tests check that
+1 and 2 BLAS threads write the same bytes.
 """
 
 from __future__ import annotations

@@ -49,8 +49,9 @@ convolution: it returns its input state with the new step index and
 lambda.
 
 The run driver detects exact stationarity over a window, flags 2-cycles
-(both states are kept), and — without the volume constraint — asserts
-that the energy never increases beyond a small relative slack.  A step
+(both states are kept), and asserts that the energy never increases
+beyond a small relative slack, except in a volume-preserving run with
+spatially varying tensions, whose descent is not given.  A step
 is a pure function of u and K_h*u, so once one step has kept the phase
 the remaining window steps are copies of its state with the step index
 advanced; the scheme is not run for them.
@@ -369,10 +370,14 @@ def run(
 
     Only diagnostics plus the states needed for reporting are kept;
     ``on_state`` is called with each state as it is produced (for
-    streaming snapshots to disk).  Without volume preservation the
-    energy must be non-increasing up to ``1e-8 * E(u0)`` slack —
-    violation raises, since it would mean the linearisation argument
-    failed numerically.
+    streaming snapshots to disk).  The energy must be non-increasing up
+    to ``1e-8 * E(u0)`` slack — violation raises, since it would mean the
+    linearisation argument failed numerically.  The volume step minimises
+    the linearisation over the sets of the old set's volume, so the
+    argument holds for it too, but only with spatially constant tensions:
+    varying ones, taken at the target point of the convolution, make the
+    energy's quadratic form non-symmetric, and a volume-preserving run
+    with them is not checked.
 
     State 0 holds the field rebuilt from the initial field's support, so
     its bytes do not depend on how the user stored the zeros.  A step
@@ -399,6 +404,7 @@ def run(
     if on_state is not None:
         on_state(state)
     e0_slack = 1e-8 * max(abs(state.energy), 1.0)
+    descends = not config.preserve_volume or t.is_spatially_constant
     # The fields are binary, so comparing supports compares the fields.
     prev_support = None
     streak = 0
@@ -412,9 +418,7 @@ def run(
         diagnostics.append(diag_row(new_state))
         if on_state is not None:
             on_state(new_state)
-        if not config.preserve_volume and (
-            new_state.energy > state.energy + e0_slack
-        ):
+        if descends and new_state.energy > state.energy + e0_slack:
             raise NumericalError(
                 f"energy increased at step {new_state.step}: "
                 f"{state.energy!r} -> {new_state.energy!r}"
@@ -443,7 +447,7 @@ def run(
 # Measurements
 # ---------------------------------------------------------------------------
 
-# Interface points per side that the contact-angle fit uses.
+# Cell rows of the contact-angle fit window.
 _WINDOW_CELLS = 12
 
 
@@ -452,167 +456,102 @@ def measure_contact_angle(
     geometry: Geometry,
     *,
     skip_cells: int = 13,
-) -> list[float]:
-    """Interior contact angles (degrees) of a droplet on a flat substrate.
+) -> float:
+    """Interior contact angle (degrees) of a droplet on a flat substrate,
+    in any d.
 
-    The two contact points come from the wetted cells (phase cells one
-    row above the substrate).  Near each contact the free boundary is
-    sampled at subpixel accuracy from the 1/2 level of the indicator
-    smoothed by K_h with h = (3 spacing)^2.  A circle is fitted through
-    the interface points of 12 rows per side (``_WINDOW_CELLS``) and the
-    angle is taken between its tangent at substrate height and the
-    substrate line; when the circle misses that line, straight-line fits
-    through the same points give the angles instead.
+    The droplet is the component of the phase that touches the substrate
+    (has cells in the row just above the substrate line).  Its free
+    boundary is the 1/2 level of its indicator smoothed by K_h with
+    h = (3 spacing)^2, f = 1/2 - K_h*u, evaluated on the fit window
+    alone: the 12 rows (``_WINDOW_CELLS``) that start ``skip_cells`` rows
+    above the substrate, by :func:`~ambo.kernel.convolve_cells`, so no
+    FFT runs.  Every sign change of f on a grid edge of the window, along
+    every axis, is placed by linear interpolation (Lorensen & Cline
+    1987), and one circle (d = 2) or sphere (d = 3) is fitted to all of
+    them by the algebraic fit of Kasa (1976).  With the fitted centre's
+    height y_c and radius r, the angle at the substrate height y0 is
+    acos((y0 - y_c) / r).
 
     ``skip_cells`` rows nearest the substrate are excluded: there the
     level set is bent by the substrate truncation, over a layer about
     three standard deviations of the smoothing kernel thick.  That
     standard deviation is sqrt(2 h) = 3 sqrt(2) cells, hence the default
     of 13 rows.
+
+    A SchemeError names why a phase cannot be measured: it is not binary
+    or not on a band, it is empty, it does not touch the substrate, more
+    than one component does, the droplet wraps around the seam of an
+    axis along the substrate, the window holds too few crossings for a
+    fit, or the fitted circle or sphere misses the substrate line.
     """
     grid = u.grid
-    if grid.d != 2:
-        raise SchemeError("contact angles are measured in d=2")
     if not isinstance(geometry.shape, Band):
         raise SchemeError("contact angles need a flat (band) substrate")
     if not u.is_binary():
         raise SchemeError("phase field must be binary")
 
-    n_comp, labels = periodic_components(u.values > 0.5)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask.flat[u.support] = True
+    n_comp, labels = periodic_components(mask)
     if n_comp == 0:
         raise SchemeError("empty phase: no contact points")
 
     y0 = geometry.shape.lo % 1.0
-    spacing = grid.spacing
     coords = grid.axis_coords()
     # First cell row whose centre lies above the substrate line.
-    j0 = int(np.searchsorted(coords, y0 + 0.5 * spacing - 1e-12))
-
-    wetted_cols = np.flatnonzero(u.values[:, j0] > 0.5)
-    if wetted_cols.size == 0:
+    j0 = int(np.searchsorted(coords, y0 + 0.5 * grid.spacing - 1e-12))
+    touching = np.unique(np.take(labels, j0, axis=1))
+    touching = touching[touching > 0]
+    if touching.size == 0:
         raise SchemeError("phase does not touch the substrate")
-    touching = set(labels[wetted_cols, j0].tolist())
-    if len(touching) > 1:
+    if touching.size > 1:
         raise SchemeError("more than one component touches the substrate")
-    if wetted_cols[0] == 0 and wetted_cols[-1] == grid.n - 1:
+    cells = np.flatnonzero(labels == touching[0])
+    spans = [(c.min(), c.max()) for c in np.unravel_index(cells, grid.shape)]
+    if any(k != 1 and lo == 0 and hi == grid.n - 1 for k, (lo, hi) in enumerate(spans)):
         raise SchemeError("droplet wraps around the torus seam; recentre it")
 
-    w = scale_kernel(GaussianKernel(), grid, (3.0 * spacing) ** 2).convolve(u.values)
-    f = 0.5 - w  # negative inside the phase
-
-    pts_left = _trace_interface(
-        f, grid, start_col=int(wetted_cols[0]), start_row=j0, side="left",
-        skip=skip_cells, count=_WINDOW_CELLS,
-    )
-    pts_right = _trace_interface(
-        f, grid, start_col=int(wetted_cols[-1]), start_row=j0, side="right",
-        skip=skip_cells, count=_WINDOW_CELLS,
-    )
-    # The free boundary of a capillary droplet is a single circular arc,
-    # so one circle is fitted through both branches: the joint fit pins
-    # the centre and radius far better than two short per-side arcs.
-    circle = _kasa_circle(np.vstack([pts_left, pts_right]))
-    left = _circle_contact_angle(circle, y0, "left")
-    right = _circle_contact_angle(circle, y0, "right")
-    if left is None or right is None:
-        # Fitted circle misses the substrate line; fall back to lines.
-        return [
-            _line_contact_angle(pts_left, "left"),
-            _line_contact_angle(pts_right, "right"),
-        ]
-    return [left, right]
-
-
-def _trace_interface(
-    f: np.ndarray,
-    grid: TorusGrid,
-    *,
-    start_col: int,
-    start_row: int,
-    side: str,
-    skip: int,
-    count: int,
-) -> np.ndarray:
-    """Subpixel zero crossings of f row by row above one contact point.
-
-    Tracing stops early when the crossing jumps more than 1.5 columns
-    between consecutive rows — there the interface has turned nearly
-    horizontal (droplet apex) and row scans cut it at grazing incidence.
-    """
-    n = grid.n
-    coords = grid.axis_coords()
-    pts = []
-    guess = float(coords[start_col])
-    for j in range(start_row + skip, start_row + skip + count):
-        if j >= n:
-            break
-        row = f[:, j]
-        # Crossings between consecutive cells (periodic in the column index).
-        nxt = np.roll(row, -1)
-        cross = np.flatnonzero((row < 0.0) & (nxt >= 0.0) | (row >= 0.0) & (nxt < 0.0))
-        if cross.size == 0:
-            break
-        xs = []
-        for i in cross:
-            x0, f0 = coords[i], row[i]
-            f1 = nxt[i]
-            frac = f0 / (f0 - f1)
-            xs.append((x0 + frac * grid.spacing) % 1.0)
-        xs = np.asarray(xs)
-        deltas = (xs - guess + 0.5) % 1.0 - 0.5
-        pick = int(np.argmin(np.abs(deltas)))
-        if pts and abs(deltas[pick]) > 1.5 * grid.spacing:
-            break
-        x = guess + deltas[pick]
-        pts.append((x, coords[j]))
-        guess = x
-    if len(pts) < 3:
+    rows = np.arange(j0 + skip_cells, min(j0 + skip_cells + _WINDOW_CELLS, grid.n))
+    box = tuple(rows if k == 1 else np.arange(grid.n) for k in range(grid.d))
+    kh = scale_kernel(GaussianKernel(), grid, (3.0 * grid.spacing) ** 2)
+    f = 0.5 - convolve_cells(kh, cells, 1.0, box)  # negative inside the phase
+    points = []
+    for axis in range(grid.d):
+        # Each cell's edge to the next one along the axis: periodic along
+        # the substrate, within the window across it.
+        here, ahead = f, np.roll(f, -1, axis)
+        if axis == 1:
+            here, ahead = here[:, :-1], ahead[:, :-1]
+        edges = np.nonzero((here < 0.0) != (ahead < 0.0))
+        a, b = here[edges], ahead[edges]
+        x = np.stack([coords[c[i]] for c, i in zip(box, edges)], axis=-1)
+        x[:, axis] += a / (a - b) * grid.spacing
+        points.append(x)
+    x = np.concatenate(points)
+    if x.shape[0] <= grid.d + 1:
         raise SchemeError(
-            f"could not trace the {side} interface ({len(pts)} points); "
-            "the phase may be too small for the fit window"
+            f"too few interface crossings in the fit window ({x.shape[0]}); "
+            "the phase may be too small for it"
         )
-    return np.asarray(pts)
+    # Each coordinate as its image nearest the droplet, which does not
+    # wrap around the seam.
+    middle = np.array([lo + hi for lo, hi in spans]) * (0.5 * grid.spacing)
+    centre, radius = _kasa_sphere(middle + grid.wrap_delta(x - middle))
+    cos_theta = (y0 - centre[1]) / radius
+    if not abs(cos_theta) < 1.0:
+        raise SchemeError("fitted circle or sphere misses the substrate line")
+    return math.degrees(math.acos(cos_theta))
 
 
-def _kasa_circle(pts: np.ndarray) -> tuple[float, float, float]:
-    """Algebraic circle fit: minimise sum (x^2+y^2 + D x + E y + F)^2."""
-    x, y = pts[:, 0], pts[:, 1]
-    a_mat = np.stack([x, y, np.ones_like(x)], axis=-1)
-    b_vec = -(x * x + y * y)
-    (d_coef, e_coef, f_coef), *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    xc, yc = -0.5 * d_coef, -0.5 * e_coef
-    r2 = xc * xc + yc * yc - f_coef
-    if r2 <= 0.0:
-        raise SchemeError("degenerate circle fit through the interface points")
-    return float(xc), float(yc), math.sqrt(r2)
-
-
-def _circle_contact_angle(
-    circle: tuple[float, float, float], y0: float, side: str
-) -> float | None:
-    """Interior angle of the circle's tangent against the line y = y0."""
-    xc, yc, radius = circle
-    under = radius * radius - (y0 - yc) ** 2
-    if under <= 0.0:
-        return None
-    half = math.sqrt(under)
-    x_contact = xc + half if side == "right" else xc - half
-    radial = np.asarray([(x_contact - xc) / radius, (y0 - yc) / radius])
-    return _interior_angle(np.asarray([-radial[1], radial[0]]), side)
-
-
-def _line_contact_angle(pts: np.ndarray, side: str) -> float:
-    """Interior angle of the principal line through the points."""
-    centered = pts - pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    return _interior_angle(vt[0], side)
-
-
-def _interior_angle(t: np.ndarray, side: str) -> float:
-    """Interior angle (degrees) at the ``side`` contact between the
-    substrate line and the direction t, taken pointing upwards."""
-    if t[1] < 0:
-        t = -t
-    if side == "right":
-        return math.degrees(math.atan2(t[1], -t[0]))
-    return math.degrees(math.atan2(t[1], t[0]))
+def _kasa_sphere(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Algebraic circle or sphere fit through the rows of x: the centre c
+    and radius r of the least-squares solution of the linear equations
+    |x|^2 = 2 c.x + (r^2 - |c|^2)."""
+    design = np.hstack([x, np.ones((x.shape[0], 1))])
+    solution, *_ = np.linalg.lstsq(design, (x * x).sum(axis=1), rcond=None)
+    centre = 0.5 * solution[:-1]
+    r2 = solution[-1] + centre @ centre
+    if not r2 > 0.0:
+        raise SchemeError("degenerate circle or sphere fit through the interface points")
+    return centre, math.sqrt(r2)

@@ -230,8 +230,6 @@ def laplace_solve(
     grid: TorusGrid,
     unknown_mask: np.ndarray,
     dirichlet_values: np.ndarray,
-    *,
-    maxiter: int | None = None,
 ) -> np.ndarray:
     """Solve the discrete Laplace equation on ``unknown_mask`` cells.
 
@@ -294,8 +292,7 @@ def laplace_solve(
     eps = float(np.finfo(np.float64).eps)
     floor = 64.0 * eps * grid.d * scale * math.sqrt(n_unknown)
     tol = 1e-10 * data_range + floor
-    if maxiter is None:
-        maxiter = 20 * grid.n + 200
+    maxiter = 20 * grid.n + 200
     precondition = None
     if n_unknown >= _PRECONDITIONED_SHARE * grid.cell_count:
         precondition = _torus_laplace_inverse(grid, unknown_mask)

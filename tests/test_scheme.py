@@ -18,6 +18,7 @@ from ambo.energy import (
     approx_energy,
     indicator_defect,
 )
+from ambo.errors import NumericalError
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid, on_box, periodic_components
 from ambo.kernel import GaussianKernel, SampledKernel, convolve_cells, scale_kernel
@@ -294,12 +295,14 @@ def test_unconstrained_disk_shrinks_with_decreasing_energy(
 @pytest.mark.parametrize("period", [2, 3])
 def test_run_stops_on_a_two_cycle_only(period, full_geometry, unit_tensions, monkeypatch):
     """A step that cycles through fixed fields: period 2 ends the run as a
-    2-cycle with both states kept; period 3, whose third field differs
-    from the first in one cell, runs to max_steps."""
+    2-cycle with both states kept; period 3, whose third field is the
+    first moved by one cell, runs to max_steps.  The fields are
+    whole-cell translates of one disk, so they have the same energy and
+    the run's descent check, which a volume run with constant tensions
+    makes, lets the cycle through."""
     a = ShapeSpec.disk((0.5, 0.5), 0.2).indicator(full_geometry)
-    b = ShapeSpec.disk((0.3, 0.5), 0.2).indicator(full_geometry)
-    c = a.values.copy()
-    c.flat[a.support[-1]], c.flat[a.support[-1] + 1] = 0.0, 1.0
+    b = PhaseField(full_geometry, np.roll(a.values, -51, axis=0))
+    c = np.roll(a.values, 1, axis=1)
     cycle = (a.values, b.values, c)[:period]
 
     def cycling_step(state, config, op):
@@ -322,6 +325,19 @@ def test_run_stops_on_a_two_cycle_only(period, full_geometry, unit_tensions, mon
     assert np.array_equal(first.u.values, b.values)
     assert np.array_equal(second.u.values, a.values)
     assert [row[0] for row in traj.diagnostics] == [0, 1, 2]
+
+
+def test_volume_run_with_constant_tensions_asserts_descent(
+    full_geometry, unit_tensions, monkeypatch
+):
+    """A broken volume step, which keeps the k cells of largest phi
+    instead of the smallest, raises the descent check."""
+    select = scheme._select
+    monkeypatch.setattr(scheme, "_select", lambda phi, *args: select(-phi, *args))
+    u = ShapeSpec.disk((0.5, 0.5), 0.2).indicator(full_geometry)
+    cfg = SchemeConfig(h=1e-3, preserve_volume=True, max_steps=4)
+    with pytest.raises(NumericalError, match="energy increased"):
+        run(u, cfg, unit_tensions, UNIT_KERNEL)
 
 
 def test_empty_phase_persists_on_dewetting_substrate(small_band):
@@ -848,18 +864,70 @@ def test_periodic_components_match_a_roll_flood_fill(mask):
     assert len(pairs) == count
 
 
+@pytest.fixture(scope="module")
+def band3d():
+    """The flat substrate of ``band_geometry`` on a 3-d grid, n = 96."""
+    return build_geometry(make_shape("band", lo=0.25, hi=0.95), TorusGrid(3, 96))
+
+
+def _spherical_cap(geometry, angle, radius, center=(0.5, 0.5)):
+    """The 3-d cap of a ball standing on the band's lower wall at the
+    interior contact angle ``angle`` (degrees), centred at ``center`` in
+    (x1, x3)."""
+    grid, y0 = geometry.grid, geometry.shape.lo
+    x1, x2, x3 = grid.meshgrid()
+    yc = y0 - radius * math.cos(math.radians(angle))
+    r2 = (
+        grid.wrap_delta(x1 - center[0]) ** 2
+        + (x2 - yc) ** 2
+        + grid.wrap_delta(x3 - center[1]) ** 2
+    )
+    return PhaseField.from_mask(geometry, (r2 < radius**2) & (x2 >= y0))
+
+
+# Measured errors: 0.098 / 0.346 / 0.627 degrees for the 2-d caps of
+# radius 0.16 at n = 512 (90 / 120 / 60 degrees), 0.038 for a 104-degree
+# one that touches x1 = 0 but not the seam's far side, whose widest rows,
+# in the fit window, cross the 1/2 level on the seam's edge, and
+# 0.070 / 0.668 for the 3-d caps of radius 0.3 at n = 96 (90 / 120 degrees).
 @pytest.mark.parametrize(
-    "angle,tolerance", [(90.0, 1.0), (120.0, 2.0), (60.0, 2.0)]
+    "d,angle,tolerance,center",
+    [
+        (2, 90.0, 1.0, 0.5),
+        (2, 120.0, 2.0, 0.5),
+        (2, 60.0, 2.0, 0.5),
+        (2, 104.0, 1.0, 0.16 - 0.5 / 512),
+        (3, 90.0, 0.2, 0.5),
+        (3, 120.0, 1.0, 0.5),
+    ],
+    ids=["90.0-1.0", "120.0-2.0", "60.0-2.0", "seam-104.0-1.0", "3d-90.0-0.2", "3d-120.0-1.0"],
 )
-def test_contact_angle_on_synthetic_caps(band_geometry, angle, tolerance):
-    u = ShapeSpec.cap(angle, 0.16, 0.25).indicator(band_geometry)
-    left, right = measure_contact_angle(u, band_geometry)
-    assert left == pytest.approx(angle, abs=tolerance)
-    assert right == pytest.approx(angle, abs=tolerance)
-    assert left == pytest.approx(right, abs=1e-6)  # symmetric cap
+def test_contact_angle_on_synthetic_caps(d, angle, tolerance, center, band_geometry, band3d):
+    if d == 2:
+        geometry = band_geometry
+        u = ShapeSpec.cap(angle, 0.16, 0.25, center_x=center).indicator(geometry)
+    else:
+        geometry, u = band3d, _spherical_cap(band3d, angle, 0.3)
+    assert measure_contact_angle(u, geometry) == pytest.approx(angle, abs=tolerance)
 
 
-def test_contact_angle_error_paths(band_geometry, full_geometry, rng):
+def test_contact_angle_ignores_a_component_off_the_substrate(band_geometry):
+    """Only the droplet's cells are smoothed: a floating disk across the
+    fit window leaves the angle's bits as they are."""
+    cap = ShapeSpec.cap(90.0, 0.16, 0.25).indicator(band_geometry)
+    disk = ShapeSpec.disk((0.85, 0.3), 0.03).indicator(band_geometry)
+    both = PhaseField.from_support(band_geometry, np.union1d(cap.support, disk.support))
+    assert measure_contact_angle(both, band_geometry) == measure_contact_angle(
+        cap, band_geometry
+    )
+
+
+def test_contact_angle_error_paths(band_geometry, band3d, full_geometry, rng):
+    """Each phase that cannot be measured raises a SchemeError that says
+    why, never an error from the fit's arithmetic."""
+    with pytest.raises(SchemeError, match="empty"):
+        measure_contact_angle(PhaseField.zeros(band_geometry), band_geometry)
+
     floating = ShapeSpec.disk((0.5, 0.6), 0.1).indicator(band_geometry)
     with pytest.raises(SchemeError, match="touch"):
         measure_contact_angle(floating, band_geometry)
@@ -874,6 +942,23 @@ def test_contact_angle_error_paths(band_geometry, full_geometry, rng):
     )
     with pytest.raises(SchemeError, match="one component"):
         measure_contact_angle(pair, band_geometry)
+
+    across_x1 = ShapeSpec.cap(90.0, 0.16, 0.25, center_x=0.0).indicator(band_geometry)
+    with pytest.raises(SchemeError, match="seam"):
+        measure_contact_angle(across_x1, band_geometry)
+    with pytest.raises(SchemeError, match="seam"):
+        measure_contact_angle(_spherical_cap(band3d, 90.0, 0.2, (0.5, 0.0)), band3d)
+
+    # 0.15 high, so no crossing reaches the window 13 rows above the wall
+    with pytest.raises(SchemeError, match="too few interface crossings"):
+        measure_contact_angle(_spherical_cap(band3d, 60.0, 0.3), band3d)
+
+    # A column 10 cells wide: the circle through its two straight sides
+    # in the window lies well above the wall.
+    x1, x2 = band_geometry.grid.meshgrid()
+    column = (np.abs(x1 - 0.5) < 5.0 / 512) & (x2 < 0.6)
+    with pytest.raises(SchemeError, match="misses the substrate"):
+        measure_contact_angle(PhaseField.from_mask(band_geometry, column), band_geometry)
 
     with pytest.raises(SchemeError, match="band"):
         measure_contact_angle(
