@@ -26,14 +26,15 @@ Three groups of verification routines accompany it:
 * :func:`monotonicity_check` compares E at time steps h and N^2 h for
   every (h, N) of a list of each;
 * :func:`inequality_suite` evaluates four discrete integral inequalities
-  exactly (integer shift-counts via per-level FFT correlations), so the
-  asserted slack tolerances are pure floating-point allowances.
+  (the shift counts from FFT correlations of the field's level sets,
+  summed in Fourier space), so the asserted slack tolerances are pure
+  floating-point allowances.
 
 Both suites take a batch of fields on one geometry and all their step
 sizes in one call, and compute what does not depend on the loop
-variable once: the shift counts of a field serve every h, and E_h of a
-field is computed once per distinct step size, however many (h, N)
-combinations ask for it.
+variable once: the shift counts of a field serve every h, its transform
+serves every kernel of the suite, and E_h of a field is computed once
+per distinct step size, however many (h, N) combinations ask for it.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ from .kernel import (
     Kernel,
     SampledKernel,
     TriangularKernel,
+    _cell_box,
     _irfftn,
     _rfftn,
+    convolve_cells,
     convolve_product,
     scale_kernel,
     scale_kernel_gradient,
@@ -147,8 +150,8 @@ class PhaseField:
         """Uniform random values on the container, quantised to ``levels``.
 
         The values are snapped to {0, 1/(L-1), ..., 1} for L = ``levels``,
-        which keeps the number of distinct values small — the exact
-        layer-cake evaluation in :func:`shift_weighted_sum` needs that.
+        which keeps the number of distinct values small — the layer-cake
+        evaluation in :func:`shift_weighted_sum` transforms one set per value.
         """
         if levels < 2:
             raise EnergyError(f"levels must be >= 2, got {levels}")
@@ -710,11 +713,14 @@ def convergence_study(
         raise EnergyError("need at least two resolvable h values")
 
     u = shape.indicator(geometry)
+    # K_h*u on u's box, read at its cells: as in a flow step, no FFT with factors
+    axes, where = cell_box = _cell_box(grid, u.support)
     sharp = sharp_energy(shape, float(tensions.pv.flat[0]), gamma)
     rows = []
     for h in usable:
         kh = scale_kernel(kernel, grid, h)
-        eh = approx_energy(u, RunOperator.build(geometry, tensions, kh))
+        ku = convolve_cells(kh, u.support, 1.0, tuple(axes), cell_box)[tuple(where)]
+        eh = approx_energy(u, RunOperator.build(geometry, tensions, kh), ku)
         rows.append(StudyRow(h=h, approx=eh, sharp=sharp,
                              rel_err=abs(eh - sharp) / abs(sharp)))
     errs = [r.rel_err for r in rows]
@@ -769,7 +775,7 @@ def monotonicity_check(
     another), and E at one step size does not depend on the combination
     asking for it.  So the kernel and run operator of each distinct step
     size are built once, one at a time, and each field's energy at it
-    is computed once.
+    is computed once, from the field's one transform.
     """
     for N in factors:
         if not (isinstance(N, (int, np.integer)) and N >= 1):
@@ -777,9 +783,8 @@ def monotonicity_check(
     geometry = _shared_geometry(fields)
     combos = [(h, N) for h in h_values for N in factors]
     steps = dict.fromkeys(step for h, N in combos for step in (h, N * N * h))
-    energy = {
-        step: _energies(fields, geometry, tensions, kernel, step) for step in steps
-    }
+    spectra = [_rfftn(u.values) for u in fields]
+    energy = {s: _energies(fields, spectra, geometry, tensions, kernel, s) for s in steps}
     results = []
     for h, N in combos:
         per_field = []
@@ -798,10 +803,10 @@ def monotonicity_check(
     return results
 
 
-def _energies(fields, geometry, tensions, kernel, h) -> list[float]:
-    """E_h of each field, from one run operator that is dropped on return."""
+def _energies(fields, spectra, geometry, tensions, kernel, h) -> list[float]:
+    """E_h of each field from its transform (kept), by one run operator."""
     op = RunOperator.build(geometry, tensions, scale_kernel(kernel, geometry.grid, h))
-    return [approx_energy(u, op) for u in fields]
+    return [approx_energy(u, op, op.kh.apply(s.copy())) for u, s in zip(fields, spectra)]
 
 
 # ---------------------------------------------------------------------------
@@ -809,23 +814,25 @@ def _energies(fields, geometry, tensions, kernel, h) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def shift_weighted_sum(fields, weights) -> list[list[float]]:
-    """Exact sum_y W(y) sum_{x in container} |u(x+y) - u(x)| for a batch.
+    """sum_y W(y) sum_{x in container} |u(x+y) - u(x)|, to rounding, for a batch.
 
     Returns one list per field of ``fields`` (which share one geometry),
     holding one sum per array W of ``weights`` (indexed like the sampled
     kernels, origin at 0).  Uses the layer-cake formula over the distinct
-    values of u (at most 256).  A superlevel set chi = {u >= level} lies
-    in the container, because u vanishes outside it, so
+    values of u (at most 256), u = u_min + sum_l dt_l chi_l with the
+    superlevel sets chi_l.  Each lies in the container, because u
+    vanishes outside it, so
 
         sum_{x in container} |chi(x+y) - chi(x)|
             = |chi| + sum_x (1_container - 2 chi)(x) chi(x+y),
 
-    an integer count recovered exactly by one FFT cross-correlation and
-    rounding.  The counts do not depend on W, so each level serves every
-    array of ``weights``; the container's transform serves every field.
+    a cross-correlation.  Its dt_l-weighted sum over the levels has the
+    transform conj(omega^) (u - u_min)^ - 2 sum_l dt_l |chi_l^|^2: one
+    forward transform per level and one inverse per field, and the
+    summed counts serve every W; omega^ serves every field.
     """
     geometry = _shared_geometry(fields)
-    omega_hat = _rfftn(geometry.omega_mask.astype(np.float64))
+    omega_hat = np.conj(_rfftn(geometry.omega_mask.astype(np.float64)))
     sums = []
     for u in fields:
         v = u.values
@@ -833,18 +840,18 @@ def shift_weighted_sum(fields, weights) -> list[list[float]]:
         if levels.size > 256:
             raise EnergyError(
                 f"field has {levels.size} distinct values; quantise it (<= 256) "
-                "for exact shift sums"
+                "for the layer-cake shift sums"
             )
-        totals = [0.0] * len(weights)
-        for k in range(levels.size - 1):
-            dt = levels[k + 1] - levels[k]
-            chi = (v >= levels[k + 1]).astype(np.float64)
-            chi_hat = _rfftn(chi)
-            corr = _irfftn(np.conj(omega_hat - 2.0 * chi_hat) * chi_hat, v.shape)
-            counts = np.rint(corr + chi.sum())
-            for i, w in enumerate(weights):
-                totals[i] += dt * float((w * counts).sum())
-        sums.append(totals)
+        power, size = np.zeros(omega_hat.shape), 0.0
+        for low, level in zip(levels[:-1], levels[1:]):
+            chi = v >= level
+            chi_hat = _rfftn(chi.astype(np.float64))
+            power += (level - low) * (chi_hat.real**2 + chi_hat.imag**2)
+            size += (level - low) * np.count_nonzero(chi)
+        spectrum = _rfftn(v - levels[0]) * omega_hat
+        spectrum.real -= 2.0 * power
+        counts = _irfftn(spectrum, v.shape) + size
+        sums.append([float((w * counts).sum()) for w in weights])
     return sums
 
 
@@ -888,9 +895,11 @@ def inequality_suite(fields, kernel: Kernel, h_values) -> list[list[InequalityRe
     Returns one list per h of ``h_values``, in order, holding one report
     per field (the fields must live on one geometry).  For each h, K_h,
     K_h*1_substrate, the tent-gradient kernels and J_4h are sampled once
-    and shared by the fields.  The shift counts of a field do not depend
-    on h, so one :func:`shift_weighted_sum` call weights them with K_h
-    and J_4h of every h at once.
+    and shared by the fields, and for each (h, field) one transform of
+    the field serves K_h*v and the d tent-gradient convolutions.  The
+    shift counts of a field do not depend on h, so one
+    :func:`shift_weighted_sum` call weights them with K_h and J_4h of
+    every h at once.
     """
     geo = _shared_geometry(fields)
     grid = geo.grid
@@ -909,30 +918,28 @@ def inequality_suite(fields, kernel: Kernel, h_values) -> list[list[InequalityRe
     for i, (h, kh) in enumerate(zip(h_values, kernels)):
         conv_s = kh.convolve(substrate)
         grad_jh = scale_kernel_gradient(_TENT, grid, h)
-        grad_kernels = [
-            SampledKernel(grid=grid, h=h, values=grad_jh[..., a]) for a in range(grid.d)
-        ]
+        grad_kernels = [SampledKernel(grid, h, grad_jh[..., a]) for a in range(grid.d)]
         per_field = []
         for u, sums in zip(fields, shift_sums):
             sum_k, sum_j = sums[2 * i], sums[2 * i + 1]
             v = u.values
-            conv_v = kh.convolve(v)
+            spectrum = _rfftn(v)
+            conv_v = kh.apply(spectrum.copy())
             shift_k = s_d * s_d * sum_k
+            # sum over the container of (1_container - v) K_h*v
+            cross = ((omega - v) * conv_v)[inside].sum()
 
             lhs1 = shift_k
-            rhs1 = float(
-                2.0 * s_d * (((omega - v) * conv_v)[inside].sum())
-                + s_d * ((v * conv_s)[inside]).sum()
-            )
+            rhs1 = float(2.0 * s_d * cross + s_d * ((v * conv_s)[inside]).sum())
 
             lhs2 = float(s_d * np.abs(conv_v - v)[inside].sum())
             rhs2 = shift_k
 
             lhs3 = float(s_d * (v * (omega - v))[inside].sum())
-            rhs3 = float(s_d * (((omega - v) * conv_v)[inside]).sum()) + lhs2
+            rhs3 = float(s_d * cross) + lhs2
 
-            grad_jv = np.stack([g.convolve(v) for g in grad_kernels], axis=-1)
-            lhs4 = float(s_d * np.linalg.norm(grad_jv, axis=-1)[inside].sum())
+            squares = sum(np.square(g.apply(spectrum.copy())) for g in grad_kernels)
+            lhs4 = float(s_d * np.sqrt(squares)[inside].sum())
             rhs4 = c_grad / math.sqrt(h) * s_d * s_d * sum_j
 
             results = [

@@ -46,7 +46,8 @@ Convolution is the mass-weighted circular sum
 evaluated either with the FFT (default; the kernel transform is
 computed once, at the first FFT convolution) or by direct summation
 (an independent oracle used in tests).  :meth:`SampledKernel.convolve`
-is the only FFT convolution.  :func:`convolve_cells` convolves a field
+is the FFT convolution; :meth:`SampledKernel.apply` is its second half,
+given the field's transform.  :func:`convolve_cells` convolves a field
 that vanishes off a given set of cells, as a phase does, and returns it
 on a box of output coordinates (the whole grid by default).  With a
 kernel that has factors it holds the field on the product of the cells'
@@ -68,9 +69,10 @@ numpy's pocketfft (``numpy.fft``) on one thread.  A flow run of a
 factored kernel on a band or the torus takes none.  FFTs remain for a
 kernel without factors or a container that is not such a product (a
 disk), for a phase whose box costs more than the FFT, and where a
-given field is convolved whole (the energy and validate experiments,
-the lemma suites).  The box products run on BLAS; the tests check that
-1 and 2 BLAS threads write the same bytes.
+given field is convolved whole: the energy and validate experiments,
+and the monotonicity and inequality suites, which transform each field
+once and ``apply`` it to each of their kernels.  The box products run
+on BLAS; the tests check that 1 and 2 BLAS threads write the same bytes.
 """
 
 from __future__ import annotations
@@ -309,14 +311,18 @@ class SampledKernel:
                 f"field shape {vals.shape} != grid shape {self.grid.shape}"
             )
         if method == "fft":
-            spectrum = _rfftn(vals)
-            spectrum *= self.transform
-            out = _irfftn(spectrum, self.grid.shape)
-            out *= self.grid.cell_measure
-            return out
+            return self.apply(_rfftn(vals))
         if method == "direct":
             return _shifted_sums(self.values, vals) * self.grid.cell_measure
         raise KernelError(f"unknown convolution method {method!r}")
+
+    def apply(self, spectrum: np.ndarray) -> np.ndarray:
+        """The FFT convolution of the field whose :func:`_rfftn` is
+        ``spectrum``, which it overwrites (pass a copy to reuse it)."""
+        spectrum *= self.transform
+        out = _irfftn(spectrum, self.grid.shape)
+        out *= self.grid.cell_measure
+        return out
 
 
 # Flops of the box product per n^d log2(n^d) up to which it replaces an

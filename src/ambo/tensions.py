@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -196,8 +197,9 @@ def _torus_laplace_inverse(grid: TorusGrid, unknown_mask: np.ndarray):
 
     def apply(r: np.ndarray) -> np.ndarray:
         full[cells] = r
-        z = _irfftn(_rfftn(full.reshape(grid.shape)) * inverse, grid.shape)
-        return z.reshape(-1)[cells]
+        spectrum = _rfftn(full.reshape(grid.shape))
+        spectrum *= inverse
+        return _irfftn(spectrum, grid.shape).reshape(-1)[cells]
 
     return apply
 
@@ -205,21 +207,23 @@ def _torus_laplace_inverse(grid: TorusGrid, unknown_mask: np.ndarray):
 def _conjugate_gradients(apply, rhs, precondition, atol: float, maxiter: int):
     """Preconditioned CG (Hestenes & Stiefel 1952) for apply(x) = rhs from
     x = 0 until the updated residual's 2-norm is below ``atol``: the
-    iterate and the iterations taken (None if maxiter fell short)."""
+    iterate and the iterations taken (None if maxiter fell short).  The
+    inner products are einsum loops, not BLAS, whose two-thread runs are
+    now and then several times slower for a whole process."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if math.sqrt(np.einsum("i,i->", r, r)) < atol:
             return x, iteration
         z = r if precondition is None else precondition(r)
-        rho = np.dot(r, z)
+        rho = np.einsum("i,i->", r, z)
         if iteration:
             p *= rho / rho_prev
             p += z
         else:
             p = z.copy()
         q = apply(p)
-        alpha = rho / np.dot(p, q)
+        alpha = rho / np.einsum("i,i->", p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
@@ -399,7 +403,7 @@ class ModifiedTensions:
         hi = float(max(pv.max(), sp.max(), sv.max()))
         return cls(grid=grid, pv=pv, sp=sp, sv=sv, lower=lo, upper=hi, **extra)
 
-    @property
+    @cached_property
     def is_spatially_constant(self) -> bool:
         return all(
             np.ptp(getattr(self, name)) == 0.0 for name in ("pv", "sp", "sv")

@@ -542,7 +542,9 @@ def test_constant_tension_violation_raised_at_the_first_pair(
     h = 1e-3
     table = {h: [1.0, 1.0], 4 * h: [1.0, 1.5], 9 * h: [2.0, 1.0]}
     monkeypatch.setattr(
-        energy, "_energies", lambda fields, geometry, tensions, kernel, step: table[step]
+        energy,
+        "_energies",
+        lambda fields, spectra, geometry, tensions, kernel, step: table[step],
     )
     fields = [PhaseField.zeros(full_geometry)] * 2
     first = r"E_\(N\^2 h\)=1.5 > E_h=1.0 .* at N=2, h=0.001"
@@ -572,7 +574,9 @@ def test_shift_sum_matches_brute_force():
 
     The container is a disk, not the whole torus, so the sum over x in
     the container differs from the sum over the torus; one weight array is
-    asymmetric, so a shift taken with the wrong sign shows.
+    asymmetric, so a shift taken with the wrong sign shows.  A field on
+    the whole torus whose lowest value is 1/4, not 0, shows a layer-cake
+    sum that does not start from its lowest value.
     """
     grid = TorusGrid(2, 32)
     geometry = build_geometry(
@@ -583,22 +587,25 @@ def test_shift_sum_matches_brute_force():
         scale_kernel(GaussianKernel(), grid, 1e-2).values,
         rng.uniform(0.0, 1.0, size=grid.shape),
     )
-    inside = geometry.omega_mask
     random = PhaseField.random(geometry, rng, levels=6)
     assert np.unique(random.values).size == 6
-    fields = (random, PhaseField.zeros(geometry))
-    got = shift_weighted_sum(fields, weights)
-    assert len(got) == 2
-    for u, sums in zip(fields, got):
-        expected = [0.0, 0.0]
-        for y in np.ndindex(grid.shape):
-            shifted = np.roll(u.values, tuple(-c for c in y), axis=(0, 1))
-            count = np.abs(shifted - u.values)[inside].sum()
-            for i, w in enumerate(weights):
-                expected[i] += w[y] * count
-        assert len(sums) == 2
-        for g, e in zip(sums, expected):
-            assert g == pytest.approx(e, rel=1e-12, abs=0.0)
+    torus = build_geometry(make_shape("full"), grid)
+    raised = PhaseField(torus, 0.25 + np.round(rng.uniform(size=grid.shape) * 4) / 8)
+    assert np.unique(raised.values).tolist() == [0.25, 0.375, 0.5, 0.625, 0.75]
+    for fields in [(random, PhaseField.zeros(geometry)), (raised,)]:
+        inside = fields[0].geometry.omega_mask
+        got = shift_weighted_sum(fields, weights)
+        assert len(got) == len(fields)
+        for u, sums in zip(fields, got):
+            expected = [0.0, 0.0]
+            for y in np.ndindex(grid.shape):
+                shifted = np.roll(u.values, tuple(-c for c in y), axis=(0, 1))
+                count = np.abs(shifted - u.values)[inside].sum()
+                for i, w in enumerate(weights):
+                    expected[i] += w[y] * count
+            assert len(sums) == 2
+            for g, e in zip(sums, expected):
+                assert g == pytest.approx(e, rel=1e-12, abs=0.0)
 
 
 def test_inequalities_vanish_on_empty_field(full_geometry):

@@ -459,6 +459,47 @@ def test_monotonic_preset_samples_each_step_size_once(tmp_path, monkeypatch):
     assert len(approx) == 6 * 3
 
 
+def _fft_calls(monkeypatch):
+    """The forward and inverse real FFTs made from now on (every one goes
+    through numpy.fft.rfftn / irfftn, called by kernel._rfftn / _irfftn)."""
+    return _counted(monkeypatch, np.fft, "rfftn"), _counted(monkeypatch, np.fft, "irfftn")
+
+
+def test_inequalities_preset_transforms_each_field_once_per_h(tmp_path, monkeypatch):
+    """Perf guard, one random field with 16 values on a disk at n = 256:
+    the shift sum takes 1 container + 15 level + 1 field transforms and
+    one inverse; per h the kernel and its d = 2 tent-gradient kernels are
+    transformed once, K_h*1_substrate is one FFT pair, and the field is
+    transformed once for K_h*v and the two gradient convolutions (three
+    inverses)."""
+    forward, inverse = _fft_calls(monkeypatch)
+    results = _run_preset("inequalities", tmp_path, **{"experiment.n_fields": 1})
+    assert len(results["h_values"]) == 3 and results["all_ok"]
+    assert len(forward) == (1 + 15 + 1) + 3 * (3 + 1 + 1)
+    assert len(inverse) == 1 + 3 * (1 + 3)
+
+
+def test_monotonic_preset_transforms_each_field_once(tmp_path, monkeypatch):
+    """Perf guard: each of the 3 fields is transformed once for all six
+    step sizes; per step size the kernel, the container and the substrate
+    are transformed once, and each field's K_h*u is one inverse."""
+    forward, inverse = _fft_calls(monkeypatch)
+    _run_preset("monotonic_constant", tmp_path, **{"experiment.n_fields": 2})
+    assert len(forward) == 3 + 6 * 3
+    assert len(inverse) == 6 * (2 + 3)
+
+
+def test_converge_preset_makes_no_transform(tmp_path, monkeypatch):
+    """Perf guard: on the torus K_h*1_container comes from the kernel's
+    axis factors and K_h*u of the disk from the box product, so the
+    n = 512 kernel is neither transformed nor sampled on the grid."""
+    forward, inverse = _fft_calls(monkeypatch)
+    sampled = _counted(monkeypatch, kernel.SampledKernel, "_outer")
+    results = _run_preset("converge_disk", tmp_path)
+    assert len(results["h_values"]) == 3
+    assert forward == inverse == sampled == []
+
+
 def test_inequalities_preset_makes_one_shift_sum(tmp_path, monkeypatch):
     sums = _counted(monkeypatch, energy, "shift_weighted_sum")
     results = _run_preset("inequalities", tmp_path, **{"experiment.n_fields": 1})

@@ -501,6 +501,21 @@ def test_convolve_cells_takes_the_fft_without_factors_or_over_budget(d, n, kerne
     assert convolve_cells(kh, cells, weights).tobytes() == kh.convolve(field).tobytes()
 
 
+@pytest.mark.parametrize(
+    "kernel", [GaussianKernel(), TriangularKernel(radius=2.0)], ids=["factored", "values"]
+)
+def test_apply_to_the_transform_is_the_fft_convolution(kernel, rng):
+    """apply(_rfftn(f)) is convolve(f) byte for byte, and it overwrites
+    only the spectrum it is given."""
+    grid = TorusGrid(2, 64)
+    kh = scale_kernel(kernel, grid, 4e-3)
+    f = rng.uniform(size=grid.shape)
+    spectrum = _rfftn(f)
+    kept = spectrum.copy()
+    assert kh.apply(spectrum.copy()).tobytes() == kh.convolve(f).tobytes()
+    assert spectrum.tobytes() == kept.tobytes()
+
+
 def test_convolve_rejects_wrong_shape():
     grid = TorusGrid(2, 64)
     kh = scale_kernel(GaussianKernel(), grid, 4e-3)
