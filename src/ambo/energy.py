@@ -389,14 +389,11 @@ class RunOperator:
         return self.kh.grid
 
 
-def approx_energy(
-    u: PhaseField, op: RunOperator, ku: np.ndarray | None = None
-) -> float:
+def approx_energy(u: PhaseField, op: RunOperator, ku: np.ndarray) -> float:
     """Evaluate E_h(u); always nonnegative.
 
     ``ku`` is K_h*u, on the grid or at u's support cells (one value per
-    cell, in their order), when the caller already has it; otherwise it
-    is computed here.  One formula serves binary and multilevel fields:
+    cell, in their order).  One formula serves binary and multilevel fields:
 
         E_h(u) sqrt(h) / cell = sum over the support of u of
             u (g_pv (K_h*1_container - K_h*u) + wetting) + dry_energy,
@@ -407,8 +404,6 @@ def approx_energy(
     """
     if u.grid != op.grid:
         raise EnergyError("phase field and operator use different grids")
-    if ku is None:
-        ku = op.kh.convolve(u.values)
     cells = u.support
     if ku.ndim > 1:
         ku = ku.take(cells)

@@ -284,7 +284,7 @@ def _distance_gradient(ds: FloatArray, grid: TorusGrid) -> tuple[FloatArray, Flo
     return grad, np.sqrt(np.sum(grad**2, axis=0))
 
 
-def band_mask(geometry: Geometry, sign: int, delta: float | None = None) -> np.ndarray:
+def band_mask(geometry: Geometry, sign: int, delta: float) -> np.ndarray:
     """Boolean strip Omega_delta^+ (inside) or Omega_delta^- (outside).
 
     ``sign=+1`` selects {0 < d_s < delta}, ``sign=-1`` selects {0 < -d_s < delta};
@@ -292,8 +292,6 @@ def band_mask(geometry: Geometry, sign: int, delta: float | None = None) -> np.n
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if delta is None:
-        delta = geometry.delta
     s = sign * geometry.signed_distance
     return (s > 0.0) & (s < delta)
 

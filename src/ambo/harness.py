@@ -152,7 +152,7 @@ def _snapshot_writer(out: Path, every: int, d: int):
             stem = f"u_{state.step:06d}"
             io.write_field(out / f"{stem}.bin", state.u.values)
             if d == 2:
-                io.write_pgm(out / f"{stem}.pgm", state.u.values, lo=0.0, hi=1.0)
+                io.write_pgm(out / f"{stem}.pgm", state.u.values)
 
     return write, outputs
 
@@ -161,7 +161,7 @@ def _dump_final(out: Path, traj: Trajectory, d: int) -> dict:
     outputs = {"final_field": "final_u.bin"}
     io.write_field(out / "final_u.bin", traj.final.u.values)
     if d == 2:
-        io.write_pgm(out / "final_u.pgm", traj.final.u.values, lo=0.0, hi=1.0)
+        io.write_pgm(out / "final_u.pgm", traj.final.u.values)
         outputs["final_image"] = "final_u.pgm"
     if traj.oscillating:
         for name, state in zip(("cycle_a", "cycle_b"), traj.cycle_states):

@@ -112,21 +112,13 @@ def read_field(path) -> np.ndarray:
     return data.reshape(shape).copy()
 
 
-def write_pgm(path, values, lo: float | None = None, hi: float | None = None) -> None:
-    """16-bit binary PGM of a 2-d field; x2 increases upward in the image."""
+def write_pgm(path, values) -> None:
+    """16-bit binary PGM of a 2-d field in [0, 1] (black to white; values
+    outside are clipped); x2 increases upward in the image."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ConfigError("PGM output needs a 2-d field")
-    if lo is None:
-        lo = float(arr.min())
-    if hi is None:
-        hi = float(arr.max())
-    span = hi - lo
-    if span <= 0.0:
-        pixels = np.zeros(arr.shape, dtype=">u2")
-    else:
-        scaled = np.clip((arr - lo) / span, 0.0, 1.0) * 65535.0
-        pixels = np.rint(scaled).astype(">u2")
+    pixels = np.rint(np.clip(arr, 0.0, 1.0) * 65535.0).astype(">u2")
     # values[i, j] is (x1, x2); image rows run top to bottom.
     image = pixels.T[::-1]
     with atomic_write(path, "wb") as out:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -103,17 +103,9 @@ class RawTensions:
         return np.asarray(expr(tuple(grid.meshgrid())), dtype=np.float64)
 
 
-@dataclass
-class RawTensionsReport:
-    """Admissibility of raw tensions against an anisotropy."""
-
-    admissible: bool
-    failures: list = field(default_factory=list)
-
-
 def validate_raw_tensions(
     raw: RawTensions, geometry: Geometry, gamma: Anisotropy
-) -> RawTensionsReport:
+) -> None:
     """Check positivity, substrate bounds and strict triangle inequalities.
 
     The strict inequalities are required at every boundary-layer sample:
@@ -121,6 +113,8 @@ def validate_raw_tensions(
         C_gamma * g_pv < g_sp + g_sv,
         g_sp < c_gamma * g_pv + g_sv,
         g_sv < c_gamma * g_pv + g_sp.
+
+    Raises :class:`TensionError` naming every check that fails.
     """
     grid = geometry.grid
     failures: list[str] = []
@@ -139,14 +133,7 @@ def validate_raw_tensions(
     if np.any(sp_b <= 0.0) or np.any(sv_b <= 0.0):
         failures.append("substrate tensions must be positive on the boundary")
 
-    c_g, C_g = gamma.bounds()
-    slacks = np.minimum.reduce(
-        [
-            sp_b + sv_b - C_g * pv_b,
-            c_g * pv_b + sv_b - sp_b,
-            c_g * pv_b + sp_b - sv_b,
-        ]
-    )
+    slacks = _strict_slack(pv_b, sp_b, sv_b, *gamma.bounds())
     min_slack = float(slacks.min())
     if not min_slack > 0.0:
         failures.append(
@@ -154,7 +141,17 @@ def validate_raw_tensions(
             f"boundary samples (worst slack {min_slack:.3e})"
         )
 
-    return RawTensionsReport(admissible=not failures, failures=failures)
+    if failures:
+        raise TensionError(
+            "raw tensions are not admissible: " + "; ".join(failures)
+        )
+
+
+def _strict_slack(pv, sp, sv, c_g: float, C_g: float) -> np.ndarray:
+    """Smallest slack of the three strict triangle inequalities, per sample."""
+    return np.minimum.reduce(
+        [sp + sv - C_g * pv, c_g * pv + sv - sp, c_g * pv + sp - sv]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +413,6 @@ class TriangleReport:
 
     worst_slack: dict
     violations: dict
-    total_cells: int
 
     @property
     def ok(self) -> bool:
@@ -451,9 +447,7 @@ def verify_triangle(t: ModifiedTensions, tol: float = 0.0) -> TriangleReport:
             0 if worst[name] >= -tol else per_entry * int(np.count_nonzero(slack < -tol))
         )
         del slack
-    return TriangleReport(
-        worst_slack=worst, violations=viol, total_cells=t.pv.size
-    )
+    return TriangleReport(worst_slack=worst, violations=viol)
 
 
 def extend_substrate(
@@ -475,11 +469,7 @@ def extend_substrate(
     halved, up to four times.
     """
     grid = geometry.grid
-    report = validate_raw_tensions(raw, geometry, gamma)
-    if not report.admissible:
-        raise TensionError(
-            "raw tensions are not admissible: " + "; ".join(report.failures)
-        )
+    validate_raw_tensions(raw, geometry, gamma)
 
     pv_field, c_pv, C_pv = extend_pv(raw, geometry)
     c_g, C_g = gamma.bounds()
@@ -509,13 +499,7 @@ def extend_substrate(
             g_sp = _strip_solve(grid, strip, layer, sp_data, outer_s)
             g_sv = _strip_solve(grid, strip, layer, sv_data, outer_s)
             pv_s = pv_field[strip]
-            slacks = np.minimum.reduce(
-                [
-                    g_sp + g_sv - C_g * pv_s,
-                    c_g * pv_s + g_sv - g_sp,
-                    c_g * pv_s + g_sp - g_sv,
-                ]
-            )
+            slacks = _strict_slack(pv_s, g_sp, g_sv, c_g, C_g)
             slack_min = min(slack_min, float(slacks.min()))
             if not slacks.min() > 0.0:
                 ok = False

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from ambo.anisotropy import AnisotropyError, _as_directions
+from ambo.anisotropy import AnisotropyError
 from ambo.energy import PhaseField
 from ambo.scheme import SchemeError
 from ambo.tensions import ModifiedTensions
@@ -71,7 +71,11 @@ def induced_gamma(kernel, nu: np.ndarray, *, tol: float = 1e-8):
     if single:
         nu = nu[None, :]
     d = nu.shape[-1]
-    norms, units = _as_directions(nu, d)
+    # By one-homogeneity gamma(nu) = |nu| gamma(nu/|nu|); a zero vector
+    # takes e1, whose value the zero norm then annihilates.
+    norms = np.linalg.norm(nu, axis=-1)
+    units = np.where(norms[..., None] == 0.0, np.eye(d)[0], nu)
+    units = units / np.linalg.norm(units, axis=-1, keepdims=True)
     flat_units = units.reshape(-1, d)
     # |x| = 16 / sigma_min(L) puts |Lx| >= 16, where the Gaussian is
     # below 1e-27 of its peak (L = I for the Gaussian itself).

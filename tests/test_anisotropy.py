@@ -4,14 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from ambo.anisotropy import (
-    AnisotropyError,
-    Elliptic,
-    Isotropic,
-    induced_anisotropy,
-)
+from ambo.anisotropy import Anisotropy, AnisotropyError, induced_anisotropy
 from ambo.kernel import EllipticGaussianKernel, GaussianKernel, TriangularKernel
 from helpers import induced_gamma
 
@@ -22,40 +19,61 @@ def _unit(theta):
     return np.array([math.cos(theta), math.sin(theta)])
 
 
-def _random_units(rng, count, dim=2):
-    v = rng.normal(size=(count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 # --- evaluation -------------------------------------------------------------
 
 def test_isotropic_is_scaled_euclidean_norm():
-    gamma = Isotropic(2, 1.0)
-    assert gamma(np.array([3.0, 4.0])) == pytest.approx(5.0)
+    gamma = Anisotropy(0.7**2 * np.eye(2))
+    assert gamma(np.array([3.0, 4.0])) == pytest.approx(3.5, rel=1e-15)
     assert gamma(np.array([0.0, 0.0])) == 0.0
+    assert gamma.bounds() == pytest.approx((0.7, 0.7), rel=1e-15)
+    assert not gamma.matrix.flags.writeable
 
 
 def test_elliptic_axis_values():
-    gamma = Elliptic(2, matrix=((1.0, 0.0), (0.0, 4.0)))
+    gamma = Anisotropy(((1.0, 0.0), (0.0, 4.0)))
     assert gamma(np.array([1.0, 0.0])) == pytest.approx(1.0)
     assert gamma(np.array([0.0, 1.0])) == pytest.approx(2.0)
     assert gamma(np.array([1.0, 1.0])) == pytest.approx(math.sqrt(5.0))
+    assert gamma(np.array([[1.0, 0.0], [0.0, 1.0]])) == pytest.approx([1.0, 2.0])
 
 
-def test_homogeneity_evenness_bounds_on_random_directions(rng):
-    gammas = [
-        Isotropic(2, 0.7),
-        Elliptic(2, matrix=((1.3, 0.2), (0.2, 0.7))),
-    ]
-    nus = _random_units(rng, 1000)
-    lams = rng.uniform(-3.0, 3.0, size=1000)
-    for gamma in gammas:
-        lo, hi = gamma.bounds()
-        vals = gamma(nus)
-        assert np.all(vals >= lo - 1e-12) and np.all(vals <= hi + 1e-12)
-        assert gamma(-nus) == pytest.approx(vals, rel=1e-12)
-        scaled = gamma(lams[:, None] * nus)
-        assert scaled == pytest.approx(np.abs(lams) * vals, rel=1e-12, abs=1e-15)
+# Coordinates and scales on a 1e-6 lattice: zero vectors occur, and no
+# square underflows into the subnormals, where rounding is no longer
+# relative (nu . A nu is formed before the root, so |nu| < 1e-154 reads 0).
+_COORD = st.floats(-3.0, 3.0).map(lambda x: round(x, 6))
+
+
+@st.composite
+def _spd_and_vectors(draw):
+    """A random SPD matrix B^T B + eps I in d = 2 or 3, two vectors, a scale."""
+    d = draw(st.sampled_from([2, 3]))
+    b = np.array(draw(st.lists(_COORD, min_size=d * d, max_size=d * d)))
+    eps = draw(st.floats(0.05, 1.0))
+    vectors = st.lists(_COORD, min_size=d, max_size=d).map(np.array)
+    matrix = b.reshape(d, d).T @ b.reshape(d, d) + eps * np.eye(d)
+    return matrix, draw(vectors), draw(vectors), draw(_COORD)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spd_and_vectors())
+def test_homogeneity_evenness_bounds_on_random_directions(case):
+    """gamma is a norm: one-homogeneous, even, zero at 0, subadditive, and
+    between the bounds, which it attains at A's extreme eigenvectors."""
+    matrix, a, b, lam = case
+    gamma = Anisotropy(matrix)
+    d = len(a)
+    ga, gb = float(gamma(a)), float(gamma(b))
+    assert gamma(np.zeros(d)) == 0.0
+    assert float(gamma(lam * a)) == pytest.approx(abs(lam) * ga, rel=1e-12)
+    assert float(gamma(-a)) == pytest.approx(ga, rel=1e-12)
+    assert float(gamma(a + b)) <= (ga + gb) * (1.0 + 1e-12)
+
+    lo, hi = gamma.bounds()
+    norm = float(np.linalg.norm(a))
+    assert lo * norm * (1.0 - 1e-12) <= ga <= hi * norm * (1.0 + 1e-12)
+    eigs, vecs = np.linalg.eigh(matrix)
+    assert (lo, hi) == pytest.approx(np.sqrt(eigs[[0, -1]]), rel=1e-12)
+    assert gamma(vecs.T[[0, -1]]) == pytest.approx([lo, hi], rel=1e-10)
 
 
 # --- kernel-induced anisotropy ---------------------------------------------
@@ -82,9 +100,10 @@ def test_induced_gamma_is_even():
 
 
 def test_induced_anisotropy_of_gaussian_is_isotropic():
-    gamma = induced_anisotropy(GaussianKernel(), 2)
-    assert isinstance(gamma, Isotropic)
-    assert gamma.c0 == pytest.approx(INV_SQRT_PI, abs=1e-12)
+    for d in (2, 3):
+        gamma = induced_anisotropy(GaussianKernel(), d)
+        assert np.array_equal(gamma.matrix, np.eye(d) / math.pi)
+        assert gamma.bounds() == pytest.approx((INV_SQRT_PI,) * 2, rel=1e-15)
 
 
 def _elliptic_induced_oracle(L, nu, n_theta=4096, n_r=400, r_max=20.0):
@@ -117,12 +136,26 @@ def test_elliptic_gaussian_induced_ratio_matches_oracle():
 def test_induced_anisotropy_of_sheared_elliptic_gaussian_is_elliptic():
     kernel = EllipticGaussianKernel(matrix=((1.2, 0.3), (0.3, 0.8)))
     gamma = induced_anisotropy(kernel, 2)
-    assert isinstance(gamma, Elliptic)
     for theta in np.linspace(0.0, np.pi, 7):
         nu = _unit(theta)
         assert float(gamma(nu)) == pytest.approx(
             induced_gamma(kernel, nu), rel=1e-10
         )
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        GaussianKernel(),
+        EllipticGaussianKernel(matrix=((1.2, 0.1, 0.0), (0.1, 0.8, 0.2), (0.0, 0.2, 1.1))),
+    ],
+    ids=["gaussian", "sheared"],
+)
+def test_induced_anisotropy_in_3d_matches_quadrature_oracle(kernel):
+    """Extend mode in 3-d divides the substrate tensions by gamma_K."""
+    gamma = induced_anisotropy(kernel, 3)
+    nus = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
+    assert gamma(nus) == pytest.approx(induced_gamma(kernel, nus), rel=1e-10)
 
 
 def test_induced_anisotropy_needs_a_known_kernel():
@@ -137,7 +170,12 @@ def test_induced_anisotropy_needs_a_known_kernel():
 # --- construction and rejection ----------------------------------------------
 
 def test_elliptic_requires_spd_matrix():
-    with pytest.raises(AnisotropyError):
-        Elliptic(2, matrix=((1.0, 0.0), (0.0, -2.0)))
-    with pytest.raises(AnisotropyError):
-        Elliptic(2, matrix=((0.0, 1.0), (1.0, 0.0)))
+    with pytest.raises(AnisotropyError, match="positive definite"):
+        Anisotropy(((1.0, 0.0), (0.0, -2.0)))
+    with pytest.raises(AnisotropyError, match="positive definite"):
+        Anisotropy(((0.0, 1.0), (1.0, 0.0)))
+    with pytest.raises(AnisotropyError, match="symmetric"):
+        Anisotropy(((1.0, 0.5), (0.0, 1.0)))
+    for not_square in (np.eye(3)[:2], np.ones(2), np.ones((2, 2, 2))):
+        with pytest.raises(AnisotropyError, match="square"):
+            Anisotropy(not_square)

@@ -13,7 +13,7 @@ import pytest
 
 from ambo import cli
 from ambo import io as io_module
-from ambo.anisotropy import Isotropic
+from ambo.anisotropy import Anisotropy
 from ambo.config import (
     EXPERIMENTS,
     RunConfig,
@@ -91,7 +91,7 @@ def test_field_reader_rejects_corruption(tmp_path):
 
 def test_pgm_layout(tmp_path):
     path = tmp_path / "im.pgm"
-    write_pgm(path, np.array([[0.0, 1.0], [0.5, 0.25]]), lo=0.0, hi=1.0)
+    write_pgm(path, np.array([[0.0, 1.0], [0.5, 0.25]]))
     blob = path.read_bytes()
     header = b"P5\n2 2\n65535\n"
     assert blob.startswith(header)
@@ -99,9 +99,11 @@ def test_pgm_layout(tmp_path):
     # image rows run from large x2 down; columns follow x1
     assert pixels.tolist() == [[65535, 16384], [0, 32768]]
 
-    write_pgm(path, np.ones((4, 4)))  # zero span renders black
-    body = path.read_bytes()[len(b"P5\n4 4\n65535\n"):]
-    assert not any(body)
+    # [0, 1] maps to black..white whatever the field's own range; values
+    # outside are clipped
+    write_pgm(path, np.array([[1.0, 1.0], [-0.5, 2.0]]))
+    pixels = np.frombuffer(path.read_bytes()[len(header):], dtype=">u2")
+    assert pixels.reshape(2, 2).tolist() == [[65535, 65535], [65535, 0]]
 
     with pytest.raises(ConfigError, match="2-d"):
         write_pgm(path, np.zeros(8))
@@ -686,7 +688,7 @@ def test_angle_tensions_equal_the_constant_fields(rho):
     """The expressions sigma_ratio writes sample to exactly 1, 1 +- rho/2."""
     cfg = config_from_mapping({**ANGLE, "experiment": {"kind": "angle", "sigma_ratio": rho}})
     geometry = build_geometry_from(cfg)
-    t, audit = build_tensions(cfg, geometry, Isotropic(2, 1.0))
+    t, audit = build_tensions(cfg, geometry, Anisotropy(np.eye(2)))
     ref = constant_tensions(geometry.grid, 1.0, 1.0 + 0.5 * rho, 1.0 - 0.5 * rho)
     for name in ("pv", "sp", "sv"):
         assert np.array_equal(getattr(t, name), getattr(ref, name)), name

@@ -10,7 +10,7 @@ import pytest
 from ambo import energy as energy_module
 from ambo import kernel as kernel_module
 from ambo import scheme
-from ambo.anisotropy import Isotropic
+from ambo.anisotropy import Anisotropy
 from ambo.energy import (
     PhaseField,
     RunOperator,
@@ -84,7 +84,9 @@ def test_single_cell_flips_match_energy_differences():
     grid = TorusGrid(2, 128)
     geometry = build_geometry(make_shape("disk", center=(0.5, 0.5), radius=0.3), grid)
     t = extend_substrate(
-        RawTensions.from_values("1 + 0.2*x1", 2.0, 1.5), geometry, Isotropic(2, 1.0)
+        RawTensions.from_values("1 + 0.2*x1", 2.0, 1.5),
+        geometry,
+        Anisotropy(np.eye(2)),
     )
     h = 1e-3
     kh = scale_kernel(UNIT_KERNEL, grid, h)
@@ -106,7 +108,9 @@ def test_single_cell_flips_match_energy_differences():
 
         phi = comparison_field(u, op, op.kh.convolve(u.values))
         predicted = measure / math.sqrt(h) * (eps * phi[z] - t.pv[z] * self_weight)
-        actual = approx_energy(PhaseField(geometry, flipped), op) - approx_energy(u, op)
+        actual = approx_energy(
+            PhaseField(geometry, flipped), op, op.kh.convolve(flipped)
+        ) - approx_energy(u, op, op.kh.convolve(u.values))
         scale = max(abs(actual), abs(predicted), 1e-30)
         worst = max(worst, abs(actual - predicted) / scale)
     assert worst <= 1e-8
@@ -410,7 +414,7 @@ def test_states_match_fresh_evaluation():
     band = build_geometry(make_shape("band", lo=0.25, hi=0.95), grid)
     disk = build_geometry(make_shape("disk", center=(0.5, 0.5), radius=0.3), grid)
     varying = extend_substrate(
-        RawTensions.from_values("1 + 0.2*x1", 2.0, 1.5), disk, Isotropic(2, 1.0)
+        RawTensions.from_values("1 + 0.2*x1", 2.0, 1.5), disk, Anisotropy(np.eye(2)),
     )
     assert np.ptp(varying.pv) > 0.0
     cases = [
