@@ -298,10 +298,12 @@ class RunOperator:
     Without a substrate K_h*1_substrate is zero, so it is not convolved.
     The arrays are read-only.
 
-    The step boxes of :mod:`ambo.scheme` read ``margins``, one per axis
-    (None for a kernel without factors: every step uses the whole grid),
-    and ``floor``, a lower bound on the comparison field at every
-    container cell off a step box, computed on first read.
+    The step boxes of :mod:`ambo.scheme` exist only where both
+    convolutions are in closed form: they read ``margins``, one per axis
+    (None for a kernel without factors or a container that is no
+    product, a disk: every step uses the whole grid), and ``floor``, a
+    lower bound on the comparison field at every container cell off a
+    step box, computed on first read.
     """
 
     geometry: Geometry
@@ -320,7 +322,8 @@ class RunOperator:
     ) -> "RunOperator":
         if not (geometry.grid == tensions.grid == kh.grid):
             raise EnergyError("geometry, tensions and kernel use different grids")
-        if kh.factors is not None and geometry.fills_extent:
+        closed = kh.factors is not None and geometry.fills_extent
+        if closed:
             extent = geometry.extent
             k_omega = convolve_product(kh, extent)
             # The substrate, the complement of E_1 x ... x E_d, is the
@@ -351,7 +354,7 @@ class RunOperator:
             # broadcast view would copy the whole grid at every step.
             k_omega = np.broadcast_to(k_omega, shape).copy()
         k_omega = _read_only(k_omega)
-        tails = tail_margins(kh)
+        tails = tail_margins(kh) if closed else None
         return cls(
             geometry, tensions, kh, k_omega, wetting, dry_energy, pv_constant,
             omega_constant, None if tails is None else tails[0],
@@ -366,8 +369,7 @@ class RunOperator:
         minimum over the container of g_pv K_h*1_container + wetting,
         less 2 g_pv,max U and a rounding slack; -inf without margins.
         """
-        tails = tail_margins(self.kh)
-        if tails is None:
+        if self.margins is None:
             return -math.inf
         pv, wetting = self.tensions.pv, self.wetting
         if self.omega_constant is not None and self.pv_constant is not None and wetting is None:
@@ -382,7 +384,7 @@ class RunOperator:
         # |wetting|; 1e-12 of their size, thousands of ulps, covers their
         # rounding and that of the K_h*u they are given (<= 4e-15).
         scale = pv_max + (0.0 if wetting is None else float(np.abs(wetting).max()))
-        return lowest - 2.0 * pv_max * tails[1] - 1e-12 * scale
+        return lowest - 2.0 * pv_max * tail_margins(self.kh)[1] - 1e-12 * scale
 
     @property
     def grid(self) -> TorusGrid:
@@ -890,7 +892,8 @@ def inequality_suite(fields, kernel: Kernel, h_values) -> list[list[InequalityRe
     Returns one list per h of ``h_values``, in order, holding one report
     per field (the fields must live on one geometry).  For each h, K_h,
     K_h*1_substrate, the tent-gradient kernels and J_4h are sampled once
-    and shared by the fields, and for each (h, field) one transform of
+    and shared by the fields; one transform of the substrate mask serves
+    K_h*1_substrate of every h, and for each (h, field) one transform of
     the field serves K_h*v and the d tent-gradient convolutions.  The
     shift counts of a field do not depend on h, so one
     :func:`shift_weighted_sum` call weights them with K_h and J_4h of
@@ -901,7 +904,7 @@ def inequality_suite(fields, kernel: Kernel, h_values) -> list[list[InequalityRe
     s_d = grid.cell_measure
     inside = geo.omega_mask
     omega = inside.astype(np.float64)
-    substrate = geo.substrate_mask.astype(np.float64)
+    substrate = _rfftn(geo.substrate_mask.astype(np.float64))
     c_grad = (2.0**grid.d) * (2.0 / _TENT.radius)
     kernels = [scale_kernel(kernel, grid, h) for h in h_values]
     weights = []
@@ -911,7 +914,7 @@ def inequality_suite(fields, kernel: Kernel, h_values) -> list[list[InequalityRe
 
     reports = []
     for i, (h, kh) in enumerate(zip(h_values, kernels)):
-        conv_s = kh.convolve(substrate)
+        conv_s = kh.apply(substrate.copy())
         grad_jh = scale_kernel_gradient(_TENT, grid, h)
         grad_kernels = [SampledKernel(grid, h, grad_jh[..., a]) for a in range(grid.d)]
         per_field = []
@@ -948,31 +951,16 @@ def inequality_suite(fields, kernel: Kernel, h_values) -> list[list[InequalityRe
     return reports
 
 
-def indicator_defect(
-    w: np.ndarray, geometry: Geometry, box: tuple | None = None, mass: float = 0.0
-) -> float:
+def indicator_defect(w: np.ndarray, geometry: Geometry) -> float:
     """The two-phase defect integral, cell times the sum over the
-    container of w (1 - w), of a convolved field w = K_h*u.
+    container of w (1 - w), of a convolved field w = K_h*u on the grid.
 
-    ``w`` is on the grid, or on a step ``box`` (per axis the ascending
-    coordinates, clipped to the container's extent) off which w is at
-    most U (:func:`~ambo.kernel.tail_margins`), with ``mass`` the sum of
-    w over the container: the sum over u's cells of K_h*1_container,
-    since K_h is even.  Then
-
-        sum w (1 - w) = sum on the box of w (1 - w)
-                      + (mass - sum on the box of w) - sum off the box of w^2,
-
-    and the last term, at most U times the sum of w off the box, is
-    dropped: about d tau^2 |u| (``kernel._TAIL``), under the rounding of
-    the sums.
+    A run with step boxes takes each state's defect in closed form
+    instead, with no w off the box (:func:`~ambo.scheme.step`).
     """
-    omega = geometry.omega_on(box)
+    omega = geometry.omega_on(None)
     if omega is not None:
         w = w[omega]
     d = 1.0 - w
     d *= w  # w (1 - w) in one temporary: the product commutes exactly
-    total = d.sum()
-    if box is not None:
-        total += mass - w.sum()
-    return float(total * geometry.grid.cell_measure)
+    return float(d.sum() * geometry.grid.cell_measure)

@@ -49,7 +49,7 @@ from .energy import (
 )
 from .errors import ConfigError, NumericalError, ResolutionWarning
 from .geometry import Band, Geometry
-from .kernel import Kernel, scale_kernel
+from .kernel import _WRAP_LIMIT, Kernel, scale_kernel
 from .scheme import SchemeError, Trajectory, measure_contact_angle, run as run_scheme
 from .tensions import ModifiedTensions, TensionError
 
@@ -352,6 +352,15 @@ def _ensemble(ws: Workspace, n_fields: int, include_disk: bool):
 
 def _experiment_monotonic(ws: Workspace, out: Path) -> dict:
     p = ws.config.experiment_params
+    for h in p["h_values"]:
+        for N in p["factors"]:
+            reach = math.sqrt(N * N * h) * ws.kernel.wrap_radius()
+            if reach > _WRAP_LIMIT:
+                raise ConfigError(
+                    f"monotonic step size N^2 h = {N * N * h:.4g} at h = {h:g}, N = {N} is "
+                    f"too large: sqrt(N^2 h) * wrap_radius() = {reach:.3g} must be <= "
+                    f"{_WRAP_LIMIT} for +-1 periodic image sampling"
+                )
     names, fields = _ensemble(ws, p["n_fields"], include_disk=True)
     constant = ws.tensions.is_spatially_constant
     rows = []

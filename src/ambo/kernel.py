@@ -60,7 +60,9 @@ convolution of the scattered field; the two agree up to rounding (a few
 1e-16 of the maximum).  :func:`convolve_product` convolves the
 indicator of a product of per-axis sets, such as a band or the torus,
 from the factors alone: per axis a scalar sum or one n-point circular
-convolution.  :func:`tail_margins` gives the margins of the scheme's
+convolution; :func:`convolved_square_sum` sums (K_h*u)^2 over such a
+product from the cells' box, so the scheme's defect needs no K_h*u off
+its step box.  :func:`tail_margins` gives the margins of the scheme's
 step boxes and the bound on K_h*u off them.
 
 Every real FFT of the package, the shift sums of :mod:`ambo.energy`
@@ -99,6 +101,7 @@ __all__ = [
     "scale_kernel_gradient",
     "convolve_cells",
     "convolve_product",
+    "convolved_square_sum",
     "tail_margins",
     "make_kernel",
 ]
@@ -380,9 +383,10 @@ def convolve_cells(
     output is the same dot product whatever the other outputs are; BLAS
     may still round the few outputs that it computes in a narrower edge
     tile (the last coordinates of an axis) in the last bit.  In the
-    benchmark's droplet runs such outputs lay only at the far edge of a
-    step box, below 1e-23 of the maximum, and in its ball3d runs there
-    were none.  That box product is taken when it costs at most
+    benchmark's droplet runs every step box had such outputs, at its far
+    edges, about a margin from the phase, where K_h*u was at most 0.033
+    (below the bound U off the box); in its ball3d runs there were none.
+    That box product is taken when it costs at most
     ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops; otherwise, as for a
     kernel without factors, the result is ``kh.convolve`` of the field,
     restricted to the box.
@@ -431,6 +435,36 @@ def convolve_product(kh: SampledKernel, masks: tuple) -> np.ndarray:
     return out
 
 
+def convolved_square_sum(kh: SampledKernel, masks: tuple, cell_box: tuple) -> float:
+    """The sum of (K_h*u)^2 over a product set E = E_1 x ... x E_d (bool
+    ``masks`` as in :func:`convolve_product`), u the indicator of the
+    cells whose :func:`_cell_box` is ``cell_box``, from the axis factors.
+
+    It is cell^2 times the sum over cells y, z of prod_k G_k[y_k, z_k],
+    with the Gram matrix G_k[y, z] = sum over x in E_k of
+    f_k(x - y) f_k(x - z).  Where E_k is the whole axis, G_k[y, z] is
+    a_k(z - y), a_k the periodic autocorrelation of f_k, read as a
+    sliding-window slice; elsewhere G_k = R R^T, R the rows of f_k
+    rolled to the cells' coordinates, with the columns in E_k.  The
+    cells' box is contracted with G_k along each axis k, as
+    :func:`convolve_cells` contracts, and summed over the cells.
+    """
+    axes, where = cell_box
+    if not where[0].size:
+        return 0.0
+    out = np.zeros(tuple(a.size for a in axes))
+    out[tuple(where)] = 1.0
+    for factor, coords, mask in zip(kh.factors, axes, masks):
+        if mask.all():
+            auto = np.correlate(np.concatenate([factor, factor]), factor, "valid")
+            gram = _rolled(auto[: factor.size], coords, axis_index(coords))
+        else:
+            rows = _rolled(factor, coords, axis_index(np.flatnonzero(mask)))
+            gram = rows @ rows.T
+        out = (out.reshape(coords.size, -1).T @ gram).reshape(out.shape[1:] + (coords.size,))
+    return float(out[tuple(where)].sum()) * kh.grid.cell_measure**2
+
+
 def _rolled(factor: np.ndarray, shifts: np.ndarray, columns=slice(None)) -> np.ndarray:
     """The rows ``np.roll(factor, s)[columns]`` for each s in ``shifts``
     (a copy); ``columns`` is a slice or ascending indices."""
@@ -447,15 +481,17 @@ def _rolled(factor: np.ndarray, shifts: np.ndarray, columns=slice(None)) -> np.n
 # margin m_k of axis k is the smallest m whose tail
 # tail_k(m) = sum over |j| > m of f_k[j] is at most tau sum f_k.  Off the
 # step box K_h*u <= U = cell max_k tail_k(m_k) prod_{j != k} sum f_j,
-# about tau for a unit-mass kernel, and so is the mass of K_h*u off the
-# box per unit of phase, so the defect term the box drops,
-# sum off the box of (K_h*u)^2, is at most about d tau^2 |u|.  tau = 1e-8,
-# about sqrt(eps), puts that term at the rounding of the defect's own
-# sum, and lowers the certificate's bound on phi off the box by only
-# about 2 g_pv tau; a Gaussian's margin grows like sqrt(log(1/tau)),
-# 5.7 standard deviations here, so a smaller tau would widen the box for
-# nothing.
-_TAIL = 1e-8
+# about tau for a unit-mass kernel, and the certificate's bound on phi
+# off the box is lower by 2 g_pv,max U; U bounds nothing else, as the
+# defect is taken in closed form (:func:`convolved_square_sum`).  The
+# certificate passes while U stays below (lowest - kth) / (2 g_pv,max),
+# with lowest the minimum of g_pv K_h*1_container + wetting and kth the
+# selection's threshold.  Over every step of the benchmark's droplet
+# (rho = -0.5/0/+0.5) and ball3d (seeds 1-8) runs, that headroom was at
+# least 0.095 (droplet, rho = -0.5, coarse stage) and 0.5 on ball3d, so
+# tau = 5e-2 keeps U at about half of it.  A Gaussian's margin is then
+# 2 standard deviations: 45 and 22 cells on droplet, 8 on ball3d.
+_TAIL = 5e-2
 
 
 def tail_margins(kh: SampledKernel) -> tuple[tuple, float] | None:
@@ -574,6 +610,11 @@ def _sample(func, kernel: Kernel, grid: TorusGrid, sqrt_h: float) -> np.ndarray:
     return _sample_with_images(func, grid, sqrt_h)
 
 
+# The largest sqrt(h) * wrap_radius() that sampling with the +-1 periodic
+# images serves: the kernel's mass beyond distance 3/2 is then negligible.
+_WRAP_LIMIT = 1.5
+
+
 def _check_resolution(kernel: Kernel, grid: TorusGrid, h: float) -> float:
     if not h > 0.0:
         raise KernelError(f"h must be positive, got {h}")
@@ -590,7 +631,7 @@ def _check_resolution(kernel: Kernel, grid: TorusGrid, h: float) -> float:
             ResolutionWarning,
             stacklevel=3,
         )
-    if sqrt_h * kernel.wrap_radius() > 1.5:
+    if sqrt_h * kernel.wrap_radius() > _WRAP_LIMIT:
         raise NumericalError(
             f"sqrt(h)={sqrt_h:.3g} is too large for +-1 periodic image "
             f"sampling (kernel tail radius {kernel.wrap_radius():.3g})"

@@ -22,26 +22,28 @@ diagnostics and the next comparison field.  Every state's K_h*u is
 or an FFT convolution as the cells' box dictates, and a spatially
 varying g_pv convolves g_pv u the same way.
 
-A state evaluates K_h*u only on its *step box*: per axis, the phase's
-coordinates dilated periodically by a margin m_k and clipped to the
-container's extent (Ruuth's narrow band for threshold dynamics).  m_k
-is the smallest m whose tail, the axis factor's mass at offsets beyond
-m, is at most 1e-8 of its total (``kernel._TAIL``), so K_h*u off the box
-is at most a bound U of about 1e-8.  The comparison field, the selection
-and the defect read only the box, whose C order is the grid's cell
-order, so ties break and cells come out as on the grid, and the box's
-K_h*u holds the grid's values (to the last bit, which BLAS may round
-otherwise at the box's far edges; see ``convolve_cells``).  A certificate
-shows that no cell off the box could be selected: the operator's
-``floor`` bounds phi from below there (min of g_pv K_h*1_container +
-wetting, less 2 g_pv,max U and a rounding slack); an unconstrained step
-passes when floor >= 0, a volume step when its k-th smallest phi on
-the box lies below floor.  A step that fails widens to the whole grid:
-it convolves the phase over the grid and selects there, so the phase,
-lambda and the energies keep the bytes of a run without boxes; only
-the defect, summed on the box plus a closed-form remainder, moves in
-the last digits.  A box of more than half of the grid is widened
-before any step uses it (``_WIDEST_BOX``).  Every state's field is
+Where :class:`~ambo.energy.RunOperator` is in closed form (a factored
+kernel on a band or the torus), a state evaluates K_h*u only on its
+*step box*: per axis, the phase's coordinates dilated periodically by a
+margin m_k and clipped to the container's extent (Ruuth's narrow band
+for threshold dynamics).  m_k is the smallest m whose tail, the axis
+factor's mass at offsets beyond m, is at most ``kernel._TAIL`` of its
+total, so K_h*u off the box is at most a bound U of about that share.
+The comparison field and the selection read only the box, whose C order
+is the grid's cell order, so ties break and cells come out as on the
+grid, and the box's K_h*u holds the grid's values (to the last bit,
+which BLAS may round otherwise at the box's far edges, about a margin
+from the phase; see ``convolve_cells``).  A certificate shows that no
+cell off the box could be selected: the operator's ``floor`` bounds phi
+from below there (min of g_pv K_h*1_container + wetting, less 2 g_pv,max
+U and a rounding slack); an unconstrained step passes when floor >= 0,
+a volume step when its k-th smallest phi on the box lies below floor.
+A step that fails widens to the whole grid: it convolves the phase over
+the grid and selects there, so the phase, lambda and the energies keep
+the bytes of a run without boxes.  The defect is taken in closed form,
+from u's cells and the kernel's Gram matrices, so it needs no K_h*u off
+the box.  Other runs (a kernel without factors, a disk container) step
+on the whole grid.  Every state's field is
 built by :meth:`~ambo.energy.PhaseField.from_support`, state 0's from
 the user field's support, and holds only its cells, so a step streams
 no dense copy of the phase, and a step that keeps the phase costs no
@@ -69,7 +71,14 @@ from .energy import PhaseField, RunOperator, approx_energy, indicator_defect
 from .errors import NumericalError
 from .geometry import Band, Geometry
 from .grid import TorusGrid, on_box, periodic_components
-from .kernel import GaussianKernel, Kernel, _cell_box, convolve_cells, scale_kernel
+from .kernel import (
+    GaussianKernel,
+    Kernel,
+    _cell_box,
+    convolve_cells,
+    convolved_square_sum,
+    scale_kernel,
+)
 from .tensions import ModifiedTensions
 
 __all__ = [
@@ -248,16 +257,6 @@ def _grid_cells(positions: np.ndarray, box: tuple | None, grid: TorusGrid) -> np
     return np.ravel_multi_index(tuple(c[i] for c, i in zip(box, at)), grid.shape)
 
 
-# The largest step box, as a share of the grid's cells; a larger one is
-# widened to the whole grid.  Such a box saves less than half of a step's
-# array work, and its arrays, just under grid size, went to the heap
-# instead of being mapped and unmapped as grid-sized ones are: with every
-# box taken, ball3d peak RSS rose from 93.0 to 96.2-97.1 MiB; with boxes
-# of at most half the grid it stayed at 93.0.  Droplet boxes hold at most
-# 39% of the grid.
-_WIDEST_BOX = 0.5
-
-
 def _step_box(u: PhaseField, op: RunOperator, phase: tuple) -> tuple:
     """u's step box and the flat positions of u's cells in it, or
     (None, None) for the whole grid; ``phase`` is the cells' own box,
@@ -266,9 +265,8 @@ def _step_box(u: PhaseField, op: RunOperator, phase: tuple) -> tuple:
 
     Per axis the step box holds the coordinates of u's cells, dilated
     periodically by the run's margin on that axis and clipped to the
-    container's extent, ascending.  A kernel without factors has no
-    margins and gets the whole grid, and so does a box of more than
-    ``_WIDEST_BOX`` of the grid's cells.
+    container's extent, ascending.  A run without margins (a kernel
+    without factors, or a disk container) gets the whole grid.
     """
     if op.margins is None:
         return None, None
@@ -280,11 +278,8 @@ def _step_box(u: PhaseField, op: RunOperator, phase: tuple) -> tuple:
         inside = _dilate(present, margin) & extent
         box.append(np.flatnonzero(inside))
         inner.append((np.cumsum(inside) - 1).take(coords))  # their positions in the box
-    shape = tuple(b.size for b in box)
-    if math.prod(shape) > _WIDEST_BOX * grid.cell_count:
-        return None, None
     at = tuple(i.take(w) for i, w in zip(inner, phase[1]))
-    return tuple(box), np.ravel_multi_index(at, shape)
+    return tuple(box), np.ravel_multi_index(at, tuple(b.size for b in box))
 
 
 def _dilate(present: np.ndarray, margin: int) -> np.ndarray:
@@ -300,16 +295,22 @@ def _dilate(present: np.ndarray, margin: int) -> np.ndarray:
 
 def _make_state(k: int, u: PhaseField, lam: float, op: RunOperator) -> SchemeState:
     """The state of the binary phase u and its diagnostics, K_h*u by
-    :func:`~ambo.kernel.convolve_cells` over u's support on u's step box."""
+    :func:`~ambo.kernel.convolve_cells` over u's support on u's step box.
+    With a box, the defect is cell (sum w - sum w^2) over the container,
+    w = K_h*u: sum w sums K_h*1_container over u's cells (K_h is even),
+    and sum w^2 is :func:`~ambo.kernel.convolved_square_sum`."""
     phase = _cell_box(u.grid, u.support) if op.margins is not None else None
     box, at = _step_box(u, op, phase)
     ku = convolve_cells(op.kh, u.support, 1.0, box, phase)
-    del phase  # released before the diagnostics allocate
     ku.flags.writeable = False
-    mass = 0.0
-    if box is not None:
+    if phase is None:
+        defect = indicator_defect(ku, u.geometry)
+    else:
         c = op.omega_constant
         mass = u.support.size * c if c is not None else op.k_omega.take(u.support).sum()
+        squares = convolved_square_sum(op.kh, u.geometry.extent, phase)
+        defect = float((mass - squares) * u.grid.cell_measure)
+    del phase  # released before the diagnostics allocate
     return SchemeState(
         step=k,
         u=u,
@@ -318,7 +319,7 @@ def _make_state(k: int, u: PhaseField, lam: float, op: RunOperator) -> SchemeSta
         energy=approx_energy(u, op, ku if box is None else ku.take(at)),
         volume=u.volume(),
         interface_cells=u.interface_cell_count(),
-        defect=indicator_defect(ku, u.geometry, box, mass),
+        defect=defect,
         box=box,
     )
 

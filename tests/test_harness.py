@@ -18,6 +18,7 @@ import yaml
 import ambo
 from ambo import cli, energy, io, kernel, scheme
 from ambo.config import EXPERIMENTS, load_config
+from ambo.errors import ConfigError
 from ambo.geometry import boundary_layer_mask
 from ambo.harness import prepare, run_experiment
 
@@ -249,9 +250,7 @@ def test_no_angle_step_fails_the_step_box_certificate(rho, tmp_path, monkeypatch
     """Perf guard: at the Tier-1 size no step of the shipped angle preset,
     at any wetting contrast of the Young's-law check, fails its step-box
     certificate, so none widens to the whole grid and pays a second
-    convolution.  The fine stage's steps select on step boxes (9-12 of
-    16-24 selections); the coarse stage's boxes hold more than half of
-    the grid at n = 128, so those steps use the whole grid."""
+    convolution.  Every step of both stages selects on its step box."""
     preset, n, changes = SMALL["angle"]
     changes = {**changes, "experiment": {**changes["experiment"], "sigma_ratio": rho}}
     config = _config(tmp_path / "angle.yaml", preset, changes)
@@ -265,7 +264,7 @@ def test_no_angle_step_fails_the_step_box_certificate(rho, tmp_path, monkeypatch
     code = cli.main(["angle", str(config), "--n", str(n), "--out", str(tmp_path / "out")])
     assert code == 0
     assert None not in [picked for _, picked in picks]
-    assert sum(boxed for boxed, _ in picks) >= 9
+    assert len(picks) >= 16 and all(boxed for boxed, _ in picks)
 
 
 def test_thread_test_ball_run_takes_the_box_product(tmp_path, monkeypatch):
@@ -457,6 +456,19 @@ def test_monotonic_preset_samples_each_step_size_once(tmp_path, monkeypatch):
     assert len(approx) == 6 * 3
 
 
+def test_monotonic_step_size_beyond_the_wrap_limit_is_a_config_error(tmp_path, monkeypatch):
+    """N^2 h = 9 * 4e-3 puts sqrt(N^2 h) times the Gaussian's wrap radius
+    at 2.15, beyond the 1.5 that +-1 image sampling allows: a ConfigError
+    naming h, N and the limit is raised before any kernel is sampled or
+    energy computed."""
+    sampled = _counted(monkeypatch, energy, "scale_kernel")
+    approx = _counted(monkeypatch, energy, "approx_energy")
+    message = r"N\^2 h = 0\.036 at h = 0\.004, N = 3 .* wrap_radius\(\) = 2\.15 must be <= 1\.5"
+    with pytest.raises(ConfigError, match=message):
+        _run_preset("monotonic_constant", tmp_path, **{"experiment.h_values": [1e-3, 4e-3]})
+    assert sampled == [] and approx == []
+
+
 def _fft_calls(monkeypatch):
     """The forward and inverse real FFTs made from now on (every one goes
     through numpy.fft.rfftn / irfftn, called by kernel._rfftn / _irfftn)."""
@@ -466,14 +478,14 @@ def _fft_calls(monkeypatch):
 def test_inequalities_preset_transforms_each_field_once_per_h(tmp_path, monkeypatch):
     """Perf guard, one random field with 16 values on a disk at n = 256:
     the shift sum takes 1 container + 15 level + 1 field transforms and
-    one inverse; per h the kernel and its d = 2 tent-gradient kernels are
-    transformed once, K_h*1_substrate is one FFT pair, and the field is
-    transformed once for K_h*v and the two gradient convolutions (three
-    inverses)."""
+    one inverse; the substrate mask is transformed once for every h; per
+    h the kernel and its d = 2 tent-gradient kernels are transformed
+    once, K_h*1_substrate is one inverse, and the field is transformed
+    once for K_h*v and the two gradient convolutions (three inverses)."""
     forward, inverse = _fft_calls(monkeypatch)
     results = _run_preset("inequalities", tmp_path, **{"experiment.n_fields": 1})
     assert len(results["h_values"]) == 3 and results["all_ok"]
-    assert len(forward) == (1 + 15 + 1) + 3 * (3 + 1 + 1)
+    assert len(forward) == (1 + 15 + 1) + 1 + 3 * (3 + 1)
     assert len(inverse) == 1 + 3 * (1 + 3)
 
 

@@ -21,7 +21,13 @@ from ambo.energy import (
 from ambo.errors import NumericalError
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid, on_box, periodic_components
-from ambo.kernel import GaussianKernel, SampledKernel, convolve_cells, scale_kernel
+from ambo.kernel import (
+    EllipticGaussianKernel,
+    GaussianKernel,
+    SampledKernel,
+    convolve_cells,
+    scale_kernel,
+)
 from ambo.scheme import (
     SchemeConfig,
     SchemeError,
@@ -30,14 +36,15 @@ from ambo.scheme import (
     measure_contact_angle,
     run,
 )
-from ambo.tensions import RawTensions, extend_substrate
+from ambo.tensions import ModifiedTensions, RawTensions, extend_substrate
 from helpers import best_fit_disk_mismatch, constant_tensions
 
 UNIT_KERNEL = GaussianKernel()
 
-# Relative difference of a state's defect, summed on its step box, from
-# the whole grid's sum: measured at most 2.4e-15 on the benchmark's
-# droplet and ball3d runs and 1.2e-15 in these tests.
+# Relative difference of a state's defect, taken in closed form, from the
+# whole grid's sum: at most 5.2e-16 on the closed-form test's phases; on the
+# benchmark's droplet and ball3d runs the closed form moved the defect by
+# at most 2.3e-15 relative from the earlier sum on the step box.
 DEFECT_RTOL = 1e-13
 
 
@@ -400,12 +407,15 @@ def test_trajectory_bookkeeping(full_geometry, unit_tensions):
 def test_states_match_fresh_evaluation():
     """Each state's K_h*u and energy equal, bit for bit, a fresh
     evaluation of u: K_h*u by convolve_cells over u's support on the
-    whole grid, read on the state's step box.  The defect, which a state
-    sums on its step box, is within DEFECT_RTOL of the whole grid's.
+    whole grid, read on the state's step box.  The defect, which a
+    state with a step box takes in closed form, is within DEFECT_RTOL of
+    the whole grid's.
 
     Covers a volume-preserving run with constant tensions and an
-    unconstrained run with spatially varying g_pv, where the comparison
-    field convolves g_pv u separately.  The fresh K_h*u is a box product
+    unconstrained run with g_pv varying in x1 on a band, both on step
+    boxes, and an unconstrained run with varying g_pv on a disk, whose
+    states hold the whole grid; with varying g_pv the comparison field
+    convolves g_pv u separately.  The fresh K_h*u is a box product
     here, within 4e-15 of the FFT convolution (measured at most 1.1e-15).
     """
     grid = TorusGrid(2, 128)
@@ -417,26 +427,28 @@ def test_states_match_fresh_evaluation():
         RawTensions.from_values("1 + 0.2*x1", 2.0, 1.5), disk, Anisotropy(np.eye(2)),
     )
     assert np.ptp(varying.pv) > 0.0
+    x1, _ = grid.meshgrid()
+    along = ModifiedTensions.from_fields(
+        grid, 1.0 + 0.2 * x1, np.full(grid.shape, 1.2), np.full(grid.shape, 0.9)
+    )
+    cap = ShapeSpec.cap(100.0, 0.15, 0.25).indicator(band)
+    unconstrained = SchemeConfig(h=h, max_steps=4, stationarity_window=10)
     cases = [
         (
-            ShapeSpec.cap(100.0, 0.15, 0.25).indicator(band),
-            SchemeConfig(
-                h=h, preserve_volume=True, max_steps=4, stationarity_window=10
-            ),
+            cap,
+            SchemeConfig(h=h, preserve_volume=True, max_steps=4, stationarity_window=10),
             constant_tensions(grid, 1.0, 1.2, 0.9),
+            True,
         ),
-        (
-            ShapeSpec.disk((0.5, 0.5), 0.2).indicator(disk),
-            SchemeConfig(h=h, max_steps=4, stationarity_window=10),
-            varying,
-        ),
+        (cap, unconstrained, along, True),
+        (ShapeSpec.disk((0.5, 0.5), 0.2).indicator(disk), unconstrained, varying, False),
     ]
-    for initial, cfg, t in cases:
+    for initial, cfg, t, boxed in cases:
         states = []
         run(initial, cfg, t, UNIT_KERNEL, on_state=states.append)
         assert len(states) == 5
         fresh_op = RunOperator.build(initial.geometry, t, kh)
-        assert all(state.box is not None for state in states)
+        assert [state.box is not None for state in states] == [boxed] * 5
         for state in states:
             ku = convolve_cells(kh, state.u.support, np.ones(state.u.support.size))
             assert state.ku.tobytes() == on_box(ku, state.box).tobytes()
@@ -465,7 +477,7 @@ def _random_phases(geometry, rng, count, radius):
 
 
 # sqrt(h) = 1.5 spacings at (3, 48): a ResolutionWarning, but a margin of
-# 12 cells, so that the boxes of small balls stay well inside the grid.
+# 4 cells, so that the boxes of small balls stay well inside the grid.
 @pytest.mark.filterwarnings("ignore::ambo.errors.ResolutionWarning")
 @pytest.mark.parametrize("kind", ["band2d", "torus3d"])
 def test_narrow_band_steps_equal_whole_grid_steps(kind):
@@ -510,14 +522,55 @@ def test_narrow_band_steps_equal_whole_grid_steps(kind):
     assert crossing >= 2
 
 
+@pytest.mark.filterwarnings("ignore::ambo.errors.ResolutionWarning")
+@pytest.mark.parametrize(
+    "d, matrix",
+    [(2, None), (3, None), (2, ((1.3, 0.0), (0.0, 0.7))), (3, np.diag([1.2, 0.8, 1.1]))],
+    ids=["band2d", "torus3d", "band2d_elliptic", "torus3d_elliptic"],
+)
+def test_closed_form_defect_equals_the_whole_grid_sum(d, matrix):
+    """A state on a step box takes its defect in closed form, cell times
+    (sum w - sum w^2) with w = K_h*u and sum w^2 from the kernel's Gram
+    matrices.  On random supports, seam-crossing boxes included, it is
+    within DEFECT_RTOL of indicator_defect of the whole grid's K_h*u,
+    for the Gaussian and a diagonal elliptic kernel with unequal axis
+    scales, on a band (one axis a Gram R R^T, one circulant) and on the
+    3-d torus (all circulant); an empty phase gives 0.0 on both sides,
+    and a one-cell phase agrees too."""
+    if d == 2:
+        grid = TorusGrid(2, 128)
+        geometry = build_geometry(make_shape("band", lo=0.25, hi=0.95), grid)
+        t = constant_tensions(grid, 1.0, 1.2, 0.9)
+    else:
+        grid = TorusGrid(3, 48)
+        geometry = build_geometry(make_shape("full"), grid)
+        t = constant_tensions(grid, 1.0, 1.0, 1.0)
+    kernel = UNIT_KERNEL if matrix is None else EllipticGaussianKernel(matrix=matrix)
+    kh = scale_kernel(kernel, grid, 1e-3)
+    assert kh.factors is not None
+    op = RunOperator.build(geometry, t, kh)
+    one = np.ravel_multi_index((0,) + (grid.n // 2,) * (d - 1), grid.shape)
+    phases = _random_phases(geometry, np.random.default_rng(5), 6, 0.12)
+    phases += [PhaseField.from_support(geometry, np.zeros(0, dtype=np.intp))]
+    phases += [PhaseField.from_support(geometry, np.array([one]))]
+    crossing = 0
+    for u in phases:
+        state = scheme._make_state(0, u, math.nan, op)
+        assert state.box is not None
+        crossing += any(c.size and c[-1] - c[0] + 1 > c.size for c in state.box)
+        whole = indicator_defect(convolve_cells(kh, u.support, 1.0), geometry)
+        assert state.defect == pytest.approx(whole, rel=DEFECT_RTOL, abs=0.0)
+        assert (state.defect == 0.0) == (u.support.size == 0)
+    assert crossing >= 3
+
+
 def test_a_failed_certificate_widens_to_the_whole_grid(monkeypatch):
     """With a margin of 0 (tail fraction 1) the bound off the box is
     useless, so every boxed step fails its certificate and widens to the
     whole grid: the run keeps the diagnostics and final field of a run
     without step boxes, at the cost of one extra whole-grid convolution
-    per boxed step.  Its defect, summed on margin-0 boxes, drops the sum
-    of (K_h*u)^2 off them, which is no longer small, so it only exceeds
-    the whole grid's."""
+    per boxed step.  Its defect is taken in closed form, which does not
+    depend on the box, so it is within DEFECT_RTOL of the whole grid's."""
     initial, cfg, t = _repeat_cases()[0]
     unconstrained = dataclasses.replace(cfg, preserve_volume=False, max_steps=6)
     for config in (cfg, unconstrained):
@@ -541,7 +594,7 @@ def test_a_failed_certificate_widens_to_the_whole_grid(monkeypatch):
         assert len(picks0) == 2 * len(picks)
         assert rows0[:, :5].tobytes() == rows[:, :5].tobytes()
         assert field0.tobytes() == field.tobytes()
-        assert np.all(rows0[1:, 5] > rows[1:, 5])
+        assert rows0[:, 5] == pytest.approx(rows[:, 5], rel=DEFECT_RTOL, abs=0.0)
 
 
 def _repeat_cases():
@@ -739,11 +792,36 @@ def test_a_3d_ball_run_makes_no_transform(monkeypatch):
     assert transforms == []
 
 
+@pytest.mark.filterwarnings("ignore::ambo.errors.ResolutionWarning")
+def test_no_ball_step_fails_the_step_box_certificate(monkeypatch):
+    """Perf guard, the ball3d benchmark's run at n = 48 (its smoke size):
+    a ball of radius 0.3 on the 3-d torus collapses at h = 1e-3, and
+    every step with a nonempty phase selects on its step box and passes
+    the certificate, so none widens to the whole grid."""
+    initial = _ball(48, center=(0.5, 0.5, 0.5), radius=0.3)
+    steps, picks = [], []
+    step, select = scheme.step, scheme._select
+    monkeypatch.setattr(
+        scheme, "step", lambda s, *a: steps.append((s.u.support.size, s.box)) or step(s, *a)
+    )
+    monkeypatch.setattr(scheme, "_select", lambda *a: picks.append(select(*a)) or picks[-1])
+    traj = run(
+        initial,
+        SchemeConfig(h=1e-3, max_steps=80),
+        constant_tensions(initial.grid, 1.0, 1.0, 1.0),
+        UNIT_KERNEL,
+    )
+    assert traj.stationary and traj.final.volume == 0.0
+    assert len(steps) >= 20 and None not in picks and len(picks) == len(steps)
+    assert all(box is not None for size, box in steps if size)
+
+
 # Bound on the tracemalloc peak of the n = 32 ball run below, in arrays
-# of n^3 doubles: 3.16 measured (5.74 while the run operator transformed
-# the kernel and the container, 8.68 while the kernel kept its samples
-# and every state its dense phase); one more kept array breaks it.
-BALL_PEAK_GRID_ARRAYS = 3.75
+# of n^3 doubles: 2.29 measured (3.16 while each state summed its defect
+# over the grid, 5.74 while the run operator transformed the kernel and
+# the container, 8.68 while the kernel kept its samples and every state
+# its dense phase); one more kept array breaks it.
+BALL_PEAK_GRID_ARRAYS = 3.0
 
 
 def test_a_factored_3d_run_holds_no_dense_copies(monkeypatch):
