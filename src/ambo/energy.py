@@ -50,12 +50,11 @@ from .anisotropy import Anisotropy
 from .errors import NumericalError
 from .expressions import Expression, parse_expression
 from .geometry import Geometry
-from .grid import TorusGrid
+from .grid import TorusGrid, cut_box, on_box
 from .kernel import (
     Kernel,
     SampledKernel,
     TriangularKernel,
-    _cell_box,
     _irfftn,
     _rfftn,
     convolve_cells,
@@ -92,13 +91,20 @@ class EnergyError(ValueError):
 class PhaseField:
     """A [0,1]-valued field supported on the container.
 
-    ``PhaseField(geometry, values)`` holds the given values.  A field
-    built by :meth:`from_support` is the indicator of its cells and holds
-    only them: ``volume``, ``is_binary``, the interface count and E_h
-    read the cells, and ``values`` is built on first read and then kept.
+    ``PhaseField(geometry, values)`` holds the given values.  An
+    indicator, built by :meth:`from_box` (or :meth:`from_mask` or
+    :meth:`from_support`), holds its *cell box* alone: ``cell_box`` is
+    (axes, mask), per axis the distinct coordinates of its cells,
+    ascending, and a read-only C-order bool array on their product, set
+    at its cells.  The box's C order is the grid's cell order, so a
+    gather ``at_cells`` runs over the cells in ascending flat order.
+    ``volume``, ``is_binary``, the interface count and E_h read the box;
+    ``values`` and the flat ``support`` are derived on first read and
+    then kept.  A field given by its values derives its cell box from
+    them in the same way.
     """
 
-    _indicator = False  # built from its cells: 1 on ``support``, 0 elsewhere
+    _indicator = False  # built from its cell box: 1 at its cells, 0 elsewhere
 
     def __init__(self, geometry: Geometry, values: np.ndarray) -> None:
         vals = np.asarray(values, dtype=np.float64)
@@ -121,6 +127,21 @@ class PhaseField:
         return cls(geometry, np.zeros(geometry.grid.shape))
 
     @classmethod
+    def from_box(cls, geometry: Geometry, box: tuple | None, mask: np.ndarray) -> "PhaseField":
+        """The binary field that is 1 where the bool ``mask`` on ``box``
+        (per axis ascending coordinates; None: the whole grid) is set; its
+        cell box is cut out of ``mask`` (:func:`~ambo.grid.cut_box`)."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (geometry.grid.shape if box is None else tuple(map(len, box))):
+            raise EnergyError(f"mask shape {mask.shape} does not match its box")
+        axes, mask = cut_box(mask, box)
+        if geometry.has_substrate and np.any(mask & ~on_box(geometry.omega_mask, axes)):
+            raise EnergyError("phase field must vanish outside the container")
+        u = object.__new__(cls)
+        u.geometry, u.cell_box, u._indicator = geometry, (axes, mask), True
+        return u
+
+    @classmethod
     def from_support(cls, geometry: Geometry, cells: np.ndarray) -> "PhaseField":
         """The binary field that is 1 on ``cells``, strictly increasing flat
         indices of container cells; a read-only copy becomes ``support``.
@@ -132,16 +153,15 @@ class PhaseField:
             raise EnergyError("support cells must be strictly increasing cell indices")
         if np.any(cells[-1:] >= geometry.grid.cell_count):
             raise IndexError(f"cell {cells[-1]} lies past the grid")
-        omega = geometry.omega_mask.reshape(-1)
-        if geometry.has_substrate and not omega.take(cells).all():
-            raise EnergyError("phase field must vanish outside the container")
-        u = object.__new__(cls)
-        u.geometry, u.support, u._indicator = geometry, _read_only(cells), True
+        mask = np.zeros(geometry.grid.shape, dtype=bool)
+        mask.reshape(-1)[cells] = True
+        u = cls.from_box(geometry, None, mask)
+        u.support = _read_only(cells)
         return u
 
     @classmethod
     def from_mask(cls, geometry: Geometry, mask: np.ndarray) -> "PhaseField":
-        return cls.from_support(geometry, np.flatnonzero(mask & geometry.omega_mask))
+        return cls.from_box(geometry, None, mask & geometry.omega_mask)
 
     @classmethod
     def random(
@@ -167,32 +187,45 @@ class PhaseField:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The field on the grid (built from the cells of an indicator)."""
+        """The field on the grid (built from the cell box of an indicator)."""
+        axes, mask = self.cell_box
         values = np.zeros(self.grid.shape)
-        values.reshape(-1)[self.support] = 1.0
+        values[np.ix_(*axes)] = mask
         return values
+
+    @cached_property
+    def cell_box(self) -> tuple:
+        """(axes, mask) of the cells where u != 0 (see the class docstring)."""
+        return cut_box(self.values != 0.0)
 
     @cached_property
     def support(self) -> np.ndarray:
         """Flat C-order indices of the cells where u != 0 (read-only).
 
-        Computed once (or given to :meth:`from_support`), so the values
-        must not change afterwards.  Two binary fields on one geometry are
-        equal exactly when their supports are.
+        Derived once from the cell box (or given to :meth:`from_support`),
+        so the values must not change afterwards.  Two binary fields on
+        one geometry are equal exactly when their supports are.
         """
-        return _read_only(np.flatnonzero(self.values))
+        axes, mask = self.cell_box
+        at = tuple(a[i] for a, i in zip(axes, np.nonzero(mask)))
+        return _read_only(np.ravel_multi_index(at, self.grid.shape))
+
+    def at_cells(self, a: np.ndarray) -> np.ndarray:
+        """The grid array ``a`` at u's cells, in ascending flat order."""
+        axes, mask = self.cell_box
+        return on_box(a, axes)[mask]
 
     def weigh(self, a: np.ndarray) -> np.ndarray:
-        """``a``, one entry per support cell, times u at those cells, in
-        place; an indicator's values there are 1, and x * 1.0 == x."""
+        """``a``, one entry per cell, times u at those cells, in place; an
+        indicator's values there are 1, and x * 1.0 == x."""
         if not self._indicator:
-            a *= self.values.take(self.support)
+            a *= self.at_cells(self.values)
         return a
 
     def volume(self) -> float:
         if self._indicator:
             # The sum of the values is exactly the cell count.
-            return float(self.support.size * self.grid.cell_measure)
+            return float(np.count_nonzero(self.cell_box[1]) * self.grid.cell_measure)
         return float(self.values.sum() * self.grid.cell_measure)
 
     def is_binary(self) -> bool:
@@ -205,22 +238,27 @@ class PhaseField:
         """Cells of {u=1} with at least one zero neighbour (binary u).
 
         Counted as the cells of {u=1} minus those whose 2d neighbours all
-        equal 1, on the box of {u=1} with a margin of one cell
-        (:func:`_margin_box`).  The neighbours are ANDed in through
-        slices, with the periodic wrap layer of each axis taken
-        separately, so no shifted copy of the field is made; on a
-        widened axis the wrap meets only margin cells, which are 0.
+        equal 1, on the cell box of {u=1}.  The neighbours are ANDed in
+        through slices of the box, the first and last layer of each axis
+        paired periodically, so no shifted copy is made.  Each axis then
+        clears the layers whose neighbour across a gap of the box's
+        coordinates (or across its ends, unless they meet at the seam)
+        is a coordinate off the box, where u is 0, so a box that crosses
+        the seam or has gaps counts as the grid does.
         """
-        cells = self.support if self._indicator else np.flatnonzero(self.values == 1.0)
-        if not cells.size:
+        axes, one = self.cell_box if self._indicator else cut_box(self.values == 1.0)
+        if not one.size:
             return 0
-        one = _margin_box(self.grid, cells)
         interior = one.copy()
-        for axis in range(one.ndim):
+        for axis, coords in enumerate(axes):
             lead = (slice(None),) * axis
             for inner, neighbours in _NEIGHBOUR_SLICES:
                 interior[lead + (inner,)] &= one[lead + (neighbours,)]
-        return int(cells.size) - int(np.count_nonzero(interior))
+            # Layer i and layer i + 1 (the last and the first) are neighbours
+            # on the grid exactly when their coordinates are.
+            apart = (np.roll(coords, -1) - coords) % self.grid.n != 1
+            interior[lead + (apart | np.roll(apart, 1),)] = False
+        return int(np.count_nonzero(one)) - int(np.count_nonzero(interior))
 
 
 # (cells, their neighbours) along one axis: i - 1 for i >= 1, then the
@@ -231,40 +269,6 @@ _NEIGHBOUR_SLICES = (
     (slice(None, -1), slice(1, None)),
     (slice(-1, None), slice(None, 1)),
 )
-
-
-def _margin_box(grid: TorusGrid, cells: np.ndarray) -> np.ndarray:
-    """The nonempty ``cells`` (ascending flat indices) as a bool array on
-    their box with a margin of one cell.
-
-    Along each axis the box is the shortest periodic interval that holds
-    the cells' coordinates, widened by one cell at both ends (taken
-    across the seam where it crosses it), or the whole axis where the
-    cells fill it.  The coordinates along the leading axes come from the
-    grid rows (lines along the last axis) that hold cells, found by
-    bisecting ``cells`` at the row starts; those along the last axis
-    from the rows of the box cut so far.  So only the box's rows are read.
-    """
-    n, d = grid.n, grid.d
-    one = np.zeros(grid.shape, dtype=bool)
-    one.reshape(-1)[cells] = True
-    starts = np.searchsorted(cells, np.arange(0, grid.cell_count + 1, n))
-    rows = (np.diff(starts) > 0).reshape(grid.shape[:-1])
-    for axis in range(d):
-        others = tuple(k for k in range(d - 1) if k != axis)
-        present = rows.any(axis=others) if axis < d - 1 else one.any(axis=others)
-        at = np.flatnonzero(present)
-        gaps = np.diff(at, append=at[0] + n)
-        widest = int(np.argmax(gaps))
-        if gaps[widest] == 1:
-            continue  # the cells fill this axis
-        start = int(at[(widest + 1) % at.size]) - 1
-        stop = start + n + 3 - int(gaps[widest])
-        if 0 <= start and stop <= n:
-            one = one[(slice(None),) * axis + (slice(start, stop),)]
-        else:
-            one = one.take(np.arange(start, stop) % n, axis=axis)
-    return one
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -386,6 +390,17 @@ class RunOperator:
         scale = pv_max + (0.0 if wetting is None else float(np.abs(wetting).max()))
         return lowest - 2.0 * pv_max * tail_margins(self.kh)[1] - 1e-12 * scale
 
+    @cached_property
+    def autocorrelations(self) -> tuple:
+        """Per axis, the periodic autocorrelation of the kernel's factor
+        where the container fills the axis, else None: the circulant Gram
+        matrices of :func:`~ambo.kernel.convolved_square_sum`, computed on
+        first read and then kept for the run (closed form only)."""
+        return tuple(
+            np.correlate(np.concatenate([f, f]), f, "valid")[: f.size] if e.all() else None
+            for f, e in zip(self.kh.factors, self.geometry.extent)
+        )
+
     @property
     def grid(self) -> TorusGrid:
         return self.kh.grid
@@ -394,31 +409,31 @@ class RunOperator:
 def approx_energy(u: PhaseField, op: RunOperator, ku: np.ndarray) -> float:
     """Evaluate E_h(u); always nonnegative.
 
-    ``ku`` is K_h*u, on the grid or at u's support cells (one value per
-    cell, in their order).  One formula serves binary and multilevel fields:
+    ``ku`` is K_h*u, on the grid or at u's cells (one value per cell, in
+    ascending flat order, as :meth:`PhaseField.at_cells` reads them).
+    One formula serves binary and multilevel fields:
 
-        E_h(u) sqrt(h) / cell = sum over the support of u of
+        E_h(u) sqrt(h) / cell = sum over the cells of u of
             u (g_pv (K_h*1_container - K_h*u) + wetting) + dry_energy,
 
-    gathered over the support only, so a step pays for the phase cells
+    gathered over u's cell box only, so a step pays for the phase cells
     and not for the grid.  The sum is numpy's pairwise ``sum``, which
     does not depend on the number of BLAS threads.
     """
     if u.grid != op.grid:
         raise EnergyError("phase field and operator use different grids")
-    cells = u.support
     if ku.ndim > 1:
-        ku = ku.take(cells)
+        ku = u.at_cells(ku)
     pv = op.pv_constant
     if pv is None:
-        pv = op.tensions.pv.take(cells)
+        pv = u.at_cells(op.tensions.pv)
     k_omega = op.omega_constant
     if k_omega is None:
-        k_omega = op.k_omega.take(cells)
+        k_omega = u.at_cells(op.k_omega)
     density = k_omega - ku
     density *= pv
     if op.wetting is not None:
-        density += op.wetting.take(cells)
+        density += u.at_cells(op.wetting)
     total = u.weigh(density).sum() + op.dry_energy
     return float(total * op.grid.cell_measure / math.sqrt(op.kh.h))
 
@@ -711,12 +726,12 @@ def convergence_study(
 
     u = shape.indicator(geometry)
     # K_h*u on u's box, read at its cells: as in a flow step, no FFT with factors
-    axes, where = cell_box = _cell_box(grid, u.support)
+    axes, mask = u.cell_box
     sharp = sharp_energy(shape, float(tensions.pv.flat[0]), gamma)
     rows = []
     for h in usable:
         kh = scale_kernel(kernel, grid, h)
-        ku = convolve_cells(kh, u.support, 1.0, tuple(axes), cell_box)[tuple(where)]
+        ku = convolve_cells(kh, u.cell_box, 1.0, axes)[mask]
         eh = approx_energy(u, RunOperator.build(geometry, tensions, kh), ku)
         rows.append(StudyRow(h=h, approx=eh, sharp=sharp,
                              rel_err=abs(eh - sharp) / abs(sharp)))

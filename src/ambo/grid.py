@@ -95,15 +95,32 @@ def axis_index(coords: np.ndarray) -> slice | np.ndarray:
 def on_box(a: np.ndarray, box: tuple | None) -> np.ndarray:
     """The grid array ``a`` on a box: per axis, the ascending coordinates
     in ``box`` (None: the whole grid, ``a`` itself).  A view where every
-    axis is contiguous, else a copy; its C order is the grid's cell order
-    restricted to the box."""
-    for axis, coords in enumerate(box or ()):
-        index = axis_index(coords)
-        if isinstance(index, slice):
-            a = a[(slice(None),) * axis + (index,)]
-        else:
-            a = a.take(index, axis=axis)
+    axis is contiguous, else a copy of the box alone (the contiguous axes
+    are sliced before any other is gathered); its C order is the grid's
+    cell order restricted to the box."""
+    index = [axis_index(coords) for coords in box or ()]
+    a = a[tuple(i if isinstance(i, slice) else slice(None) for i in index)]
+    for axis, i in enumerate(index):
+        if not isinstance(i, slice):
+            a = a.take(i, axis=axis)
     return a
+
+
+def cut_box(mask: np.ndarray, box: tuple | None = None) -> tuple[tuple, np.ndarray]:
+    """The cells set in the bool ``mask`` on ``box`` (per axis ascending
+    grid coordinates; None: the whole grid) as their own box: per axis
+    the coordinates that hold a cell, ascending, and the mask cut to
+    their product, a read-only C-order array.  A set that crosses the
+    seam needs no cyclic logic: its box holds the coordinates at both
+    ends of the axis.  The box's C order is the grid's cell order."""
+    d = mask.ndim
+    keep = [np.flatnonzero(mask.any(axis=tuple(j for j in range(d) if j != k))) for k in range(d)]
+    axes = tuple(keep if box is None else (b[k] for b, k in zip(box, keep)))
+    cut = on_box(mask, keep)
+    if np.may_share_memory(cut, mask) or not cut.flags.c_contiguous:
+        cut = cut.copy()  # C order, and the caller's array stays writeable
+    cut.flags.writeable = False
+    return axes, cut
 
 
 def periodic_components(mask: np.ndarray) -> tuple[int, np.ndarray]:

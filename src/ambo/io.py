@@ -89,27 +89,26 @@ def write_field(path, values) -> None:
 
 
 def read_field(path) -> np.ndarray:
-    """Read a field binary back; round-trips bit-identically."""
+    """Read a field binary back; round-trips bit-identically.  The payload
+    is read straight into the returned array."""
     with open(path, "rb") as src:
-        blob = src.read()
-    if blob[:4] != FIELD_MAGIC:
-        raise ConfigError(f"{path}: not a field file (bad magic {blob[:4]!r})")
-    # the magic, version and dimension bytes, then one uint32 per axis
-    if len(blob) < 6 or len(blob) < 6 + 4 * blob[5]:
-        raise ConfigError(f"{path}: truncated field file (only {len(blob)} bytes)")
-    version, ndim = struct.unpack_from("<BB", blob, 4)
-    if version != FIELD_VERSION:
-        raise ConfigError(f"{path}: unsupported field version {version}")
-    shape = struct.unpack_from(f"<{ndim}I", blob, 6)
-    offset = 6 + 4 * ndim
-    count = int(np.prod(shape))
-    expected = offset + 8 * count
-    if len(blob) != expected:
-        raise ConfigError(
-            f"{path}: truncated field file ({len(blob)} bytes, need {expected})"
-        )
-    data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    return data.reshape(shape).copy()
+        size = os.fstat(src.fileno()).st_size
+        head = src.read(6)
+        if head[:4] != FIELD_MAGIC:
+            raise ConfigError(f"{path}: not a field file (bad magic {head[:4]!r})")
+        # the magic, version and dimension bytes, then one uint32 per axis
+        if size < 6 or size < 6 + 4 * head[5]:
+            raise ConfigError(f"{path}: truncated field file (only {size} bytes)")
+        version, ndim = struct.unpack("<BB", head[4:])
+        if version != FIELD_VERSION:
+            raise ConfigError(f"{path}: unsupported field version {version}")
+        data = np.empty(struct.unpack(f"<{ndim}I", src.read(4 * ndim)), dtype="<f8")
+        expected = 6 + 4 * ndim + data.nbytes
+        if size != expected or src.readinto(data) != data.nbytes:
+            raise ConfigError(
+                f"{path}: truncated field file ({size} bytes, need {expected})"
+            )
+    return data
 
 
 def write_pgm(path, values) -> None:

@@ -48,22 +48,23 @@ computed once, at the first FFT convolution) or by direct summation
 (an independent oracle used in tests).  :meth:`SampledKernel.convolve`
 is the FFT convolution; :meth:`SampledKernel.apply` is its second half,
 given the field's transform.  :func:`convolve_cells` convolves a field
-that vanishes off a given set of cells, as a phase does, and returns it
-on a box of output coordinates (the whole grid by default).  With a
-kernel that has factors it holds the field on the product of the cells'
-axis projections (their box) and contracts that box with the rolled
-factors along each axis, keeping only the output coordinates: d matrix
+that vanishes off a set of cells given as their *cell box*, as a phase
+holds it: per axis the cells' distinct coordinates and a bool mask on
+their product.  It returns the result on a box of output coordinates
+(the whole grid by default).  With a kernel that has factors it fills
+the cell box with the field and contracts it with the rolled factors
+along each axis, keeping only the output coordinates: d matrix
 products, whose flops scale with the two boxes rather than with
 n^d log n.  It takes this box product when it costs at most
 ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops, and otherwise the FFT
-convolution of the scattered field; the two agree up to rounding (a few
-1e-16 of the maximum).  :func:`convolve_product` convolves the
-indicator of a product of per-axis sets, such as a band or the torus,
-from the factors alone: per axis a scalar sum or one n-point circular
-convolution; :func:`convolved_square_sum` sums (K_h*u)^2 over such a
-product from the cells' box, so the scheme's defect needs no K_h*u off
-its step box.  :func:`tail_margins` gives the margins of the scheme's
-step boxes and the bound on K_h*u off them.
+convolution of the field placed on the grid; the two agree up to
+rounding (a few 1e-16 of the maximum).  :func:`convolve_product`
+convolves the indicator of a product of per-axis sets, such as a band
+or the torus, from the factors alone: per axis a scalar sum or one
+n-point circular convolution; :func:`convolved_square_sum` sums
+(K_h*u)^2 over such a product from the same cell box, so the scheme's
+defect needs no K_h*u off its step box.  :func:`tail_margins` gives
+the margins of the scheme's step boxes and the bound on K_h*u off them.
 
 Every real FFT of the package, the shift sums of :mod:`ambo.energy`
 included, goes through :func:`_rfftn` and :func:`_irfftn`, which call
@@ -339,20 +340,6 @@ class SampledKernel:
 _BOX_FLOPS_PER_FFT = {2: 24.0, 3: 16.0}
 
 
-def _cell_box(grid: TorusGrid, cells: np.ndarray) -> tuple[list, list]:
-    """The box of a set of flat cell indices: per axis, the distinct
-    coordinates of the cells, ascending, and the position of each cell's
-    coordinate among them.  A set that crosses the seam needs no cyclic
-    logic: its box holds the coordinates at both ends of the axis."""
-    axes, where = [], []
-    for c in np.unravel_index(cells, grid.shape):
-        present = np.zeros(grid.n, dtype=bool)
-        present[c] = True
-        axes.append(np.flatnonzero(present))
-        where.append((np.cumsum(present) - 1)[c])
-    return axes, where
-
-
 def _box_flops(n: int, shape: tuple, outputs: tuple | None = None) -> int:
     """Flops of the box product over a box of axis sizes m_1 ... m_d with
     b_1 ... b_d output coordinates (n each by default): contracting axis
@@ -364,17 +351,16 @@ def _box_flops(n: int, shape: tuple, outputs: tuple | None = None) -> int:
 
 
 def convolve_cells(
-    kh: SampledKernel,
-    cells: np.ndarray,
-    weights,
-    box: tuple | None = None,
-    cell_box: tuple | None = None,
+    kh: SampledKernel, cell_box: tuple, weights, box: tuple | None = None
 ) -> np.ndarray:
-    """K_h applied to the field that equals ``weights`` (one per cell, or
-    one for all) on ``cells``, distinct flat indices, and 0 elsewhere,
-    on ``box``: per axis, the ascending output coordinates (None: the
-    whole grid).  The result has the box's shape and C order.
-    ``cell_box`` is :func:`_cell_box` of the cells, when the caller has it.
+    """K_h applied to the field that equals ``weights`` (one per cell, in
+    the C order of their box, or one for all) at the cells of
+    ``cell_box`` and 0 elsewhere, on ``box``: per axis, the ascending
+    output coordinates (None: the whole grid).  The result has the box's
+    shape and C order.  ``cell_box`` is (axes, mask), per axis the
+    cells' distinct coordinates, ascending, and a bool array on their
+    product that is set at the cells (a phase's
+    :attr:`~ambo.energy.PhaseField.cell_box`).
 
     With K_h = f_1 (x) ... (x) f_d, the convolution of a field held in
     the cells' box is the box contracted along each axis k with the
@@ -388,31 +374,29 @@ def convolve_cells(
     (below the bound U off the box); in its ball3d runs there were none.
     That box product is taken when it costs at most
     ``_BOX_FLOPS_PER_FFT[d]`` n^d log2(n^d) flops; otherwise, as for a
-    kernel without factors, the result is ``kh.convolve`` of the field,
-    restricted to the box.
+    kernel without factors, the result is ``kh.convolve`` of the field
+    placed on the grid, restricted to the box.
     """
     grid = kh.grid
+    axes, mask = cell_box
     outputs = grid.shape if box is None else tuple(b.size for b in box)
-    if kh.factors is not None:
-        axes, where = _cell_box(grid, cells) if cell_box is None else cell_box
-        shape = tuple(a.size for a in axes)
-        budget = _BOX_FLOPS_PER_FFT[grid.d] * grid.cell_count * math.log2(grid.cell_count)
-        if _box_flops(grid.n, shape, outputs) <= budget:
-            if not np.size(cells):
-                return np.zeros(outputs)
-            out = np.zeros(shape)
-            out[tuple(where)] = weights
-            out *= grid.cell_measure
-            columns = [slice(None)] * grid.d if box is None else map(axis_index, box)
-            for factor, coords, keep in zip(kh.factors, axes, columns):
-                # Axis k leads; it is replaced by a trailing output axis.
-                rolled = _rolled(factor, coords, keep)
-                out = (out.reshape(coords.size, -1).T @ rolled).reshape(
-                    out.shape[1:] + (rolled.shape[1],)
-                )
-            return out
+    out = np.zeros(mask.shape)
+    out[mask] = weights
+    budget = _BOX_FLOPS_PER_FFT[grid.d] * grid.cell_count * math.log2(grid.cell_count)
+    if kh.factors is not None and _box_flops(grid.n, mask.shape, outputs) <= budget:
+        if not mask.size:
+            return np.zeros(outputs)
+        out *= grid.cell_measure
+        columns = [slice(None)] * grid.d if box is None else map(axis_index, box)
+        for factor, coords, keep in zip(kh.factors, axes, columns):
+            # Axis k leads; it is replaced by a trailing output axis.
+            rolled = _rolled(factor, coords, keep)
+            out = (out.reshape(coords.size, -1).T @ rolled).reshape(
+                out.shape[1:] + (rolled.shape[1],)
+            )
+        return out
     field = np.zeros(grid.shape)
-    field.flat[cells] = weights
+    field[np.ix_(*axes)] = out
     out = kh.convolve(field)
     return out if box is None else on_box(out, box).copy()
 
@@ -435,34 +419,37 @@ def convolve_product(kh: SampledKernel, masks: tuple) -> np.ndarray:
     return out
 
 
-def convolved_square_sum(kh: SampledKernel, masks: tuple, cell_box: tuple) -> float:
+def convolved_square_sum(
+    kh: SampledKernel, masks: tuple, cell_box: tuple, autocorrelations: tuple
+) -> float:
     """The sum of (K_h*u)^2 over a product set E = E_1 x ... x E_d (bool
     ``masks`` as in :func:`convolve_product`), u the indicator of the
-    cells whose :func:`_cell_box` is ``cell_box``, from the axis factors.
+    cells of ``cell_box`` (as in :func:`convolve_cells`), from the axis
+    factors.
 
     It is cell^2 times the sum over cells y, z of prod_k G_k[y_k, z_k],
     with the Gram matrix G_k[y, z] = sum over x in E_k of
     f_k(x - y) f_k(x - z).  Where E_k is the whole axis, G_k[y, z] is
-    a_k(z - y), a_k the periodic autocorrelation of f_k, read as a
-    sliding-window slice; elsewhere G_k = R R^T, R the rows of f_k
-    rolled to the cells' coordinates, with the columns in E_k.  The
-    cells' box is contracted with G_k along each axis k, as
-    :func:`convolve_cells` contracts, and summed over the cells.
+    a_k(z - y), a_k(j) = sum_x f_k(x) f_k(x + j) the periodic
+    autocorrelation of f_k, given in ``autocorrelations[k]`` and read as
+    a sliding-window slice; elsewhere, where that entry is None,
+    G_k = R R^T, R the rows of f_k rolled to the cells' coordinates,
+    with the columns in E_k.  The cells' box is contracted with G_k along
+    each axis k, as :func:`convolve_cells` contracts, and summed over the
+    cells.
     """
-    axes, where = cell_box
-    if not where[0].size:
+    axes, mask = cell_box
+    if not mask.size:
         return 0.0
-    out = np.zeros(tuple(a.size for a in axes))
-    out[tuple(where)] = 1.0
-    for factor, coords, mask in zip(kh.factors, axes, masks):
-        if mask.all():
-            auto = np.correlate(np.concatenate([factor, factor]), factor, "valid")
-            gram = _rolled(auto[: factor.size], coords, axis_index(coords))
+    out = mask.astype(np.float64)
+    for factor, coords, extent, auto in zip(kh.factors, axes, masks, autocorrelations):
+        if auto is not None:
+            gram = _rolled(auto, coords, axis_index(coords))
         else:
-            rows = _rolled(factor, coords, axis_index(np.flatnonzero(mask)))
+            rows = _rolled(factor, coords, axis_index(np.flatnonzero(extent)))
             gram = rows @ rows.T
         out = (out.reshape(coords.size, -1).T @ gram).reshape(out.shape[1:] + (coords.size,))
-    return float(out[tuple(where)].sum()) * kh.grid.cell_measure**2
+    return float(out[mask].sum()) * kh.grid.cell_measure**2
 
 
 def _rolled(factor: np.ndarray, shifts: np.ndarray, columns=slice(None)) -> np.ndarray:

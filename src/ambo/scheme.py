@@ -7,7 +7,7 @@ the container, optionally under an exact volume constraint:
 * the comparison field ``phi`` is the discrete first variation of the
   energy (both tension placements appear because the tensions multiply
   the *target* point of the convolution);
-* one selection returns the new phase as the list of container cells
+* one selection returns the new phase as the mask of the container cells
   where ``phi < lambda``, from which the new field is built — the
   obstacle is enforced structurally, substrate cells never activate;
 * ``lambda = 0`` for unconstrained descent; with volume preservation it
@@ -18,7 +18,7 @@ Everything fixed for a run lives in one :class:`~ambo.energy.RunOperator`
 and every state carries K_h*u, so with constant g_pv a step costs at
 most one convolution: that of the new phase, which serves both its
 diagnostics and the next comparison field.  Every state's K_h*u is
-:func:`~ambo.kernel.convolve_cells` over its own support, a box product
+:func:`~ambo.kernel.convolve_cells` over its own cell box, a box product
 or an FFT convolution as the cells' box dictates, and a spatially
 varying g_pv convolves g_pv u the same way.
 
@@ -43,12 +43,17 @@ the grid and selects there, so the phase, lambda and the energies keep
 the bytes of a run without boxes.  The defect is taken in closed form,
 from u's cells and the kernel's Gram matrices, so it needs no K_h*u off
 the box.  Other runs (a kernel without factors, a disk container) step
-on the whole grid.  Every state's field is
-built by :meth:`~ambo.energy.PhaseField.from_support`, state 0's from
-the user field's support, and holds only its cells, so a step streams
-no dense copy of the phase, and a step that keeps the phase costs no
-convolution: it returns its input state with the new step index and
-lambda.
+on the whole grid.
+
+Every state's field is its *cell box* (per axis the cells' distinct
+coordinates, ascending, and a bool mask on their product): the
+selection's mask on the step box (or the grid, if the step widened),
+cut by :meth:`~ambo.energy.PhaseField.from_box` to its per-axis
+projections; state 0's is built from the user field's support.  K_h*u,
+E_h, the mass and the interface count read that box, so a step derives
+no flat cell indices and no dense copy of the phase, and a step that
+keeps the phase costs no convolution: it returns its input state with
+the new step index and lambda.
 
 The run driver detects exact stationarity over a window, flags 2-cycles
 (both states are kept), and asserts that the energy never increases
@@ -70,11 +75,10 @@ import numpy as np
 from .energy import PhaseField, RunOperator, approx_energy, indicator_defect
 from .errors import NumericalError
 from .geometry import Band, Geometry
-from .grid import TorusGrid, on_box, periodic_components
+from .grid import on_box, periodic_components
 from .kernel import (
     GaussianKernel,
     Kernel,
-    _cell_box,
     convolve_cells,
     convolved_square_sum,
     scale_kernel,
@@ -177,8 +181,7 @@ def comparison_field(
     pv = op.pv_constant
     if pv is None:
         phi *= on_box(op.tensions.pv, box)
-        cells = u.support
-        phi -= convolve_cells(op.kh, cells, u.weigh(op.tensions.pv.take(cells)), box)
+        phi -= convolve_cells(op.kh, u.cell_box, u.weigh(u.at_cells(op.tensions.pv)), box)
     elif pv == 1.0:
         phi -= ku  # x * 1.0 == x exactly, so both products are skipped
     else:
@@ -196,7 +199,7 @@ def _select(
     box: tuple | None = None,
     floor: float = -math.inf,
 ) -> tuple[float, np.ndarray] | None:
-    """Lambda and the sorted flat indices of the new phase's cells.
+    """Lambda and the new phase, a bool mask of phi's shape.
 
     Without a volume target ``m``: 0 and the container cells where phi < 0.
     With one: the k-th smallest phi (``-inf`` when k = 0) and the k =
@@ -217,13 +220,13 @@ def _select(
         negative = phi < 0.0
         if omega is not None:
             negative &= omega
-        return 0.0, _grid_cells(np.flatnonzero(negative), box, geometry.grid)
+        return 0.0, negative
     # ceil with a relative guard so that m = k * cell_measure (computed in
     # floating point) maps to k, not k+1.
     ratio = m / geometry.grid.cell_measure
     k = int(math.ceil(ratio - 1e-9 * max(1.0, ratio)))
     # A bool gather; measured faster than a take over omega_cells.
-    values = phi.ravel() if omega is None else phi.ravel()[omega.ravel()]
+    values = phi.ravel() if omega is None else phi[omega]
     if not np.all(np.isfinite(values)):
         raise SchemeError("comparison field is not finite on the container")
     if k > values.size:
@@ -234,7 +237,7 @@ def _select(
             f"{values.size}"
         )
     if k <= 0:
-        return -math.inf, np.zeros(0, dtype=np.intp)
+        return -math.inf, np.zeros(phi.shape, dtype=bool)
     kth = np.partition(values, k - 1)[k - 1]
     if box is not None and not kth < floor:
         return None
@@ -242,26 +245,17 @@ def _select(
     ties = np.flatnonzero(values == kth)[: k - int(chosen.sum())]
     chosen[ties] = True
     # The last tie taken is the stable sort's k-th entry (sign of zero included).
+    lam = float(values[ties[-1]])
     if omega is None:
-        positions = np.flatnonzero(chosen)
-    else:
-        positions = (geometry.omega_cells if box is None else np.flatnonzero(omega))[chosen]
-    return float(values[ties[-1]]), _grid_cells(positions, box, geometry.grid)
+        return lam, chosen.reshape(phi.shape)
+    picked = np.zeros(phi.shape, dtype=bool)
+    picked[omega] = chosen
+    return lam, picked
 
 
-def _grid_cells(positions: np.ndarray, box: tuple | None, grid: TorusGrid) -> np.ndarray:
-    """The flat grid indices of ascending flat positions in ``box``, ascending."""
-    if box is None:
-        return positions
-    at = np.unravel_index(positions, tuple(c.size for c in box))
-    return np.ravel_multi_index(tuple(c[i] for c, i in zip(box, at)), grid.shape)
-
-
-def _step_box(u: PhaseField, op: RunOperator, phase: tuple) -> tuple:
-    """u's step box and the flat positions of u's cells in it, or
-    (None, None) for the whole grid; ``phase`` is the cells' own box,
-    per axis their distinct coordinates and each cell's position among
-    them (:func:`~ambo.kernel._cell_box`).
+def _step_box(u: PhaseField, op: RunOperator) -> tuple:
+    """u's step box and, per axis, the positions of u's cell coordinates
+    in it, or (None, None) for the whole grid.
 
     Per axis the step box holds the coordinates of u's cells, dilated
     periodically by the run's margin on that axis and clipped to the
@@ -270,16 +264,14 @@ def _step_box(u: PhaseField, op: RunOperator, phase: tuple) -> tuple:
     """
     if op.margins is None:
         return None, None
-    grid = u.grid
     box, inner = [], []
-    for coords, margin, extent in zip(phase[0], op.margins, u.geometry.extent):
-        present = np.zeros(grid.n, dtype=bool)
+    for coords, margin, extent in zip(u.cell_box[0], op.margins, u.geometry.extent):
+        present = np.zeros(u.grid.n, dtype=bool)
         present[coords] = True
         inside = _dilate(present, margin) & extent
         box.append(np.flatnonzero(inside))
         inner.append((np.cumsum(inside) - 1).take(coords))  # their positions in the box
-    at = tuple(i.take(w) for i, w in zip(inner, phase[1]))
-    return tuple(box), np.ravel_multi_index(at, tuple(b.size for b in box))
+    return tuple(box), tuple(inner)
 
 
 def _dilate(present: np.ndarray, margin: int) -> np.ndarray:
@@ -295,33 +287,41 @@ def _dilate(present: np.ndarray, margin: int) -> np.ndarray:
 
 def _make_state(k: int, u: PhaseField, lam: float, op: RunOperator) -> SchemeState:
     """The state of the binary phase u and its diagnostics, K_h*u by
-    :func:`~ambo.kernel.convolve_cells` over u's support on u's step box.
+    :func:`~ambo.kernel.convolve_cells` over u's cell box on u's step box.
     With a box, the defect is cell (sum w - sum w^2) over the container,
     w = K_h*u: sum w sums K_h*1_container over u's cells (K_h is even),
     and sum w^2 is :func:`~ambo.kernel.convolved_square_sum`."""
-    phase = _cell_box(u.grid, u.support) if op.margins is not None else None
-    box, at = _step_box(u, op, phase)
-    ku = convolve_cells(op.kh, u.support, 1.0, box, phase)
+    box, at = _step_box(u, op)
+    ku = convolve_cells(op.kh, u.cell_box, 1.0, box)
     ku.flags.writeable = False
-    if phase is None:
+    mask = u.cell_box[1]
+    if box is None:
         defect = indicator_defect(ku, u.geometry)
     else:
         c = op.omega_constant
-        mass = u.support.size * c if c is not None else op.k_omega.take(u.support).sum()
-        squares = convolved_square_sum(op.kh, u.geometry.extent, phase)
+        mass = np.count_nonzero(mask) * c if c is not None else u.at_cells(op.k_omega).sum()
+        squares = convolved_square_sum(
+            op.kh, u.geometry.extent, u.cell_box, op.autocorrelations
+        )
         defect = float((mass - squares) * u.grid.cell_measure)
-    del phase  # released before the diagnostics allocate
     return SchemeState(
         step=k,
         u=u,
         lam=lam,
         ku=ku,
-        energy=approx_energy(u, op, ku if box is None else ku.take(at)),
+        energy=approx_energy(u, op, ku if box is None else on_box(ku, at)[mask]),
         volume=u.volume(),
         interface_cells=u.interface_cell_count(),
         defect=defect,
         box=box,
     )
+
+
+def _same_cells(u: PhaseField, v: PhaseField) -> bool:
+    """Whether two binary fields hold the same cells: their cell boxes,
+    each cut to its cells, are then equal."""
+    (axes_u, mask_u), (axes_v, mask_v) = u.cell_box, v.cell_box
+    return all(map(np.array_equal, axes_u + (mask_u,), axes_v + (mask_v,)))
 
 
 def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeState:
@@ -333,25 +333,28 @@ def step(state: SchemeState, config: SchemeConfig, op: RunOperator) -> SchemeSta
     as a run without step boxes does, so the new phase and lambda are the
     same bytes either way.
 
-    A step that changes the phase builds the new field and evaluates its
-    K_h*u afresh.  A step that keeps the phase returns its input state
-    with the new step index and lambda: every state's field was built by
-    :meth:`PhaseField.from_support`, so u, K_h*u and every diagnostic are
-    already the bits a rebuild would give, and no convolution runs.
+    A step that changes the phase builds the new field from the
+    selection's mask and evaluates its K_h*u afresh.  A step that keeps
+    the phase returns its input state with the new step index and
+    lambda: every state's field is cut to its cells' box, so u, K_h*u and
+    every diagnostic are already the bits a rebuild would give, and no
+    convolution runs.
     """
     geometry = state.u.geometry
     m = state.volume if config.preserve_volume else None
-    phi = comparison_field(state.u, op, state.ku, state.box)
-    picked = _select(phi, geometry, m, state.box, op.floor)
+    box = state.box
+    phi = comparison_field(state.u, op, state.ku, box)
+    picked = _select(phi, geometry, m, box, op.floor)
     del phi  # released before any further convolution
     if picked is None:
-        ku = convolve_cells(op.kh, state.u.support, 1.0)
-        picked = _select(comparison_field(state.u, op, ku), geometry, m)
+        ku = convolve_cells(op.kh, state.u.cell_box, 1.0)
+        picked, box = _select(comparison_field(state.u, op, ku), geometry, m), None
         del ku  # released before the new phase is convolved
-    lam, cells = picked
-    if np.array_equal(cells, state.u.support):
+    lam, chosen = picked
+    u_next = PhaseField.from_box(geometry, box, chosen)
+    del chosen
+    if _same_cells(u_next, state.u):
         return dataclasses.replace(state, step=state.step + 1, lam=lam)
-    u_next = PhaseField.from_support(geometry, cells)
     if m is not None:
         volume, tol = u_next.volume(), geometry.grid.cell_measure  # one cell
         if abs(volume - m) > tol:
@@ -406,8 +409,8 @@ def run(
         on_state(state)
     e0_slack = 1e-8 * max(abs(state.energy), 1.0)
     descends = not config.preserve_volume or t.is_spatially_constant
-    # The fields are binary, so comparing supports compares the fields.
-    prev_support = None
+    # The fields are binary, so comparing cell boxes compares the fields.
+    prev = None
     streak = 0
     for _ in range(config.max_steps):
         if streak:
@@ -424,19 +427,15 @@ def run(
                 f"energy increased at step {new_state.step}: "
                 f"{state.energy!r} -> {new_state.energy!r}"
             )
-        unchanged = np.array_equal(new_state.u.support, state.u.support)
-        if (
-            prev_support is not None
-            and not unchanged
-            and np.array_equal(new_state.u.support, prev_support)
-        ):
+        unchanged = _same_cells(new_state.u, state.u)
+        if prev is not None and not unchanged and _same_cells(new_state.u, prev):
             return Trajectory(
                 diagnostics,
                 new_state,
                 oscillating=True,
                 cycle_states=(state, new_state),
             )
-        prev_support = state.u.support
+        prev = state.u
         streak = streak + 1 if unchanged else 0
         state = new_state
         if streak >= config.stationarity_window:
@@ -492,8 +491,9 @@ def measure_contact_angle(
     if not u.is_binary():
         raise SchemeError("phase field must be binary")
 
+    axes, cells = u.cell_box
     mask = np.zeros(grid.shape, dtype=bool)
-    mask.flat[u.support] = True
+    mask[np.ix_(*axes)] = cells
     n_comp, labels = periodic_components(mask)
     if n_comp == 0:
         raise SchemeError("empty phase: no contact points")
@@ -508,15 +508,15 @@ def measure_contact_angle(
         raise SchemeError("phase does not touch the substrate")
     if touching.size > 1:
         raise SchemeError("more than one component touches the substrate")
-    cells = np.flatnonzero(labels == touching[0])
-    spans = [(c.min(), c.max()) for c in np.unravel_index(cells, grid.shape)]
+    drop = PhaseField.from_mask(geometry, labels == touching[0])
+    spans = [(c[0], c[-1]) for c in drop.cell_box[0]]
     if any(k != 1 and lo == 0 and hi == grid.n - 1 for k, (lo, hi) in enumerate(spans)):
         raise SchemeError("droplet wraps around the torus seam; recentre it")
 
     rows = np.arange(j0 + skip_cells, min(j0 + skip_cells + _WINDOW_CELLS, grid.n))
     box = tuple(rows if k == 1 else np.arange(grid.n) for k in range(grid.d))
     kh = scale_kernel(GaussianKernel(), grid, (3.0 * grid.spacing) ** 2)
-    f = 0.5 - convolve_cells(kh, cells, 1.0, box)  # negative inside the phase
+    f = 0.5 - convolve_cells(kh, drop.cell_box, 1.0, box)  # negative inside the phase
     points = []
     for axis in range(grid.d):
         # Each cell's edge to the next one along the axis: periodic along

@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: constant tensions, a disk-fit oracle
-and the quadrature oracle for the kernel-induced anisotropy."""
+"""Helpers that only the tests use: constant tensions, the cell box of
+flat cells, a disk-fit oracle and the quadrature oracle for the
+kernel-induced anisotropy."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 
 from ambo.anisotropy import AnisotropyError
 from ambo.energy import PhaseField
+from ambo.grid import cut_box
 from ambo.scheme import SchemeError
 from ambo.tensions import ModifiedTensions
 
@@ -16,6 +18,14 @@ def constant_tensions(grid, pv: float, sp: float, sv: float) -> ModifiedTensions
     return ModifiedTensions.from_fields(
         grid, *(np.full(grid.shape, float(value)) for value in (pv, sp, sv))
     )
+
+
+def cell_box(grid, cells) -> tuple:
+    """The cell box (axes, mask) of distinct flat cells, whose C order is
+    their ascending order."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask.flat[cells] = True
+    return cut_box(mask)
 
 
 def best_fit_disk_mismatch(u: PhaseField) -> tuple[float, np.ndarray, float]:

@@ -142,11 +142,14 @@ def _support_cases(grid, rng):
 
 @pytest.mark.parametrize("d, n", [(2, 16), (2, 33), (3, 8), (3, 13)])
 def test_support_fields_count_their_box_like_the_full_grid(d, n, rng):
-    """The interface count over the support's periodic box plus a margin
-    equals the full-grid count, for supports that cross the seam, fill
-    an axis, hold one cell or none; values, volume and is_binary of the
-    field built from the support equal those of the dense field, and
-    only ``values`` builds the dense array."""
+    """The interface count over the cell box equals the full-grid count,
+    for supports that cross the seam (with gaps), fill an axis, hold one
+    cell or none; values, volume and is_binary of the field built from
+    the support equal those of the dense field, and only ``values``
+    builds the dense array.  The same cells given as a mask on a larger
+    box (their coordinates plus random others on each axis, so with
+    empty layers to cut) give the same cell box, support, values, volume
+    and interface count, and derive ``support`` only when it is read."""
     grid = TorusGrid(d, n)
     geometry = build_geometry(make_shape("full"), grid)
     for mask in _support_cases(grid, rng):
@@ -157,6 +160,23 @@ def test_support_fields_count_their_box_like_the_full_grid(d, n, rng):
         assert u.volume() == dense.volume() and u.is_binary() and dense.is_binary()
         assert "values" not in vars(u)
         assert u.values.tobytes() == dense.values.tobytes()
+        box = tuple(
+            np.union1d(
+                np.flatnonzero(mask.any(axis=tuple(j for j in range(d) if j != k))),
+                rng.choice(n, int(rng.integers(n + 1)), replace=False),
+            )
+            for k in range(d)
+        )
+        boxed = PhaseField.from_box(geometry, box, mask[np.ix_(*box)])
+        assert {"support", "values"}.isdisjoint(vars(boxed))
+        (axes, cut), (want_axes, want) = boxed.cell_box, u.cell_box
+        assert all(map(np.array_equal, axes + (cut,), want_axes + (want,)))
+        assert not cut.flags.writeable
+        assert boxed.interface_cell_count() == expected and boxed.volume() == u.volume()
+        assert "support" not in vars(boxed)
+        assert np.array_equal(boxed.support, u.support) and not boxed.support.flags.writeable
+        assert boxed.values.tobytes() == dense.values.tobytes()
+        assert np.array_equal(dense.support, u.support)
 
 
 def test_support_lists_the_nonzero_cells(disk_geometry, rng):

@@ -78,6 +78,9 @@ def test_field_reader_rejects_corruption(tmp_path):
     (tmp_path / "short.bin").write_bytes(good[:-8])
     with pytest.raises(ConfigError, match="truncated"):
         read_field(tmp_path / "short.bin")
+    (tmp_path / "long.bin").write_bytes(good + bytes(8))
+    with pytest.raises(ConfigError, match="truncated field file .* need"):
+        read_field(tmp_path / "long.bin")
 
     # ends inside the 6-byte header, then inside the shape words
     for size in (5, 7):

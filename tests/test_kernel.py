@@ -24,7 +24,6 @@ from ambo.kernel import (
     SampledKernel,
     TriangularKernel,
     _box_flops,
-    _cell_box,
     _diagonal_gaussian,
     _irfftn,
     _rfftn,
@@ -36,6 +35,7 @@ from ambo.kernel import (
     scale_kernel_gradient,
     tail_margins,
 )
+from helpers import cell_box
 
 
 # --- admissibility ---------------------------------------------------------
@@ -264,18 +264,18 @@ FACTORED = [
 
 
 def _cell_sets(d, n, rng):
-    """Named flat cell sets of a (d, n) grid: a block across the seam of
-    each axis, a single cell, none, and a random scatter."""
+    """Named flat cell sets of a (d, n) grid, ascending: a block across
+    the seam of each axis, a single cell, none, and a random scatter."""
     sets = {}
     for axis in range(d):
         ranges = [np.arange(5, 9)] * d
         ranges[axis] = np.arange(-2, 3) % n
         block = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
         keep = rng.uniform(size=len(block)) < 0.7  # not the full product
-        sets[f"seam{axis}"] = np.ravel_multi_index(tuple(block[keep].T), (n,) * d)
+        sets[f"seam{axis}"] = np.sort(np.ravel_multi_index(tuple(block[keep].T), (n,) * d))
     sets["single"] = np.array([n**d - 1])
     sets["empty"] = np.array([], dtype=np.int64)
-    sets["scatter"] = rng.choice(n**d, 40, replace=False)
+    sets["scatter"] = np.sort(rng.choice(n**d, 40, replace=False))
     return sets
 
 
@@ -300,7 +300,8 @@ def test_box_convolution_matches_the_direct_sum_and_the_fft(d, matrix, rng, monk
     n = 32
     kh = scale_kernel(kernel, TorusGrid(d, n), 1e-2)
     for name, cells in _cell_sets(d, n, rng).items():
-        axes, _ = _cell_box(kh.grid, cells)
+        box = cell_box(kh.grid, cells)
+        axes = box[0]
         coords = np.unravel_index(cells, kh.grid.shape)
         assert [a.size for a in axes] == [np.unique(c).size for c in coords], name
         for weights in (
@@ -310,7 +311,7 @@ def test_box_convolution_matches_the_direct_sum_and_the_fft(d, matrix, rng, monk
         ):
             with monkeypatch.context() as m:
                 m.setattr(SampledKernel, "convolve", None)  # no FFT
-                got = convolve_cells(kh, cells, weights)
+                got = convolve_cells(kh, box, weights)
             if name == "empty":
                 assert got.shape == kh.grid.shape and not got.any()
                 break
@@ -327,10 +328,10 @@ def test_box_flops_count_the_axis_contractions():
     """2 n^k m_k ... m_d flops for the contraction of axis k (from 1)."""
     grid = TorusGrid(3, 16)
     cells = np.ravel_multi_index(([1, 2, 2], [3, 3, 3], [0, 9, 15]), grid.shape)
-    axes, where = _cell_box(grid, cells)
-    shape = tuple(a.size for a in axes)
-    assert shape == (2, 1, 3)
-    assert [w.tolist() for w in where] == [[0, 1, 1], [0, 0, 0], [0, 1, 2]]
+    axes, mask = cell_box(grid, cells)
+    shape = mask.shape
+    assert shape == (2, 1, 3) and [a.tolist() for a in axes] == [[1, 2], [3], [0, 9, 15]]
+    assert [w.tolist() for w in np.nonzero(mask)] == [[0, 1, 1], [0, 0, 0], [0, 1, 2]]
     assert _box_flops(grid.n, shape) == 2 * (16 * 2 * 1 * 3 + 16**2 * 1 * 3 + 16**3 * 3)
     assert _box_flops(grid.n, (0, 0, 0)) == 0
     # Restricted outputs: 2 b_1 ... b_k m_k ... m_d for axis k.
@@ -369,10 +370,10 @@ def test_convolve_cells_on_a_box_equals_the_grid_result_there(d, kernel, rng):
     ]
     for name, cells in _cell_sets(d, n, rng).items():
         weights = rng.uniform(0.5, 1.5, cells.size)
-        whole = convolve_cells(kh, cells, weights)
+        whole = convolve_cells(kh, cell_box(grid, cells), weights)
         for i in range(len(choices)):
             box = tuple(choices[(i + k) % len(choices)] for k in range(d))
-            got = convolve_cells(kh, cells, weights, box)
+            got = convolve_cells(kh, cell_box(grid, cells), weights, box)
             assert got.shape == tuple(b.size for b in box), name
             if kh.factors is None:
                 assert got.tobytes() == on_box(whole, box).tobytes(), (name, i)
@@ -420,8 +421,9 @@ def test_flip_update_matches_the_fft_convolution(n, kernel, rng):
     u = (((x1 - 0.5) ** 2 + (x2 - 0.4) ** 2) < 0.2**2).astype(np.float64)
 
     def update(conv, v, cells):
+        cells = np.sort(cells)
         weights = 1.0 - 2.0 * v.flat[cells]  # +1 where a cell enters
-        out = convolve_cells(kh, cells, weights) + conv
+        out = convolve_cells(kh, cell_box(grid, cells), weights) + conv
         v.flat[cells] += weights
         return out
 
@@ -492,13 +494,14 @@ def test_convolve_cells_takes_the_fft_without_factors_or_over_budget(d, n, kerne
     kh = scale_kernel(kernel, grid, 4e-3 if d == 2 else 9e-3)
     cells = np.flatnonzero(rng.uniform(size=grid.cell_count) < 0.5)
     if kh.factors is not None:
-        shape = tuple(a.size for a in _cell_box(grid, cells)[0])
+        shape = cell_box(grid, cells)[1].shape
         budget = kernel_module._BOX_FLOPS_PER_FFT[d] * n**d * math.log2(n**d)
         assert _box_flops(n, shape) > budget
     weights = rng.uniform(0.5, 1.5, cells.size)
     field = np.zeros(grid.shape)
     field.flat[cells] = weights
-    assert convolve_cells(kh, cells, weights).tobytes() == kh.convolve(field).tobytes()
+    got = convolve_cells(kh, cell_box(grid, cells), weights)
+    assert got.tobytes() == kh.convolve(field).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -204,12 +204,19 @@ def test_select_without_target_is_the_negative_container_set(band_geometry, rng)
     for geometry in geometries:
         phi = rng.normal(size=geometry.grid.shape)
         phi[0] = 0.0  # cells at exactly lambda stay out
-        lam, cells = _select(phi, geometry, None)
-        assert lam == 0.0
-        assert np.array_equal(cells, np.flatnonzero((phi < 0) & geometry.omega_mask))
-        assert np.array_equal(_select(phi, geometry, None)[1], cells)
-        u = PhaseField.from_support(geometry, cells)
+        lam, chosen = _select(phi, geometry, None)
+        assert lam == 0.0 and chosen.shape == phi.shape
+        assert np.array_equal(chosen, (phi < 0) & geometry.omega_mask)
+        assert np.array_equal(_select(phi, geometry, None)[1], chosen)
+        u = PhaseField.from_box(geometry, None, chosen)
         assert np.array_equal(u.values, np.where(phi < 0, geometry.omega_mask, 0.0))
+
+
+def _select_cells(phi, geometry, m):
+    """Lambda and the flat cells of the selection's mask on the grid."""
+    lam, chosen = _select(phi, geometry, m)
+    assert chosen.shape == phi.shape and chosen.dtype == bool
+    return lam, np.flatnonzero(chosen)
 
 
 def test_volume_threshold_order_statistic(disk_geometry, grid256):
@@ -217,7 +224,7 @@ def test_volume_threshold_order_statistic(disk_geometry, grid256):
     target = 0.05
 
     # strictly increasing along one axis: lambda is the exact quantile
-    lam, cells = _select(x1 + 0.31 * x2, disk_geometry, target)
+    lam, cells = _select_cells(x1 + 0.31 * x2, disk_geometry, target)
     values = np.sort((x1 + 0.31 * x2)[disk_geometry.omega_mask])
     k = math.ceil(target / grid256.cell_measure - 1e-9 * target / grid256.cell_measure)
     assert lam == values[k - 1]
@@ -227,7 +234,7 @@ def test_volume_threshold_order_statistic(disk_geometry, grid256):
     # target volume to one-cell accuracy
     phi = _radial(grid256) + 1e-7 * (x1 - 0.5) + 1e-8 * (x2 - 0.5)
     m = math.pi * 0.15**2
-    lam, cells = _select(phi, disk_geometry, m)
+    lam, cells = _select_cells(phi, disk_geometry, m)
     assert np.array_equal(cells, np.flatnonzero((phi <= lam) & disk_geometry.omega_mask))
     selected = PhaseField.from_support(disk_geometry, cells)
     assert abs(selected.volume() - m) < grid256.cell_measure
@@ -237,17 +244,17 @@ def test_volume_threshold_order_statistic(disk_geometry, grid256):
 
     # one cell: the minimum; on a constant field ties go to the lowest
     # C-order indices
-    lam, cells = _select(phi, disk_geometry, grid256.cell_measure)
+    lam, cells = _select_cells(phi, disk_geometry, grid256.cell_measure)
     masked = np.where(disk_geometry.omega_mask, phi, np.inf)
     assert lam == masked.min()
     assert np.array_equal(cells, [np.argmin(masked)])
     flat = np.zeros(grid256.shape)
-    lam, cells = _select(flat, disk_geometry, 5 * grid256.cell_measure)
+    lam, cells = _select_cells(flat, disk_geometry, 5 * grid256.cell_measure)
     assert lam == 0.0
     assert np.array_equal(cells, disk_geometry.omega_cells[:5])
 
     # no cell: lambda is -inf and the list is empty
-    lam, cells = _select(phi, disk_geometry, 0.0)
+    lam, cells = _select_cells(phi, disk_geometry, 0.0)
     assert lam == -math.inf and cells.size == 0
 
     with pytest.raises(SchemeError, match="cells"):
@@ -260,7 +267,7 @@ def test_preserving_step_matches_sort_oracle(full_geometry, grid256, unit_tensio
     u = ShapeSpec.disk((0.5, 0.5), 0.2).indicator(full_geometry)
     kh = scale_kernel(UNIT_KERNEL, grid256, 1e-3)
     op = RunOperator.build(full_geometry, unit_tensions, kh)
-    phi = comparison_field(u, op, convolve_cells(kh, u.support, 1.0))  # as state 0's
+    phi = comparison_field(u, op, convolve_cells(kh, u.cell_box, 1.0))  # as state 0's
     m = u.volume()
     k = math.ceil(m / grid256.cell_measure - 1e-9 * m / grid256.cell_measure)
     order = np.argsort(phi.ravel(), kind="stable")[:k]
@@ -450,7 +457,7 @@ def test_states_match_fresh_evaluation():
         fresh_op = RunOperator.build(initial.geometry, t, kh)
         assert [state.box is not None for state in states] == [boxed] * 5
         for state in states:
-            ku = convolve_cells(kh, state.u.support, np.ones(state.u.support.size))
+            ku = convolve_cells(kh, state.u.cell_box, np.ones(state.u.support.size))
             assert state.ku.tobytes() == on_box(ku, state.box).tobytes()
             assert np.abs(ku - kh.convolve(state.u.values)).max() <= 4e-15
             assert state.energy == approx_energy(state.u, fresh_op, ku)
@@ -558,7 +565,7 @@ def test_closed_form_defect_equals_the_whole_grid_sum(d, matrix):
         state = scheme._make_state(0, u, math.nan, op)
         assert state.box is not None
         crossing += any(c.size and c[-1] - c[0] + 1 > c.size for c in state.box)
-        whole = indicator_defect(convolve_cells(kh, u.support, 1.0), geometry)
+        whole = indicator_defect(convolve_cells(kh, u.cell_box, 1.0), geometry)
         assert state.defect == pytest.approx(whole, rel=DEFECT_RTOL, abs=0.0)
         assert (state.defect == 0.0) == (u.support.size == 0)
     assert crossing >= 3
@@ -663,10 +670,10 @@ def test_repeat_steps_equal_a_full_recompute(case, monkeypatch):
     states = [state]
     for k in range(1, steps + 1):
         # Selected on the whole grid, as a run without step boxes does.
-        phi = comparison_field(state.u, op, convolve_cells(op.kh, state.u.support, 1.0))
+        phi = comparison_field(state.u, op, convolve_cells(op.kh, state.u.cell_box, 1.0))
         m = state.u.volume() if cfg.preserve_volume else None
-        lam, cells = _select(phi, geometry, m)
-        state = scheme._make_state(k, PhaseField.from_support(geometry, cells), lam, op)
+        lam, chosen = _select(phi, geometry, m)
+        state = scheme._make_state(k, PhaseField.from_box(geometry, None, chosen), lam, op)
         states.append(state)
     rows = [
         (s.step, s.energy, s.volume, s.interface_cells, s.lam, s.defect) for s in states
@@ -746,7 +753,7 @@ def test_a_phase_takes_the_box_product_only_up_to_the_fft_budget(d, n, monkeypat
     cells = grid.cell_count
     budget = kernel_module._BOX_FLOPS_PER_FFT[d] * cells * math.log2(cells)
     boxes = [
-        kernel_module._box_flops(n, [a.size for a in kernel_module._cell_box(grid, u.support)[0]])
+        kernel_module._box_flops(n, u.cell_box[1].shape)
         for u in (scattered, ball)
     ]
     assert boxes[0] > budget >= boxes[1]
@@ -817,7 +824,8 @@ def test_no_ball_step_fails_the_step_box_certificate(monkeypatch):
 
 
 # Bound on the tracemalloc peak of the n = 32 ball run below, in arrays
-# of n^3 doubles: 2.29 measured (3.16 while each state summed its defect
+# of n^3 doubles: 2.27 measured, in a fresh process (2.29 while each
+# state's phase went through flat indices, 3.16 while each state summed its defect
 # over the grid, 5.74 while the run operator transformed the kernel and
 # the container, 8.68 while the kernel kept its samples and every state
 # its dense phase); one more kept array breaks it.
@@ -826,8 +834,9 @@ BALL_PEAK_GRID_ARRAYS = 3.0
 
 def test_a_factored_3d_run_holds_no_dense_copies(monkeypatch):
     """Memory guard: a 3-d ball run at n = 32 never builds the samples of
-    its factored kernel, no state holds a dense phase array, and the
-    traced allocation peak stays under BALL_PEAK_GRID_ARRAYS grid arrays."""
+    its factored kernel, no state holds a dense phase array, no stepped
+    state derives its phase's flat indices, and the traced allocation
+    peak stays under BALL_PEAK_GRID_ARRAYS grid arrays."""
     initial = _ball(32)
     grid = initial.grid
     tensions = constant_tensions(grid, 1.0, 1.0, 1.0)
@@ -837,12 +846,15 @@ def test_a_factored_3d_run_holds_no_dense_copies(monkeypatch):
         "scale_kernel",
         lambda *args: kernels.append(scale_kernel(*args)) or kernels[-1],
     )
-    dense = []
+    dense, flat = [], []
     last = [initial]
 
     def check(state):
         # The state just made and the one it replaced; no more are kept.
         dense.extend(state.step for u in (last[0], state.u) if "values" in vars(u))
+        # A stepped state's field is its cell box: no flat indices either.
+        if state.step and "support" in vars(state.u):
+            flat.append(state.step)
         last[0] = state.u
 
     tracemalloc.start()
@@ -855,6 +867,7 @@ def test_a_factored_3d_run_holds_no_dense_copies(monkeypatch):
         tracemalloc.stop()
     assert traj.stationary and len(traj.diagnostics) > 5
     assert dense == [] and "values" not in vars(traj.final.u)
+    assert flat == []
     assert len(kernels) == 1 and "values" not in vars(kernels[0])
     assert peak <= BALL_PEAK_GRID_ARRAYS * grid.cell_count * 8, peak / (grid.cell_count * 8)
 
