@@ -32,7 +32,6 @@ __all__ = ["main", "build_parser"]
 _DEFAULT_PRESETS = {
     "validate": "validate",
     "run": "shrink_circle",
-    "energy": "energy_disk",
     "converge": "converge_disk",
     "monotonic": "monotonic_constant",
     "inequalities": "inequalities",
@@ -55,14 +54,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment")
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"{name} experiment")
+        # No abbreviations: --h elsewhere would read as --help.
+        p = sub.add_parser(name, help=f"{name} experiment", allow_abbrev=False)
         p.add_argument("config", nargs="?", help="config file (default: shipped preset)")
         p.add_argument("--preset", help="use a shipped preset instead of a config file")
         p.add_argument("-o", "--out", help="output directory")
         p.add_argument("--seed", type=int, help="seed for randomized suites")
         p.add_argument("--n", type=int, help="grid cells per axis")
-        p.add_argument("--h", type=float, help="scheme time step")
-        p.add_argument("--max-steps", type=int, help="step limit")
+        # Only these experiments read scheme.h, and only the flows max_steps.
+        if name in ("run", "angle", "validate"):
+            p.add_argument("--h", type=float, help="scheme time step")
+        if name in ("run", "angle"):
+            p.add_argument("--max-steps", type=int, help="step limit")
         if name == "run":
             p.add_argument("--snapshot-every", type=int, help="snapshot cadence (0: none)")
         if name == "angle":
@@ -80,8 +83,8 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
         "output.dir": args.out or os.environ.get("AMBO_OUT_DIR"),
         "seed": args.seed,
         "grid.n": args.n,
-        "scheme.h": args.h,
-        "scheme.max_steps": args.max_steps,
+        "scheme.h": getattr(args, "h", None),
+        "scheme.max_steps": getattr(args, "max_steps", None),
         "output.snapshot_every": getattr(args, "snapshot_every", None),
     }
     if getattr(args, "sigma_ratio", None) is not None:

@@ -70,7 +70,6 @@ __all__ = [
 
 EXPERIMENTS = (
     "run",
-    "energy",
     "converge",
     "monotonic",
     "inequalities",
@@ -109,7 +108,6 @@ _INITIAL_KINDS = {
 
 _EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "run": {},
-    "energy": {},
     "converge": {"h_values": [4.0e-3, 1.0e-3, 2.5e-4]},
     "monotonic": {
         "factors": [2, 3, 4],

@@ -687,7 +687,7 @@ class StudyRow:
 @dataclass
 class StudyTable:
     rows: list
-    order: float
+    order: float | None
 
     def as_rows(self):
         return [(r.h, r.approx, r.sharp, r.rel_err) for r in self.rows]
@@ -705,7 +705,8 @@ def convergence_study(
 
     Entries with sqrt(h) < 3 * spacing are dropped with a warning; the
     remaining errors must decrease monotonically (else an error is
-    raised) and an empirical order is fitted from the log-log slope.
+    raised) and an empirical order is fitted from the log-log slope
+    (None for a single h).
     """
     grid = geometry.grid
     h_list = [float(h) for h in h_seq]
@@ -721,8 +722,8 @@ def convergence_study(
             )
         else:
             usable.append(h)
-    if len(usable) < 2:
-        raise EnergyError("need at least two resolvable h values")
+    if not usable:
+        raise EnergyError("need at least one resolvable h value")
 
     u = shape.indicator(geometry)
     # K_h*u on u's box, read at its cells: as in a flow step, no FFT with factors
@@ -740,6 +741,8 @@ def convergence_study(
         raise NumericalError(
             f"convergence study error not decreasing: {errs}"
         )
+    if len(rows) == 1:
+        return StudyTable(rows=rows, order=None)
     logs = np.polyfit(np.log([r.h for r in rows]), np.log(errs), 1)
     return StudyTable(rows=rows, order=float(logs[0]))
 

@@ -22,7 +22,7 @@ import numpy as np
 # numpy loads these on first use; loading them with the harness keeps
 # their imports out of the first run: numpy.fft for the FFTs and numpy.ma,
 # which np.unique loads.  numpy.random (6 MiB of RSS) is left to load on
-# first use, by the ensembles and validate's convolution cross-check.
+# first use, by the ensembles.
 import numpy.fft  # noqa: F401
 import numpy.ma  # noqa: F401
 
@@ -39,13 +39,9 @@ from .config import (
 )
 from .energy import (
     PhaseField,
-    RunOperator,
-    approx_energy,
     convergence_study,
-    indicator_defect,
     inequality_suite,
     monotonicity_check,
-    sharp_energy,
 )
 from .errors import ConfigError, NumericalError, ResolutionWarning
 from .geometry import Band, Geometry
@@ -79,11 +75,11 @@ class Workspace:
         return self.geometry.grid
 
 
-def prepare(config: RunConfig, *, tensions_required: bool = True) -> Workspace:
+def prepare(config: RunConfig) -> Workspace:
     """Build and validate the configured problem.
 
-    An inadmissible tension set raises unless ``tensions_required`` is off
-    (the validate experiment wants the failure as a report, not a crash).
+    An inadmissible tension set raises, except in the validate experiment,
+    which wants the failure as a report, not a crash.
     """
     geometry = build_geometry_from(config)
     kernel = build_kernel_from(config)
@@ -99,7 +95,7 @@ def prepare(config: RunConfig, *, tensions_required: bool = True) -> Workspace:
             "failures": [],
         }
     except (TensionError, ConfigError) as exc:
-        if tensions_required:
+        if config.experiment != "validate":
             raise
         flags = {"tensions": False, "triangle": None}
         detail = {
@@ -181,7 +177,7 @@ def _experiment_validate(ws: Workspace, out: Path) -> dict:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            kh = scale_kernel(ws.kernel, ws.grid, config.scheme["h"])
+            scale_kernel(ws.kernel, ws.grid, config.scheme["h"])
         for w in caught:
             if issubclass(w.category, ResolutionWarning):
                 resolution_notes.append(str(w.message))
@@ -200,25 +196,9 @@ def _experiment_validate(ws: Workspace, out: Path) -> dict:
             "induced": {"e1": float(vals[0]), "spread": float(vals.max() - vals.min())}
         }
 
-    # Cross-check the two convolution routes on grids small enough for
-    # the direct route (it visits every cell pair).
-    convolution: dict = {}
-    if flags["resolution"] and ws.grid.cell_count <= 4096:
-        rng = np.random.default_rng(config.seed)
-        probe = rng.uniform(size=ws.grid.shape)
-        diff = float(
-            np.abs(kh.convolve(probe) - kh.convolve(probe, method="direct")).max()
-        )
-        flags["convolution"] = diff <= 1e-10
-        convolution = {"max_abs_diff": diff, "tol": 1e-10}
-    else:
-        flags["convolution"] = None
-        convolution = {"skipped": "grid too large for the direct route"}
-
     results = {
         **ws.detail,
         "resolution": {"h": config.scheme["h"], "notes": resolution_notes},
-        "convolution": convolution,
         "geometry": {
             "omega_cells": ws.geometry.omega_cell_count,
             "omega_volume": ws.geometry.omega_volume,
@@ -271,34 +251,6 @@ def _experiment_run(ws: Workspace, out: Path) -> dict:
     return _write_summary(ws, out, results, outputs)
 
 
-def _experiment_energy(ws: Workspace, out: Path) -> dict:
-    config = ws.config
-    initial = build_initial(config, ws.geometry)
-    h = config.scheme["h"]
-    kh = scale_kernel(ws.kernel, ws.grid, h)
-    ku = kh.convolve(initial.values)
-    e_h = approx_energy(initial, RunOperator.build(ws.geometry, ws.tensions, kh), ku)
-    defect = indicator_defect(ku, ws.geometry)
-
-    sharp = None
-    spec = initial_shape_spec(config, ws.geometry)
-    if (
-        spec is not None
-        and not spec.wetted
-        and np.ptp(ws.tensions.pv) == 0.0
-    ):
-        sharp = sharp_energy(spec, float(ws.tensions.pv.flat[0]), ws.gamma)
-    results = {
-        "h": h,
-        "energy": e_h,
-        "volume": initial.volume(),
-        "defect": defect,
-        "sharp": sharp,
-        "rel_err": None if sharp is None else abs(e_h - sharp) / abs(sharp),
-    }
-    return _write_summary(ws, out, results, {})
-
-
 def _experiment_sharp_limit(ws: Workspace, out: Path) -> dict:
     config = ws.config
     spec = initial_shape_spec(config, ws.geometry)
@@ -321,13 +273,10 @@ def _experiment_sharp_limit(ws: Workspace, out: Path) -> dict:
         ("h", "energy", "reference", "rel_err"),
         table.as_rows(),
     )
-    errs = [r.rel_err for r in table.rows]
     results = {
         "order": table.order,
         "h_values": [r.h for r in table.rows],
-        "rel_errs": errs,
-        "final_rel_err": errs[-1],
-        "strictly_decreasing": True,  # convergence_study raised otherwise
+        "rel_errs": [r.rel_err for r in table.rows],
     }
     return _write_summary(ws, out, results, {"table": "convergence.csv"})
 
@@ -483,7 +432,6 @@ def _experiment_angle(ws: Workspace, out: Path) -> dict:
 _HANDLERS = {
     "validate": _experiment_validate,
     "run": _experiment_run,
-    "energy": _experiment_energy,
     "converge": _experiment_sharp_limit,
     "monotonic": _experiment_monotonic,
     "inequalities": _experiment_inequalities,
@@ -495,5 +443,5 @@ def run_experiment(config: RunConfig) -> dict:
     """Execute the configured experiment; returns the written summary."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ws = prepare(config, tensions_required=(config.experiment != "validate"))
+    ws = prepare(config)
     return _HANDLERS[config.experiment](ws, out)

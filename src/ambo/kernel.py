@@ -43,14 +43,13 @@ Convolution is the mass-weighted circular sum
 
     (K (*) f)[i] = spacing^d * sum_j Ktilde[j] f[i - j],
 
-evaluated either with the FFT (default; the kernel transform is
-computed once, at the first FFT convolution) or by direct summation
-(an independent oracle used in tests).  :meth:`SampledKernel.convolve`
-is the FFT convolution; :meth:`SampledKernel.apply` is its second half,
-given the field's transform.  :func:`convolve_cells` convolves a field
-that vanishes off a set of cells given as their *cell box*, as a phase
-holds it: per axis the cells' distinct coordinates and a bool mask on
-their product.  It returns the result on a box of output coordinates
+evaluated with the FFT (the kernel transform is computed once, at the
+first FFT convolution).  :meth:`SampledKernel.convolve` is the FFT
+convolution; :meth:`SampledKernel.apply` is its second half, given the
+field's transform.  :func:`convolve_cells` convolves a field that
+vanishes off a set of cells given as their *cell box*, as a phase holds
+it: per axis the cells' distinct coordinates and a bool mask on their
+product.  It returns the result on a box of output coordinates
 (the whole grid by default).  With a kernel that has factors it fills
 the cell box with the field and contracts it with the rolled factors
 along each axis, keeping only the output coordinates: d matrix
@@ -307,18 +306,14 @@ class SampledKernel:
         values = self.__dict__.get("values")  # the kept samples, if built
         return _rfftn(self._outer() if values is None else values)
 
-    def convolve(self, f, method: str = "fft") -> np.ndarray:
+    def convolve(self, f) -> np.ndarray:
         """Periodic convolution spacing^d * sum_j Ktilde[j] f[i-j]."""
         vals = np.asarray(f)
         if vals.shape != self.grid.shape:
             raise KernelError(
                 f"field shape {vals.shape} != grid shape {self.grid.shape}"
             )
-        if method == "fft":
-            return self.apply(_rfftn(vals))
-        if method == "direct":
-            return _shifted_sums(self.values, vals) * self.grid.cell_measure
-        raise KernelError(f"unknown convolution method {method!r}")
+        return self.apply(_rfftn(vals))
 
     def apply(self, spectrum: np.ndarray) -> np.ndarray:
         """The FFT convolution of the field whose :func:`_rfftn` is
@@ -503,17 +498,6 @@ def tail_margins(kh: SampledKernel) -> tuple[tuple, float] | None:
         tail * math.prod(sums[:k] + sums[k + 1 :]) for k, tail in enumerate(tails)
     )
     return tuple(margins), bound
-
-
-def _shifted_sums(kernel_vals: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Reference circular convolution by explicit shifted sums."""
-    out = np.zeros_like(f)
-    it = np.ndenumerate(kernel_vals)
-    for idx, kv in it:
-        if kv == 0.0:
-            continue
-        out += kv * np.roll(f, shift=idx, axis=tuple(range(f.ndim)))
-    return out
 
 
 def _points(coords: np.ndarray, d: int) -> np.ndarray:

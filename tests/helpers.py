@@ -1,6 +1,6 @@
 """Helpers that only the tests use: constant tensions, the cell box of
-flat cells, a disk-fit oracle and the quadrature oracle for the
-kernel-induced anisotropy."""
+flat cells, the direct-sum convolution oracle, a disk-fit oracle and the
+quadrature oracle for the kernel-induced anisotropy."""
 
 import math
 
@@ -26,6 +26,16 @@ def cell_box(grid, cells) -> tuple:
     mask = np.zeros(grid.shape, dtype=bool)
     mask.flat[cells] = True
     return cut_box(mask)
+
+
+def shifted_sums(kernel_vals: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Reference circular convolution by explicit shifted sums."""
+    out = np.zeros_like(f)
+    for idx, kv in np.ndenumerate(kernel_vals):
+        if kv == 0.0:
+            continue
+        out += kv * np.roll(f, shift=idx, axis=tuple(range(f.ndim)))
+    return out
 
 
 def best_fit_disk_mismatch(u: PhaseField) -> tuple[float, np.ndarray, float]:

@@ -684,13 +684,11 @@ def test_study_guards_resolution_and_ordering(grid64, unit_tensions):
     with pytest.raises(EnergyError, match="decreasing"):
         convergence_study(spec, tensions, GaussianKernel(), [1e-3, 4e-3], geometry, gamma)
 
-    # sqrt(h) < 3 spacings at n=64 for both small entries: dropped with a
-    # warning, leaving too few rows.
+    # sqrt(h) < 3 spacings at n=64 for both entries: dropped with a
+    # warning, leaving no row.
     with pytest.warns(UserWarning, match="under-resolved"):
-        with pytest.raises(EnergyError, match="two resolvable"):
-            convergence_study(
-                spec, tensions, GaussianKernel(), [4e-3, 1e-3, 2.5e-4], geometry, gamma
-            )
+        with pytest.raises(EnergyError, match="one resolvable"):
+            convergence_study(spec, tensions, GaussianKernel(), [1e-3, 2.5e-4], geometry, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from ambo.harness import prepare, run_experiment
 SMALL = {
     "validate": ("validate", 64, {}),
     "run": ("shrink_circle", 64, {"scheme": {"max_steps": 5}}),
-    "energy": ("energy_disk", 64, {}),
     "converge": ("converge_disk", 128, {"experiment": {"h_values": [4.0e-3, 1.0e-3]}}),
     "monotonic": (
         "monotonic_varying",
@@ -68,8 +67,8 @@ def _run_small(kind, tmp_path, out_name="out", *extra):
     return code, out
 
 
-# sqrt(h) = 0.0316 is under 3 spacings at n = 64 in the small run, energy
-# and monotonic configurations; their ResolutionWarning is expected.
+# sqrt(h) = 0.0316 is under 3 spacings at n = 64 in the small run and
+# monotonic configurations; their ResolutionWarning is expected.
 UNDER_RESOLVED = pytest.mark.filterwarnings("ignore::ambo.errors.ResolutionWarning")
 
 
@@ -77,7 +76,7 @@ UNDER_RESOLVED = pytest.mark.filterwarnings("ignore::ambo.errors.ResolutionWarni
     "kind",
     [
         pytest.param(kind, marks=UNDER_RESOLVED)
-        if kind in ("run", "energy", "monotonic")
+        if kind in ("run", "monotonic")
         else kind
         for kind in EXPERIMENTS
     ],
@@ -130,18 +129,22 @@ def test_same_config_reproduces_every_output_byte(tmp_path, capsys):
 
 def test_runs_import_neither_scipy_nor_jsonschema(tmp_path):
     """A fresh process that imports the command line and runs the small
-    angle case and extend_disk's validate (the contact-angle labelling,
-    the Dirichlet solves, the summary check) loads no scipy or jsonschema
-    module.  The import, and the angle run after it, load no numpy.random
-    (6 MiB of RSS), which only the ensembles and validate use."""
+    angle case, the small validate and extend_disk's validate (the
+    contact-angle labelling, the Dirichlet solves, the summary check)
+    loads no scipy or jsonschema module.  The import, the angle run and
+    the small validate load no numpy.random (6 MiB of RSS), which only
+    the ensembles use."""
     preset, n, changes = SMALL["angle"]
     angle = ["angle", str(_config(tmp_path / "angle.yaml", preset, changes)), "--n", str(n)]
+    preset, n, changes = SMALL["validate"]
+    validate = ["validate", str(_config(tmp_path / "validate.yaml", preset, changes)), "--n", str(n)]
     extend = ["validate", "--preset", "extend_disk", "--n", "128"]
     script = f"""
 import sys
 import ambo.harness, ambo.cli
 assert "numpy.random" not in sys.modules
 assert ambo.cli.main({angle + ["--out", str(tmp_path / "angle")]!r}) == 0
+assert ambo.cli.main({validate + ["--out", str(tmp_path / "validate")]!r}) == 0
 assert "numpy.random" not in sys.modules
 assert ambo.cli.main({extend + ["--out", str(tmp_path / "extend")]!r}) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema")))
@@ -312,17 +315,17 @@ def test_extend_disk_divides_substrate_tensions_by_kernel_anisotropy():
     assert ws.flags == {"tensions": True, "triangle": True}
 
 
-def test_energy_of_a_field_file_with_a_nan_cell_exits_1(tmp_path, capsys):
-    """A field file with one NaN cell is refused as a phase, not reported
-    with a null energy."""
+def test_run_of_a_field_file_with_a_nan_cell_exits_1(tmp_path, capsys):
+    """A field file with one NaN cell is refused as a phase before the
+    run starts."""
     values = np.zeros((64, 64))
     values[32, 32] = np.nan
     io.write_field(tmp_path / "nan.bin", values)
-    doc = _preset("energy_disk")
+    doc = _preset("shrink_circle")
     doc["initial"] = {"kind": "field", "path": str(tmp_path / "nan.bin")}
-    config = tmp_path / "energy.yaml"
+    config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump(doc))
-    argv = ["energy", str(config), "--n", "64", "--out", str(tmp_path / "out")]
+    argv = ["run", str(config), "--n", "64", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     assert "phase values must lie in [0,1]" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
@@ -404,6 +407,37 @@ def test_energy_gamma_converges_at_first_order(tmp_path, capsys):
     assert len(errs) == 3
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert abs(results["order"] - 0.9916) <= 5e-3
+
+
+def test_converge_at_one_h_is_the_row_of_a_longer_study(tmp_path, capsys):
+    """converge_disk at n = 256 with the one h = 1e-3 fits no order and
+    reports one error, and its convergence.csv row is byte for byte the
+    h = 1e-3 row of the [4e-3, 1e-3] study."""
+    rows = {}
+    for h_values in ([1.0e-3], [4.0e-3, 1.0e-3]):
+        config = _config(
+            tmp_path / "converge.yaml", "converge_disk", {"experiment": {"h_values": h_values}}
+        )
+        out = tmp_path / f"h{len(h_values)}"
+        code = cli.main(["converge", str(config), "--n", "256", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        results = io.read_summary(out / "summary.json")["results"]
+        assert len(results["rel_errs"]) == len(h_values)
+        rows[len(h_values)] = (results, (out / "convergence.csv").read_text().splitlines())
+    (single, table), (_, longer) = rows[1], rows[2]
+    assert single["order"] is None and single["h_values"] == [1.0e-3]
+    assert table[0] == longer[0] and table[1:] == longer[2:]
+
+
+def test_flags_are_offered_only_to_the_experiments_that_read_them(capsys):
+    """Only run, angle and validate read scheme.h, and only run and angle
+    read max_steps: elsewhere argparse refuses the flags (exit 2)."""
+    for argv in (["converge", "--h", "1e-3"], ["monotonic", "--max-steps", "3"],
+                 ["validate", "--max-steps", "3"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2, argv
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_varying_tension_monotonicity_constant_stays_at_its_measurement(

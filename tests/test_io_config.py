@@ -450,8 +450,8 @@ def test_type_errors_are_specific(tmp_path):
     for text, message in centers.items():
         with pytest.raises(ConfigError, match=message):
             load_config(_write_yaml(tmp_path, text))
-    path = _write_yaml(tmp_path, "initial: {kind: disk, center: 5}\nexperiment: energy\n")
-    assert cli.main(["energy", str(path), "--out", str(tmp_path / "out")]) == 1
+    path = _write_yaml(tmp_path, "initial: {kind: disk, center: 5}\nexperiment: converge\n")
+    assert cli.main(["converge", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
 def test_shape_numbers_are_checked_at_load(tmp_path, capsys):
@@ -642,7 +642,7 @@ def test_document_round_trip_and_hash_stability(tmp_path):
 
 def test_every_preset_loads_and_its_echo_round_trips():
     presets = cli.list_presets()
-    assert len(presets) == 10
+    assert len(presets) == 9
     for name in presets:
         with resources.as_file(resources.files("ambo") / "presets" / f"{name}.yaml") as path:
             cfg = load_config(path)

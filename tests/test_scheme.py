@@ -836,10 +836,14 @@ def test_a_factored_3d_run_holds_no_dense_copies(monkeypatch):
     """Memory guard: a 3-d ball run at n = 32 never builds the samples of
     its factored kernel, no state holds a dense phase array, no stepped
     state derives its phase's flat indices, and the traced allocation
-    peak stays under BALL_PEAK_GRID_ARRAYS grid arrays."""
+    peak stays under BALL_PEAK_GRID_ARRAYS grid arrays.  The same run
+    goes once untraced first, so that no module it imports on first use
+    counts, whatever ran before it."""
     initial = _ball(32)
     grid = initial.grid
     tensions = constant_tensions(grid, 1.0, 1.0, 1.0)
+    config = SchemeConfig(h=9e-3, max_steps=40)
+    run(_ball(32), config, tensions, UNIT_KERNEL)
     kernels = []
     monkeypatch.setattr(
         scheme,
@@ -859,9 +863,7 @@ def test_a_factored_3d_run_holds_no_dense_copies(monkeypatch):
 
     tracemalloc.start()
     try:
-        traj = run(
-            initial, SchemeConfig(h=9e-3, max_steps=40), tensions, UNIT_KERNEL, on_state=check
-        )
+        traj = run(initial, config, tensions, UNIT_KERNEL, on_state=check)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
