@@ -11,8 +11,7 @@ construction:
 * :mod:`ambo.anisotropy` — the surface-tension anisotropy a run kernel
   induces, in closed form;
 * :mod:`ambo.kernel` — the run kernels (Gaussian, elliptic Gaussian), the
-  tent of the inequality suite, grid sampling, FFT and direct
-  convolution;
+  tent of the inequality suite, grid sampling and FFT convolution;
 * :mod:`ambo.tensions` — torus-wide extension of the three surface
   tensions with pointwise triangle-inequality guarantees;
 * :mod:`ambo.energy` — the approximate energy, sharp limits, convergence,

@@ -92,16 +92,15 @@ class PhaseField:
     """A [0,1]-valued field supported on the container.
 
     ``PhaseField(geometry, values)`` holds the given values.  An
-    indicator, built by :meth:`from_box` (or :meth:`from_mask` or
-    :meth:`from_support`), holds its *cell box* alone: ``cell_box`` is
-    (axes, mask), per axis the distinct coordinates of its cells,
-    ascending, and a read-only C-order bool array on their product, set
-    at its cells.  The box's C order is the grid's cell order, so a
-    gather ``at_cells`` runs over the cells in ascending flat order.
-    ``volume``, ``is_binary``, the interface count and E_h read the box;
-    ``values`` and the flat ``support`` are derived on first read and
-    then kept.  A field given by its values derives its cell box from
-    them in the same way.
+    indicator, built by :meth:`from_box` (or :meth:`from_mask`), holds
+    its *cell box* alone: ``cell_box`` is (axes, mask), per axis the
+    distinct coordinates of its cells, ascending, and a read-only
+    C-order bool array on their product, set at its cells.  The box's C
+    order is the grid's cell order, so a gather ``at_cells`` runs over
+    the cells in ascending flat order.  ``volume``, ``is_binary``, the
+    interface count and E_h read the box; ``values`` is derived on first
+    read and then kept.  A field given by its values derives its cell
+    box from them in the same way.
     """
 
     _indicator = False  # built from its cell box: 1 at its cells, 0 elsewhere
@@ -142,24 +141,6 @@ class PhaseField:
         return u
 
     @classmethod
-    def from_support(cls, geometry: Geometry, cells: np.ndarray) -> "PhaseField":
-        """The binary field that is 1 on ``cells``, strictly increasing flat
-        indices of container cells; a read-only copy becomes ``support``.
-        Cells that are not integers or lie past the grid raise IndexError."""
-        cells = np.array(cells).reshape(-1)
-        if not np.issubdtype(cells.dtype, np.integer):
-            raise IndexError(f"support cells must be integers, got {cells.dtype}")
-        if np.any(cells[:1] < 0) or np.any(cells[1:] <= cells[:-1]):
-            raise EnergyError("support cells must be strictly increasing cell indices")
-        if np.any(cells[-1:] >= geometry.grid.cell_count):
-            raise IndexError(f"cell {cells[-1]} lies past the grid")
-        mask = np.zeros(geometry.grid.shape, dtype=bool)
-        mask.reshape(-1)[cells] = True
-        u = cls.from_box(geometry, None, mask)
-        u.support = _read_only(cells)
-        return u
-
-    @classmethod
     def from_mask(cls, geometry: Geometry, mask: np.ndarray) -> "PhaseField":
         return cls.from_box(geometry, None, mask & geometry.omega_mask)
 
@@ -197,18 +178,6 @@ class PhaseField:
     def cell_box(self) -> tuple:
         """(axes, mask) of the cells where u != 0 (see the class docstring)."""
         return cut_box(self.values != 0.0)
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        """Flat C-order indices of the cells where u != 0 (read-only).
-
-        Derived once from the cell box (or given to :meth:`from_support`),
-        so the values must not change afterwards.  Two binary fields on
-        one geometry are equal exactly when their supports are.
-        """
-        axes, mask = self.cell_box
-        at = tuple(a[i] for a, i in zip(axes, np.nonzero(mask)))
-        return _read_only(np.ravel_multi_index(at, self.grid.shape))
 
     def at_cells(self, a: np.ndarray) -> np.ndarray:
         """The grid array ``a`` at u's cells, in ascending flat order."""

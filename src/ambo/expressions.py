@@ -1,17 +1,20 @@
 """A minimal arithmetic-expression grammar for spatially varying inputs.
 
-Supported: ``+ - * /``, unary minus, parentheses, numeric literals, the
-coordinates ``x1 .. x3`` and the functions ``sin``, ``cos``, ``exp``.
-Expressions are parsed once into a small AST and evaluated vectorised
-over numpy coordinate arrays.  No ``eval`` and no other names — unknown
-identifiers are rejected at parse time with a pointer to the offending
-token.
+Supported: ``+ - * /``, unary ``-`` and ``+``, parentheses, decimal
+number literals, the coordinates ``x1 .. x3`` and the functions ``sin``,
+``cos``, ``exp`` of one argument.  Python's :mod:`ast` parses an
+expression once, :func:`_check` refuses every form outside the grammar,
+and :func:`_evaluate` walks the tree vectorised over numpy coordinate
+arrays.  Nothing is handed to ``eval`` or ``compile``; each rejection
+names the offending part.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,50 +26,35 @@ class ExpressionError(ValueError):
 
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/()]))"
-)
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ExpressionError(
-                f"unexpected character {rest[0]!r} at position {pos} in {text!r}"
-            )
-        pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        elif m.group("op") is not None:
-            tokens.append(("op", m.group("op")))
-    return tokens
+_COORDINATES = ("x1", "x2", "x3")
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+# A character outside the grammar: Python would skip a comment ("1 # c")
+# and accept a trailing comma ("sin(x1,)").
+_STRAY = re.compile(r"[^0-9A-Za-z_.+\-*/()\s]")
+# The decimal literals; Python's others (0x10, 1_000, 1j) are refused by
+# their text.
+_NUMBER = re.compile(r"[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?")
+# Python refuses leading zeros on an integer (007); the grammar reads 7.
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")
 
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression; call with a tuple of coordinate arrays."""
+    """A parsed expression; call with a tuple of coordinate arrays.  Two
+    expressions are equal when their sources are."""
 
     source: str
-    _ast: tuple
+    max_coordinate: int = field(compare=False)  # highest index used, 0 if constant
+    _tree: ast.expr = field(compare=False, repr=False)
 
     def __call__(self, coords: tuple) -> np.ndarray:
         """Evaluate over broadcastable coordinate arrays (x1, ..., xd)."""
-        return _eval_node(self._ast, coords)
-
-    @property
-    def max_coordinate(self) -> int:
-        """Highest coordinate index used (0 if constant)."""
-        return _max_coord(self._ast)
+        return _evaluate(self._tree, coords)
 
 
 def parse_expression(text) -> Expression:
@@ -74,126 +62,60 @@ def parse_expression(text) -> Expression:
     if isinstance(text, Expression):
         return text
     if isinstance(text, (int, float)):
-        return Expression(source=repr(text), _ast=("num", float(text)))
+        return Expression(repr(text), 0, ast.Constant(float(text)))
     if not isinstance(text, str):
         raise ExpressionError(f"cannot parse expression from {type(text).__name__}")
-    tokens = _tokenize(text)
-    if not tokens:
+    stray = _STRAY.search(text)
+    if stray:
+        raise ExpressionError(
+            f"unexpected character {stray.group()!r} at position {stray.start()} in {text!r}"
+        )
+    # Each run of whitespace, a newline or a tab too, reads as one space.
+    source = _LEADING_ZEROS.sub("", " ".join(text.split()))
+    if not source:
         raise ExpressionError("empty expression")
-    parser = _Parser(tokens, text)
-    ast = parser.parse_expr()
-    parser.expect_end()
-    return Expression(source=text, _ast=ast)
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as err:
+        raise ExpressionError(f"{err.msg} in {text!r}") from None
+    return Expression(text, _check(tree, source), tree)
 
 
-class _Parser:
-    def __init__(self, tokens: list, text: str) -> None:
-        self.tokens = tokens
-        self.text = text
-        self.i = 0
+def _check(node: ast.expr, source: str) -> int:
+    """The highest coordinate index ``node`` uses; refuses every form
+    outside the grammar, and sets each literal to the float its text reads."""
+    part = ast.get_source_segment(source, node)
+    match node:
+        case ast.Constant() if _NUMBER.fullmatch(part):
+            node.value = float(part)
+            return 0
+        case ast.Name(id=name) if name in _COORDINATES:
+            return int(name[1])
+        case ast.UnaryOp(op=ast.UAdd() | ast.USub(), operand=operand):
+            return _check(operand, source)
+        case ast.BinOp(op=op, left=left, right=right) if type(op) in _BINARY:
+            return max(_check(left, source), _check(right, source))
+        case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if name in _FUNCTIONS:
+            return _check(arg, source)
+    raise ExpressionError(
+        f"{part!r} in {source!r} is outside the grammar: decimal numbers, "
+        "x1..x3, + - * / and sin, cos, exp of one argument"
+    )
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
 
-    def advance(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_end(self) -> None:
-        if self.i != len(self.tokens):
+def _evaluate(node: ast.expr, coords: tuple):
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        index = int(node.id[1])
+        if index > len(coords):
             raise ExpressionError(
-                f"trailing input {self.tokens[self.i]!r} in {self.text!r}"
+                f"expression uses x{index} but only {len(coords)} coordinates exist"
             )
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.advance()
-            node = (op, node, self.parse_term())
-        return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.advance()
-            node = (op, node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        if self.peek() == ("op", "-"):
-            self.advance()
-            return ("neg", self.parse_unary())
-        if self.peek() == ("op", "+"):
-            self.advance()
-            return self.parse_unary()
-        return self.parse_atom()
-
-    def parse_atom(self):
-        kind, val = self.advance()
-        if kind == "num":
-            return ("num", val)
-        if kind == "op" and val == "(":
-            node = self.parse_expr()
-            if self.advance() != ("op", ")"):
-                raise ExpressionError(f"missing ')' in {self.text!r}")
-            return node
-        if kind == "name":
-            if val in _FUNCTIONS:
-                if self.advance() != ("op", "("):
-                    raise ExpressionError(
-                        f"function {val!r} needs parentheses in {self.text!r}"
-                    )
-                node = self.parse_expr()
-                if self.advance() != ("op", ")"):
-                    raise ExpressionError(f"missing ')' in {self.text!r}")
-                return ("call", val, node)
-            m = re.fullmatch(r"x([123])", val)
-            if m:
-                return ("coord", int(m.group(1)))
-            raise ExpressionError(
-                f"unknown name {val!r} in {self.text!r}; allowed: "
-                f"x1..x3, {', '.join(sorted(_FUNCTIONS))}"
-            )
-        raise ExpressionError(f"unexpected token in {self.text!r}")
-
-
-def _eval_node(node: tuple, coords: tuple):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "coord":
-        idx = node[1]
-        if idx > len(coords):
-            raise ExpressionError(
-                f"expression uses x{idx} but only {len(coords)} coordinates exist"
-            )
-        return coords[idx - 1]
-    if kind == "neg":
-        return -_eval_node(node[1], coords)
-    if kind == "call":
-        return _FUNCTIONS[node[1]](_eval_node(node[2], coords))
-    a = _eval_node(node[1], coords)
-    b = _eval_node(node[2], coords)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    raise ExpressionError(f"corrupt AST node {node!r}")
-
-
-def _max_coord(node: tuple) -> int:
-    kind = node[0]
-    if kind == "coord":
-        return node[1]
-    if kind in ("num",):
-        return 0
-    if kind == "neg":
-        return _max_coord(node[1])
-    if kind == "call":
-        return _max_coord(node[2])
-    return max(_max_coord(node[1]), _max_coord(node[2]))
+        return coords[index - 1]
+    if isinstance(node, ast.UnaryOp):
+        value = _evaluate(node.operand, coords)
+        return -value if isinstance(node.op, ast.USub) else value
+    if isinstance(node, ast.Call):
+        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], coords))
+    return _BINARY[type(node.op)](_evaluate(node.left, coords), _evaluate(node.right, coords))

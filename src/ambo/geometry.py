@@ -171,13 +171,6 @@ class Geometry:
         return normal
 
     @cached_property
-    def omega_cells(self) -> np.ndarray:
-        """Flat C-order indices of the container cells (read-only, cached)."""
-        cells = np.flatnonzero(self.omega_mask)
-        cells.flags.writeable = False
-        return cells
-
-    @cached_property
     def extent(self) -> tuple:
         """Per axis, the read-only bool mask of the coordinates that
         container cells take (computed on first read and cached)."""
@@ -194,7 +187,7 @@ class Geometry:
         """Whether the container is the product of its extents (a band, the
         torus), so that every cell of a box inside them is a container cell."""
         size = math.prod(int(mask.sum()) for mask in self.extent)
-        return size == int(np.count_nonzero(self.omega_mask))
+        return size == self.omega_cell_count
 
     def omega_on(self, box: tuple | None) -> np.ndarray | None:
         """The container mask on ``box`` (per axis ascending coordinates
@@ -206,7 +199,7 @@ class Geometry:
 
     @property
     def omega_cell_count(self) -> int:
-        return self.omega_cells.size
+        return int(np.count_nonzero(self.omega_mask))
 
     @property
     def omega_volume(self) -> float:

@@ -71,9 +71,9 @@ numpy's pocketfft (``numpy.fft``) on one thread.  A flow run of a
 factored kernel on a band or the torus takes none.  FFTs remain for a
 kernel without factors or a container that is not such a product (a
 disk), for a phase whose box costs more than the FFT, and where a
-given field is convolved whole: the energy and validate experiments,
-and the monotonicity and inequality suites, which transform each field
-once and ``apply`` it to each of their kernels.  The box products run
+given field is convolved whole: the monotonicity and inequality suites,
+which transform each field once and ``apply`` it to each of their
+kernels.  The box products run
 on BLAS; the tests check that 1 and 2 BLAS threads write the same bytes.
 """
 

@@ -225,7 +225,8 @@ def _select(
     # floating point) maps to k, not k+1.
     ratio = m / geometry.grid.cell_measure
     k = int(math.ceil(ratio - 1e-9 * max(1.0, ratio)))
-    # A bool gather; measured faster than a take over omega_cells.
+    # A bool gather; measured faster than a take over the container's flat
+    # cell indices.
     values = phi.ravel() if omega is None else phi[omega]
     if not np.all(np.isfinite(values)):
         raise SchemeError("comparison field is not finite on the container")
@@ -401,7 +402,7 @@ def run(
 
     op = RunOperator.build(geometry, t, kh)
     # Rebuilt, as every later field is: the user's zeros may be -0.0.
-    initial = PhaseField.from_support(geometry, initial.support)
+    initial = PhaseField.from_box(geometry, *initial.cell_box)
     state = _make_state(0, initial, math.nan, op)
     del initial  # state 0 holds it only until the first step replaces it
     diagnostics = [diag_row(state)]

@@ -30,7 +30,7 @@ from ambo.grid import TorusGrid
 from ambo.kernel import EllipticGaussianKernel, GaussianKernel, SampledKernel, scale_kernel
 from ambo.scheme import comparison_field
 from ambo.tensions import ModifiedTensions
-from helpers import constant_tensions
+from helpers import cell_box, constant_tensions
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -145,15 +145,15 @@ def test_support_fields_count_their_box_like_the_full_grid(d, n, rng):
     """The interface count over the cell box equals the full-grid count,
     for supports that cross the seam (with gaps), fill an axis, hold one
     cell or none; values, volume and is_binary of the field built from
-    the support equal those of the dense field, and only ``values``
-    builds the dense array.  The same cells given as a mask on a larger
-    box (their coordinates plus random others on each axis, so with
-    empty layers to cut) give the same cell box, support, values, volume
-    and interface count, and derive ``support`` only when it is read."""
+    the support's cell box equal those of the dense field, and only
+    ``values`` builds the dense array.  The same cells given as a mask
+    on a larger box (their coordinates plus random others on each axis,
+    so with empty layers to cut) give the same cell box, values, volume
+    and interface count."""
     grid = TorusGrid(d, n)
     geometry = build_geometry(make_shape("full"), grid)
     for mask in _support_cases(grid, rng):
-        u = PhaseField.from_support(geometry, np.flatnonzero(mask))
+        u = PhaseField.from_box(geometry, *cell_box(grid, np.flatnonzero(mask)))
         dense = PhaseField(geometry, mask.astype(np.float64))
         expected = _rolled_interface_count(dense.values)
         assert u.interface_cell_count() == dense.interface_cell_count() == expected
@@ -168,66 +168,12 @@ def test_support_fields_count_their_box_like_the_full_grid(d, n, rng):
             for k in range(d)
         )
         boxed = PhaseField.from_box(geometry, box, mask[np.ix_(*box)])
-        assert {"support", "values"}.isdisjoint(vars(boxed))
+        assert "values" not in vars(boxed)
         (axes, cut), (want_axes, want) = boxed.cell_box, u.cell_box
         assert all(map(np.array_equal, axes + (cut,), want_axes + (want,)))
         assert not cut.flags.writeable
         assert boxed.interface_cell_count() == expected and boxed.volume() == u.volume()
-        assert "support" not in vars(boxed)
-        assert np.array_equal(boxed.support, u.support) and not boxed.support.flags.writeable
         assert boxed.values.tobytes() == dense.values.tobytes()
-        assert np.array_equal(dense.support, u.support)
-
-
-def test_support_lists_the_nonzero_cells(disk_geometry, rng):
-    # The mask reaches outside the container; from_mask drops those cells.
-    wide = PhaseField.from_mask(disk_geometry, disk_geometry.signed_distance > -0.1)
-    hand = np.zeros(disk_geometry.grid.shape)
-    hand[100:140, 120:130] = 0.25
-    hand[128, 128] = 1.0
-    fields = [
-        wide,
-        PhaseField.from_mask(disk_geometry, disk_geometry.signed_distance > 0.15),
-        PhaseField.random(disk_geometry, rng, levels=5),
-        PhaseField.zeros(disk_geometry),
-        PhaseField(disk_geometry, hand),
-    ]
-    for u in fields:
-        assert np.array_equal(u.support, np.flatnonzero(u.values))
-        assert not u.support.flags.writeable
-    assert wide.support.size == disk_geometry.omega_mask.sum()
-    assert fields[3].support.size == 0
-
-
-def test_from_support_builds_the_binary_field(disk_geometry):
-    cells = np.flatnonzero(disk_geometry.signed_distance > 0.15)
-    u = PhaseField.from_support(disk_geometry, cells)
-    assert u.is_binary()
-    assert np.array_equal(u.values, disk_geometry.signed_distance > 0.15)
-    assert np.array_equal(u.support, np.flatnonzero(u.values))
-    assert not u.support.flags.writeable
-    # The caller's array is copied, not frozen or shared.
-    assert cells.flags.writeable and not np.shares_memory(u.support, cells)
-    empty = PhaseField.from_support(disk_geometry, disk_geometry.omega_cells[:0])
-    assert empty.volume() == 0.0 and empty.support.size == 0
-    everything = np.ones(disk_geometry.grid.shape, dtype=bool)
-    whole = PhaseField.from_mask(disk_geometry, everything)
-    assert np.array_equal(whole.support, disk_geometry.omega_cells)
-
-    outside = np.flatnonzero(disk_geometry.substrate_mask)[:1]
-    with pytest.raises(EnergyError, match="outside"):
-        PhaseField.from_support(disk_geometry, outside)
-    bad = [
-        cells[::-1],  # unsorted
-        np.repeat(cells[:2], 2),  # repeated
-        np.array([-1, cells[0]]),  # negative
-    ]
-    for c in bad:
-        with pytest.raises(EnergyError, match="strictly increasing"):
-            PhaseField.from_support(disk_geometry, c)
-    for c in (np.array([cells[0], disk_geometry.grid.cell_count]), cells * 1.0):
-        with pytest.raises(IndexError):
-            PhaseField.from_support(disk_geometry, c)
 
 
 def test_phase_field_rejects_bad_values(disk_geometry, grid256):
@@ -235,7 +181,7 @@ def test_phase_field_rejects_bad_values(disk_geometry, grid256):
         PhaseField(disk_geometry, np.full(grid256.shape, 1.5))
     # A NaN compares false with both bounds; one container cell is enough.
     nan_cell = np.zeros(grid256.shape)
-    nan_cell.flat[disk_geometry.omega_cells[0]] = np.nan
+    nan_cell.flat[np.flatnonzero(disk_geometry.omega_mask)[0]] = np.nan
     with pytest.raises(EnergyError, match="range"):
         PhaseField(disk_geometry, nan_cell)
     outside = np.where(disk_geometry.omega_mask, 0.0, 0.5)
@@ -247,6 +193,11 @@ def test_phase_field_rejects_bad_values(disk_geometry, grid256):
     with pytest.raises(EnergyError) as rejected:
         PhaseField(disk_geometry, one_cell)
     assert str(rejected.value) == "phase field must vanish outside the container"
+    # A cell box is checked alike; from_mask drops the cells off the container.
+    with pytest.raises(EnergyError, match="outside"):
+        PhaseField.from_box(disk_geometry, None, one_cell == 1.0)
+    whole = PhaseField.from_mask(disk_geometry, np.ones(grid256.shape, dtype=bool))
+    assert np.array_equal(whole.values, disk_geometry.omega_mask)
     with pytest.raises(EnergyError):
         PhaseField(disk_geometry, np.zeros((4, 4)))
     with pytest.raises(EnergyError, match="levels"):
@@ -426,7 +377,7 @@ def test_disk_indicator_matches_the_full_grid_mask(center, radius, full_geometry
     grid = full_geometry.grid
     inside = grid.torus_distance(np.stack(grid.meshgrid(), axis=-1), center) < radius
     u = ShapeSpec.disk(center, radius).indicator(full_geometry)
-    assert np.array_equal(u.support, np.flatnonzero(inside))
+    assert np.array_equal(np.flatnonzero(u.values), np.flatnonzero(inside))
 
 
 @pytest.mark.parametrize("center_x", [0.5, 0.03])
@@ -439,7 +390,7 @@ def test_cap_indicator_matches_the_full_grid_mask(center_x, band_geometry):
     arc = cap.free[0]
     inside = (grid.torus_distance(pts, arc.center) < arc.radius) & (pts[..., 1] >= 0.25)
     expected = np.flatnonzero(inside & band_geometry.omega_mask)
-    assert np.array_equal(cap.indicator(band_geometry).support, expected)
+    assert np.array_equal(np.flatnonzero(cap.indicator(band_geometry).values), expected)
 
 
 def test_cap_indicator_is_binary_cap(band_geometry):

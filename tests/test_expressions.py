@@ -21,6 +21,9 @@ def test_literal_and_arithmetic():
     assert _eval("7 / 2", 0.0) == pytest.approx(3.5)
     assert _eval("-4 + 1", 0.0) == pytest.approx(-3.0)
     assert _eval("2e-3", 0.0) == pytest.approx(0.002)
+    # Leading zeros read as decimals; a constant is a Python float.
+    assert _eval("007 + .5", 0.0) == 7.5
+    assert type(parse_expression("3")(())) is float
 
 
 def test_coordinates_broadcast():
@@ -28,6 +31,9 @@ def test_coordinates_broadcast():
     y = np.full_like(x, 0.5)
     out = _eval("x1 + 10*x2", x, y)
     assert out == pytest.approx(x + 5.0)
+    # A newline or a tab reads as a space.
+    assert _eval("1\n+ x1", x).tobytes() == _eval("1 + x1", x).tobytes()
+    assert _eval("\t2 *\n3 ", 0.0) == 6.0
 
 
 def test_functions():
@@ -47,10 +53,19 @@ def test_max_coordinate_and_is_constant():
     assert e.max_coordinate == 1
     assert parse_expression("3*2 + sin(1)").max_coordinate == 0
     assert parse_expression("x3").max_coordinate == 3
+    assert parse_expression("sin(x2)").max_coordinate == 2
+    assert parse_expression("-x3").max_coordinate == 3
+    assert parse_expression("1\n+ x1").max_coordinate == 1
 
 
 def test_malformed_expressions_rejected():
-    for bad in ("1 +", "x4", "foo(1)", "2 ** 3", "(1", "x1 x2", "", "1..2"):
+    for bad in (
+        "1 +", "x4", "foo(1)", "2 ** 3", "(1", "x1 x2", "", "1..2",
+        # Python's grammar has these forms; the expression grammar does not.
+        "0x10", "1_000", "1j", "True", "x1 % 2", "x1 < 2", "sin(x1, 2)", "sin(x=1)",
+        "x1.real", "__import__('os')", "1 if 1 else 2", "1 # note", "sin(x1,)", "sin()",
+        "not x1",
+    ):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
 

@@ -109,3 +109,17 @@ def test_no_module_imports_scipy_or_jsonschema():
             if any(m.split(".")[0] in ("scipy", "jsonschema") for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_module_evaluates_code():
+    """No ``ambo`` module names ``eval``, ``exec``, ``compile`` or
+    ``__import__``: the expression grammar walks its parsed tree, and
+    nothing else runs text as code."""
+    package = Path(ambo.__path__[0])
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id in ("eval", "exec", "compile", "__import__")
+    ]
+    assert found == []

@@ -37,7 +37,7 @@ from ambo.scheme import (
     run,
 )
 from ambo.tensions import ModifiedTensions, RawTensions, extend_substrate
-from helpers import best_fit_disk_mismatch, constant_tensions
+from helpers import best_fit_disk_mismatch, cell_box, constant_tensions
 
 UNIT_KERNEL = GaussianKernel()
 
@@ -236,7 +236,7 @@ def test_volume_threshold_order_statistic(disk_geometry, grid256):
     m = math.pi * 0.15**2
     lam, cells = _select_cells(phi, disk_geometry, m)
     assert np.array_equal(cells, np.flatnonzero((phi <= lam) & disk_geometry.omega_mask))
-    selected = PhaseField.from_support(disk_geometry, cells)
+    selected = PhaseField.from_box(disk_geometry, *cell_box(grid256, cells))
     assert abs(selected.volume() - m) < grid256.cell_measure
     assert lam == np.sort(phi[disk_geometry.omega_mask])[
         math.ceil(m / grid256.cell_measure - 1e-9 * m / grid256.cell_measure) - 1
@@ -251,7 +251,7 @@ def test_volume_threshold_order_statistic(disk_geometry, grid256):
     flat = np.zeros(grid256.shape)
     lam, cells = _select_cells(flat, disk_geometry, 5 * grid256.cell_measure)
     assert lam == 0.0
-    assert np.array_equal(cells, disk_geometry.omega_cells[:5])
+    assert np.array_equal(cells, np.flatnonzero(disk_geometry.omega_mask)[:5])
 
     # no cell: lambda is -inf and the list is empty
     lam, cells = _select_cells(phi, disk_geometry, 0.0)
@@ -457,7 +457,8 @@ def test_states_match_fresh_evaluation():
         fresh_op = RunOperator.build(initial.geometry, t, kh)
         assert [state.box is not None for state in states] == [boxed] * 5
         for state in states:
-            ku = convolve_cells(kh, state.u.cell_box, np.ones(state.u.support.size))
+            cells = np.count_nonzero(state.u.cell_box[1])
+            ku = convolve_cells(kh, state.u.cell_box, np.ones(cells))
             assert state.ku.tobytes() == on_box(ku, state.box).tobytes()
             assert np.abs(ku - kh.convolve(state.u.values)).max() <= 4e-15
             assert state.energy == approx_energy(state.u, fresh_op, ku)
@@ -522,7 +523,7 @@ def test_narrow_band_steps_equal_whole_grid_steps(kind):
             phi = comparison_field(state.u, op, state.ku, state.box)
             assert _select(phi, geometry, m, state.box, op.floor) is not None
             narrow, wide = scheme.step(state, cfg, op), scheme.step(reference, cfg, whole)
-            assert np.array_equal(narrow.u.support, wide.u.support)
+            assert np.array_equal(np.flatnonzero(narrow.u.values), np.flatnonzero(wide.u.values))
             assert np.float64(narrow.lam).tobytes() == np.float64(wide.lam).tobytes()
             assert narrow.energy == wide.energy
             assert narrow.defect == pytest.approx(wide.defect, rel=DEFECT_RTOL, abs=0.0)
@@ -558,8 +559,7 @@ def test_closed_form_defect_equals_the_whole_grid_sum(d, matrix):
     op = RunOperator.build(geometry, t, kh)
     one = np.ravel_multi_index((0,) + (grid.n // 2,) * (d - 1), grid.shape)
     phases = _random_phases(geometry, np.random.default_rng(5), 6, 0.12)
-    phases += [PhaseField.from_support(geometry, np.zeros(0, dtype=np.intp))]
-    phases += [PhaseField.from_support(geometry, np.array([one]))]
+    phases += [PhaseField.from_box(geometry, *cell_box(grid, cells)) for cells in ([], [one])]
     crossing = 0
     for u in phases:
         state = scheme._make_state(0, u, math.nan, op)
@@ -567,7 +567,7 @@ def test_closed_form_defect_equals_the_whole_grid_sum(d, matrix):
         crossing += any(c.size and c[-1] - c[0] + 1 > c.size for c in state.box)
         whole = indicator_defect(convolve_cells(kh, u.cell_box, 1.0), geometry)
         assert state.defect == pytest.approx(whole, rel=DEFECT_RTOL, abs=0.0)
-        assert (state.defect == 0.0) == (u.support.size == 0)
+        assert (state.defect == 0.0) == (u.volume() == 0.0)
     assert crossing >= 3
 
 
@@ -678,7 +678,7 @@ def test_repeat_steps_equal_a_full_recompute(case, monkeypatch):
     rows = [
         (s.step, s.energy, s.volume, s.interface_cells, s.lam, s.defect) for s in states
     ]
-    supports = [s.u.support for s in states]
+    supports = [np.flatnonzero(s.u.values) for s in states]
     assert np.asarray(traj.diagnostics).tobytes() == np.asarray(rows).tobytes()
     assert traj.final.u.values.tobytes() == state.u.values.tobytes()
     assert traj.final.ku.tobytes() == state.ku.tobytes()
@@ -809,7 +809,7 @@ def test_no_ball_step_fails_the_step_box_certificate(monkeypatch):
     steps, picks = [], []
     step, select = scheme.step, scheme._select
     monkeypatch.setattr(
-        scheme, "step", lambda s, *a: steps.append((s.u.support.size, s.box)) or step(s, *a)
+        scheme, "step", lambda s, *a: steps.append((s.u.volume(), s.box)) or step(s, *a)
     )
     monkeypatch.setattr(scheme, "_select", lambda *a: picks.append(select(*a)) or picks[-1])
     traj = run(
@@ -834,11 +834,10 @@ BALL_PEAK_GRID_ARRAYS = 3.0
 
 def test_a_factored_3d_run_holds_no_dense_copies(monkeypatch):
     """Memory guard: a 3-d ball run at n = 32 never builds the samples of
-    its factored kernel, no state holds a dense phase array, no stepped
-    state derives its phase's flat indices, and the traced allocation
-    peak stays under BALL_PEAK_GRID_ARRAYS grid arrays.  The same run
-    goes once untraced first, so that no module it imports on first use
-    counts, whatever ran before it."""
+    its factored kernel, no state holds a dense phase array, and the
+    traced allocation peak stays under BALL_PEAK_GRID_ARRAYS grid arrays.
+    The same run goes once untraced first, so that no module it imports
+    on first use counts, whatever ran before it."""
     initial = _ball(32)
     grid = initial.grid
     tensions = constant_tensions(grid, 1.0, 1.0, 1.0)
@@ -850,15 +849,12 @@ def test_a_factored_3d_run_holds_no_dense_copies(monkeypatch):
         "scale_kernel",
         lambda *args: kernels.append(scale_kernel(*args)) or kernels[-1],
     )
-    dense, flat = [], []
+    dense = []
     last = [initial]
 
     def check(state):
         # The state just made and the one it replaced; no more are kept.
         dense.extend(state.step for u in (last[0], state.u) if "values" in vars(u))
-        # A stepped state's field is its cell box: no flat indices either.
-        if state.step and "support" in vars(state.u):
-            flat.append(state.step)
         last[0] = state.u
 
     tracemalloc.start()
@@ -869,7 +865,6 @@ def test_a_factored_3d_run_holds_no_dense_copies(monkeypatch):
         tracemalloc.stop()
     assert traj.stationary and len(traj.diagnostics) > 5
     assert dense == [] and "values" not in vars(traj.final.u)
-    assert flat == []
     assert len(kernels) == 1 and "values" not in vars(kernels[0])
     assert peak <= BALL_PEAK_GRID_ARRAYS * grid.cell_count * 8, peak / (grid.cell_count * 8)
 
@@ -1013,7 +1008,7 @@ def test_contact_angle_ignores_a_component_off_the_substrate(band_geometry):
     fit window leaves the angle's bits as they are."""
     cap = ShapeSpec.cap(90.0, 0.16, 0.25).indicator(band_geometry)
     disk = ShapeSpec.disk((0.85, 0.3), 0.03).indicator(band_geometry)
-    both = PhaseField.from_support(band_geometry, np.union1d(cap.support, disk.support))
+    both = PhaseField.from_mask(band_geometry, (cap.values + disk.values) > 0.0)
     assert measure_contact_angle(both, band_geometry) == measure_contact_angle(
         cap, band_geometry
     )
