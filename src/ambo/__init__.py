@@ -10,7 +10,7 @@ construction:
   substrate masks (disk, band, full torus), analytic signed distances;
 * :mod:`ambo.anisotropy` — the surface-tension anisotropy a run kernel
   induces, in closed form;
-* :mod:`ambo.kernel` — the run kernels (Gaussian, elliptic Gaussian), the
+* :mod:`ambo.kernel` — the run kernel (a Gaussian |det L| G(Lx)), the
   tent of the inequality suite, grid sampling and FFT convolution;
 * :mod:`ambo.tensions` — torus-wide extension of the three surface
   tensions with pointwise triangle-inequality guarantees;

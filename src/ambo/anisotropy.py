@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .kernel import EllipticGaussianKernel, GaussianKernel
+from .kernel import GaussianKernel
 
 __all__ = ["Anisotropy", "AnisotropyError", "induced_anisotropy"]
 
@@ -61,8 +61,8 @@ class Anisotropy:
         return self._bounds
 
 
-def induced_anisotropy(kernel, dim: int) -> Anisotropy:
-    """Return gamma_K in closed form for the run kernels of :mod:`ambo.kernel`.
+def induced_anisotropy(kernel: GaussianKernel, dim: int) -> Anisotropy:
+    """Return gamma_K of a run kernel (a GaussianKernel) in closed form.
 
     The Gaussian's integral is ``1/2 * E|Z.nu|`` for Z with density
     (4 pi)^{-d/2} e^{-|z|^2/4}, a centred normal with variance 2 per axis,
@@ -70,14 +70,9 @@ def induced_anisotropy(kernel, dim: int) -> Anisotropy:
     substituting y = Lx gives ``gamma(nu) = |L^{-T} nu| / sqrt(pi)``,
     i.e. A = (L L^T)^{-1} / pi, with L = I for the Gaussian.
     """
-    if isinstance(kernel, GaussianKernel):
-        lmat = np.eye(dim)
-    elif isinstance(kernel, EllipticGaussianKernel):
-        lmat = np.asarray(kernel.matrix, dtype=np.float64)
-        if lmat.shape != (dim, dim):
-            raise AnisotropyError(
-                f"kernel matrix is {lmat.shape}, expected ({dim}, {dim})"
-            )
-    else:
+    if not isinstance(kernel, GaussianKernel):
         raise AnisotropyError(f"no closed-form induced anisotropy for {kernel!r}")
+    lmat = kernel.linear_map(dim)
+    if lmat.shape != (dim, dim):
+        raise AnisotropyError(f"kernel matrix is {lmat.shape}, expected ({dim}, {dim})")
     return Anisotropy(np.linalg.inv(lmat @ lmat.T) / math.pi)

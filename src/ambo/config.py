@@ -12,8 +12,9 @@ specific to the study.  The angle experiment's ``sigma_ratio`` fixes the
 direct-mode tensions (1, 1 + rho/2, 1 - rho/2) and ``preserve_volume:
 true`` at load time and rejects other values, so the echo describes the run.
 
-The language offers only what runs set.  The kernels are the Gaussian
-and the elliptic Gaussian; the containers a disk, a band in x2 and the
+The language offers only what runs set.  The kernel is a Gaussian
+|det L| G(Lx), with L = I (``gaussian``) or a given ``matrix``
+(``elliptic_gaussian``); the containers a disk, a band in x2 and the
 full torus; the initial phase a disk, a cap on the band, a field file or
 nothing.  What every run sets alike is a constant of the code, not a
 key: the strip width of the tension construction (8 spacings), the 16
@@ -42,7 +43,7 @@ from .errors import ConfigError
 from .geometry import Band, Geometry, build_geometry, make_shape
 from .grid import TorusGrid
 from .io import read_field
-from .kernel import Kernel, make_kernel
+from .kernel import GaussianKernel
 from .scheme import SchemeConfig
 from .tensions import (
     ModifiedTensions,
@@ -367,6 +368,9 @@ def config_from_mapping(doc: dict, source: str = "<config>") -> RunConfig:
     band = ("lo", "hi") if geometry["kind"] == "band" else ()
     _shape_numbers(geometry, ("radius", "lo", "hi"), band, "geometry", source)
     kernel = _kinded_section(doc, "kernel", _KERNEL_KINDS, "gaussian", source)
+    _shape_numbers(kernel, (), tuple(_KERNEL_KINDS[kernel["kind"]]), "kernel", source)
+    if kernel.get("matrix") == []:  # the empty matrix is L = I, kind 'gaussian'
+        raise _fail(source, "key 'matrix' in section 'kernel' must not be empty")
     _check_legacy_anisotropy(doc, kernel["kind"], source)
 
     tensions = _mapping_section(doc, "tensions", source)
@@ -514,8 +518,8 @@ def build_geometry_from(config: RunConfig) -> Geometry:
     return build_geometry(shape, TorusGrid(config.d, config.n))
 
 
-def build_kernel_from(config: RunConfig) -> Kernel:
-    return make_kernel(**config.kernel)
+def build_kernel_from(config: RunConfig) -> GaussianKernel:
+    return GaussianKernel(config.kernel.get("matrix", ()))
 
 
 def build_raw_tensions(config: RunConfig) -> RawTensions:

@@ -52,7 +52,7 @@ from .expressions import Expression, parse_expression
 from .geometry import Geometry
 from .grid import TorusGrid, cut_box, on_box
 from .kernel import (
-    Kernel,
+    GaussianKernel,
     SampledKernel,
     TriangularKernel,
     _irfftn,
@@ -265,9 +265,10 @@ class RunOperator:
     its per-axis extents (a band, the torus) takes both convolutions in
     closed form (:func:`~ambo.kernel.convolve_product`), with no FFT and
     no kernel sample or transform: on the torus K_h*1_container is the
-    one value cell * prod_k sum f_k, held as a zero-stride broadcast,
-    and on a band it is a scalar times a 1-d convolution along x2, as is
-    K_h*1_substrate.  Other containers and kernels take FFT convolutions.
+    one value cell * prod_k sum f_k and on a band a scalar times a 1-d
+    convolution along x2 (as is K_h*1_substrate), each held as a
+    zero-stride broadcast over the grid.  Other containers and kernels
+    take FFT convolutions.
     Without a substrate K_h*1_substrate is zero, so it is not convolved.
     The arrays are read-only.
 
@@ -319,14 +320,9 @@ class RunOperator:
         pv = tensions.pv
         pv_constant = float(pv.flat[0]) if np.ptp(pv) == 0.0 else None
         omega_constant = float(k_omega.flat[0]) if np.ptp(k_omega) == 0.0 else None
-        shape = geometry.grid.shape
-        if omega_constant is not None:
-            k_omega = np.broadcast_to(omega_constant, shape)
-        elif k_omega.shape != shape:
-            # A band's x2 profile, spread over the grid: a take from the
-            # broadcast view would copy the whole grid at every step.
-            k_omega = np.broadcast_to(k_omega, shape).copy()
-        k_omega = _read_only(k_omega)
+        # A read-only view: on_box slices it before it gathers, so a step
+        # reads no more than its box of a band's x2 profile.
+        k_omega = np.broadcast_to(k_omega, geometry.grid.shape)
         tails = tail_margins(kh) if closed else None
         return cls(
             geometry, tensions, kh, k_omega, wetting, dry_energy, pv_constant,
@@ -665,7 +661,7 @@ class StudyTable:
 def convergence_study(
     shape: ShapeSpec,
     tensions: ModifiedTensions,
-    kernel: Kernel,
+    kernel: GaussianKernel,
     h_seq,
     geometry: Geometry,
     gamma: Anisotropy,
@@ -740,7 +736,7 @@ class MonotonicityResult:
 def monotonicity_check(
     fields,
     tensions: ModifiedTensions,
-    kernel: Kernel,
+    kernel: GaussianKernel,
     h_values,
     factors,
 ) -> list[list[MonotonicityResult]]:
@@ -865,7 +861,7 @@ class InequalityReport:
 _TENT = TriangularKernel()
 
 
-def inequality_suite(fields, kernel: Kernel, h_values) -> list[list[InequalityReport]]:
+def inequality_suite(fields, kernel: GaussianKernel, h_values) -> list[list[InequalityReport]]:
     """Evaluate the four integral inequalities for [0,1] fields.
 
     The first three use the supplied kernel; the fourth uses the unit

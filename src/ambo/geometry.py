@@ -34,7 +34,7 @@ class GeometryError(ValueError):
 class Shape:
     """Analytic region with an exact signed distance."""
 
-    #: shapes with no boundary on the torus (testing variant)
+    #: shapes with no boundary on the torus (the full torus)
     boundaryless = False
 
     def signed_distance(self, grid: TorusGrid) -> FloatArray:
@@ -103,7 +103,7 @@ class Band(Shape):
 
 @dataclass(frozen=True)
 class FullTorus(Shape):
-    """Omega = T^d, S empty.  Testing variant for substrate-free energies."""
+    """Omega = T^d, S empty: the container of substrate-free runs."""
 
     boundaryless = True
 

@@ -45,7 +45,7 @@ from .energy import (
 )
 from .errors import ConfigError, NumericalError, ResolutionWarning
 from .geometry import Band, Geometry
-from .kernel import _WRAP_LIMIT, Kernel, scale_kernel
+from .kernel import _WRAP_LIMIT, GaussianKernel, scale_kernel
 from .scheme import SchemeError, Trajectory, measure_contact_angle, run as run_scheme
 from .tensions import ModifiedTensions, TensionError
 
@@ -65,7 +65,7 @@ class Workspace:
     config: RunConfig
     geometry: Geometry
     gamma: Anisotropy
-    kernel: Kernel
+    kernel: GaussianKernel
     tensions: ModifiedTensions | None
     flags: dict
     detail: dict = field(default_factory=dict)

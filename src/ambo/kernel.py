@@ -1,7 +1,7 @@
 """Convolution kernels, their grid sampling, and periodic convolution.
 
-A run convolves with the Gaussian G or an elliptic Gaussian
-``K(x) = |det L| G(Lx)`` (G itself is L = I).  Each meets the kernel
+A run convolves with a Gaussian ``K(x) = |det L| G(Lx)``
+(:class:`GaussianKernel`; G itself is L = I).  It meets the kernel
 hypotheses of Esedoglu & Otto (CPAM 2015) in closed form, so no run
 checks them:
 
@@ -13,7 +13,7 @@ checks them:
 * ``K >= a`` on the ball of radius b, for ``b = 1 / max(1, |L|_2)`` and
   ``a = (4 pi)^{-d/2} e^{-1/4} |det L|``, because ``|Lx| <= 1`` there.
 
-Both also have a nonnegative Fourier transform, on which the
+It also has a nonnegative Fourier transform, on which the
 energy-descent argument of the thresholding step rests.  The tent J
 (:class:`TriangularKernel`), whose transform changes sign, serves only
 the inequality suite of :mod:`ambo.energy`, which samples it and its
@@ -25,19 +25,19 @@ mass, because the substitution ``y = x/sqrt(h)`` contributes a factor
 the cell centres of a periodic grid, folding in the ``+-1`` periodic
 images, which is exact to machine precision as long as the kernel
 carries no appreciable mass at distance 3/2 from the origin (enforced
-via :meth:`Kernel.wrap_radius`).  Three sampling paths give that image
+via the kernels' ``wrap_radius``).  Three sampling paths give that image
 sum, the first up to rounding (a few 1e-16 of the peak):
 
-* a Gaussian, or an elliptic Gaussian ``|det L| G(Lx)`` with a diagonal
-  ``L``, is a product over the axes of 1-d image sums, so it is sampled
-  as an outer product of one length-n array per axis (values only); the
-  sampled kernel keeps these ``factors`` and builds its values and
-  their transform only when they are asked for;
+* a Gaussian with a diagonal ``L`` is a product over the axes of 1-d
+  image sums, so it is sampled as an outer product of one length-n
+  array per axis (values only); the sampled kernel keeps these
+  ``factors`` and builds its values and their transform only when they
+  are asked for;
 * a tent whose support radius ``radius*sqrt(h)`` is at most 1/2 meets
   only the zero image, so it and its gradient are evaluated on the
   support box alone, bit for bit equal to the image sum;
-* everything else (an elliptic Gaussian with a non-diagonal ``L``, a
-  wider tent) is evaluated on the full grid once per image, 3^d times.
+* everything else (a Gaussian with a non-diagonal ``L``, a wider
+  tent) is evaluated on the full grid once per image, 3^d times.
 
 Convolution is the mass-weighted circular sum
 
@@ -91,9 +91,7 @@ from .errors import NumericalError, ResolutionWarning
 from .grid import TorusGrid, axis_index, on_box
 
 __all__ = [
-    "Kernel",
     "GaussianKernel",
-    "EllipticGaussianKernel",
     "TriangularKernel",
     "KernelError",
     "SampledKernel",
@@ -103,7 +101,6 @@ __all__ = [
     "convolve_product",
     "convolved_square_sum",
     "tail_margins",
-    "make_kernel",
 ]
 
 _BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -128,82 +125,70 @@ class KernelError(ValueError):
     """Raised for malformed kernels or invalid sampling requests."""
 
 
-class Kernel:
-    """Base class for analytic kernels; dimension is taken from the input."""
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """K at points of shape (..., d)."""
-        raise NotImplementedError
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad K at points of shape (..., d); same shape as ``x``
-        (the tent only)."""
-        raise NotImplementedError
-
-    def wrap_radius(self) -> float:
-        """Radius containing all but a ~1e-14 relative tail of K.
-
-        Used to decide whether sampling with +-1 periodic images is exact
-        enough: we require sqrt(h) * wrap_radius() <= 3/2.
-        """
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class GaussianKernel(Kernel):
-    """G(x) = (4 pi)^(-d/2) exp(-|x|^2 / 4).
+class GaussianKernel:
+    """K(x) = |det L| G(Lx), G(x) = (4 pi)^(-d/2) exp(-|x|^2 / 4), for an
+    invertible matrix L; the empty matrix (the default) is L = I in any d.
 
-    With the ``h^{-d/2} K(x/sqrt(h))`` scaling this is the heat kernel at
-    time ``t = h``.
+    K has unit mass (substitute y = Lx).  With the ``h^{-d/2} K(x/sqrt(h))``
+    scaling G is the heat kernel at time ``t = h``.  ``det`` is |det L| and
+    ``sigma_min`` the least singular value of L, both 1 for L = I.
     """
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        d = x.shape[-1]
-        r2 = np.sum(x * x, axis=-1)
-        return (4.0 * math.pi) ** (-0.5 * d) * np.exp(-0.25 * r2)
-
-    def wrap_radius(self) -> float:
-        # exp(-r^2/4) < 1e-14 for r > sqrt(4 * 14 ln 10) ~ 11.36
-        return math.sqrt(4.0 * 14.0 * math.log(10.0))
-
-
-@dataclass(frozen=True)
-class EllipticGaussianKernel(Kernel):
-    """K(x) = G(L x) |det L| for an invertible matrix L (unit mass)."""
 
     matrix: tuple = ()
 
     def __post_init__(self) -> None:
-        lmat = np.asarray(self.matrix, dtype=np.float64)
-        if lmat.ndim != 2 or lmat.shape[0] != lmat.shape[1]:
-            raise KernelError(f"matrix must be square, got shape {lmat.shape}")
-        det = np.linalg.det(lmat)
-        if abs(det) < 1e-12:
-            raise KernelError("matrix must be invertible")
-        object.__setattr__(self, "matrix", tuple(map(tuple, lmat)))
-        object.__setattr__(self, "_l", lmat)
-        object.__setattr__(self, "_det", abs(det))
-        object.__setattr__(
-            self, "_sigma_min", float(np.linalg.svd(lmat, compute_uv=False)[-1])
-        )
-        object.__setattr__(self, "_gauss", GaussianKernel())
+        lmat = np.array(self.matrix, dtype=np.float64)
+        det = sigma_min = 1.0
+        if lmat.shape != (0,):
+            if lmat.ndim != 2 or lmat.shape[0] != lmat.shape[1]:
+                raise KernelError(f"matrix must be square, got shape {lmat.shape}")
+            det = abs(np.linalg.det(lmat))
+            if det < 1e-12:
+                raise KernelError("matrix must be invertible")
+            sigma_min = float(np.linalg.svd(lmat, compute_uv=False)[-1])
+            lmat.flags.writeable = False
+        object.__setattr__(self, "matrix", tuple(map(tuple, lmat)))  # () for L = I
+        object.__setattr__(self, "_l", lmat if self.matrix else None)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "sigma_min", sigma_min)
+
+    def linear_map(self, d: int) -> np.ndarray:
+        """L (read-only), or a new d x d identity for the empty matrix."""
+        return np.eye(d) if self._l is None else self._l
+
+    def diagonal(self, d: int) -> np.ndarray | None:
+        """diag L when L is a diagonal d x d matrix, else None."""
+        lmat = self.linear_map(d)
+        scales = np.diagonal(lmat)
+        return scales if lmat.shape == (d, d) and np.array_equal(lmat, np.diag(scales)) else None
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """K at points of shape (..., d)."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self._l.shape[0]:
-            raise KernelError(
-                f"points have dimension {x.shape[-1]}, matrix is "
-                f"{self._l.shape[0]}x{self._l.shape[0]}"
-            )
-        return self._gauss.evaluate(x @ self._l.T) * self._det
+        if self._l is not None:
+            if x.shape[-1] != self._l.shape[0]:
+                raise KernelError(
+                    f"points have dimension {x.shape[-1]}, matrix is "
+                    f"{self._l.shape[0]}x{self._l.shape[0]}"
+                )
+            x = x @ self._l.T
+        d = x.shape[-1]
+        r2 = np.sum(x * x, axis=-1)
+        return (4.0 * math.pi) ** (-0.5 * d) * np.exp(-0.25 * r2) * self.det
 
     def wrap_radius(self) -> float:
-        return self._gauss.wrap_radius() / self._sigma_min
+        """Radius containing all but a ~1e-14 relative tail of K.
+
+        Sampling with +-1 periodic images is exact enough when
+        sqrt(h) * wrap_radius() <= 3/2.
+        """
+        # exp(-r^2/4) < 1e-14 for r > sqrt(4 * 14 ln 10) ~ 11.36
+        return math.sqrt(4.0 * 14.0 * math.log(10.0)) / self.sigma_min
 
 
 @dataclass(frozen=True)
-class TriangularKernel(Kernel):
+class TriangularKernel:
     """Tent kernel J(x) = peak * (1 - |x|/radius) on the ball |x| < radius.
 
     The J of the fourth inequality of :func:`ambo.energy.inequality_suite`;
@@ -563,18 +548,9 @@ def _gaussian_factors(
     return factors
 
 
-def _diagonal_gaussian(kernel: Kernel, d: int):
-    """(diag L, |det L|) when K = |det L| G(L x) with a diagonal L, else None."""
-    if isinstance(kernel, GaussianKernel):
-        return np.ones(d), 1.0
-    if isinstance(kernel, EllipticGaussianKernel) and kernel._l.shape == (d, d):
-        scales = np.diagonal(kernel._l)
-        if np.array_equal(kernel._l, np.diag(scales)):
-            return scales, kernel._det
-    return None
-
-
-def _sample(func, kernel: Kernel, grid: TorusGrid, sqrt_h: float) -> np.ndarray:
+def _sample(
+    func, kernel: GaussianKernel | TriangularKernel, grid: TorusGrid, sqrt_h: float
+) -> np.ndarray:
     """func (K or grad K) on the grid: the tent on its support, else all images."""
     if isinstance(kernel, TriangularKernel) and kernel.radius * sqrt_h <= 0.5:
         return _sample_on_support(func, grid, sqrt_h, kernel.radius)
@@ -586,7 +562,9 @@ def _sample(func, kernel: Kernel, grid: TorusGrid, sqrt_h: float) -> np.ndarray:
 _WRAP_LIMIT = 1.5
 
 
-def _check_resolution(kernel: Kernel, grid: TorusGrid, h: float) -> float:
+def _check_resolution(
+    kernel: GaussianKernel | TriangularKernel, grid: TorusGrid, h: float
+) -> float:
     if not h > 0.0:
         raise KernelError(f"h must be positive, got {h}")
     sqrt_h = math.sqrt(h)
@@ -610,23 +588,24 @@ def _check_resolution(kernel: Kernel, grid: TorusGrid, h: float) -> float:
     return sqrt_h
 
 
-def scale_kernel(kernel: Kernel, grid: TorusGrid, h: float) -> SampledKernel:
+def scale_kernel(
+    kernel: GaussianKernel | TriangularKernel, grid: TorusGrid, h: float
+) -> SampledKernel:
     """Sample K_h(x) = h^{-d/2} K(x/sqrt(h)) on the grid: a diagonal
     Gaussian by its axis factors (:meth:`SampledKernel.from_axes`, with
     the constants |det L| and h^{-d/2}), any other kernel by its values."""
     sqrt_h = _check_resolution(kernel, grid, h)
     scale = h ** (-0.5 * grid.d)
-    diagonal = _diagonal_gaussian(kernel, grid.d)
-    if diagonal is None:
+    scales = kernel.diagonal(grid.d) if isinstance(kernel, GaussianKernel) else None
+    if scales is None:
         values = _sample(kernel.evaluate, kernel, grid, sqrt_h) * scale
         return SampledKernel(grid, h, values)
-    scales, det = diagonal
     return SampledKernel.from_axes(
-        grid, h, _gaussian_factors(scales, grid, sqrt_h), (det, scale)
+        grid, h, _gaussian_factors(scales, grid, sqrt_h), (kernel.det, scale)
     )
 
 
-def scale_kernel_gradient(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarray:
+def scale_kernel_gradient(kernel: TriangularKernel, grid: TorusGrid, h: float) -> np.ndarray:
     """Sample grad(K_h) analytically; returns shape grid.shape + (d,).
 
     grad(K_h)(x) = h^{-(d+1)/2} (grad K)(x / sqrt(h)).  Sampling the
@@ -638,16 +617,3 @@ def scale_kernel_gradient(kernel: Kernel, grid: TorusGrid, h: float) -> np.ndarr
     sqrt_h = _check_resolution(kernel, grid, h)
     values = _sample(kernel.gradient, kernel, grid, sqrt_h)
     return values * h ** (-0.5 * (grid.d + 1))
-
-
-def make_kernel(kind: str, **kwargs) -> Kernel:
-    """Build a kernel from a plain-data description (used by configs)."""
-    kinds = {
-        "gaussian": GaussianKernel,
-        "elliptic_gaussian": EllipticGaussianKernel,
-    }
-    if kind not in kinds:
-        raise KernelError(
-            f"unknown kernel kind {kind!r}; expected one of {sorted(kinds)}"
-        )
-    return kinds[kind](**kwargs)

@@ -78,7 +78,6 @@ from .geometry import Band, Geometry
 from .grid import on_box, periodic_components
 from .kernel import (
     GaussianKernel,
-    Kernel,
     convolve_cells,
     convolved_square_sum,
     scale_kernel,
@@ -106,8 +105,8 @@ class SchemeConfig:
     """Time step, volume constraint (keep the initial volume) and stopping rules."""
 
     h: float
+    max_steps: int
     preserve_volume: bool = False
-    max_steps: int = 100
     stationarity_window: int = 3
 
     def __post_init__(self) -> None:
@@ -367,7 +366,7 @@ def run(
     initial: PhaseField,
     config: SchemeConfig,
     t: ModifiedTensions,
-    kernel: Kernel,
+    kernel: GaussianKernel,
     *,
     on_state=None,
 ) -> Trajectory:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from ambo.anisotropy import Anisotropy, AnisotropyError, induced_anisotropy
-from ambo.kernel import EllipticGaussianKernel, GaussianKernel, TriangularKernel
+from ambo.kernel import GaussianKernel, TriangularKernel
 from helpers import induced_gamma
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -91,7 +91,7 @@ def test_induced_gamma_of_gaussian_matches_quadrature_oracle():
 
 
 def test_induced_gamma_is_even():
-    kernel = EllipticGaussianKernel(matrix=((1.2, 0.1), (0.1, 0.8)))
+    kernel = GaussianKernel(matrix=((1.2, 0.1), (0.1, 0.8)))
     for theta in (0.1, 1.0, 2.5):
         nu = _unit(theta)
         assert induced_gamma(kernel, nu) == pytest.approx(
@@ -123,7 +123,7 @@ def _elliptic_induced_oracle(L, nu, n_theta=4096, n_r=400, r_max=20.0):
 
 def test_elliptic_gaussian_induced_ratio_matches_oracle():
     L = np.array([[1.2, 0.0], [0.0, 0.8]])
-    kernel = EllipticGaussianKernel(matrix=((1.2, 0.0), (0.0, 0.8)))
+    kernel = GaussianKernel(matrix=((1.2, 0.0), (0.0, 0.8)))
     gamma = induced_anisotropy(kernel, 2)
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     o1 = _elliptic_induced_oracle(L, e1)
@@ -134,7 +134,7 @@ def test_elliptic_gaussian_induced_ratio_matches_oracle():
 
 
 def test_induced_anisotropy_of_sheared_elliptic_gaussian_is_elliptic():
-    kernel = EllipticGaussianKernel(matrix=((1.2, 0.3), (0.3, 0.8)))
+    kernel = GaussianKernel(matrix=((1.2, 0.3), (0.3, 0.8)))
     gamma = induced_anisotropy(kernel, 2)
     for theta in np.linspace(0.0, np.pi, 7):
         nu = _unit(theta)
@@ -147,7 +147,7 @@ def test_induced_anisotropy_of_sheared_elliptic_gaussian_is_elliptic():
     "kernel",
     [
         GaussianKernel(),
-        EllipticGaussianKernel(matrix=((1.2, 0.1, 0.0), (0.1, 0.8, 0.2), (0.0, 0.2, 1.1))),
+        GaussianKernel(matrix=((1.2, 0.1, 0.0), (0.1, 0.8, 0.2), (0.0, 0.2, 1.1))),
     ],
     ids=["gaussian", "sheared"],
 )
@@ -164,7 +164,7 @@ def test_induced_anisotropy_needs_a_known_kernel():
     with pytest.raises(AnisotropyError):  # the tent is no run kernel
         induced_anisotropy(TriangularKernel(), 2)
     with pytest.raises(AnisotropyError):
-        induced_anisotropy(EllipticGaussianKernel(matrix=((1.0, 0.0), (0.0, 2.0))), 3)
+        induced_anisotropy(GaussianKernel(matrix=((1.0, 0.0), (0.0, 2.0))), 3)
 
 
 # --- construction and rejection ----------------------------------------------

@@ -27,7 +27,7 @@ from ambo.energy import (
 from ambo.errors import NumericalError
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid
-from ambo.kernel import EllipticGaussianKernel, GaussianKernel, SampledKernel, scale_kernel
+from ambo.kernel import GaussianKernel, SampledKernel, scale_kernel
 from ambo.scheme import comparison_field
 from ambo.tensions import ModifiedTensions
 from helpers import cell_box, constant_tensions
@@ -777,7 +777,7 @@ def test_operator_fields_of_a_product_container_equal_the_fft(d, n, h, kind, bou
     geometry = build_geometry(make_shape(kind, **bounds), grid)
     kernel = GaussianKernel()
     if elliptic:
-        kernel = EllipticGaussianKernel(np.diag((_extend_disk_scales() + [1.0])[:d]))
+        kernel = GaussianKernel(np.diag((_extend_disk_scales() + [1.0])[:d]))
     tensions = constant_tensions(grid, 1.0, 1.2, 0.9)
     kh = scale_kernel(kernel, grid, h)
     op = RunOperator.build(geometry, tensions, kh)

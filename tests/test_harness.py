@@ -294,6 +294,40 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "'gaussian' kernel induces" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("initial", {"kind": "empty"}, "needs an analytic free-boundary initial shape"),
+        ("tensions", {"gamma_pv": "1 + 0.1*x1"}, "needs a spatially constant gamma_pv"),
+    ],
+    ids=["empty_initial", "varying_gamma_pv"],
+)
+def test_converge_refuses_what_it_cannot_study(section, value, message, tmp_path, capsys):
+    preset, n, _ = SMALL["converge"]
+    doc = {**_preset(preset), section: value}
+    config = tmp_path / "converge.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    code = cli.main(["converge", str(config), "--n", str(n), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+@UNDER_RESOLVED
+def test_an_identity_kernel_matrix_runs_the_gaussian_byte_for_byte(tmp_path, capsys):
+    """A run with kind elliptic_gaussian and matrix I writes the bytes of
+    the same run with kind gaussian."""
+    preset, n, changes = SMALL["run"]
+    identity = {"kind": "elliptic_gaussian", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+    outs = []
+    for name, kernel in (("gaussian", {"kind": "gaussian"}), ("identity", identity)):
+        config = _config(tmp_path / f"{name}.yaml", preset, {**changes, "kernel": kernel})
+        outs.append(tmp_path / name)
+        code = cli.main(["run", str(config), "--n", str(n), "--out", str(outs[-1])])
+        assert code == 0, capsys.readouterr().err
+    for name in ("steps.csv", "final_u.bin"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_unresolved_step_exits_2(tmp_path, capsys):
     # sqrt(h) = 3.2e-3 is below the grid spacing 1/64
     code = cli.main(["run", "--n", "64", "--h", "1e-5", "--out", str(tmp_path)])

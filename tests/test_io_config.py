@@ -20,6 +20,7 @@ from ambo.config import (
     apply_overrides,
     build_geometry_from,
     build_initial,
+    build_kernel_from,
     build_raw_tensions,
     build_scheme_config,
     build_tensions,
@@ -43,6 +44,7 @@ from ambo.io import (
     write_pgm,
     write_summary,
 )
+from ambo.kernel import GaussianKernel
 from helpers import constant_tensions
 
 # ---------------------------------------------------------------------------
@@ -373,6 +375,19 @@ def test_anisotropy_section_only_restates_the_kernel(tmp_path):
             load_config(_write_yaml(tmp_path, text))
 
 
+def test_kernel_kinds_build_their_kernels(tmp_path):
+    """Each kernel kind builds its Gaussian; other kinds are refused by
+    name, the tent too (it is no run kernel)."""
+    plain = load_config(_write_yaml(tmp_path, "kernel: {kind: gaussian}\n"))
+    assert build_kernel_from(plain) == GaussianKernel()
+    text = "kernel: {kind: elliptic_gaussian, matrix: [[1.2, 0.0], [0.0, 0.8]]}\n"
+    elliptic = build_kernel_from(load_config(_write_yaml(tmp_path, text)))
+    assert elliptic == GaussianKernel(((1.2, 0.0), (0.0, 0.8)))
+    for kind in ("sinc", "triangular"):
+        with pytest.raises(ConfigError, match=rf"unknown kind '{kind}' in section 'kernel'"):
+            load_config(_write_yaml(tmp_path, f"kernel: {{kind: {kind}}}\n"))
+
+
 # Settings that no run varied: the tent kernel and the ellipse shapes went,
 # and keys that every run set to one value are now constants of the code.
 REMOVED_KINDS = {
@@ -455,8 +470,9 @@ def test_type_errors_are_specific(tmp_path):
 
 
 def test_shape_numbers_are_checked_at_load(tmp_path, capsys):
-    """The scalar shape keys must be real numbers (not bool), and a cap
-    and a band need their sizes; each error names the key and section."""
+    """The scalar shape keys must be real numbers (not bool), a cap and
+    a band need their sizes and an elliptic Gaussian a non-empty matrix;
+    each error names the key and section."""
     number = r"key '{}' in section '{}' must be a number"
     cases = {
         "geometry: {kind: disk, radius: big}\n": number.format("radius", "geometry"),
@@ -465,6 +481,10 @@ def test_shape_numbers_are_checked_at_load(tmp_path, capsys):
         "initial: {kind: disk, radius: null}\n": number.format("radius", "initial"),
         "initial: {kind: cap, angle: wide, radius: 0.1}\n": number.format("angle", "initial"),
         "geometry: {kind: band, hi: 0.9}\n": "kind 'band' in section 'geometry' needs key 'lo'",
+        "kernel: {kind: elliptic_gaussian}\n": (
+            "kind 'elliptic_gaussian' in section 'kernel' needs key 'matrix'"
+        ),
+        "kernel: {kind: elliptic_gaussian, matrix: []}\n": "key 'matrix' in section 'kernel' must not",
     }
     for text, message in cases.items():
         with pytest.raises(ConfigError, match=message):

@@ -14,22 +14,20 @@ import numpy as np
 import pytest
 
 from ambo import kernel as kernel_module
+from ambo.anisotropy import induced_anisotropy
 from ambo.errors import NumericalError, ResolutionWarning
 from ambo.geometry import TorusGrid
 from ambo.grid import on_box
 from ambo.kernel import (
-    EllipticGaussianKernel,
     GaussianKernel,
     KernelError,
     SampledKernel,
     TriangularKernel,
     _box_flops,
-    _diagonal_gaussian,
     _irfftn,
     _rfftn,
     _sample_with_images,
     convolve_cells,
-    make_kernel,
     scale_kernel,
     scale_kernel_gradient,
     tail_margins,
@@ -46,8 +44,8 @@ EXTEND_MATRIX = (((1.3 * math.pi) ** -0.5, 0.0), (0.0, (0.7 * math.pi) ** -0.5))
 ADMISSIBLE = [
     (GaussianKernel(), 2, 256, 1.0e-3),
     (GaussianKernel(), 3, 48, 4.0e-3),
-    (EllipticGaussianKernel(matrix=EXTEND_MATRIX), 2, 256, 1.0e-3),
-    (EllipticGaussianKernel(matrix=((1.2, 0.1), (0.1, 0.8))), 2, 256, 1.0e-3),
+    (GaussianKernel(matrix=EXTEND_MATRIX), 2, 256, 1.0e-3),
+    (GaussianKernel(matrix=((1.2, 0.1), (0.1, 0.8))), 2, 256, 1.0e-3),
 ]
 
 
@@ -152,12 +150,12 @@ def _dense_image_sum(kernel, grid, h):
         (GaussianKernel(), 2, 256, 4e-3, True),
         (GaussianKernel(), 3, 48, 4e-3, True),
         (GaussianKernel(), 3, 64, 2.5e-4, True),  # under-resolved: a deep 3-d tail
-        (EllipticGaussianKernel(matrix=EXTEND_MATRIX), 2, 256, 1e-3, True),
+        (GaussianKernel(matrix=EXTEND_MATRIX), 2, 256, 1e-3, True),
         (
-            EllipticGaussianKernel(matrix=((1.2, 0, 0), (0, 0.8, 0), (0, 0, 0.6))),
+            GaussianKernel(matrix=((1.2, 0, 0), (0, 0.8, 0), (0, 0, 0.6))),
             3, 48, 2.5e-3, True,
         ),
-        (EllipticGaussianKernel(matrix=((1.2, 0.1), (0.1, 0.8))), 2, 128, 1e-3, False),
+        (GaussianKernel(matrix=((1.2, 0.1), (0.1, 0.8))), 2, 128, 1e-3, False),
     ],
 )
 def test_sampled_gaussians_match_dense_image_sum(kernel, d, n, h, product):
@@ -170,7 +168,7 @@ def test_sampled_gaussians_match_dense_image_sum(kernel, d, n, h, product):
     the bounds are 2e-15 and 5e-13.
     """
     grid = TorusGrid(d, n)
-    assert (_diagonal_gaussian(kernel, d) is not None) == product
+    assert (kernel.diagonal(d) is not None) == product
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
         got = scale_kernel(kernel, grid, h).values
@@ -259,7 +257,7 @@ def test_convolution_is_self_adjoint(rng):
 
 FACTORED = [
     GaussianKernel(),
-    EllipticGaussianKernel(matrix=((1.25, 0.0), (0.0, 0.8))),
+    GaussianKernel(matrix=((1.25, 0.0), (0.0, 0.8))),
 ]
 
 
@@ -296,7 +294,7 @@ def test_box_convolution_matches_the_direct_sum_and_the_fft(d, matrix, rng, monk
     shifted sum and the FFT convolution within 4e-16 (measured at most
     5.6e-17 over five seeds).  The diagonal L has a different factor on
     every axis, so swapped axes would show.  No cell gives exact zeros."""
-    kernel = GaussianKernel() if matrix is None else EllipticGaussianKernel(matrix)
+    kernel = GaussianKernel(matrix or ())
     n = 32
     kh = scale_kernel(kernel, TorusGrid(d, n), 1e-2)
     for name, cells in _cell_sets(d, n, rng).items():
@@ -343,8 +341,8 @@ def test_box_flops_count_the_axis_contractions():
     "d, kernel",
     [
         (2, GaussianKernel()),
-        (3, EllipticGaussianKernel(((1.25, 0.0, 0.0), (0.0, 0.8, 0.0), (0.0, 0.0, 1.1)))),
-        (2, EllipticGaussianKernel(((1.2, 0.1), (0.1, 0.8)))),
+        (3, GaussianKernel(((1.25, 0.0, 0.0), (0.0, 0.8, 0.0), (0.0, 0.0, 1.1)))),
+        (2, GaussianKernel(((1.2, 0.1), (0.1, 0.8)))),
     ],
     ids=["gaussian2", "diagonal3", "sheared"],
 )
@@ -394,7 +392,7 @@ def test_tail_margins_are_minimal(d, n, h, matrix):
     of f_k at offsets |j| > m, is at most tau sum f_k; the bound U is
     at most tau times the kernel's mass.  A kernel without factors has
     no margins."""
-    kernel = GaussianKernel() if matrix is None else EllipticGaussianKernel(matrix)
+    kernel = GaussianKernel(matrix or ())
     kh = scale_kernel(kernel, TorusGrid(d, n), h)
     margins, bound = tail_margins(kh)
     tau = kernel_module._TAIL
@@ -403,7 +401,7 @@ def test_tail_margins_are_minimal(d, n, h, matrix):
         assert f[offset > m].sum() <= tau * f.sum() < f[offset > m - 1].sum()
     mass = kh.grid.cell_measure * math.prod(f.sum() for f in kh.factors)
     assert 0.0 < bound <= tau * mass * (1.0 + 1e-12)
-    sheared = EllipticGaussianKernel(((1.2, 0.1), (0.1, 0.8)))
+    sheared = GaussianKernel(((1.2, 0.1), (0.1, 0.8)))
     assert tail_margins(scale_kernel(sheared, TorusGrid(2, 64), 4e-3)) is None
 
 
@@ -447,7 +445,7 @@ def test_only_diagonal_gaussians_keep_axis_factors():
         assert all(not f.flags.writeable for f in kh.factors)
         product = functools.reduce(np.multiply.outer, kh.factors)
         assert np.abs(product - kh.values).max() <= 1e-15 * kh.values.max()
-    for kernel in (TriangularKernel(), EllipticGaussianKernel(((1.2, 0.1), (0.1, 0.8)))):
+    for kernel in (TriangularKernel(), GaussianKernel(((1.2, 0.1), (0.1, 0.8)))):
         assert scale_kernel(kernel, TorusGrid(2, 64), 4e-3).factors is None
 
 
@@ -458,8 +456,8 @@ def test_factored_kernels_build_values_and_transform_on_request(d):
     h^{-d/2}; its transform is taken of a temporary outer product unless
     the values were built first, with the same bytes either way."""
     grid, h = TorusGrid(d, 32), 1e-2
-    kernel = EllipticGaussianKernel(np.diag([1.3, 0.8, 1.1][:d]))
-    scales, det = _diagonal_gaussian(kernel, d)
+    kernel = GaussianKernel(np.diag([1.3, 0.8, 1.1][:d]))
+    scales, det = kernel.diagonal(d), kernel.det
     axes = kernel_module._gaussian_factors(scales, grid, math.sqrt(h))
     expected = functools.reduce(np.multiply.outer, axes, np.ones(())) * det * h ** (-0.5 * d)
     first = scale_kernel(kernel, grid, h)
@@ -479,7 +477,7 @@ def test_factored_kernels_build_values_and_transform_on_request(d):
     "d, n, kernel",
     [
         (2, 64, TriangularKernel()),
-        (2, 64, EllipticGaussianKernel(((1.2, 0.1), (0.1, 0.8)))),
+        (2, 64, GaussianKernel(((1.2, 0.1), (0.1, 0.8)))),
         (2, 128, GaussianKernel()),
         (3, 64, GaussianKernel()),
     ],
@@ -609,13 +607,26 @@ def test_every_fft_goes_through_the_entry_point():
 
 # --- construction ------------------------------------------------------------
 
-def test_make_kernel_kinds():
-    assert isinstance(make_kernel("gaussian"), GaussianKernel)
-    k = make_kernel("elliptic_gaussian", matrix=[[1.2, 0.0], [0.0, 0.8]])
-    assert isinstance(k, EllipticGaussianKernel)
-    for kind in ("sinc", "triangular"):  # the tent is no run kernel
-        with pytest.raises(KernelError):
-            make_kernel(kind)
+@pytest.mark.parametrize("d", [2, 3])
+def test_an_identity_matrix_is_the_gaussian_byte_for_byte(d):
+    """L = I given as a matrix and the empty matrix sample the same
+    factors, values and transform, and induce the same gamma_K matrix."""
+    grid, h = TorusGrid(d, 32), 1e-2
+    plain, identity = GaussianKernel(), GaussianKernel(np.eye(d))
+    a, b = scale_kernel(plain, grid, h), scale_kernel(identity, grid, h)
+    assert [f.tobytes() for f in a.factors] == [f.tobytes() for f in b.factors]
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.transform.tobytes() == b.transform.tobytes()
+    gammas = [induced_anisotropy(k, d).matrix.tobytes() for k in (plain, identity)]
+    assert gammas[0] == gammas[1]
+
+
+def test_gaussian_matrix_must_be_square_and_invertible():
+    for matrix in (((1.0, 0.0),), [[]], ((1.0, 2.0), (2.0, 4.0))):
+        with pytest.raises(KernelError, match="square|invertible"):
+            GaussianKernel(matrix)
+    with pytest.raises(KernelError, match="points have dimension 3"):
+        GaussianKernel(((1.0, 0.0), (0.0, 2.0))).evaluate(np.zeros((4, 3)))
 
 
 def test_triangular_kernel_needs_positive_radius():

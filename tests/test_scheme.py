@@ -22,7 +22,6 @@ from ambo.errors import NumericalError
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid, on_box, periodic_components
 from ambo.kernel import (
-    EllipticGaussianKernel,
     GaussianKernel,
     SampledKernel,
     convolve_cells,
@@ -70,11 +69,11 @@ def _radial(grid, center=(0.5, 0.5)):
 
 def test_config_validation():
     with pytest.raises(SchemeError, match="h"):
-        SchemeConfig(h=0.0)
+        SchemeConfig(h=0.0, max_steps=10)
     with pytest.raises(SchemeError, match="max_steps"):
         SchemeConfig(h=1e-3, max_steps=0)
     with pytest.raises(SchemeError, match="window"):
-        SchemeConfig(h=1e-3, stationarity_window=0)
+        SchemeConfig(h=1e-3, max_steps=10, stationarity_window=0)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +517,7 @@ def test_narrow_band_steps_equal_whole_grid_steps(kind):
         assert state.energy == reference.energy
         assert state.defect == pytest.approx(reference.defect, rel=DEFECT_RTOL, abs=0.0)
         for preserve in (True, False):
-            cfg = SchemeConfig(h=h, preserve_volume=preserve)
+            cfg = SchemeConfig(h=h, preserve_volume=preserve, max_steps=100)
             m = state.volume if preserve else None
             phi = comparison_field(state.u, op, state.ku, state.box)
             assert _select(phi, geometry, m, state.box, op.floor) is not None
@@ -553,7 +552,7 @@ def test_closed_form_defect_equals_the_whole_grid_sum(d, matrix):
         grid = TorusGrid(3, 48)
         geometry = build_geometry(make_shape("full"), grid)
         t = constant_tensions(grid, 1.0, 1.0, 1.0)
-    kernel = UNIT_KERNEL if matrix is None else EllipticGaussianKernel(matrix=matrix)
+    kernel = UNIT_KERNEL if matrix is None else GaussianKernel(matrix=matrix)
     kh = scale_kernel(kernel, grid, 1e-3)
     assert kh.factors is not None
     op = RunOperator.build(geometry, t, kh)
