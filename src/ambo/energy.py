@@ -50,7 +50,7 @@ from .anisotropy import Anisotropy
 from .errors import NumericalError
 from .expressions import Expression, parse_expression
 from .geometry import Geometry
-from .grid import TorusGrid, cut_box, on_box
+from .grid import TorusGrid, cut_box, on_box, profile
 from .kernel import (
     GaussianKernel,
     SampledKernel,
@@ -240,11 +240,6 @@ _NEIGHBOUR_SLICES = (
 )
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Approximate energy
 # ---------------------------------------------------------------------------
@@ -270,14 +265,18 @@ class RunOperator:
     zero-stride broadcast over the grid.  Other containers and kernels
     take FFT convolutions.
     Without a substrate K_h*1_substrate is zero, so it is not convolved.
-    The arrays are read-only.
+    ``wetting`` is computed on the profiles of g_sp, g_sv and
+    K_h*1_substrate and broadcast to the grid: on a band whose g_sp and
+    g_sv are constants, sampled as zero-stride views, it is the
+    zero-stride broadcast of its x2 profile.  The arrays are read-only.
 
     The step boxes of :mod:`ambo.scheme` exist only where both
     convolutions are in closed form: they read ``margins``, one per axis
     (None for a kernel without factors or a container that is no
     product, a disk: every step uses the whole grid), and ``floor``, a
     lower bound on the comparison field at every container cell off a
-    step box, computed on first read.
+    step box, computed on first read from the fields' profiles on the
+    extent box.
     """
 
     geometry: Geometry
@@ -315,8 +314,14 @@ class RunOperator:
                 k_substrate = kh.convolve(geometry.substrate_mask.astype(np.float64))
         wetting, dry_energy = None, 0.0
         if geometry.has_substrate:
-            wetting = _read_only((tensions.sp - tensions.sv) * k_substrate)
-            dry_energy = float((tensions.sv * k_substrate)[geometry.omega_mask].sum())
+            # On their profiles: constant g_sp and g_sv times a band's x2
+            # profile of K_h*1_substrate stay a profile.  The mask gathers
+            # from the broadcast in C order, as from the grid.
+            sp, sv = profile(tensions.sp), profile(tensions.sv)
+            wetting = np.broadcast_to((sp - sv) * k_substrate, geometry.grid.shape)
+            dry_energy = float(
+                np.broadcast_to(sv * k_substrate, geometry.grid.shape)[geometry.omega_mask].sum()
+            )
         pv = tensions.pv
         pv_constant = float(pv.flat[0]) if np.ptp(pv) == 0.0 else None
         omega_constant = float(k_omega.flat[0]) if np.ptp(k_omega) == 0.0 else None
@@ -340,19 +345,22 @@ class RunOperator:
         """
         if self.margins is None:
             return -math.inf
-        pv, wetting = self.tensions.pv, self.wetting
-        if self.omega_constant is not None and self.pv_constant is not None and wetting is None:
-            lowest = self.pv_constant * self.omega_constant  # the torus: no grid temporary
-        else:
-            base = pv * self.k_omega
-            if wetting is not None:
-                base += wetting
-            lowest = float(base[self.geometry.omega_mask].min())
-        pv_max = float(pv.max())
+        # Margins exist only where the container is its extent box; the
+        # fields are read on their profiles, and min and max are exact
+        # in any order.
+        box = tuple(np.flatnonzero(mask) for mask in self.geometry.extent)
+        pv = pv_max = self.pv_constant
+        if pv is None:
+            pv, pv_max = profile(self.tensions.pv, box), float(self.tensions.pv.max())
+        wetting = self.wetting
+        base = pv * profile(self.k_omega, box)
+        if wetting is not None:
+            base = base + profile(wetting, box)
+        lowest = float(base.min())
         # phi sums terms of at most g_pv,max (K_h*1_container <= 1) and
         # |wetting|; 1e-12 of their size, thousands of ulps, covers their
         # rounding and that of the K_h*u they are given (<= 4e-15).
-        scale = pv_max + (0.0 if wetting is None else float(np.abs(wetting).max()))
+        scale = pv_max + (0.0 if wetting is None else float(np.abs(profile(wetting)).max()))
         return lowest - 2.0 * pv_max * tail_margins(self.kh)[1] - 1e-12 * scale
 
     @cached_property
@@ -816,7 +824,8 @@ def shift_weighted_sum(fields, weights) -> list[list[float]]:
     sums = []
     for u in fields:
         v = u.values
-        levels = np.unique(v)
+        ordered = np.sort(v, axis=None)
+        levels = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
         if levels.size > 256:
             raise EnergyError(
                 f"field has {levels.size} distinct values; quantise it (<= 256) "

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import FloatArray, TorusGrid, on_box
+from .grid import FloatArray, TorusGrid, on_box, profile
 
 
 class GeometryError(ValueError):
@@ -162,11 +162,11 @@ class Geometry:
         shape = (self.grid.d,) + self.grid.shape
         if not self.has_substrate:
             return np.broadcast_to(np.nan, shape)
-        ds = self.signed_distance
-        grad, norm = _distance_gradient(ds, self.grid)
-        band = np.abs(ds) < self.band_width
+        cells, grad, norm = _band_gradient(
+            self.signed_distance, self.grid.spacing, self.band_width
+        )
         normal = np.full(shape, np.nan)
-        normal[:, band] = -grad[:, band] / norm[band]
+        normal[(slice(None),) + cells] = -grad / norm
         normal.flags.writeable = False
         return normal
 
@@ -212,7 +212,10 @@ def build_geometry(
     """Rasterize an analytic shape into a :class:`Geometry`.
 
     Omega must keep a clearance of max(delta, 8 * spacing) from the torus
-    seam planes.
+    seam planes, and the central-difference gradient of d_s must not
+    vanish within ``band_width`` = delta + 2 spacing of dOmega.  That is
+    checked at those cells alone, one axis at a time, on the profile of
+    d_s (each zero-stride axis cut to one layer).
 
     Args:
         shape: analytic container descriptor.
@@ -221,8 +224,8 @@ def build_geometry(
             stay below the analytic reach of dOmega.
 
     Raises:
-        GeometryError: Omega touches the seam margin, or delta exceeds the
-            reach of the boundary.
+        GeometryError: Omega touches the seam margin, delta exceeds the
+            reach of the boundary, or the gradient vanishes on the band.
     """
     if delta is None:
         delta = 8.0 * grid.spacing
@@ -247,8 +250,10 @@ def build_geometry(
 
     band_width = delta + 2.0 * grid.spacing
     if not shape.boundaryless:
-        _, norm = _distance_gradient(ds, grid)
-        if np.any((np.abs(ds) < band_width) & (norm < 1e-12)):
+        # Along a zero-stride axis of ds (a band's other axes) the
+        # gradient is exactly 0, so the check reads the profile alone.
+        _, _, norm = _band_gradient(profile(ds), grid.spacing, band_width)
+        if np.any(norm < 1e-12):
             raise GeometryError(
                 "vanishing distance gradient inside the normal band of width "
                 f"delta + 2 spacing = {band_width:.4g} (delta={delta}, reach "
@@ -266,15 +271,21 @@ def build_geometry(
     )
 
 
-def _distance_gradient(ds: FloatArray, grid: TorusGrid) -> tuple[FloatArray, FloatArray]:
-    """Central-difference gradient of d_s, shape (d, n, ...), and its norm."""
-    grad = np.stack(
-        [
-            (np.roll(ds, -1, axis=ax) - np.roll(ds, 1, axis=ax)) / (2.0 * grid.spacing)
-            for ax in range(grid.d)
-        ]
-    )
-    return grad, np.sqrt(np.sum(grad**2, axis=0))
+def _band_gradient(
+    ds: FloatArray, spacing: float, band_width: float
+) -> tuple[tuple, FloatArray, FloatArray]:
+    """Central-difference gradient of d_s at the cells with |d_s| <
+    ``band_width`` alone, one axis at a time with periodic neighbours:
+    the cells (per-axis index arrays, C order), the gradient (d, cells)
+    and its norm, with the arithmetic of the whole grid's rolls."""
+    cells = np.nonzero(np.abs(ds) < band_width)
+    grad = np.empty((ds.ndim, cells[0].size))
+    for axis, coords in enumerate(cells):
+        ahead, behind = list(cells), list(cells)
+        ahead[axis] = (coords + 1) % ds.shape[axis]
+        behind[axis] = (coords - 1) % ds.shape[axis]
+        grad[axis] = (ds[tuple(ahead)] - ds[tuple(behind)]) / (2.0 * spacing)
+    return cells, grad, np.sqrt(np.sum(grad**2, axis=0))
 
 
 def band_mask(geometry: Geometry, sign: int, delta: float) -> np.ndarray:

@@ -106,6 +106,14 @@ def on_box(a: np.ndarray, box: tuple | None) -> np.ndarray:
     return a
 
 
+def profile(a: np.ndarray, box: tuple | None = None) -> np.ndarray:
+    """The grid array ``a`` on ``box`` (as in :func:`on_box`) with each
+    zero-stride axis, along which ``a`` is one value, cut to one layer:
+    it broadcasts back to the box with the same values."""
+    box = box or tuple(np.arange(size) for size in a.shape)
+    return on_box(a, tuple(c[:1] if s == 0 else c for s, c in zip(a.strides, box)))
+
+
 def cut_box(mask: np.ndarray, box: tuple | None = None) -> tuple[tuple, np.ndarray]:
     """The cells set in the bool ``mask`` on ``box`` (per axis ascending
     grid coordinates; None: the whole grid) as their own box: per axis
@@ -123,20 +131,30 @@ def cut_box(mask: np.ndarray, box: tuple | None = None) -> tuple[tuple, np.ndarr
     return axes, cut
 
 
-def periodic_components(mask: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components of a boolean mask on the torus, where cells
-    that share a face, across a seam too, are connected: the component
-    count and labels 1 .. count (0 off the mask).
+def periodic_components(cell_box: tuple, shape: tuple) -> tuple[int, np.ndarray]:
+    """Connected components of the cells of a cell box (axes, mask) on
+    the torus of grid ``shape``, where cells that share a face, across a
+    seam too, are connected: the component count and labels 1 .. count
+    on the box (0 off its cells), in the order of each component's first
+    cell, so that they are the whole grid's labels read on the box.
 
+    Layer i and layer i + 1 of an axis (the last and the first) are
+    neighbours exactly when their coordinates differ by 1 mod n, across
+    the box's gaps and the seam, as the interface count pairs them.
     Union-find over all face pairs at once: each pair whose roots differ
     hooks the larger root to the smaller, pointer jumping brings every
     cell back to its root, and the pairs within one tree are dropped.
     """
-    mask = np.asarray(mask, dtype=bool)
+    axes, mask = cell_box
     cells = np.flatnonzero(mask)
     index = np.full(mask.shape, -1, dtype=np.intp)
     index.flat[cells] = np.arange(cells.size)
-    ahead = [np.roll(index, -1, axis=axis).flat[cells] for axis in range(mask.ndim)]
+    ahead = []
+    for axis, (coords, n) in enumerate(zip(axes, shape)):
+        nb = np.roll(index, -1, axis=axis)
+        gap = (np.roll(coords, -1) - coords) % n != 1
+        nb[(slice(None),) * axis + (gap,)] = -1
+        ahead.append(nb.flat[cells])
     a = np.concatenate([np.flatnonzero(nb >= 0) for nb in ahead])
     b = np.concatenate([nb[nb >= 0] for nb in ahead])
     parent = np.arange(cells.size)
@@ -148,7 +166,8 @@ def periodic_components(mask: np.ndarray) -> tuple[int, np.ndarray]:
         grand = parent[parent]
         while not np.array_equal(grand, parent):
             parent, grand = grand, grand[grand]
-    roots, labels = np.unique(parent, return_inverse=True)
+    # A root is its own parent; its label is the count of roots up to it.
+    rank = np.cumsum(parent == np.arange(cells.size))
     out = np.zeros(mask.shape, dtype=np.intp)
-    out.flat[cells] = labels + 1
-    return roots.size, out
+    out.flat[cells] = rank[parent]
+    return int(rank[-1]) if rank.size else 0, out

@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-# numpy loads these on first use; loading them with the harness keeps
-# their imports out of the first run: numpy.fft for the FFTs and numpy.ma,
-# which np.unique loads.  numpy.random (6 MiB of RSS) is left to load on
-# first use, by the ensembles.
+# numpy loads numpy.fft on first use; loading it with the harness keeps
+# its import out of the first run.  numpy.random (6 MiB of RSS) is left
+# to load on first use, by the ensembles, and numpy.ma, which np.unique
+# loads, is not needed: the package calls no np.unique.
 import numpy.fft  # noqa: F401
-import numpy.ma  # noqa: F401
 
 from . import io
 from .anisotropy import Anisotropy, induced_anisotropy

@@ -85,7 +85,7 @@ def write_field(path, values) -> None:
         out.write(FIELD_MAGIC)
         out.write(struct.pack("<BB", FIELD_VERSION, arr.ndim))
         out.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.write(arr.tobytes(order="C"))
+        out.write(memoryview(arr))
 
 
 def read_field(path) -> np.ndarray:
@@ -117,12 +117,14 @@ def write_pgm(path, values) -> None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ConfigError("PGM output needs a 2-d field")
-    pixels = np.rint(np.clip(arr, 0.0, 1.0) * 65535.0).astype(">u2")
+    scaled = np.clip(arr, 0.0, 1.0)
+    scaled *= 65535.0
+    np.rint(scaled, out=scaled)
     # values[i, j] is (x1, x2); image rows run top to bottom.
-    image = pixels.T[::-1]
+    image = np.ascontiguousarray(scaled.T[::-1], dtype=">u2")
     with atomic_write(path, "wb") as out:
         out.write(f"P5\n{image.shape[1]} {image.shape[0]}\n65535\n".encode("ascii"))
-        out.write(image.tobytes(order="C"))
+        out.write(memoryview(image))
 
 
 # ---------------------------------------------------------------------------

@@ -461,7 +461,9 @@ def measure_contact_angle(
     in any d.
 
     The droplet is the component of the phase that touches the substrate
-    (has cells in the row just above the substrate line).  Its free
+    (has cells in the row just above the substrate line), labelled on
+    the phase's cell box (:func:`~ambo.grid.periodic_components`), so no
+    grid-sized mask or label array is built.  Its free
     boundary is the 1/2 level of its indicator smoothed by K_h with
     h = (3 spacing)^2, f = 1/2 - K_h*u, evaluated on the fit window
     alone: the 12 rows (``_WINDOW_CELLS``) that start ``skip_cells`` rows
@@ -491,10 +493,8 @@ def measure_contact_angle(
     if not u.is_binary():
         raise SchemeError("phase field must be binary")
 
-    axes, cells = u.cell_box
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[np.ix_(*axes)] = cells
-    n_comp, labels = periodic_components(mask)
+    axes = u.cell_box[0]
+    n_comp, labels = periodic_components(u.cell_box, grid.shape)
     if n_comp == 0:
         raise SchemeError("empty phase: no contact points")
 
@@ -502,13 +502,14 @@ def measure_contact_angle(
     coords = grid.axis_coords()
     # First cell row whose centre lies above the substrate line.
     j0 = int(np.searchsorted(coords, y0 + 0.5 * grid.spacing - 1e-12))
-    touching = np.unique(np.take(labels, j0, axis=1))
-    touching = touching[touching > 0]
+    hit = np.zeros(n_comp + 1, dtype=bool)  # the labels in row j0
+    hit[np.take(labels, np.flatnonzero(axes[1] == j0), axis=1)] = True
+    touching = np.flatnonzero(hit[1:]) + 1
     if touching.size == 0:
         raise SchemeError("phase does not touch the substrate")
     if touching.size > 1:
         raise SchemeError("more than one component touches the substrate")
-    drop = PhaseField.from_mask(geometry, labels == touching[0])
+    drop = PhaseField.from_box(geometry, axes, labels == touching[0])
     spans = [(c[0], c[-1]) for c in drop.cell_box[0]]
     if any(k != 1 and lo == 0 and hi == grid.n - 1 for k, (lo, hi) in enumerate(spans)):
         raise SchemeError("droplet wraps around the torus seam; recentre it")

@@ -27,9 +27,9 @@ from ambo.energy import (
 from ambo.errors import NumericalError
 from ambo.geometry import build_geometry, make_shape
 from ambo.grid import TorusGrid
-from ambo.kernel import GaussianKernel, SampledKernel, scale_kernel
+from ambo.kernel import GaussianKernel, SampledKernel, convolve_product, scale_kernel, tail_margins
 from ambo.scheme import comparison_field
-from ambo.tensions import ModifiedTensions
+from ambo.tensions import ModifiedTensions, RawTensions
 from helpers import cell_box, constant_tensions
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -797,3 +797,42 @@ def test_operator_fields_of_a_product_container_equal_the_fft(d, n, h, kind, bou
     assert np.abs(op.wetting - wetting).max() <= 1e-14 * np.abs(wetting).max()
     dry = float((tensions.sv * k_substrate)[geometry.omega_mask].sum())
     assert op.dry_energy == pytest.approx(dry, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("d, n, h", [(2, 64, 4e-3), (3, 64, 2.5e-3)], ids=["2d", "3d"])
+@pytest.mark.parametrize("sp", ["1.25", "1.25 + 0.1*x1"], ids=["constant", "varying"])
+def test_a_band_operator_with_constant_substrate_tensions_holds_profiles(d, n, h, sp):
+    """On a band whose g_sp and g_sv are constants, sampled as zero-stride
+    views, the run operator holds ``wetting`` as the read-only broadcast
+    of its x2 profile; a g_sp that reads x1 keeps the full array.  Either
+    way ``wetting``, ``dry_energy`` and ``floor`` equal the full-grid
+    formulas bit for bit."""
+    grid = TorusGrid(d, n)
+    geometry = build_geometry(make_shape("band", lo=0.25, hi=0.95), grid)
+    raw = RawTensions.from_values("1", sp, "0.75")
+    tensions = ModifiedTensions.from_fields(
+        grid, *(raw.sample(which, grid) for which in ("pv", "sp", "sv"))
+    )
+    kh = scale_kernel(GaussianKernel(), grid, h)
+    op = RunOperator.build(geometry, tensions, kh)
+
+    # The full-grid formulas, with K_h*1_substrate from the axis factors.
+    slab = tuple(~e if k == 1 else np.ones_like(e) for k, e in enumerate(geometry.extent))
+    k_substrate = convolve_product(kh, slab)
+    wetting = (tensions.sp - tensions.sv) * k_substrate
+    dry = float((tensions.sv * k_substrate)[geometry.omega_mask].sum())
+    base = tensions.pv * op.k_omega
+    base += wetting
+    pv_max = float(tensions.pv.max())
+    floor = (
+        float(base[geometry.omega_mask].min())
+        - 2.0 * pv_max * tail_margins(kh)[1]
+        - 1e-12 * (pv_max + float(np.abs(wetting).max()))
+    )
+    assert not op.wetting.flags.writeable
+    if sp == "1.25":
+        assert op.wetting.strides == tuple(0 if k != 1 else 8 for k in range(d))
+    else:
+        assert 0 not in op.wetting.strides
+    assert op.wetting.shape == grid.shape and op.wetting.tobytes() == wetting.tobytes()
+    assert op.dry_energy == dry and op.floor == floor

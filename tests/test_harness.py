@@ -158,6 +158,57 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_runs_do_not_load_numpy_ma(tmp_path):
+    """A fresh process that runs the small angle case and the small
+    inequalities suite (the contact-angle labels, the shift sums' levels)
+    loads no numpy.ma, which np.unique would load."""
+    argv = []
+    for kind in ("angle", "inequalities"):
+        preset, n, changes = SMALL[kind]
+        config = str(_config(tmp_path / f"{kind}.yaml", preset, changes))
+        argv.append([kind, config, "--n", str(n), "--out", str(tmp_path / kind)])
+    script = f"""
+import sys
+import ambo.cli
+assert all(ambo.cli.main(argv) == 0 for argv in {argv!r})
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(ambo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+# Bound on the tracemalloc peak of the small angle run below, in arrays
+# of n^2 doubles: 3.34 measured, in a fresh process (5.66 while the set-up's
+# gradient check, the run operator's substrate fields, the dumps and the
+# contact angle's labels built full-grid temporaries); one more grid
+# array breaks it.
+ANGLE_PEAK_GRID_ARRAYS = 4.0
+
+
+def test_a_band_angle_run_holds_few_grid_arrays(tmp_path, capsys):
+    """Memory guard: the small angle run, set-up, both stages, the dumps
+    and the contact angle, keeps its traced allocation peak under
+    ANGLE_PEAK_GRID_ARRAYS grid arrays.  The same run goes once untraced
+    first, so that no module it imports on first use counts, whatever
+    ran before it."""
+    preset, n, changes = SMALL["angle"]
+    argv = ["angle", str(_config(tmp_path / "angle.yaml", preset, changes)), "--n", str(n)]
+    assert cli.main(argv + ["--out", str(tmp_path / "untraced")]) == 0
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--out", str(tmp_path / "traced")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak <= ANGLE_PEAK_GRID_ARRAYS * n * n * 8, peak / (n * n * 8)
+
+
 def _ball_config(tmp_path, n, preserve, max_steps):
     """A 3-d ball of radius 0.4 read from a field file."""
     x = (np.arange(n) + 0.5) / n

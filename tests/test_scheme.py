@@ -20,7 +20,7 @@ from ambo.energy import (
 )
 from ambo.errors import NumericalError
 from ambo.geometry import build_geometry, make_shape
-from ambo.grid import TorusGrid, on_box, periodic_components
+from ambo.grid import TorusGrid, cut_box, on_box, periodic_components
 from ambo.kernel import (
     GaussianKernel,
     SampledKernel,
@@ -934,6 +934,10 @@ _RANDOM_MASKS = [
         # both seams: a box across the corner is one component, and a
         # strip across the x2 seam beside it is another
         _box((16, 16), (-2, 3), (-2, 3)) | _box((16, 16), (6, 8), (-4, 4)),
+        # gaps: three boxes whose cut box holds x1 = 0, 2, 3, 5, 6, 14, 15,
+        # so layers that are adjacent on the box are not on the grid
+        _box((16, 16), (2, 4), (3, 6)) | _box((16, 16), (5, 7), (3, 6))
+        | _box((16, 16), (14, 17), (10, 12)),
         # a 3-d box across the x3 seam, a ring around x1, and a lone cell
         _box((10, 10, 10), (2, 5), (2, 5), (-2, 2))
         | _box((10, 10, 10), (0, 10), (7, 8), (5, 6))
@@ -941,11 +945,16 @@ _RANDOM_MASKS = [
         np.zeros((8, 8), dtype=bool),
         *_RANDOM_MASKS,
     ],
-    ids=["one_seam", "both_seams", "3d_seam", "empty"]
+    ids=["one_seam", "both_seams", "gaps", "3d_seam", "empty"]
     + [f"random{i}" for i in range(len(_RANDOM_MASKS))],
 )
 def test_periodic_components_match_a_roll_flood_fill(mask):
-    count, labels = periodic_components(mask)
+    """The mask labelled on the whole grid and on its cut box (whose
+    coordinates hold gaps and both ends of an axis where it crosses a
+    seam) gives the flood fill's partition, with the grid's labels read
+    on the box."""
+    whole = (tuple(np.arange(size) for size in mask.shape), mask)
+    count, labels = periodic_components(whole, mask.shape)
     oracle = _roll_flood_labels(mask)
     assert np.array_equal(labels > 0, mask)
     assert count == np.unique(oracle[mask]).size
@@ -953,6 +962,10 @@ def test_periodic_components_match_a_roll_flood_fill(mask):
     # The same partition: each label pairs with exactly one oracle label.
     pairs = set(zip(labels[mask].tolist(), oracle[mask].tolist()))
     assert len(pairs) == count
+    axes, cut = cut_box(mask)
+    box_count, box_labels = periodic_components((axes, cut), mask.shape)
+    assert box_count == count
+    assert np.array_equal(box_labels, on_box(labels, axes))
 
 
 @pytest.fixture(scope="module")
